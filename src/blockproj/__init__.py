@@ -54,9 +54,7 @@ from .perturbation import (
     RandomDirectionPolicy,
     SuperiorizedPolicy,
     ZeroPolicy,
-    aggregate,
     budget,
-    generate,
     perturbation_rng,
     theta_budget,
     zeta,
@@ -79,7 +77,6 @@ from .solver import (
     run,
     sigma_from_ball,
     sigma_from_l1,
-    step,
 )
 from .weights import (
     BlockClassicalCyclic,

@@ -6,6 +6,7 @@ identical (problem, config, seed) inputs.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -20,6 +21,8 @@ from .core import (
 from .oracles import SUITES
 from .perturbation import RandomDirectionPolicy, SuperiorizedPolicy, ZeroPolicy
 from .problems import (
+    _convert,
+    _get,
     function_from_json,
     gen_disc_intersection,
     gen_l1_constrained,
@@ -49,10 +52,7 @@ _SUCCESS_STATUSES = (
 # config-file decoding (operator indices are 1-based in files)
 
 def _indices(raw, m, path):
-    try:
-        idx = [int(i) - 1 for i in raw]
-    except (TypeError, ValueError):
-        raise ParseError(f"{path}: expected an array of 1-based indices")
+    idx = _convert(raw, path, lambda r: [int(i) - 1 for i in r], "an array of 1-based indices")
     if any(not 0 <= i < m for i in idx):
         raise ParseError(f"{path}: index outside 1..{m}")
     return idx
@@ -66,7 +66,9 @@ def schedule_from_json(obj, m, path="config.schedule"):
         return SequentialCyclic(m)
     if regime == "sequential_almost_cyclic":
         return SequentialAlmostCyclic(
-            m, int(obj.get("period_bound", m)), int(obj.get("order_seed", 0))
+            m,
+            _convert(obj.get("period_bound", m), f"{path}.period_bound", int),
+            _convert(obj.get("order_seed", 0), f"{path}.order_seed", int),
         )
     if regime == "sequential_repetitive":
         if "control" not in obj:
@@ -84,16 +86,22 @@ def schedule_from_json(obj, m, path="config.schedule"):
             raise ParseError(f"{path}.partition: required")
         partition = [
             _indices(block, m, f"{path}.partition[{i}]")
-            for i, block in enumerate(obj["partition"])
+            for i, block in enumerate(_convert(obj["partition"], f"{path}.partition", list,
+                                               "an array"))
         ]
         intra = obj.get("intra", "uniform")
+        if intra != "uniform":
+            intra = _convert(intra, f"{path}.intra",
+                             lambda raw: [[float(v) for v in ws] for ws in raw],
+                             "\"uniform\" or an array of weight arrays")
         return BlockClassicalCyclic(m, partition, intra)
     if regime == "block_generalized":
         if "blocks" not in obj:
             raise ParseError(f"{path}.blocks: required")
         blocks = [
             _indices(block, m, f"{path}.blocks[{i}]")
-            for i, block in enumerate(obj["blocks"])
+            for i, block in enumerate(_convert(obj["blocks"], f"{path}.blocks", list,
+                                               "an array"))
         ]
         return BlockGeneralized(m, blocks)
     raise ParseError(f"{path}.regime: unknown regime {regime!r}")
@@ -106,7 +114,7 @@ def policy_from_json(obj, problem_cost, path="config.policy"):
     if kind == "zero":
         return ZeroPolicy()
     if kind == "random":
-        return RandomDirectionPolicy(float(obj.get("rho", 0.99)))
+        return RandomDirectionPolicy(_convert(obj.get("rho", 0.99), f"{path}.rho"))
     if kind == "superiorized":
         cost = obj.get("cost")
         if cost is not None:
@@ -115,26 +123,28 @@ def policy_from_json(obj, problem_cost, path="config.policy"):
             cost = problem_cost
         else:
             raise ParseError(f"{path}.cost: required (the problem declares no cost)")
-        return SuperiorizedPolicy(cost, float(obj.get("rho", 0.99)))
+        return SuperiorizedPolicy(cost, _convert(obj.get("rho", 0.99), f"{path}.rho"))
     raise ParseError(f"{path}.policy: unknown policy {kind!r}")
+
+
+_RULES = {
+    "residual_below": (ResidualBelow, "tol", float),
+    "max_distance": (MaxDistance, "eps", float),
+    "max_function_value": (MaxFunctionValue, "eps", float),
+    "max_iterations": (MaxIterations, "limit", int),
+}
 
 
 def stopping_from_json(rules, path="config.stopping"):
     out = []
-    for i, obj in enumerate(rules):
+    for i, obj in enumerate(_convert(rules, path, list, "an array")):
         if not isinstance(obj, dict) or "rule" not in obj:
             raise ParseError(f"{path}[{i}]: expected an object with a 'rule' field")
         kind = obj["rule"]
-        if kind == "residual_below":
-            out.append(ResidualBelow(float(obj["tol"])))
-        elif kind == "max_distance":
-            out.append(MaxDistance(float(obj["eps"])))
-        elif kind == "max_function_value":
-            out.append(MaxFunctionValue(float(obj["eps"])))
-        elif kind == "max_iterations":
-            out.append(MaxIterations(int(obj["limit"])))
-        else:
+        if not isinstance(kind, str) or kind not in _RULES:
             raise ParseError(f"{path}[{i}].rule: unknown rule {kind!r}")
+        rule, key, convert = _RULES[kind]
+        out.append(rule(_convert(_get(obj, key, f"{path}[{i}]"), f"{path}[{i}].{key}", convert)))
     return out
 
 
@@ -146,23 +156,27 @@ def assemble_config(doc, problem, seed_override=None):
     if isinstance(lam, dict):
         if "list" not in lam:
             raise ParseError("config.lambda: expected a number or {\"list\": [...]}")
-        schedule = LambdaSchedule([float(v) for v in lam["list"]])
+        schedule = LambdaSchedule(_convert(lam["list"], "config.lambda.list",
+                                           lambda vs: [float(v) for v in vs], "numbers"))
     else:
-        schedule = LambdaSchedule(float(lam))
+        schedule = LambdaSchedule(_convert(lam, "config.lambda"))
     sigma = doc.get("sigma_override")
     if sigma == "infinity":
         sigma = INFINITE_SIGMA
     elif sigma is not None:
-        sigma = float(sigma)
+        sigma = _convert(sigma, "config.sigma_override")
     stopping = stopping_from_json(doc.get("stopping", [{"rule": "residual_below", "tol": 1e-8}]))
     residual_tol = next((r.tol for r in stopping if isinstance(r, ResidualBelow)), 1e-8)
-    seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
+    if seed_override is None:
+        seed = _convert(doc.get("seed", 0), "config.seed", int)
+    else:
+        seed = int(seed_override)
     config = SolverConfig(
-        tau1=float(doc.get("tau1", 0.5)),
-        tau2=float(doc.get("tau2", 0.5)),
+        tau1=_convert(doc.get("tau1", 0.5), "config.tau1"),
+        tau2=_convert(doc.get("tau2", 0.5), "config.tau2"),
         lambda_schedule=schedule,
         sigma=sigma,
-        max_iterations=int(doc.get("max_iterations", 100_000)),
+        max_iterations=_convert(doc.get("max_iterations", 100_000), "config.max_iterations", int),
         residual_tolerance=residual_tol,
         seed=seed,
     )
@@ -260,6 +274,9 @@ def cmd_verify(args):
         print(f"unknown suite {suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return 1
     trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[suite]
+    if trials < 1:
+        print(f"error: --trials must be >= 1, got {trials}", file=sys.stderr)
+        return 1
     report = SUITES[suite](trials, args.seed)
     print(
         f"suite={report.suite} trials={report.trials} passes={report.passes}"
@@ -268,17 +285,8 @@ def cmd_verify(args):
     for digest in report.failed_digests:
         print(f"  FAIL {digest}", file=sys.stderr)
     if args.json:
-        doc = {
-            "suite": report.suite,
-            "trials": report.trials,
-            "passes": report.passes,
-            "failures": report.failures,
-            "worst_violation": report.worst_violation,
-            "coverage": report.coverage,
-            "failed_digests": list(report.failed_digests),
-        }
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(dataclasses.asdict(report), fh, indent=2)
             fh.write("\n")
     return 0 if report.all_passed else 1
 

@@ -30,7 +30,7 @@ from .cutters import (
     SubgradientProjection,
 )
 from .perturbation import RandomDirectionPolicy, ZeroPolicy, budget, theta_budget
-from .problems import gen_linear_feasibility
+from .problems import _unit, gen_linear_feasibility
 from .solver import (
     MaxIterations,
     Problem,
@@ -63,15 +63,6 @@ class TrialOutcome:
 
 # ---------------------------------------------------------------------------
 # random instances and fixed-point samples
-
-def _unit(rng, n):
-    v = rng.standard_normal(n)
-    nrm = float(np.linalg.norm(v))
-    while nrm == 0.0:
-        v = rng.standard_normal(n)
-        nrm = float(np.linalg.norm(v))
-    return v / nrm
-
 
 PROJECTION_KINDS = ("halfspace", "hyperplane", "ball", "box", "l1_ball")
 

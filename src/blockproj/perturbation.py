@@ -10,15 +10,8 @@ import math
 
 import numpy as np
 
-from .core import (
-    DimensionMismatch,
-    InfiniteSigma,
-    InvalidPolicy,
-    normalize_sigma,
-    sigma_is_finite,
-)
-
-_GRAD_ZERO_TOL = 1e-14
+from .core import InfiniteSigma, InvalidPolicy, normalize_sigma, sigma_is_finite
+from .cutters import _GRAD_ZERO_TOL
 
 
 def _check_lambda(lam):
@@ -35,6 +28,17 @@ def _check_residual(residual):
     return residual
 
 
+def _zeta(lam, r, anchor):
+    return (lam * r + anchor) ** 2 + lam * (2.0 - lam) * r * r
+
+
+def _radius(theta, lam, r, anchor):
+    denominator = math.sqrt(_zeta(lam, r, anchor)) + lam * r + anchor
+    if denominator == 0.0:
+        return 0.0
+    return theta * lam * (2.0 - lam) * r * r / denominator
+
+
 def zeta(lam, residual, sigma):
     """(lam r + 2 sigma)^2 + lam (2 - lam) r^2 for finite sigma."""
     lam = _check_lambda(lam)
@@ -42,7 +46,7 @@ def zeta(lam, residual, sigma):
     sigma = normalize_sigma(sigma)
     if not sigma_is_finite(sigma):
         raise InfiniteSigma("zeta is undefined for infinite sigma")
-    return (lam * r + 2.0 * sigma) ** 2 + lam * (2.0 - lam) * r * r
+    return _zeta(lam, r, 2.0 * sigma)
 
 
 def budget(lam, residual, sigma):
@@ -59,8 +63,7 @@ def budget(lam, residual, sigma):
         return 0.0
     if r == 0.0 or lam == 0.0 or lam == 2.0:
         return 0.0
-    z = zeta(lam, r, sigma)
-    return 0.5 * lam * (2.0 - lam) * r * r / (math.sqrt(z) + lam * r + 2.0 * sigma)
+    return _radius(0.5, lam, r, 2.0 * sigma)
 
 
 def theta_budget(theta, lam, residual, anchor_distance):
@@ -78,11 +81,7 @@ def theta_budget(theta, lam, residual, anchor_distance):
     anchor = float(anchor_distance)
     if anchor < 0.0:
         raise ValueError(f"anchor distance must be nonnegative, got {anchor}")
-    z = (lam * r + anchor) ** 2 + lam * (2.0 - lam) * r * r
-    denominator = math.sqrt(z) + lam * r + anchor
-    if denominator == 0.0:
-        return 0.0
-    return theta * lam * (2.0 - lam) * r * r / denominator
+    return _radius(theta, lam, r, anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +156,6 @@ class SuperiorizedPolicy(PerturbationPolicy):
         if gn <= _GRAD_ZERO_TOL:
             return np.zeros_like(x)
         return (-scale / gn) * g
-
-
-def generate(policy, budget_value, x, rng):
-    """Produce a perturbation under ``policy`` within ``budget_value``."""
-    return policy.generate(budget_value, x, rng)
-
-
-def aggregate(per_index):
-    """Convex combination sum_i w(i) e^i of per-operator perturbations."""
-    pairs = [(float(w), np.asarray(e, dtype=float)) for w, e in per_index]
-    if not pairs:
-        raise ValueError("aggregate needs at least one (weight, perturbation) pair")
-    dim = pairs[0][1].size
-    out = np.zeros(dim)
-    for w, e in pairs:
-        if e.ndim != 1 or e.size != dim:
-            raise DimensionMismatch("all perturbations must share a dimension")
-        out += w * e
-    return out
 
 
 def perturbation_rng(seed, k, i):

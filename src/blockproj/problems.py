@@ -47,116 +47,102 @@ def _get(obj, key, path, required=True):
         return None
     return obj[key]
 
+def _convert(value, path, convert=float, expected="a number"):
+    """convert(value), or a ParseError naming the field when it fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{path}: expected {expected}")
+
 def _floats(value, path):
     if not isinstance(value, list) or not value:
         raise ParseError(f"{path}: expected a nonempty array of numbers")
-    try:
-        return [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise ParseError(f"{path}: expected numbers")
+    return _convert(value, path, lambda vs: [float(v) for v in vs], "numbers")
 
 def _float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number")
     return float(value)
 
+def _matrix(value, path):
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected a matrix")
+    return value
+
 
 # ---------------------------------------------------------------------------
-# function codecs
+# cutter and function codecs
+#
+# One table per tag: a cutter's ``kind`` (written as "type") or a function's
+# ``form`` maps to its class and its JSON fields in constructor order.  A
+# field is (key, codec) or, when the attribute is named differently,
+# (key, codec, attribute); a codec is an (encode, decode) pair per value type.
+
+def _tagged(table, tag):
+    # non-string tags (say "type": []) are unknown, not unhashable
+    return table.get(tag) if isinstance(tag, str) else None
+
+
+def _encode(obj, tag_key, tag, table, noun):
+    spec = _tagged(table, tag)
+    if spec is None or not isinstance(obj, spec[0]):
+        raise UnknownCutterKind(f"cannot encode {noun} {obj!r}")
+    doc = {tag_key: tag}
+    for key, (encode, _), *attr in spec[1]:
+        doc[key] = encode(getattr(obj, attr[0] if attr else key))
+    return doc
+
+
+def _decode(obj, path, tag_key, table, unknown):
+    tag = _get(obj, tag_key, path)
+    spec = _tagged(table, tag)
+    if spec is None:
+        raise UnknownCutterKind(f"{path}.{tag_key}: {unknown} {tag!r}")
+    cls, fields = spec
+    return cls(*[decode(_get(obj, key, path), f"{path}.{key}")
+                 for key, (_, decode), *_ in fields])
+
 
 def function_to_json(fn):
-    if isinstance(fn, AffineFunction):
-        return {"form": "affine", "a": [float(v) for v in fn.a], "b": fn.b}
-    if isinstance(fn, QuadraticFunction):
-        return {
-            "form": "quadratic",
-            "Q": [[float(v) for v in row] for row in fn.Q],
-            "c": [float(v) for v in fn.c],
-            "d": fn.d,
-        }
-    if isinstance(fn, BallQuadratic):
-        return {
-            "form": "norm_squared_minus",
-            "center": [float(v) for v in fn.center],
-            "radius": fn.radius,
-        }
-    if isinstance(fn, AbsSum):
-        return {"form": "abs_sum"}
-    if isinstance(fn, SquaredNorm):
-        return {"form": "squared_norm"}
-    if isinstance(fn, SetIndicator):
-        return {"form": "indicator", "set": cutter_to_json(fn.set_cutter)}
-    raise UnknownCutterKind(f"cannot encode function {fn!r}")
+    return _encode(fn, "form", getattr(fn, "form", None), _FUNCTION_FORMS, "function")
 
 
 def function_from_json(obj, path="cost"):
-    form = _get(obj, "form", path)
-    if form == "affine":
-        return AffineFunction(_floats(_get(obj, "a", path), f"{path}.a"),
-                              _float(_get(obj, "b", path), f"{path}.b"))
-    if form == "quadratic":
-        q = _get(obj, "Q", path)
-        if not isinstance(q, list):
-            raise ParseError(f"{path}.Q: expected a matrix")
-        return QuadraticFunction(q, _floats(_get(obj, "c", path), f"{path}.c"),
-                                 _float(_get(obj, "d", path), f"{path}.d"))
-    if form == "norm_squared_minus":
-        return BallQuadratic(_floats(_get(obj, "center", path), f"{path}.center"),
-                             _float(_get(obj, "radius", path), f"{path}.radius"))
-    if form == "abs_sum":
-        return AbsSum()
-    if form == "squared_norm":
-        return SquaredNorm()
-    if form == "indicator":
-        return SetIndicator(cutter_from_json(_get(obj, "set", path), f"{path}.set"))
-    raise UnknownCutterKind(f"{path}.form: unknown function form {form!r}")
+    return _decode(obj, path, "form", _FUNCTION_FORMS, "unknown function form")
 
-
-# ---------------------------------------------------------------------------
-# cutter codecs
 
 def cutter_to_json(cutter):
-    if isinstance(cutter, Halfspace):
-        return {"type": "halfspace", "a": [float(v) for v in cutter.a], "b": cutter.b}
-    if isinstance(cutter, Hyperplane):
-        return {"type": "hyperplane", "a": [float(v) for v in cutter.a], "b": cutter.b}
-    if isinstance(cutter, Ball):
-        return {"type": "ball", "center": [float(v) for v in cutter.center],
-                "radius": cutter.radius}
-    if isinstance(cutter, Box):
-        return {"type": "box", "lo": [float(v) for v in cutter.lo],
-                "hi": [float(v) for v in cutter.hi]}
-    if isinstance(cutter, L1Ball):
-        return {"type": "l1_ball", "radius": cutter.radius}
-    if isinstance(cutter, SubgradientProjection):
-        return {"type": "subgradient_projection", "f": function_to_json(cutter.f)}
-    if isinstance(cutter, Resolvent):
-        return {"type": "resolvent", "g": function_to_json(cutter.g), "gamma": cutter.gamma}
-    raise UnknownCutterKind(f"cannot encode cutter {cutter!r}")
+    return _encode(cutter, "type", getattr(cutter, "kind", None), _CUTTER_KINDS, "cutter")
 
 
 def cutter_from_json(obj, path="cutter"):
-    kind = _get(obj, "type", path)
-    if kind == "halfspace":
-        return Halfspace(_floats(_get(obj, "a", path), f"{path}.a"),
-                         _float(_get(obj, "b", path), f"{path}.b"))
-    if kind == "hyperplane":
-        return Hyperplane(_floats(_get(obj, "a", path), f"{path}.a"),
-                          _float(_get(obj, "b", path), f"{path}.b"))
-    if kind == "ball":
-        return Ball(_floats(_get(obj, "center", path), f"{path}.center"),
-                    _float(_get(obj, "radius", path), f"{path}.radius"))
-    if kind == "box":
-        return Box(_floats(_get(obj, "lo", path), f"{path}.lo"),
-                   _floats(_get(obj, "hi", path), f"{path}.hi"))
-    if kind == "l1_ball":
-        return L1Ball(_float(_get(obj, "radius", path), f"{path}.radius"))
-    if kind == "subgradient_projection":
-        return SubgradientProjection(function_from_json(_get(obj, "f", path), f"{path}.f"))
-    if kind == "resolvent":
-        return Resolvent(function_from_json(_get(obj, "g", path), f"{path}.g"),
-                         _float(_get(obj, "gamma", path), f"{path}.gamma"))
-    raise UnknownCutterKind(f"{path}.type: unknown cutter kind {kind!r}")
+    return _decode(obj, path, "type", _CUTTER_KINDS, "unknown cutter kind")
+
+
+_VECTOR = (lambda v: [float(x) for x in v], _floats)
+_NUMBER = (float, _float)
+_MATRIX = (lambda q: [[float(x) for x in row] for row in q], _matrix)
+_FUNCTION = (function_to_json, function_from_json)
+_CUTTER = (cutter_to_json, cutter_from_json)
+
+_FUNCTION_FORMS = {
+    "affine": (AffineFunction, [("a", _VECTOR), ("b", _NUMBER)]),
+    "quadratic": (QuadraticFunction, [("Q", _MATRIX), ("c", _VECTOR), ("d", _NUMBER)]),
+    "norm_squared_minus": (BallQuadratic, [("center", _VECTOR), ("radius", _NUMBER)]),
+    "abs_sum": (AbsSum, []),
+    "squared_norm": (SquaredNorm, []),
+    "indicator": (SetIndicator, [("set", _CUTTER, "set_cutter")]),
+}
+
+_CUTTER_KINDS = {
+    "halfspace": (Halfspace, [("a", _VECTOR), ("b", _NUMBER)]),
+    "hyperplane": (Hyperplane, [("a", _VECTOR), ("b", _NUMBER)]),
+    "ball": (Ball, [("center", _VECTOR), ("radius", _NUMBER)]),
+    "box": (Box, [("lo", _VECTOR), ("hi", _VECTOR)]),
+    "l1_ball": (L1Ball, [("radius", _NUMBER)]),
+    "subgradient_projection": (SubgradientProjection, [("f", _FUNCTION)]),
+    "resolvent": (Resolvent, [("g", _FUNCTION), ("gamma", _NUMBER)]),
+}
 
 
 # ---------------------------------------------------------------------------

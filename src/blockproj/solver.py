@@ -191,28 +191,6 @@ def _effective_sigma(problem, config):
     return normalize_sigma(config.sigma if config.sigma is not None else problem.sigma)
 
 
-def step(problem, config, schedule, policy, k, x_k):
-    """One update from iterate k.  Returns (x_next, record for x_k).
-
-    Assumes ``validate_config(config)`` has passed.  Every cutter is
-    evaluated once; the update combines the weighted ones, then adds the
-    aggregated in-budget perturbation.
-    """
-    if schedule.m != problem.m:
-        raise InvalidSchedule(f"schedule covers {schedule.m} operators, problem has {problem.m}")
-    sigma = _effective_sigma(problem, config)
-    x = np.asarray(x_k, dtype=float)
-    if x.ndim != 1 or x.size != problem.dimension:
-        raise DimensionMismatch(f"x_k must have dimension {problem.dimension}")
-    applied, residuals = _sweep(problem.cutters, x)
-    lam = config.lambda_schedule(k)
-    w = schedule.weights_at(k)
-    x_next, pert_norm = _update(x, applied, residuals, w, lam, sigma, policy, config.seed, k)
-    if not np.all(np.isfinite(x_next)):
-        raise NonfiniteIterate(f"non-finite iterate after step k={k}")
-    return x_next, _record(problem, k, x, residuals, pert_norm, lam)
-
-
 def run(problem, config=None, schedule=None, policy=None, stopping=None):
     """Iterate until a stopping rule fires or the iteration cap is reached.
 

@@ -13,6 +13,16 @@ from .core import InvalidSchedule
 _SUM_TOL = 1e-12
 
 
+def _cycled(rule, convert, name):
+    """``rule`` when it is callable, else a nonempty table cycled over k."""
+    if callable(rule):
+        return rule
+    table = tuple(convert(entry) for entry in rule)
+    if not table:
+        raise InvalidSchedule(f"{name} table must be nonempty")
+    return lambda k: table[k % len(table)]
+
+
 class WeightSchedule:
     """Base class: deterministic map from iteration index k to a weight vector."""
 
@@ -108,15 +118,7 @@ class SequentialRepetitive(WeightSchedule):
 
     def __init__(self, m, control):
         super().__init__(m)
-        if callable(control):
-            self.control = control
-            self.control_table = None
-        else:
-            table = tuple(int(i) for i in control)
-            if not table:
-                raise InvalidSchedule("control table must be nonempty")
-            self.control_table = table
-            self.control = lambda k: table[k % len(table)]
+        self.control = _cycled(control, int, "control")
 
     def _weights(self, k):
         i = int(self.control(k))
@@ -148,18 +150,7 @@ class SimultaneousDrifting(WeightSchedule):
 
     def __init__(self, m, selector=None):
         super().__init__(m)
-        if selector is None:
-            self.selector = lambda k: k % m
-            self.selector_table = None
-        elif callable(selector):
-            self.selector = selector
-            self.selector_table = None
-        else:
-            table = tuple(int(i) for i in selector)
-            if not table:
-                raise InvalidSchedule("selector table must be nonempty")
-            self.selector_table = table
-            self.selector = lambda k: table[k % len(table)]
+        self.selector = _cycled(range(self.m) if selector is None else selector, int, "selector")
 
     def _weights(self, k):
         i = int(self.selector(k))
@@ -225,15 +216,8 @@ class BlockGeneralized(WeightSchedule):
 
     def __init__(self, m, selection, weights_fn=None):
         super().__init__(m)
-        if callable(selection):
-            self.selection = selection
-            self.selection_table = None
-        else:
-            table = [tuple(int(i) for i in block) for block in selection]
-            if not table:
-                raise InvalidSchedule("selection table must be nonempty")
-            self.selection_table = table
-            self.selection = lambda k: table[k % len(table)]
+        self.selection = _cycled(selection, lambda block: tuple(int(i) for i in block),
+                                 "selection")
         self.weights_fn = weights_fn
 
     def _weights(self, k):

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from blockproj import load_problem
 from blockproj.cli import main
@@ -151,6 +152,24 @@ def test_invalid_lambda_config_exits_1(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, where", [
+    ({"stopping": [{"rule": "residual_below"}]}, "config.stopping[0].tol"),
+    ({"stopping": [{"rule": "residual_below", "tol": None}]}, "config.stopping[0].tol"),
+    ({"schedule": {"regime": "block_classical", "partition": 5}}, "config.schedule.partition"),
+    ({"stopping": 5}, "config.stopping"),
+    ({"max_iterations": None}, "config.max_iterations"),
+])
+def test_malformed_config_field_exits_1(tmp_path, capsys, overrides, where):
+    problem_path = tmp_path / "p.json"
+    main(["gen", "discs", "--m", "3", "--seed", "6", "--out", str(problem_path)])
+    config_path = tmp_path / "c.json"
+    _write_config(config_path, **overrides)
+    code = main(_solve_args(problem_path, config_path, tmp_path / "t.csv", tmp_path / "s.json"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+
 def test_block_schedule_one_based_indices(tmp_path):
     problem_path = tmp_path / "p.json"
     main(["gen", "discs", "--m", "3", "--seed", "6", "--out", str(problem_path)])
@@ -200,6 +219,12 @@ def test_verify_suites(tmp_path, capsys):
     doc = json.loads(report_path.read_text())
     assert doc["failures"] == 0
     assert doc["trials"] == 200  # boundary + strict sweeps
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_without_trials_exits_1(capsys, trials):
+    assert main(["verify", "fejer", "--trials", trials]) == 1
+    assert "--trials must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_exits_1(capsys):

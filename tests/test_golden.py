@@ -1,0 +1,127 @@
+"""Byte-for-byte regression against the committed files in tests/golden.
+
+Each golden file is the output of the recipe below.  Any change to a float
+the solver computes, to the trace CSV format or to the problem-file format
+fails here.  When such a change is intended, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and state the reason with the change.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from blockproj import (
+    AbsSum,
+    AffineFunction,
+    Ball,
+    BallQuadratic,
+    Box,
+    Halfspace,
+    Hyperplane,
+    L1Ball,
+    Problem,
+    QuadraticFunction,
+    Resolvent,
+    SetIndicator,
+    SquaredNorm,
+    SubgradientProjection,
+    load_problem,
+    save_problem,
+)
+from blockproj.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+LINEAR = ["linear", "--m", "12", "--n", "6", "--seed", "5"]
+L1 = ["l1", "--s", "5", "--n", "8", "--eps", "2", "--seed", "3"]
+
+# file name -> (generator arguments, regime, policy, residual tolerance)
+TRACES = {
+    "trace_cyclic_zero_linear.csv":
+        (LINEAR, "sequential_cyclic", {"policy": "zero"}, 1e-6),
+    "trace_simultaneous_random_linear.csv":
+        (LINEAR, "simultaneous_uniform", {"policy": "random", "rho": 0.99}, 1e-3),
+    "trace_superiorized_l1.csv":
+        (L1, "simultaneous_uniform", {"policy": "superiorized", "rho": 0.99}, 1e-4),
+}
+
+PROBLEM = "problem_all_kinds.json"
+
+CUTTER_TYPES = {"halfspace", "hyperplane", "ball", "box", "l1_ball",
+                "subgradient_projection", "resolvent"}
+FUNCTION_FORMS = {"affine", "quadratic", "norm_squared_minus", "abs_sum",
+                  "squared_norm", "indicator"}
+
+
+def write_trace(name, work, out):
+    """Run ``blockproj gen`` and ``blockproj solve`` for one recipe into ``out``."""
+    gen, regime, policy, tol = TRACES[name]
+    problem = work / "problem.json"
+    config = work / "config.json"
+    assert main(["gen", *gen, "--out", str(problem)]) == 0
+    config.write_text(json.dumps({
+        "lambda": 1.0,
+        "schedule": {"regime": regime},
+        "policy": policy,
+        "stopping": [{"rule": "residual_below", "tol": tol}],
+        "max_iterations": 50_000,
+        "seed": 1,
+    }))
+    assert main(["solve", "--problem", str(problem), "--config", str(config),
+                 "--trace", str(out), "--summary", str(work / "summary.json")]) == 0
+
+
+def all_kinds_problem():
+    """Every cutter type and every function form, with an indicator nested
+    in a resolvent; the origin is a common fixed point."""
+    third = 1.0 / 3.0
+    cutters = [
+        Halfspace([1.0, -2.5], 0.1),
+        Hyperplane([third, 1.0], 0.0),
+        Ball([0.25, -0.5], 1.5),
+        Box([-1.0, -third], [2.0, 0.75]),
+        L1Ball(float.fromhex("0x1.921fb54442d18p+1")),
+        SubgradientProjection(AffineFunction([0.6, 0.8], 0.3)),
+        SubgradientProjection(QuadraticFunction([[2.0, 0.5], [0.5, 1.0]], [0.1, -0.2], -1.0)),
+        SubgradientProjection(BallQuadratic([-0.125, 0.375], 2.0)),
+        Resolvent(AbsSum(), 0.7),
+        Resolvent(SquaredNorm(), 1e-3),
+        Resolvent(SetIndicator(Box([-0.5, -0.5], [0.5, 0.5])), 1.3),
+    ]
+    return Problem(2, cutters, [3.0, -4.0], sigma=7.125, witness=[0.0, 0.0],
+                   cost=AbsSum())
+
+
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_trace_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    write_trace(name, tmp_path, out)
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_problem_file_matches_golden(tmp_path):
+    golden = (GOLDEN / PROBLEM).read_bytes()
+    doc = json.loads(golden)
+    assert {c["type"] for c in doc["cutters"]} == CUTTER_TYPES
+    forms = {c[key]["form"] for c in doc["cutters"] for key in ("f", "g") if key in c}
+    assert forms == FUNCTION_FORMS
+    written = tmp_path / "written.json"
+    save_problem(all_kinds_problem(), written)
+    assert written.read_bytes() == golden
+    # load and save again: the same bytes come back
+    again = tmp_path / "again.json"
+    save_problem(load_problem(GOLDEN / PROBLEM), again)
+    assert again.read_bytes() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        for trace in TRACES:
+            write_trace(trace, Path(work), GOLDEN / trace)
+    save_problem(all_kinds_problem(), GOLDEN / PROBLEM)

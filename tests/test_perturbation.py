@@ -5,16 +5,13 @@ import pytest
 
 from blockproj import (
     INFINITE_SIGMA,
-    DimensionMismatch,
     InfiniteSigma,
     InvalidPolicy,
     RandomDirectionPolicy,
     SquaredNorm,
     SuperiorizedPolicy,
     ZeroPolicy,
-    aggregate,
     budget,
-    generate,
     perturbation_rng,
     theta_budget,
     zeta,
@@ -117,34 +114,34 @@ def test_input_validation():
 
 def test_zero_policy():
     rng = perturbation_rng(0, 0, 0)
-    e = generate(ZeroPolicy(), 10.0, np.ones(3), rng)
+    e = ZeroPolicy().generate(10.0, np.ones(3), rng)
     assert np.array_equal(e, np.zeros(3))
 
 
 def test_random_direction_norm():
     policy = RandomDirectionPolicy(rho=0.9)
     rng = perturbation_rng(1, 2, 3)
-    e = generate(policy, 0.1, np.zeros(4), rng)
+    e = policy.generate(0.1, np.zeros(4), rng)
     assert np.linalg.norm(e) == pytest.approx(0.09, abs=1e-12)
     assert np.linalg.norm(e) < 0.1  # strictly inside the budget
 
 
 def test_random_direction_zero_budget():
     policy = RandomDirectionPolicy(rho=0.9)
-    e = generate(policy, 0.0, np.zeros(4), perturbation_rng(1, 2, 3))
+    e = policy.generate(0.0, np.zeros(4), perturbation_rng(1, 2, 3))
     assert np.array_equal(e, np.zeros(4))
 
 
 def test_superiorized_example():
     # cost ||x||^2 at (1, 0): -grad/||grad|| = (-1, 0), scaled by 0.5 * 0.2
     policy = SuperiorizedPolicy(SquaredNorm(), rho=0.5)
-    e = generate(policy, 0.2, np.array([1.0, 0.0]), perturbation_rng(0, 0, 0))
+    e = policy.generate(0.2, np.array([1.0, 0.0]), perturbation_rng(0, 0, 0))
     assert np.allclose(e, [-0.1, 0.0], atol=1e-15)
 
 
 def test_superiorized_zero_gradient_gives_zero():
     policy = SuperiorizedPolicy(SquaredNorm(), rho=0.5)
-    e = generate(policy, 0.2, np.zeros(3), perturbation_rng(0, 0, 0))
+    e = policy.generate(0.2, np.zeros(3), perturbation_rng(0, 0, 0))
     assert np.array_equal(e, np.zeros(3))
 
 
@@ -153,7 +150,7 @@ def test_strict_budget_sweep():
     policy = RandomDirectionPolicy(rho=0.99)
     for trial in range(200):
         b = rng_master.uniform(1e-6, 2.0)
-        e = generate(policy, b, np.zeros(3), perturbation_rng(9, trial, 0))
+        e = policy.generate(b, np.zeros(3), perturbation_rng(9, trial, 0))
         assert 0.0 < np.linalg.norm(e) < b
 
 
@@ -165,18 +162,7 @@ def test_rho_validation():
 
 
 # ---------------------------------------------------------------------------
-# aggregation and rng streams
-
-def test_aggregate_examples():
-    zeros = aggregate([(0.5, np.zeros(2)), (0.5, np.zeros(2))])
-    assert np.array_equal(zeros, np.zeros(2))
-    picked = aggregate([(1.0, np.array([2.0, 2.0])), (0.0, np.array([9.0, 9.0]))])
-    assert np.array_equal(picked, [2.0, 2.0])
-    mixed = aggregate([(0.5, np.array([1.0, 0.0])), (0.5, np.array([0.0, 1.0]))])
-    assert np.allclose(mixed, [0.5, 0.5])
-    with pytest.raises(DimensionMismatch):
-        aggregate([(0.5, np.zeros(2)), (0.5, np.zeros(3))])
-
+# rng streams
 
 def test_perturbation_rng_reproducible_and_keyed():
     a = perturbation_rng(42, 3, 1).standard_normal(5)

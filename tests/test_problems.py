@@ -99,16 +99,25 @@ def test_infeasible_witness_rejected(tmp_path):
 
 
 def test_unknown_cutter_kind(tmp_path):
+    # unknown and non-string tags, on a cutter and on a nested function
+    cases = [
+        ({"type": "moebius", "a": [1.0]}, "cutters[0].type"),
+        ({"type": [], "a": [1.0]}, "cutters[0].type"),
+        ({"type": "resolvent", "g": {"form": "moebius"}, "gamma": 1.0}, "cutters[0].g.form"),
+        ({"type": "resolvent", "g": {"form": {}}, "gamma": 1.0}, "cutters[0].g.form"),
+        ({"type": "subgradient_projection", "f": {"form": 3}}, "cutters[0].f.form"),
+    ]
     path = tmp_path / "unknown.json"
-    path.write_text(json.dumps({
-        "dimension": 1,
-        "cutters": [{"type": "moebius", "a": [1.0]}],
-        "x0": [0.0],
-        "sigma": 1.0,
-    }))
-    with pytest.raises(UnknownCutterKind) as info:
-        load_problem(path)
-    assert "cutters[0]" in str(info.value)
+    for cutter, where in cases:
+        path.write_text(json.dumps({
+            "dimension": 1,
+            "cutters": [cutter],
+            "x0": [0.0],
+            "sigma": 1.0,
+        }))
+        with pytest.raises(UnknownCutterKind) as info:
+            load_problem(path)
+        assert where in str(info.value)
 
 
 def test_field_path_diagnostics(tmp_path):

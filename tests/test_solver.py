@@ -33,7 +33,6 @@ from blockproj import (
     run,
     sigma_from_ball,
     sigma_from_l1,
-    step,
 )
 from blockproj.core import IterationRecord
 
@@ -49,7 +48,9 @@ def _config(**kwargs):
 
 def test_step_single_hyperplane_projection():
     problem = Problem(2, [Hyperplane([1.0, 0.0], 0.0)], [2.0, 3.0], sigma=INFINITE_SIGMA)
-    x1, record = step(problem, _config(), SequentialCyclic(1), ZeroPolicy(), 0, [2.0, 3.0])
+    result = run(problem, _config(), SequentialCyclic(1), ZeroPolicy(),
+                 stopping=[MaxIterations(1)])
+    x1, record = result.final_point, result.trace[0]
     assert np.allclose(x1, [0.0, 3.0])
     assert record.k == 0
     assert record.max_residual == pytest.approx(2.0)
@@ -59,7 +60,8 @@ def test_step_single_hyperplane_projection():
 def test_step_two_halfspaces_simultaneous():
     cutters = [Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0)]
     problem = Problem(2, cutters, [2.0, 2.0], sigma=INFINITE_SIGMA)
-    x1, _ = step(problem, _config(), SimultaneousUniform(2), ZeroPolicy(), 0, [2.0, 2.0])
+    x1 = run(problem, _config(), SimultaneousUniform(2), ZeroPolicy(),
+             stopping=[MaxIterations(1)]).final_point
     # x0 + (T1 x0 - x0)/2 + (T2 x0 - x0)/2 with T1 x0 = (0,2), T2 x0 = (2,0)
     assert np.allclose(x1, [1.0, 1.0])
 
@@ -67,7 +69,9 @@ def test_step_two_halfspaces_simultaneous():
 def test_step_fixed_point_is_stationary():
     cutters = [Halfspace([1.0, 0.0], 1.0), Ball([0.0, 0.0], 2.0)]
     problem = Problem(2, cutters, [0.0, 0.0], sigma=5.0)
-    x1, record = step(problem, _config(), SimultaneousUniform(2), ZeroPolicy(), 0, [0.0, 0.0])
+    result = run(problem, _config(), SimultaneousUniform(2), ZeroPolicy(),
+                 stopping=[MaxIterations(1)])
+    x1, record = result.final_point, result.trace[0]
     assert np.array_equal(x1, [0.0, 0.0])
     assert record.max_residual == 0.0
 
