@@ -8,6 +8,7 @@ identical (problem, config, seed) inputs.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .core import (
@@ -50,6 +51,15 @@ _SUCCESS_STATUSES = (
 
 # ---------------------------------------------------------------------------
 # config-file decoding (operator indices are 1-based in files)
+
+def _number(value, path):
+    """A numeric field.  Python's JSON reader accepts NaN, which every range
+    check of the solver refuses; refusing it here names the field."""
+    number = _convert(value, path)
+    if math.isnan(number):
+        raise ParseError(f"{path}: expected a number, got NaN")
+    return number
+
 
 def _indices(raw, m, path):
     idx = _convert(raw, path, lambda r: [int(i) - 1 for i in r], "an array of 1-based indices")
@@ -114,7 +124,7 @@ def policy_from_json(obj, problem_cost, path="config.policy"):
     if kind == "zero":
         return ZeroPolicy()
     if kind == "random":
-        return RandomDirectionPolicy(_convert(obj.get("rho", 0.99), f"{path}.rho"))
+        return RandomDirectionPolicy(_number(obj.get("rho", 0.99), f"{path}.rho"))
     if kind == "superiorized":
         cost = obj.get("cost")
         if cost is not None:
@@ -123,15 +133,15 @@ def policy_from_json(obj, problem_cost, path="config.policy"):
             cost = problem_cost
         else:
             raise ParseError(f"{path}.cost: required (the problem declares no cost)")
-        return SuperiorizedPolicy(cost, _convert(obj.get("rho", 0.99), f"{path}.rho"))
+        return SuperiorizedPolicy(cost, _number(obj.get("rho", 0.99), f"{path}.rho"))
     raise ParseError(f"{path}.policy: unknown policy {kind!r}")
 
 
 _RULES = {
-    "residual_below": (ResidualBelow, "tol", float),
-    "max_distance": (MaxDistance, "eps", float),
-    "max_function_value": (MaxFunctionValue, "eps", float),
-    "max_iterations": (MaxIterations, "limit", int),
+    "residual_below": (ResidualBelow, "tol", _number),
+    "max_distance": (MaxDistance, "eps", _number),
+    "max_function_value": (MaxFunctionValue, "eps", _number),
+    "max_iterations": (MaxIterations, "limit", lambda raw, path: _convert(raw, path, int)),
 }
 
 
@@ -143,8 +153,8 @@ def stopping_from_json(rules, path="config.stopping"):
         kind = obj["rule"]
         if not isinstance(kind, str) or kind not in _RULES:
             raise ParseError(f"{path}[{i}].rule: unknown rule {kind!r}")
-        rule, key, convert = _RULES[kind]
-        out.append(rule(_convert(_get(obj, key, f"{path}[{i}]"), f"{path}[{i}].{key}", convert)))
+        rule, key, decode = _RULES[kind]
+        out.append(rule(decode(_get(obj, key, f"{path}[{i}]"), f"{path}[{i}].{key}")))
     return out
 
 
@@ -156,15 +166,18 @@ def assemble_config(doc, problem, seed_override=None):
     if isinstance(lam, dict):
         if "list" not in lam:
             raise ParseError("config.lambda: expected a number or {\"list\": [...]}")
-        schedule = LambdaSchedule(_convert(lam["list"], "config.lambda.list",
-                                           lambda vs: [float(v) for v in vs], "numbers"))
+        values = _convert(lam["list"], "config.lambda.list",
+                          lambda vs: [float(v) for v in vs], "numbers")
+        if any(math.isnan(v) for v in values):
+            raise ParseError("config.lambda.list: expected numbers, got NaN")
+        schedule = LambdaSchedule(values)
     else:
-        schedule = LambdaSchedule(_convert(lam, "config.lambda"))
+        schedule = LambdaSchedule(_number(lam, "config.lambda"))
     sigma = doc.get("sigma_override")
     if sigma == "infinity":
         sigma = INFINITE_SIGMA
     elif sigma is not None:
-        sigma = _convert(sigma, "config.sigma_override")
+        sigma = _number(sigma, "config.sigma_override")
     stopping = stopping_from_json(doc.get("stopping", [{"rule": "residual_below", "tol": 1e-8}]))
     residual_tol = next((r.tol for r in stopping if isinstance(r, ResidualBelow)), 1e-8)
     if seed_override is None:
@@ -172,8 +185,8 @@ def assemble_config(doc, problem, seed_override=None):
     else:
         seed = int(seed_override)
     config = SolverConfig(
-        tau1=_convert(doc.get("tau1", 0.5), "config.tau1"),
-        tau2=_convert(doc.get("tau2", 0.5), "config.tau2"),
+        tau1=_number(doc.get("tau1", 0.5), "config.tau1"),
+        tau2=_number(doc.get("tau2", 0.5), "config.tau2"),
         lambda_schedule=schedule,
         sigma=sigma,
         max_iterations=_convert(doc.get("max_iterations", 100_000), "config.max_iterations", int),

@@ -181,7 +181,8 @@ class LambdaSchedule:
             if not table:
                 raise ValueError("lambda table must be nonempty")
             self._table = table
-            self._range = (min(table), max(table))
+            # numpy's min and max propagate NaN, which the range check refuses
+            self._range = (float(np.min(table)), float(np.max(table)))
 
     def __call__(self, k: int) -> float:
         if self._const is not None:
@@ -237,8 +238,9 @@ def validate_config(cfg: SolverConfig) -> None:
         raise InvalidRelaxationBounds(f"tau1 + tau2 must be <= 2, got {cfg.tau1 + cfg.tau2}")
     if cfg.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    if cfg.residual_tolerance < 0:
-        raise ValueError("residual_tolerance must be >= 0")
+    # written so that NaN fails every range check
+    if not cfg.residual_tolerance >= 0:
+        raise ValueError(f"residual_tolerance must be >= 0, got {cfg.residual_tolerance}")
     if cfg.sigma is not None:
         normalize_sigma(cfg.sigma)
 
@@ -247,12 +249,12 @@ def validate_config(cfg: SolverConfig) -> None:
     declared = sched.declared_range
     # tolerance-free comparison: the interval bounds are exact user inputs
     if declared is not None:
-        if declared[0] < lo or declared[1] > hi:
+        if not (lo <= declared[0] and declared[1] <= hi):
             raise LambdaOutOfRange(None, declared, lo, hi)
     else:
         for k in range(cfg.max_iterations):
             lam = sched(k)
-            if lam < lo or lam > hi:
+            if not lo <= lam <= hi:
                 raise LambdaOutOfRange(k, lam, lo, hi)
 
 

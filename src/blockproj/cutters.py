@@ -176,6 +176,9 @@ class Cutter:
 
     kind = "abstract"
     is_projection = False
+    # (a, b, one_sided) for halfspaces and hyperplanes, which the solver
+    # sweeps as rows of one matrix; None for every other kind
+    linear_row = None
 
     @property
     def dim(self):
@@ -204,61 +207,51 @@ class Cutter:
         return float(np.dot(x - tx, q - tx))
 
 
-class Halfspace(Cutter):
-    """Orthogonal projection onto {x : <a, x> <= b}."""
+class _AffineCutter(Cutter):
+    """Orthogonal projection onto {x : <a, x> <= b} (one-sided) or {x : <a, x> = b}."""
 
-    kind = "halfspace"
     is_projection = True
+    one_sided = True
 
     def __init__(self, a, b):
         self.a = as_vector(a, name="a")
         self.b = float(b)
         self._aa = float(np.dot(self.a, self.a))
         if self._aa == 0.0:
-            raise InvalidCutter("halfspace normal must be nonzero")
+            raise InvalidCutter(f"{self.kind} normal must be nonzero")
 
     @property
     def dim(self):
         return self.a.size
 
-    def apply(self, x):
-        x = _check_point(x, self.dim)
-        excess = float(np.dot(self.a, x)) - self.b
-        if excess <= 0.0:
-            return x
-        return x - (excess / self._aa) * self.a
-
-    def fixed_point_distance(self, x):
-        x = _check_point(x, self.dim)
-        excess = float(np.dot(self.a, x)) - self.b
-        return max(0.0, excess) / math.sqrt(self._aa)
-
-
-class Hyperplane(Cutter):
-    """Orthogonal projection onto {x : <a, x> = b}."""
-
-    kind = "hyperplane"
-    is_projection = True
-
-    def __init__(self, a, b):
-        self.a = as_vector(a, name="a")
-        self.b = float(b)
-        self._aa = float(np.dot(self.a, self.a))
-        if self._aa == 0.0:
-            raise InvalidCutter("hyperplane normal must be nonzero")
-
     @property
-    def dim(self):
-        return self.a.size
+    def linear_row(self):
+        return self.a, self.b, self.one_sided
 
     def apply(self, x):
         x = _check_point(x, self.dim)
         offset = float(np.dot(self.a, x)) - self.b
+        if self.one_sided and offset <= 0.0:
+            return x
         return x - (offset / self._aa) * self.a
 
     def fixed_point_distance(self, x):
         x = _check_point(x, self.dim)
-        return abs(float(np.dot(self.a, x)) - self.b) / math.sqrt(self._aa)
+        offset = float(np.dot(self.a, x)) - self.b
+        return (max(0.0, offset) if self.one_sided else abs(offset)) / math.sqrt(self._aa)
+
+
+class Halfspace(_AffineCutter):
+    """Orthogonal projection onto {x : <a, x> <= b}."""
+
+    kind = "halfspace"
+
+
+class Hyperplane(_AffineCutter):
+    """Orthogonal projection onto {x : <a, x> = b}."""
+
+    kind = "hyperplane"
+    one_sided = False
 
 
 class Ball(Cutter):

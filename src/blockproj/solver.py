@@ -5,6 +5,7 @@ T_w is the w-weighted combination of the operators and e^k aggregates
 per-operator perturbations drawn inside the adaptive budget.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +26,7 @@ from .core import (
     sigma_is_finite,
     validate_config,
 )
-from .perturbation import ZeroPolicy, budget, perturbation_rng
+from .perturbation import PerturbationStream, ZeroPolicy, _budgets, _check_lambda
 
 WITNESS_RESIDUAL_TOL = 1e-10
 
@@ -107,21 +108,31 @@ class MaxIterations:
     limit: int
 
 
+def _check_threshold(value, name):
+    # a comparison that NaN fails
+    if not value >= 0.0:
+        raise InvalidStoppingRule(f"{name} must be >= 0, got {value}")
+
+
 def _check_rules(problem, stopping):
     for rule in stopping:
-        if isinstance(rule, MaxDistance):
+        if isinstance(rule, ResidualBelow):
+            _check_threshold(rule.tol, "ResidualBelow tol")
+        elif isinstance(rule, MaxDistance):
+            _check_threshold(rule.eps, "MaxDistance eps")
             for idx, c in enumerate(problem.cutters):
                 if c.fixed_point_distance(problem.x0) is None:
                     raise InvalidStoppingRule(
                         f"MaxDistance needs distance support, cutter {idx} has none"
                     )
         elif isinstance(rule, MaxFunctionValue):
+            _check_threshold(rule.eps, "MaxFunctionValue eps")
             for idx, c in enumerate(problem.cutters):
                 if not hasattr(c, "level_value"):
                     raise InvalidStoppingRule(
                         f"MaxFunctionValue needs level functions, cutter {idx} has none"
                     )
-        elif not isinstance(rule, (ResidualBelow, MaxIterations)):
+        elif not isinstance(rule, MaxIterations):
             raise InvalidStoppingRule(f"unknown stopping rule {rule!r}")
 
 
@@ -151,35 +162,75 @@ def residual_sweep(problem, x):
     return np.array([c.residual(x) for c in problem.cutters])
 
 
-def _sweep(cutters, x):
-    applied = [c.apply(x) for c in cutters]
-    residuals = np.array([float(np.linalg.norm(t - x)) for t in applied])
-    return applied, residuals
+class _Sweep:
+    """The operators of one run.  Halfspaces and hyperplanes are the rows of
+    one matrix, so one matvec gives all of their residuals and one more their
+    weighted steps; every other kind is applied one by one."""
+
+    def __init__(self, problem):
+        cutters = problem.cutters
+        rows = [(i, c.linear_row) for i, c in enumerate(cutters) if c.linear_row is not None]
+        self.m = len(cutters)
+        self.rows = np.array([i for i, _ in rows], dtype=np.intp)
+        self.A = np.array([a for _, (a, _, _) in rows], dtype=float).reshape(
+            len(rows), problem.dimension)
+        self.b = np.array([b for _, (_, b, _) in rows], dtype=float)
+        # excess = max(<a, x> - b, floor): a halfspace counts only its violation
+        self.floor = np.array([0.0 if one_sided else -np.inf for _, (_, _, one_sided) in rows])
+        self.aa = np.array([float(np.dot(a, a)) for a in self.A])
+        self.norms = np.sqrt(self.aa)
+        self.others = [(i, c) for i, c in enumerate(cutters) if c.linear_row is None]
+
+    def residuals(self, x):
+        """||T_i(x) - x|| for every i, the rows' excesses and the other
+        operators' images T_i(x)."""
+        residuals = np.empty(self.m)
+        excess = np.maximum(self.A @ x - self.b, self.floor)
+        residuals[self.rows] = np.abs(excess) / self.norms
+        images = []
+        for i, c in self.others:
+            image = c.apply(x)
+            images.append(image)
+            residuals[i] = float(np.linalg.norm(image - x))
+        return residuals, excess, images
+
+    def step(self, x, w, excess, images):
+        """sum_i w_i (T_i(x) - x); a row's T_i(x) - x is -(excess_i / |a_i|^2) a_i."""
+        combined = -(self.A.T @ (w[self.rows] * excess / self.aa))
+        for (i, _), image in zip(self.others, images):
+            if w[i] > 0.0:
+                combined += w[i] * (image - x)
+        return combined
 
 
-def _update(x, applied, residuals, w, lam, sigma, policy, seed, k):
-    support = np.nonzero(w > 0.0)[0]
-    combined = np.zeros_like(x)
-    for i in support:
-        combined += w[i] * (applied[i] - x)
-    e = np.zeros_like(x)
-    if not isinstance(policy, ZeroPolicy) and sigma_is_finite(sigma):
-        for i in support:
-            b = budget(lam, residuals[i], sigma)
-            if b > 0.0:
-                e += w[i] * policy.generate(b, x, perturbation_rng(seed, k, i))
-    return x + lam * combined + e, float(np.linalg.norm(e))
+def _perturbation(policy, stream, x, w, residuals, lam, sigma, k):
+    """e^k: the policy's weighted perturbations over the support, each inside
+    its operator's budget (the streams keyed by (seed, k, i))."""
+    support = np.flatnonzero(w > 0.0)
+    budgets = _budgets(_check_lambda(lam), residuals[support], sigma)
+    live = budgets > 0.0
+    if not live.any():
+        return np.zeros_like(x)
+    indices = support[live]
+    return policy.combined(x, w[indices], budgets[live],
+                           lambda j: stream.at(k, indices[j]))
 
 
-def _record(problem, k, x, residuals, pert_norm, lam):
+def _frozen(arr):
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _record(problem, k, x, residuals, max_res, pert_norm, lam):
     dist_witness = None
     if problem.witness is not None:
         dist_witness = float(np.linalg.norm(x - problem.witness))
     return IterationRecord(
         k=k,
-        point=as_vector(x),
-        max_residual=float(residuals.max()),
-        per_index_residuals=as_vector(residuals, name="residuals"),
+        point=_frozen(x),
+        max_residual=max_res,
+        per_index_residuals=_frozen(residuals),
         perturbation_norm=pert_norm,
         lam=lam,
         distance_from_start=float(np.linalg.norm(x - problem.x0)),
@@ -215,25 +266,35 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     _check_rules(problem, stopping)
     sigma = _effective_sigma(problem, config)
 
-    cutters = problem.cutters
+    sweep = _Sweep(problem)
+    stream = None
+    if not isinstance(policy, ZeroPolicy) and sigma_is_finite(sigma):
+        stream = PerturbationStream(config.seed)
     x = np.array(problem.x0)
     trace = []
     k = 0
     while True:
-        applied, residuals = _sweep(cutters, x)
+        residuals, excess, images = sweep.residuals(x)
         max_res = float(residuals.max())
+        if not math.isfinite(max_res):
+            raise NonfiniteIterate(f"non-finite residual at k={k}")
         status = _fired_status(problem, stopping, k, x, max_res)
         if status is None and k >= config.max_iterations:
             status = RunStatus.MAX_ITERATIONS
         lam = config.lambda_schedule(k)
         if status is not None:
-            trace.append(_record(problem, k, x, residuals, 0.0, lam))
+            trace.append(_record(problem, k, x, residuals, max_res, 0.0, lam))
             return RunResult(as_vector(x), status, k, tuple(trace))
         w = schedule.weights_at(k)
-        x_next, pert_norm = _update(x, applied, residuals, w, lam, sigma, policy, config.seed, k)
+        x_next = x + lam * sweep.step(x, w, excess, images)
+        pert_norm = 0.0
+        if stream is not None:
+            e = _perturbation(policy, stream, x, w, residuals, lam, sigma, k)
+            x_next += e
+            pert_norm = float(np.linalg.norm(e))
         if not np.all(np.isfinite(x_next)):
             raise NonfiniteIterate(f"non-finite iterate after step k={k}")
-        trace.append(_record(problem, k, x, residuals, pert_norm, lam))
+        trace.append(_record(problem, k, x, residuals, max_res, pert_norm, lam))
         x = x_next
         k += 1
 

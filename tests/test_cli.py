@@ -158,6 +158,13 @@ def test_invalid_lambda_config_exits_1(tmp_path, capsys):
     ({"schedule": {"regime": "block_classical", "partition": 5}}, "config.schedule.partition"),
     ({"stopping": 5}, "config.stopping"),
     ({"max_iterations": None}, "config.max_iterations"),
+    ({"lambda": float("nan")}, "config.lambda"),
+    ({"lambda": {"list": [1.0, float("nan")]}}, "config.lambda.list"),
+    ({"stopping": [{"rule": "residual_below", "tol": float("nan")}]},
+     "config.stopping[0].tol"),
+    ({"stopping": [{"rule": "max_distance", "eps": float("nan")}]},
+     "config.stopping[0].eps"),
+    ({"tau1": float("nan")}, "config.tau1"),
 ])
 def test_malformed_config_field_exits_1(tmp_path, capsys, overrides, where):
     problem_path = tmp_path / "p.json"

@@ -161,3 +161,18 @@ def test_validate_config_sigma():
 def test_validate_config_boundary_lambdas_allowed():
     # endpoints tau1 and 2 - tau2 are inside the admissible closed interval
     validate_config(SolverConfig(tau1=0.3, tau2=0.4, lambda_schedule=LambdaSchedule([0.3, 1.6])))
+
+
+def test_validate_config_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="residual_tolerance"):
+        validate_config(SolverConfig(residual_tolerance=nan))
+    for schedule in (LambdaSchedule(nan), LambdaSchedule([1.0, nan]),
+                     LambdaSchedule([nan, 1.0]),
+                     LambdaSchedule(lambda k: 1.0, declared_range=(nan, 1.0))):
+        with pytest.raises(LambdaOutOfRange):
+            validate_config(SolverConfig(lambda_schedule=schedule))
+    with pytest.raises(LambdaOutOfRange) as info:
+        validate_config(SolverConfig(lambda_schedule=LambdaSchedule(lambda k: nan),
+                                     max_iterations=5))
+    assert info.value.k == 0

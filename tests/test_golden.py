@@ -2,14 +2,21 @@
 
 Each golden file is the output of the recipe below.  Any change to a float
 the solver computes, to the trace CSV format or to the problem-file format
-fails here.  When such a change is intended, rewrite the files with
+fails here.  When such a change is intended, first compare fresh output
+with the committed traces, writing nothing:
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+then rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and state the reason with the change.
+and state the reason, with the comparison, with the change.
 """
 
+import csv
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -119,7 +126,35 @@ def test_problem_file_matches_golden(tmp_path):
     assert again.read_bytes() == golden
 
 
+def _columns(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return len(rows), {key: [row[key] for row in rows] for key in rows[0]}
+
+
+def diff_traces():
+    """Print, per golden trace, the row counts of the committed file and of
+    fresh output and the largest absolute and relative difference of each
+    column over the rows both have."""
+    with tempfile.TemporaryDirectory() as work:
+        for name in sorted(TRACES):
+            fresh = Path(work) / name
+            write_trace(name, Path(work), fresh)
+            old_rows, old = _columns(GOLDEN / name)
+            new_rows, new = _columns(fresh)
+            print(f"{name}: rows committed {old_rows}, fresh {new_rows}")
+            for key in old:
+                pairs = [(float(a), float(b)) for a, b in zip(old[key], new[key]) if a and b]
+                worst_abs = max((abs(a - b) for a, b in pairs), default=0.0)
+                worst_rel = max((abs(a - b) / abs(a) for a, b in pairs if a != 0.0),
+                                default=0.0)
+                print(f"  {key}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}")
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        diff_traces()
+        sys.exit(0)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         for trace in TRACES:

@@ -172,3 +172,88 @@ def test_perturbation_rng_reproducible_and_keyed():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_reused_stream_draws_like_perturbation_rng():
+    from blockproj.perturbation import PerturbationStream
+
+    rng = np.random.default_rng(12)
+    seeds = [0, 1, -1, 2 ** 64 + 5, *rng.integers(0, 2 ** 63, 6).tolist()]
+    streams = {seed: PerturbationStream(seed) for seed in seeds}
+    for trial in range(1200):
+        seed = seeds[trial % len(seeds)]
+        k = int(rng.integers(0, 10 ** 6)) if trial % 3 else trial
+        i = int(rng.integers(0, 500))
+        size = (1, 2, 7, 50, 100)[trial % 5]
+        expected = perturbation_rng(seed, k, i).standard_normal(size)
+        got = streams[seed].at(k, i).standard_normal(size)
+        assert got.tobytes() == expected.tobytes()
+        # a reset after other draws, and a longer draw, match too
+        assert (streams[seed].at(k, np.int64(i)).standard_normal(2 * size).tobytes()
+                == perturbation_rng(seed, k, i).standard_normal(2 * size).tobytes())
+
+
+def test_batched_budgets_equal_scalar_budget():
+    from blockproj.perturbation import _budgets
+
+    rng = np.random.default_rng(13)
+    for trial in range(300):
+        lam = [0.0, 2.0, 1.0][trial] if trial < 3 else rng.uniform(0.0, 2.0)
+        sigma = rng.uniform(1e-3, 1e3)
+        residuals = rng.uniform(0.0, 10.0, 40) * 10.0 ** rng.integers(-12, 3, 40)
+        residuals[rng.integers(0, 40, 5)] = 0.0
+        batched = _budgets(lam, residuals, sigma)
+        assert batched.tolist() == [budget(lam, r, sigma) for r in residuals]
+
+
+def test_random_combined_is_weighted_sum_of_generate():
+    from blockproj.perturbation import PerturbationStream
+
+    policy = RandomDirectionPolicy(rho=0.9)
+    x = np.zeros(6)
+    indices = np.array([0, 3, 4, 9])
+    weights = np.array([0.1, 0.2, 0.3, 0.4])
+    budgets = np.array([0.5, 0.0, 1e-3, 2.0])
+    stream = PerturbationStream(3)
+    e = policy.combined(x, weights, budgets, lambda j: stream.at(7, indices[j]))
+    expected = sum(w * policy.generate(b, x, perturbation_rng(3, 7, i))
+                   for w, b, i in zip(weights, budgets, indices))
+    assert np.allclose(e, expected, rtol=0.0, atol=1e-15)
+
+
+class _ReplayRng:
+    """A generator whose first draws are zero vectors."""
+
+    def __init__(self, zeros):
+        self.zeros = zeros
+
+    def standard_normal(self, size):
+        if self.zeros:
+            self.zeros -= 1
+            return np.zeros(size)
+        return np.arange(1.0, size + 1.0)
+
+
+def test_random_combined_redraws_a_zero_direction():
+    policy = RandomDirectionPolicy(rho=0.5)
+    # entry 1's stream starts with two zero draws: both are skipped
+    e = policy.combined(np.zeros(2), np.array([0.5, 0.5]), np.array([1.0, 2.0]),
+                        lambda j: _ReplayRng(2 if j == 1 else 0))
+    unit = np.array([1.0, 2.0]) / np.sqrt(5.0)
+    assert np.allclose(e, 0.5 * 0.5 * unit + 0.5 * 1.0 * unit, rtol=0.0, atol=1e-15)
+
+
+def test_superiorized_combined_uses_one_gradient():
+    calls = []
+
+    class CountingNorm(SquaredNorm):
+        def grad(self, x):
+            calls.append(1)
+            return super().grad(x)
+
+    policy = SuperiorizedPolicy(CountingNorm(), rho=0.5)
+    x = np.array([3.0, 4.0])
+    e = policy.combined(x, np.array([0.25, 0.25, 0.5]), np.array([0.4, 0.0, 0.2]),
+                        lambda j: pytest.fail("the superiorized policy draws nothing"))
+    assert calls == [1]
+    assert np.allclose(e, -0.5 * (0.25 * 0.4 + 0.5 * 0.2) * x / 5.0, rtol=0.0, atol=1e-16)

@@ -20,12 +20,16 @@ from blockproj import (
     Problem,
     RandomDirectionPolicy,
     Resolvent,
+    ResidualBelow,
     RunStatus,
     SequentialCyclic,
+    SequentialRepetitive,
+    SimultaneousDrifting,
     SimultaneousUniform,
     SolverConfig,
     SquaredNorm,
     SubgradientProjection,
+    SuperiorizedPolicy,
     BallQuadratic,
     ZeroPolicy,
     fejer_audit,
@@ -239,6 +243,36 @@ def test_nonfinite_iterate_aborts():
         run(problem, _config(max_iterations=10, residual_tolerance=0.0))
 
 
+class _NanCutter(Cutter):
+    kind = "nan"
+
+    def apply(self, x):
+        return np.full_like(np.asarray(x, dtype=float), np.nan)
+
+
+def test_nonfinite_residual_aborts():
+    # the control never visits the NaN operator, so no iterate turns NaN;
+    # the NaN residual fails every stopping rule, and without the check the
+    # run would go on to the cap
+    cutters = [Halfspace([1.0, 0.0], 0.0), _NanCutter()]
+    problem = Problem(2, cutters, [1.0, 1.0], sigma=5.0)
+    with pytest.raises(NonfiniteIterate, match="residual"):
+        run(problem, _config(max_iterations=10), SequentialRepetitive(2, [0]),
+            stopping=[ResidualBelow(1e-6), MaxIterations(10)])
+
+
+@pytest.mark.parametrize("rule", [
+    ResidualBelow(float("nan")), ResidualBelow(-1.0),
+    MaxDistance(float("nan")), MaxDistance(-1e-9),
+    MaxFunctionValue(float("nan")), MaxFunctionValue(-1.0),
+])
+def test_stopping_threshold_must_be_a_nonnegative_number(rule):
+    cutters = [SubgradientProjection(BallQuadratic([0.0, 0.0], 1.0))]
+    problem = Problem(2, cutters, [4.0, 0.0], sigma=10.0)
+    with pytest.raises(InvalidStoppingRule, match="must be >= 0"):
+        run(problem, _config(), SequentialCyclic(1), stopping=[rule])
+
+
 # ---------------------------------------------------------------------------
 # sigma helpers
 
@@ -320,3 +354,95 @@ def test_residual_sweep_matches_records():
     result = run(problem, _config(residual_tolerance=1e-6), SequentialCyclic(problem.m))
     rec = result.trace[0]
     assert np.allclose(residual_sweep(problem, rec.point), rec.per_index_residuals)
+
+
+# ---------------------------------------------------------------------------
+# the stacked sweep against a scalar reference
+
+def _reference_points(problem, config, schedule, policy, tol):
+    """Iterates of a scalar implementation of the iteration: one ``apply``
+    per operator, one ``budget`` and one ``perturbation_rng`` per supported
+    index, stopping at max residual <= tol or at the cap."""
+    from blockproj import budget, perturbation_rng
+
+    x, points = np.array(problem.x0), []
+    for k in range(config.max_iterations + 1):
+        applied = [c.apply(x) for c in problem.cutters]
+        residuals = [float(np.linalg.norm(t - x)) for t in applied]
+        points.append(x)
+        if max(residuals) <= tol:
+            break
+        w, lam = schedule.weights_at(k), config.lambda_schedule(k)
+        support = np.flatnonzero(w > 0.0)
+        step, e = np.zeros_like(x), np.zeros_like(x)
+        for i in support:
+            step += w[i] * (applied[i] - x)
+            b = 0.0 if isinstance(policy, ZeroPolicy) else budget(lam, residuals[i], problem.sigma)
+            if b == 0.0:
+                continue
+            if isinstance(policy, RandomDirectionPolicy):
+                rng = perturbation_rng(config.seed, k, i)
+                d = rng.standard_normal(x.size)
+                while np.linalg.norm(d) == 0.0:
+                    d = rng.standard_normal(x.size)
+            else:
+                d = -policy.cost.grad(x)
+            e += w[i] * (policy.rho * b / np.linalg.norm(d)) * d
+        x = x + lam * step + e
+    return points
+
+
+def _mixed_problem(seed, n=4):
+    """Halfspaces and hyperplanes interleaved with every other kind of
+    operator; all of them fix the origin."""
+    from blockproj import (AbsSum, AffineFunction, Box, L1Ball, QuadraticFunction,
+                           SetIndicator)
+
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(4):
+        rows.append(Halfspace(rng.standard_normal(n), rng.uniform(0.1, 1.0)))
+        rows.append(Hyperplane(rng.standard_normal(n), 0.0))
+    others = [
+        Ball(rng.uniform(-0.3, 0.3, n), 2.0),
+        Box(-rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)),
+        L1Ball(3.0),
+        SubgradientProjection(AffineFunction(rng.standard_normal(n), 0.5)),
+        SubgradientProjection(BallQuadratic(rng.uniform(-0.3, 0.3, n), 1.5)),
+        SubgradientProjection(QuadraticFunction(np.eye(n), np.zeros(n), -1.0)),
+        Resolvent(AbsSum(), 0.05),
+        Resolvent(SquaredNorm(), 0.01),
+        Resolvent(SetIndicator(Box(-np.ones(n), np.ones(n))), 1.0),
+    ]
+    cutters = []
+    for j in range(max(len(rows), len(others))):
+        cutters.extend(rows[j:j + 1] + others[j:j + 1])
+    x0 = rng.uniform(-4.0, 4.0, n)
+    return Problem(n, cutters, x0, sigma=float(np.linalg.norm(x0)) + 1.0,
+                   witness=np.zeros(n), cost=SquaredNorm())
+
+
+_REGIMES = {
+    "sequential_cyclic": lambda m: SequentialCyclic(m),
+    "simultaneous_uniform": lambda m: SimultaneousUniform(m),
+    "block_classical": lambda m: BlockClassicalCyclic(
+        m, [list(range(0, m, 3)), list(range(1, m, 3)), list(range(2, m, 3))]),
+    "simultaneous_drifting": lambda m: SimultaneousDrifting(m),
+}
+
+
+@pytest.mark.parametrize("policy_name", ["zero", "random", "superiorized"])
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_run_matches_scalar_reference(regime, policy_name):
+    for seed in (1, 2):
+        problem = _mixed_problem(seed)
+        policy = {"zero": ZeroPolicy(), "random": RandomDirectionPolicy(0.99),
+                  "superiorized": SuperiorizedPolicy(problem.cost, 0.99)}[policy_name]
+        schedule = _REGIMES[regime](problem.m)
+        config = _config(residual_tolerance=1e-6, max_iterations=300, seed=seed + 40)
+        result = run(problem, config, schedule, policy)
+        reference = _reference_points(problem, config, schedule, policy, 1e-6)
+        assert result.iterations_used == len(reference) - 1
+        assert any(rec.perturbation_norm > 0 for rec in result.trace) == (policy_name != "zero")
+        points = np.array([rec.point for rec in result.trace])
+        assert np.max(np.abs(points - np.array(reference))) <= 1e-12
