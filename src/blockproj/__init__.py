@@ -26,8 +26,6 @@ from .core import (
     UnknownCutterKind,
     ZeroGradientAtPositiveValue,
     as_vector,
-    inner,
-    norm,
     normalize_sigma,
     sigma_is_finite,
     validate_config,
@@ -73,7 +71,6 @@ from .solver import (
     Problem,
     ResidualBelow,
     fejer_audit,
-    residual_sweep,
     run,
     sigma_from_ball,
     sigma_from_l1,

@@ -24,6 +24,7 @@ from .perturbation import RandomDirectionPolicy, SuperiorizedPolicy, ZeroPolicy
 from .problems import (
     _convert,
     _get,
+    _no_nan,
     function_from_json,
     gen_disc_intersection,
     gen_l1_constrained,
@@ -53,12 +54,7 @@ _SUCCESS_STATUSES = (
 # config-file decoding (operator indices are 1-based in files)
 
 def _number(value, path):
-    """A numeric field.  Python's JSON reader accepts NaN, which every range
-    check of the solver refuses; refusing it here names the field."""
-    number = _convert(value, path)
-    if math.isnan(number):
-        raise ParseError(f"{path}: expected a number, got NaN")
-    return number
+    return _no_nan(_convert(value, path), path)
 
 
 def _indices(raw, m, path):
@@ -104,6 +100,8 @@ def schedule_from_json(obj, m, path="config.schedule"):
             intra = _convert(intra, f"{path}.intra",
                              lambda raw: [[float(v) for v in ws] for ws in raw],
                              "\"uniform\" or an array of weight arrays")
+            if any(math.isnan(v) for ws in intra for v in ws):
+                raise ParseError(f"{path}.intra: expected numbers, got NaN")
         return BlockClassicalCyclic(m, partition, intra)
     if regime == "block_generalized":
         if "blocks" not in obj:
@@ -179,7 +177,6 @@ def assemble_config(doc, problem, seed_override=None):
     elif sigma is not None:
         sigma = _number(sigma, "config.sigma_override")
     stopping = stopping_from_json(doc.get("stopping", [{"rule": "residual_below", "tol": 1e-8}]))
-    residual_tol = next((r.tol for r in stopping if isinstance(r, ResidualBelow)), 1e-8)
     if seed_override is None:
         seed = _convert(doc.get("seed", 0), "config.seed", int)
     else:
@@ -190,7 +187,6 @@ def assemble_config(doc, problem, seed_override=None):
         lambda_schedule=schedule,
         sigma=sigma,
         max_iterations=_convert(doc.get("max_iterations", 100_000), "config.max_iterations", int),
-        residual_tolerance=residual_tol,
         seed=seed,
     )
     weight_schedule = schedule_from_json(

@@ -141,20 +141,6 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def inner(a, b) -> float:
-    """Euclidean inner product of two points of equal dimension."""
-    a = as_vector(a, name="a")
-    b = as_vector(b, name="b")
-    if a.size != b.size:
-        raise DimensionMismatch(f"inner product needs equal dimensions, got {a.size} and {b.size}")
-    return float(np.dot(a, b))
-
-
-def norm(a) -> float:
-    """Euclidean norm; zero exactly for the zero point."""
-    return float(np.linalg.norm(as_vector(a, name="a")))
-
-
 # ---------------------------------------------------------------------------
 # relaxation schedule
 
@@ -162,17 +148,18 @@ class LambdaSchedule:
     """Per-iteration relaxation parameters.
 
     Accepts a constant, a finite table that is cycled, or a callable
-    ``k -> lambda_k``.  Callables may be paired with ``declared_range`` so
-    that configuration validation does not have to sample them.
+    ``k -> lambda_k``.  A constant's or a table's range is known in closed
+    form and checked by ``validate_config``; a callable's value is checked
+    by ``run`` at each iteration whose update uses it.
     """
 
-    def __init__(self, rule=1.0, declared_range=None):
+    def __init__(self, rule=1.0):
         self._fn = None
         self._table = None
         self._const = None
+        self._range = None
         if callable(rule):
             self._fn = rule
-            self._range = tuple(declared_range) if declared_range is not None else None
         elif np.isscalar(rule):
             self._const = float(rule)
             self._range = (self._const, self._const)
@@ -193,7 +180,7 @@ class LambdaSchedule:
 
     @property
     def declared_range(self):
-        """(lo, hi) bounds when known in closed form, else None."""
+        """(lo, hi) of a constant or a table; None for a callable."""
         return self._range
 
     def __repr__(self):
@@ -228,9 +215,9 @@ class SolverConfig:
 def validate_config(cfg: SolverConfig) -> None:
     """Reject configurations outside the admissible parameter region.
 
-    Relaxation parameters must live in [tau1, 2 - tau2]; tabulated schedules
-    are checked entry by entry, callables either via their declared range or
-    by sampling k = 0 .. max_iterations - 1.
+    Relaxation parameters must live in [tau1, 2 - tau2].  A constant or a
+    table is checked here through its range; a callable schedule is not
+    sampled, ``run`` checks each lambda_k before the update that uses it.
     """
     if not (cfg.tau1 > 0 and cfg.tau2 > 0):
         raise InvalidRelaxationBounds(f"tau1 and tau2 must be positive, got {cfg.tau1}, {cfg.tau2}")
@@ -245,17 +232,10 @@ def validate_config(cfg: SolverConfig) -> None:
         normalize_sigma(cfg.sigma)
 
     lo, hi = cfg.tau1, 2.0 - cfg.tau2
-    sched = cfg.lambda_schedule
-    declared = sched.declared_range
+    declared = cfg.lambda_schedule.declared_range
     # tolerance-free comparison: the interval bounds are exact user inputs
-    if declared is not None:
-        if not (lo <= declared[0] and declared[1] <= hi):
-            raise LambdaOutOfRange(None, declared, lo, hi)
-    else:
-        for k in range(cfg.max_iterations):
-            lam = sched(k)
-            if not lo <= lam <= hi:
-                raise LambdaOutOfRange(k, lam, lo, hi)
+    if declared is not None and not (lo <= declared[0] and declared[1] <= hi):
+        raise LambdaOutOfRange(None, declared, lo, hi)
 
 
 # ---------------------------------------------------------------------------

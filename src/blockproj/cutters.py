@@ -23,6 +23,14 @@ LEVEL_ZERO_TOL = 1e-14
 _GRAD_ZERO_TOL = 1e-14
 
 
+def _number(value, name):
+    """float(value), refusing NaN: an offset has no range check to fail."""
+    value = float(value)
+    if math.isnan(value):
+        raise InvalidCutter(f"{name} must be a number, got nan")
+    return value
+
+
 def _check_point(x, dim, name="x"):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
@@ -42,7 +50,7 @@ class AffineFunction:
 
     def __init__(self, a, b):
         self.a = as_vector(a, name="a")
-        self.b = float(b)
+        self.b = _number(b, "b")
         if float(np.dot(self.a, self.a)) == 0.0:
             raise InvalidCutter("affine function needs a nonzero slope")
 
@@ -66,7 +74,7 @@ class QuadraticFunction:
     def __init__(self, Q, c, d):
         Q = np.array(Q, dtype=float)
         self.c = as_vector(c, name="c")
-        self.d = float(d)
+        self.d = _number(d, "d")
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] != self.c.size:
             raise InvalidCutter("Q must be square and match the dimension of c")
         if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
@@ -97,8 +105,8 @@ class BallQuadratic:
     def __init__(self, center, radius):
         self.center = as_vector(center, name="center")
         self.radius = float(radius)
-        if self.radius < 0:
-            raise InvalidCutter("radius must be nonnegative")
+        if not self.radius >= 0:
+            raise InvalidCutter(f"radius must be nonnegative, got {self.radius}")
 
     @property
     def dim(self):
@@ -215,7 +223,7 @@ class _AffineCutter(Cutter):
 
     def __init__(self, a, b):
         self.a = as_vector(a, name="a")
-        self.b = float(b)
+        self.b = _number(b, "b")
         self._aa = float(np.dot(self.a, self.a))
         if self._aa == 0.0:
             raise InvalidCutter(f"{self.kind} normal must be nonzero")
@@ -263,8 +271,8 @@ class Ball(Cutter):
     def __init__(self, center, radius):
         self.center = as_vector(center, name="center")
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise InvalidCutter("ball radius must be positive")
+        if not self.radius > 0:
+            raise InvalidCutter(f"ball radius must be positive, got {self.radius}")
 
     @property
     def dim(self):
@@ -317,8 +325,8 @@ def project_l1_ball(x, radius):
     restoring signs; O(n log n).
     """
     x = np.asarray(x, dtype=float)
-    if radius <= 0:
-        raise InvalidCutter("l1 ball radius must be positive")
+    if not radius > 0:
+        raise InvalidCutter(f"l1 ball radius must be positive, got {radius}")
     mag = np.abs(x)
     if float(mag.sum()) <= radius:
         return x
@@ -339,8 +347,8 @@ class L1Ball(Cutter):
 
     def __init__(self, radius):
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise InvalidCutter("l1 ball radius must be positive")
+        if not self.radius > 0:
+            raise InvalidCutter(f"l1 ball radius must be positive, got {self.radius}")
 
     def apply(self, x):
         return project_l1_ball(_check_point(x, None), self.radius)
@@ -407,8 +415,8 @@ class Resolvent(Cutter):
             raise InvalidCutter("resolvent needs a function with a prox method")
         self.g = g
         self.gamma = float(gamma)
-        if self.gamma <= 0:
-            raise InvalidCutter("gamma must be positive")
+        if not self.gamma > 0:
+            raise InvalidCutter(f"gamma must be positive, got {self.gamma}")
 
     @property
     def dim(self):

@@ -99,7 +99,7 @@ class PerturbationPolicy:
     """Base: produce perturbations with norm at most rho * budget < budget.
 
     ``combined`` is the policy: the weighted sum e^k of one iteration's
-    per-operator perturbations.  ``generate`` is the one-operator case.
+    per-operator perturbations.
     """
 
     kind = "abstract"
@@ -109,10 +109,6 @@ class PerturbationPolicy:
         """sum_j weights[j] p_j, where p_j has norm rho * budgets[j] and
         ``rng_for(j)`` returns the generator of entry j's stream."""
         raise NotImplementedError
-
-    def generate(self, budget_value, x, rng):
-        """The perturbation of one operator with the given budget."""
-        return self.combined(x, np.ones(1), np.array([float(budget_value)]), lambda j: rng)
 
 
 class ZeroPolicy(PerturbationPolicy):

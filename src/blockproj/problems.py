@@ -7,6 +7,7 @@ emitted via Python's shortest-repr encoder, which preserves all 64 bits.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -57,12 +58,22 @@ def _convert(value, path, convert=float, expected="a number"):
 def _floats(value, path):
     if not isinstance(value, list) or not value:
         raise ParseError(f"{path}: expected a nonempty array of numbers")
-    return _convert(value, path, lambda vs: [float(v) for v in vs], "numbers")
+    floats = _convert(value, path, lambda vs: [float(v) for v in vs], "numbers")
+    if any(math.isnan(v) for v in floats):
+        raise ParseError(f"{path}: expected numbers, got NaN")
+    return floats
+
+def _no_nan(number, path):
+    """Python's JSON reader accepts NaN, which a range check written as a
+    comparison lets pass; refusing it here names the field."""
+    if math.isnan(number):
+        raise ParseError(f"{path}: expected a number, got NaN")
+    return number
 
 def _float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number")
-    return float(value)
+    return _no_nan(float(value), path)
 
 def _matrix(value, path):
     if not isinstance(value, list):

@@ -17,6 +17,7 @@ from .core import (
     IterationRecord,
     InvalidSchedule,
     InvalidStoppingRule,
+    LambdaOutOfRange,
     NonfiniteIterate,
     RunResult,
     RunStatus,
@@ -26,7 +27,7 @@ from .core import (
     sigma_is_finite,
     validate_config,
 )
-from .perturbation import PerturbationStream, ZeroPolicy, _budgets, _check_lambda
+from .perturbation import PerturbationStream, ZeroPolicy, _budgets
 
 WITNESS_RESIDUAL_TOL = 1e-10
 
@@ -156,12 +157,6 @@ def _fired_status(problem, stopping, k, x, max_res):
 # ---------------------------------------------------------------------------
 # iteration internals
 
-def residual_sweep(problem, x):
-    """Fixed-point residuals of every cutter at x."""
-    x = np.asarray(x, dtype=float)
-    return np.array([c.residual(x) for c in problem.cutters])
-
-
 class _Sweep:
     """The operators of one run.  Halfspaces and hyperplanes are the rows of
     one matrix, so one matvec gives all of their residuals and one more their
@@ -205,9 +200,10 @@ class _Sweep:
 
 def _perturbation(policy, stream, x, w, residuals, lam, sigma, k):
     """e^k: the policy's weighted perturbations over the support, each inside
-    its operator's budget (the streams keyed by (seed, k, i))."""
+    its operator's budget (the streams keyed by (seed, k, i)); ``run`` has
+    checked that lam lies in [tau1, 2 - tau2], inside (0, 2)."""
     support = np.flatnonzero(w > 0.0)
-    budgets = _budgets(_check_lambda(lam), residuals[support], sigma)
+    budgets = _budgets(lam, residuals[support], sigma)
     live = budgets > 0.0
     if not live.any():
         return np.zeros_like(x)
@@ -238,17 +234,14 @@ def _record(problem, k, x, residuals, max_res, pert_norm, lam):
     )
 
 
-def _effective_sigma(problem, config):
-    return normalize_sigma(config.sigma if config.sigma is not None else problem.sigma)
-
-
 def run(problem, config=None, schedule=None, policy=None, stopping=None):
     """Iterate until a stopping rule fires or the iteration cap is reached.
 
     Defaults: a unit relaxation SolverConfig, cyclic control, no
     perturbations, and ResidualBelow(config.residual_tolerance).  The trace
     holds one record per visited iterate, the last one describing
-    ``final_point``.
+    ``final_point``.  Each lambda_k is checked against [tau1, 2 - tau2]
+    before the update that uses it (LambdaOutOfRange).
     """
     from .weights import SequentialCyclic
 
@@ -264,7 +257,8 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     if stopping is None:
         stopping = [ResidualBelow(config.residual_tolerance)]
     _check_rules(problem, stopping)
-    sigma = _effective_sigma(problem, config)
+    sigma = normalize_sigma(config.sigma if config.sigma is not None else problem.sigma)
+    lo, hi = config.tau1, 2.0 - config.tau2
 
     sweep = _Sweep(problem)
     stream = None
@@ -285,6 +279,9 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         if status is not None:
             trace.append(_record(problem, k, x, residuals, max_res, 0.0, lam))
             return RunResult(as_vector(x), status, k, tuple(trace))
+        # a comparison that NaN fails
+        if not lo <= lam <= hi:
+            raise LambdaOutOfRange(k, lam, lo, hi)
         w = schedule.weights_at(k)
         x_next = x + lam * sweep.step(x, w, excess, images)
         pert_norm = 0.0

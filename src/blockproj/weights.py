@@ -42,7 +42,8 @@ class WeightSchedule:
         w = np.asarray(self._weights(k), dtype=float)
         if w.shape != (self.m,):
             raise InvalidSchedule(f"schedule produced shape {w.shape}, expected ({self.m},)")
-        if np.any(w < 0) or np.any(w > 1) or abs(float(w.sum()) - 1.0) > _SUM_TOL:
+        # comparisons that NaN fails
+        if not (np.all(w >= 0) and np.all(w <= 1) and abs(float(w.sum()) - 1.0) <= _SUM_TOL):
             raise InvalidSchedule(f"invalid weight vector at k={k}: {w}")
         return w
 
@@ -190,7 +191,7 @@ class BlockClassicalCyclic(WeightSchedule):
             ):
                 raise InvalidSchedule("intra-block weights must match the partition shape")
             for ws in weights:
-                if any(v < 0 for v in ws) or abs(sum(ws) - 1.0) > _SUM_TOL:
+                if not (all(v >= 0 for v in ws) and abs(sum(ws) - 1.0) <= _SUM_TOL):
                     raise InvalidSchedule("each block's weights must be nonnegative and sum to 1")
             self.intra = weights
 

@@ -165,6 +165,8 @@ def test_invalid_lambda_config_exits_1(tmp_path, capsys):
     ({"stopping": [{"rule": "max_distance", "eps": float("nan")}]},
      "config.stopping[0].eps"),
     ({"tau1": float("nan")}, "config.tau1"),
+    ({"schedule": {"regime": "block_classical", "partition": [[1, 2], [3]],
+                   "intra": [[float("nan"), 1.0], [1.0]]}}, "config.schedule.intra"),
 ])
 def test_malformed_config_field_exits_1(tmp_path, capsys, overrides, where):
     problem_path = tmp_path / "p.json"
@@ -175,6 +177,24 @@ def test_malformed_config_field_exits_1(tmp_path, capsys, overrides, where):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+
+def test_nan_cutter_field_exits_1(tmp_path, capsys):
+    problem_path = tmp_path / "p.json"
+    problem_path.write_text(json.dumps({
+        "dimension": 2,
+        "cutters": [{"type": "halfspace", "a": [1.0, 0.0], "b": float("nan")}],
+        "x0": [3.0, 0.0],
+        "sigma": 10.0,
+        "witness": [0.0, 0.0],
+    }))
+    config_path = tmp_path / "c.json"
+    _write_config(config_path)
+    trace = tmp_path / "t.csv"
+    code = main(_solve_args(problem_path, config_path, trace, tmp_path / "s.json"))
+    assert code == 1 and not trace.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem.cutters[0].b: ") and "NaN" in err
 
 
 def test_block_schedule_one_based_indices(tmp_path):

@@ -1,67 +1,22 @@
-import math
-
-import numpy as np
 import pytest
 
 from blockproj import (
     INFINITE_SIGMA,
     DimensionMismatch,
+    Halfspace,
     InvalidRelaxationBounds,
     LambdaOutOfRange,
     LambdaSchedule,
+    MaxIterations,
     NonpositiveSigma,
+    Problem,
     SolverConfig,
     as_vector,
-    inner,
-    norm,
     normalize_sigma,
+    run,
     sigma_is_finite,
     validate_config,
 )
-
-
-def test_inner_examples():
-    assert inner([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert inner([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-
-def test_inner_matches_independent_norm():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        v = rng.uniform(-5, 5, int(rng.integers(1, 9)))
-        reference = math.fsum(float(c) * float(c) for c in v)
-        assert inner(v, v) == pytest.approx(reference, rel=1e-12)
-        assert norm(v) == pytest.approx(math.sqrt(reference), rel=1e-12)
-
-
-def test_norm_examples():
-    assert norm([0.0, 0.0, 0.0]) == 0.0
-    assert norm([3.0, 4.0]) == 5.0
-
-
-def test_inner_symmetric_bilinear():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        a, b, c = rng.uniform(-4, 4, (3, n))
-        s, t = rng.uniform(-3, 3, 2)
-        assert inner(a, b) == pytest.approx(inner(b, a), rel=1e-12, abs=1e-12)
-        lhs = inner(s * a + t * b, c)
-        rhs = s * inner(a, c) + t * inner(b, c)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_norm_triangle_inequality():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        a, b = rng.uniform(-4, 4, (2, n))
-        assert norm(a + b) <= norm(a) + norm(b) + 1e-12
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        inner([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_as_vector_rejects_nonfinite_and_is_readonly():
@@ -104,14 +59,18 @@ def test_lambda_schedule_forms():
     assert [table(k) for k in range(6)] == [1.0, 1.5, 0.5, 1.0, 1.5, 0.5]
     assert table.declared_range == (0.5, 1.5)
 
-    fn = LambdaSchedule(lambda k: 1.0 + 0.1 * (k % 2), declared_range=(1.0, 1.1))
+    fn = LambdaSchedule(lambda k: 1.0 + 0.1 * (k % 2))
     assert fn(3) == 1.1
-    assert fn.declared_range == (1.0, 1.1)
-    assert LambdaSchedule(lambda k: 1.0).declared_range is None
+    assert fn.declared_range is None
 
 
 # ---------------------------------------------------------------------------
 # config validation
+
+def _far_problem():
+    """One halfspace and a start outside it, so every iteration updates."""
+    return Problem(1, [Halfspace([1.0], -1e6)], [0.0], sigma=1e7)
+
 
 def test_validate_config_accepts_midpoint():
     validate_config(SolverConfig(tau1=0.5, tau2=0.5, lambda_schedule=LambdaSchedule(1.0)))
@@ -132,22 +91,27 @@ def test_validate_config_rejects_lambda_out_of_range():
     # lambda = 0 is only admissible if tau1 <= 0, which the bounds forbid
     with pytest.raises(LambdaOutOfRange):
         validate_config(SolverConfig(tau1=0.5, tau2=0.5, lambda_schedule=LambdaSchedule(0.0)))
-    # tabulated schedule: the offending entry is found by sampling
+    # tabulated schedule: caught through its range, with no k
     with pytest.raises(LambdaOutOfRange) as info:
         validate_config(
             SolverConfig(tau1=0.5, tau2=0.5, lambda_schedule=LambdaSchedule([1.0, 1.6]))
         )
     assert info.value.k is None  # caught via the table's declared range
+    # a callable is checked by run, before the update that uses lambda_3
+    config = SolverConfig(tau1=0.5, tau2=0.5, max_iterations=10,
+                          lambda_schedule=LambdaSchedule(lambda k: 1.0 if k < 3 else 2.7))
+    validate_config(config)
     with pytest.raises(LambdaOutOfRange) as info:
-        validate_config(
-            SolverConfig(
-                tau1=0.5,
-                tau2=0.5,
-                lambda_schedule=LambdaSchedule(lambda k: 1.0 if k < 3 else 2.7),
-                max_iterations=10,
-            )
-        )
+        run(_far_problem(), config, stopping=[MaxIterations(10)])
     assert info.value.k == 3
+
+
+def test_validate_config_does_not_call_a_callable_schedule():
+    def schedule(k):
+        raise AssertionError(f"lambda_{k} sampled")
+
+    validate_config(SolverConfig(lambda_schedule=LambdaSchedule(schedule),
+                                 max_iterations=2_000_000))
 
 
 def test_validate_config_sigma():
@@ -168,11 +132,10 @@ def test_validate_config_rejects_nan():
     with pytest.raises(ValueError, match="residual_tolerance"):
         validate_config(SolverConfig(residual_tolerance=nan))
     for schedule in (LambdaSchedule(nan), LambdaSchedule([1.0, nan]),
-                     LambdaSchedule([nan, 1.0]),
-                     LambdaSchedule(lambda k: 1.0, declared_range=(nan, 1.0))):
+                     LambdaSchedule([nan, 1.0])):
         with pytest.raises(LambdaOutOfRange):
             validate_config(SolverConfig(lambda_schedule=schedule))
     with pytest.raises(LambdaOutOfRange) as info:
-        validate_config(SolverConfig(lambda_schedule=LambdaSchedule(lambda k: nan),
-                                     max_iterations=5))
+        run(_far_problem(), SolverConfig(lambda_schedule=LambdaSchedule(lambda k: nan),
+                                         max_iterations=5))
     assert info.value.k == 0

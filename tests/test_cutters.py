@@ -217,6 +217,25 @@ def test_invalid_constructions():
         SetIndicator(Resolvent(AbsSum(), 1.0))  # not a projection kind
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Halfspace([1.0, 0.0], NAN),
+    lambda: Hyperplane([1.0, 0.0], NAN),
+    lambda: Ball([0.0, 0.0], NAN),
+    lambda: L1Ball(NAN),
+    lambda: BallQuadratic([0.0, 0.0], NAN),
+    lambda: Resolvent(AbsSum(), NAN),
+    lambda: AffineFunction([1.0, 0.0], NAN),
+    lambda: QuadraticFunction([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], NAN),
+], ids=["halfspace.b", "hyperplane.b", "ball.radius", "l1_ball.radius",
+        "ball_quadratic.radius", "resolvent.gamma", "affine.b", "quadratic.d"])
+def test_nan_scalar_refused(make):
+    with pytest.raises(InvalidCutter, match="nan"):
+        make()
+
+
 def test_dimension_mismatch_on_apply():
     with pytest.raises(DimensionMismatch):
         Halfspace([1.0, 0.0], 1.0).apply([1.0, 2.0, 3.0])

@@ -1,9 +1,10 @@
 """Byte-for-byte regression against the committed files in tests/golden.
 
 Each golden file is the output of the recipe below.  Any change to a float
-the solver computes, to the trace CSV format or to the problem-file format
-fails here.  When such a change is intended, first compare fresh output
-with the committed traces, writing nothing:
+the solver computes, to the trace CSV format, to the problem-file format or
+to a ``blockproj verify --json`` report fails here.  When such a change
+is intended, first compare fresh output with the committed traces,
+writing nothing:
 
     PYTHONPATH=src python tests/test_golden.py --diff
 
@@ -59,6 +60,9 @@ TRACES = {
 
 PROBLEM = "problem_all_kinds.json"
 
+# suite -> trials of ``blockproj verify <suite> --seed 0 --json``
+VERIFY = {"fejer": 1000, "cutter": 1000, "budget": 200, "qhat": 1, "convergence": 1}
+
 CUTTER_TYPES = {"halfspace", "hyperplane", "ball", "box", "l1_ball",
                 "subgradient_projection", "resolvent"}
 FUNCTION_FORMS = {"affine", "quadratic", "norm_squared_minus", "abs_sum",
@@ -81,6 +85,12 @@ def write_trace(name, work, out):
     }))
     assert main(["solve", "--problem", str(problem), "--config", str(config),
                  "--trace", str(out), "--summary", str(work / "summary.json")]) == 0
+
+
+def write_verify(suite, out):
+    """Run ``blockproj verify`` for one suite, writing its JSON report to ``out``."""
+    assert main(["verify", suite, "--trials", str(VERIFY[suite]), "--seed", "0",
+                 "--json", str(out)]) == 0
 
 
 def all_kinds_problem():
@@ -126,6 +136,13 @@ def test_problem_file_matches_golden(tmp_path):
     assert again.read_bytes() == golden
 
 
+@pytest.mark.parametrize("suite", sorted(VERIFY))
+def test_verify_report_matches_golden(suite, tmp_path):
+    out = tmp_path / "report.json"
+    write_verify(suite, out)
+    assert out.read_bytes() == (GOLDEN / f"verify_{suite}.json").read_bytes()
+
+
 def _columns(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -160,3 +177,5 @@ if __name__ == "__main__":
         for trace in TRACES:
             write_trace(trace, Path(work), GOLDEN / trace)
     save_problem(all_kinds_problem(), GOLDEN / PROBLEM)
+    for suite in VERIFY:
+        write_verify(suite, GOLDEN / f"verify_{suite}.json")

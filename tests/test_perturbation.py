@@ -114,34 +114,35 @@ def test_input_validation():
 
 def test_zero_policy():
     rng = perturbation_rng(0, 0, 0)
-    e = ZeroPolicy().generate(10.0, np.ones(3), rng)
+    e = ZeroPolicy().combined(np.ones(3), [1.0], [10.0], lambda j: rng)
     assert np.array_equal(e, np.zeros(3))
 
 
 def test_random_direction_norm():
     policy = RandomDirectionPolicy(rho=0.9)
     rng = perturbation_rng(1, 2, 3)
-    e = policy.generate(0.1, np.zeros(4), rng)
+    e = policy.combined(np.zeros(4), [1.0], [0.1], lambda j: rng)
     assert np.linalg.norm(e) == pytest.approx(0.09, abs=1e-12)
     assert np.linalg.norm(e) < 0.1  # strictly inside the budget
 
 
 def test_random_direction_zero_budget():
     policy = RandomDirectionPolicy(rho=0.9)
-    e = policy.generate(0.0, np.zeros(4), perturbation_rng(1, 2, 3))
+    e = policy.combined(np.zeros(4), [1.0], [0.0], lambda j: perturbation_rng(1, 2, 3))
     assert np.array_equal(e, np.zeros(4))
 
 
 def test_superiorized_example():
     # cost ||x||^2 at (1, 0): -grad/||grad|| = (-1, 0), scaled by 0.5 * 0.2
     policy = SuperiorizedPolicy(SquaredNorm(), rho=0.5)
-    e = policy.generate(0.2, np.array([1.0, 0.0]), perturbation_rng(0, 0, 0))
+    e = policy.combined(np.array([1.0, 0.0]), [1.0], [0.2],
+                        lambda j: perturbation_rng(0, 0, 0))
     assert np.allclose(e, [-0.1, 0.0], atol=1e-15)
 
 
 def test_superiorized_zero_gradient_gives_zero():
     policy = SuperiorizedPolicy(SquaredNorm(), rho=0.5)
-    e = policy.generate(0.2, np.zeros(3), perturbation_rng(0, 0, 0))
+    e = policy.combined(np.zeros(3), [1.0], [0.2], lambda j: perturbation_rng(0, 0, 0))
     assert np.array_equal(e, np.zeros(3))
 
 
@@ -150,7 +151,7 @@ def test_strict_budget_sweep():
     policy = RandomDirectionPolicy(rho=0.99)
     for trial in range(200):
         b = rng_master.uniform(1e-6, 2.0)
-        e = policy.generate(b, np.zeros(3), perturbation_rng(9, trial, 0))
+        e = policy.combined(np.zeros(3), [1.0], [b], lambda j: perturbation_rng(9, trial, 0))
         assert 0.0 < np.linalg.norm(e) < b
 
 
@@ -216,7 +217,7 @@ def test_random_combined_is_weighted_sum_of_generate():
     budgets = np.array([0.5, 0.0, 1e-3, 2.0])
     stream = PerturbationStream(3)
     e = policy.combined(x, weights, budgets, lambda j: stream.at(7, indices[j]))
-    expected = sum(w * policy.generate(b, x, perturbation_rng(3, 7, i))
+    expected = sum(w * policy.combined(x, [1.0], [b], lambda j: perturbation_rng(3, 7, i))
                    for w, b, i in zip(weights, budgets, indices))
     assert np.allclose(e, expected, rtol=0.0, atol=1e-15)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from blockproj import (
     load_problem,
     save_problem,
 )
-from blockproj.problems import cutter_from_json, cutter_to_json, problem_to_json
+from blockproj.problems import (
+    cutter_from_json,
+    cutter_to_json,
+    problem_from_json,
+    problem_to_json,
+)
 
 
 def test_minimal_problem_file(tmp_path):
@@ -131,6 +137,28 @@ def test_field_path_diagnostics(tmp_path):
     with pytest.raises(ParseError) as info:
         load_problem(path)
     assert "cutters[0].b" in str(info.value)
+
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"cutters": [{"type": "halfspace", "a": [1.0, 0.0], "b": float("nan")}]},
+     "problem.cutters[0].b"),
+    ({"cutters": [{"type": "resolvent", "g": {"form": "abs_sum"}, "gamma": float("nan")}]},
+     "problem.cutters[0].gamma"),
+    ({"cutters": [{"type": "subgradient_projection",
+                   "f": {"form": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]],
+                         "c": [0.0, 0.0], "d": float("nan")}}]},
+     "problem.cutters[0].f.d"),
+    ({"sigma": float("nan")}, "problem.sigma"),
+    ({"cutters": [{"type": "halfspace", "a": [float("nan"), 1.0], "b": 1.0}]},
+     "problem.cutters[0].a"),
+    ({"witness": [0.0, float("nan")]}, "problem.witness"),
+])
+def test_nan_number_names_its_field(overrides, where):
+    doc = {"dimension": 2, "cutters": [{"type": "l1_ball", "radius": 1.0}],
+           "x0": [0.0, 0.0], "sigma": 1.0, **overrides}
+    message = rf"^{re.escape(where)}: expected (a number|numbers), got NaN"
+    with pytest.raises(ParseError, match=message):
+        problem_from_json(doc)
 
 
 def test_dimension_mismatch_diagnostics(tmp_path):

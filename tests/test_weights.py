@@ -141,3 +141,11 @@ def test_invalid_schedules():
     bad_rule = BlockGeneralized(3, lambda k: (0, 1), lambda k, block: np.array([0.9, 0.9]))
     with pytest.raises(InvalidSchedule):
         bad_rule.weights_at(0)  # weights do not sum to 1
+    # NaN weights, which a check of the form v < 0 lets through
+    nan = float("nan")
+    for intra in ([[nan, 1.0], [1.0]], [[0.5, 0.5], [nan]]):
+        with pytest.raises(InvalidSchedule):
+            BlockClassicalCyclic(3, [[0, 1], [2]], intra=intra)
+    nan_rule = BlockGeneralized(3, lambda k: (0, 1), lambda k, block: np.array([nan, 1.0]))
+    with pytest.raises(InvalidSchedule):
+        nan_rule.weights_at(0)
