@@ -24,10 +24,12 @@ _GRAD_ZERO_TOL = 1e-14
 
 
 def _number(value, name):
-    """float(value), refusing NaN: an offset has no range check to fail."""
+    """float(value), refusing NaN and infinities: an offset has no range check
+    to fail, an infinite offset makes residuals inf or NaN, and an infinite
+    radius makes a ball all of R^n."""
     value = float(value)
-    if math.isnan(value):
-        raise InvalidCutter(f"{name} must be a number, got nan")
+    if not math.isfinite(value):
+        raise InvalidCutter(f"{name} must be a finite number, got {value}")
     return value
 
 
@@ -104,7 +106,7 @@ class BallQuadratic:
 
     def __init__(self, center, radius):
         self.center = as_vector(center, name="center")
-        self.radius = float(radius)
+        self.radius = _number(radius, "radius")
         if not self.radius >= 0:
             raise InvalidCutter(f"radius must be nonnegative, got {self.radius}")
 
@@ -270,7 +272,7 @@ class Ball(Cutter):
 
     def __init__(self, center, radius):
         self.center = as_vector(center, name="center")
-        self.radius = float(radius)
+        self.radius = _number(radius, "ball radius")
         if not self.radius > 0:
             raise InvalidCutter(f"ball radius must be positive, got {self.radius}")
 
@@ -346,7 +348,7 @@ class L1Ball(Cutter):
     is_projection = True
 
     def __init__(self, radius):
-        self.radius = float(radius)
+        self.radius = _number(radius, "l1 ball radius")
         if not self.radius > 0:
             raise InvalidCutter(f"l1 ball radius must be positive, got {self.radius}")
 
@@ -414,7 +416,7 @@ class Resolvent(Cutter):
         if not hasattr(g, "prox"):
             raise InvalidCutter("resolvent needs a function with a prox method")
         self.g = g
-        self.gamma = float(gamma)
+        self.gamma = _number(gamma, "gamma")
         if not self.gamma > 0:
             raise InvalidCutter(f"gamma must be positive, got {self.gamma}")
 

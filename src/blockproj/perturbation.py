@@ -105,9 +105,10 @@ class PerturbationPolicy:
     kind = "abstract"
     rho = 0.0
 
-    def combined(self, x, weights, budgets, rng_for):
-        """sum_j weights[j] p_j, where p_j has norm rho * budgets[j] and
-        ``rng_for(j)`` returns the generator of entry j's stream."""
+    def combined(self, x, weights, budgets, iteration_rng):
+        """sum_j weights[j] p_j, where p_j has norm rho * budgets[j].
+        ``iteration_rng()`` returns the generator of the iteration's stream;
+        a policy that draws nothing never calls it."""
         raise NotImplementedError
 
 
@@ -116,7 +117,7 @@ class ZeroPolicy(PerturbationPolicy):
 
     kind = "zero"
 
-    def combined(self, x, weights, budgets, rng_for):
+    def combined(self, x, weights, budgets, iteration_rng):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -136,19 +137,19 @@ class RandomDirectionPolicy(PerturbationPolicy):
     def __init__(self, rho=0.99):
         self.rho = _check_rho(rho)
 
-    def combined(self, x, weights, budgets, rng_for):
+    def combined(self, x, weights, budgets, iteration_rng):
+        """Row r of one (live, n) standard normal draw is the direction of
+        the r-th entry with a positive budget; a zero row is redrawn, in row
+        order, from the same generator after the matrix."""
         x = np.asarray(x, dtype=float)
         scale = self.rho * np.asarray(budgets, dtype=float)
         live = np.flatnonzero(scale > 0.0)
         if live.size == 0:
             return np.zeros_like(x)
-        directions = np.empty((live.size, x.size))
-        for row, j in enumerate(live):
-            directions[row] = rng_for(j).standard_normal(x.size)
+        rng = iteration_rng()
+        directions = rng.standard_normal((live.size, x.size))
         norms = np.linalg.norm(directions, axis=1)
         for row in np.flatnonzero(norms == 0.0):
-            rng = rng_for(live[row])
-            rng.standard_normal(x.size)  # the zero draw, again
             while norms[row] == 0.0:
                 directions[row] = rng.standard_normal(x.size)
                 norms[row] = np.linalg.norm(directions[row])
@@ -166,7 +167,7 @@ class SuperiorizedPolicy(PerturbationPolicy):
         self.cost = cost
         self.rho = _check_rho(rho)
 
-    def combined(self, x, weights, budgets, rng_for):
+    def combined(self, x, weights, budgets, iteration_rng):
         x = np.asarray(x, dtype=float)
         scale = self.rho * np.asarray(budgets, dtype=float)
         if not np.any(scale > 0.0):
@@ -184,22 +185,22 @@ def _key(seed):
     return int(seed) & 0xFFFFFFFFFFFFFFFF  # keys are 64-bit unsigned
 
 
-def perturbation_rng(seed, k, i):
-    """Counter-based stream keyed by (seed, k, i): reproducible and order-free.
+def perturbation_rng(seed, k):
+    """Counter-based stream keyed by (seed, k): one stream per iteration,
+    reproducible and independent of every other iteration's.
 
-    Per-operator generation inside one iteration can run in any order (or
-    concurrently) without changing the draws.  The solver sweeps halfspaces
-    and hyperplanes as one matrix and draws a whole iteration's directions
-    at once; it reproduces these streams by resetting a single Philox
-    generator to counter [0, 0, k, i] (``PerturbationStream``) instead of
-    building one per operator.
+    An iteration draws all of its random directions from this one stream,
+    as a single matrix whose rows follow the live support indices in
+    ascending order.  The solver reproduces these streams by resetting a
+    single Philox generator to counter [0, 0, k, 0] (``PerturbationStream``)
+    instead of building one per iteration.
     """
-    bg = np.random.Philox(key=_key(seed), counter=[0, 0, int(k), int(i)])
+    bg = np.random.Philox(key=_key(seed), counter=[0, 0, int(k), 0])
     return np.random.Generator(bg)
 
 
 class PerturbationStream:
-    """The generators of ``perturbation_rng(seed, k, i)`` for one seed, as one
+    """The generators of ``perturbation_rng(seed, k)`` for one seed, as one
     reused Philox generator whose state ``at`` resets; each call invalidates
     the generator the previous one returned."""
 
@@ -210,8 +211,7 @@ class PerturbationStream:
         self._counter = self._state["state"]["counter"]
         self._generator = np.random.Generator(self._bits)
 
-    def at(self, k, i):
+    def at(self, k):
         self._counter[2] = k
-        self._counter[3] = i
         self._bits.state = self._state
         return self._generator

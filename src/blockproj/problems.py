@@ -61,6 +61,8 @@ def _floats(value, path):
     floats = _convert(value, path, lambda vs: [float(v) for v in vs], "numbers")
     if any(math.isnan(v) for v in floats):
         raise ParseError(f"{path}: expected numbers, got NaN")
+    if any(math.isinf(v) for v in floats):
+        raise ParseError(f"{path}: expected finite numbers, got inf")
     return floats
 
 def _no_nan(number, path):
@@ -74,6 +76,14 @@ def _float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number")
     return _no_nan(float(value), path)
+
+def _finite(value, path):
+    """A cutter or function scalar.  Python's JSON reader accepts Infinity,
+    which the constructors refuse; refusing it here names the field."""
+    number = _float(value, path)
+    if math.isinf(number):
+        raise ParseError(f"{path}: expected a finite number, got {number}")
+    return number
 
 def _matrix(value, path):
     if not isinstance(value, list):
@@ -131,7 +141,7 @@ def cutter_from_json(obj, path="cutter"):
 
 
 _VECTOR = (lambda v: [float(x) for x in v], _floats)
-_NUMBER = (float, _float)
+_NUMBER = (float, _finite)
 _MATRIX = (lambda q: [[float(x) for x in row] for row in q], _matrix)
 _FUNCTION = (function_to_json, function_from_json)
 _CUTTER = (cutter_to_json, cutter_from_json)

@@ -200,16 +200,16 @@ class _Sweep:
 
 def _perturbation(policy, stream, x, w, residuals, lam, sigma, k):
     """e^k: the policy's weighted perturbations over the support, each inside
-    its operator's budget (the streams keyed by (seed, k, i)); ``run`` has
-    checked that lam lies in [tau1, 2 - tau2], inside (0, 2)."""
+    its operator's budget, in ascending index order; a policy that draws
+    resets ``stream`` to iteration k's stream (keyed by (seed, k)) through the
+    accessor, one that does not never touches it.  ``run`` has checked that
+    lam lies in [tau1, 2 - tau2], inside (0, 2)."""
     support = np.flatnonzero(w > 0.0)
     budgets = _budgets(lam, residuals[support], sigma)
     live = budgets > 0.0
     if not live.any():
         return np.zeros_like(x)
-    indices = support[live]
-    return policy.combined(x, w[indices], budgets[live],
-                           lambda j: stream.at(k, indices[j]))
+    return policy.combined(x, w[support[live]], budgets[live], lambda: stream.at(k))
 
 
 def _frozen(arr):

@@ -197,6 +197,24 @@ def test_nan_cutter_field_exits_1(tmp_path, capsys):
     assert err.startswith("error: problem.cutters[0].b: ") and "NaN" in err
 
 
+@pytest.mark.parametrize("cutter, where", [
+    ({"type": "hyperplane", "a": [1.0, 0.0], "b": float("inf")}, "problem.cutters[0].b"),
+    ({"type": "ball", "center": [0.0, 0.0], "radius": float("inf")},
+     "problem.cutters[0].radius"),
+])
+def test_infinite_cutter_field_exits_1(tmp_path, capsys, cutter, where):
+    problem_path = tmp_path / "p.json"
+    problem_path.write_text(json.dumps({
+        "dimension": 2, "cutters": [cutter], "x0": [3.0, 0.0], "sigma": 10.0,
+    }))
+    config_path = tmp_path / "c.json"
+    _write_config(config_path)
+    trace = tmp_path / "t.csv"
+    code = main(_solve_args(problem_path, config_path, trace, tmp_path / "s.json"))
+    assert code == 1 and not trace.exists()
+    assert capsys.readouterr().err == f"error: {where}: expected a finite number, got inf\n"
+
+
 def test_block_schedule_one_based_indices(tmp_path):
     problem_path = tmp_path / "p.json"
     main(["gen", "discs", "--m", "3", "--seed", "6", "--out", str(problem_path)])

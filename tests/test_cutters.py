@@ -217,23 +217,30 @@ def test_invalid_constructions():
         SetIndicator(Resolvent(AbsSum(), 1.0))  # not a projection kind
 
 
-NAN = float("nan")
+# constructor of each cutter or function with one scalar field, from its value
+SCALAR_FIELDS = {
+    "halfspace.b": lambda v: Halfspace([1.0, 0.0], v),
+    "hyperplane.b": lambda v: Hyperplane([1.0, 0.0], v),
+    "ball.radius": lambda v: Ball([0.0, 0.0], v),
+    "l1_ball.radius": lambda v: L1Ball(v),
+    "ball_quadratic.radius": lambda v: BallQuadratic([0.0, 0.0], v),
+    "resolvent.gamma": lambda v: Resolvent(AbsSum(), v),
+    "affine.b": lambda v: AffineFunction([1.0, 0.0], v),
+    "quadratic.d": lambda v: QuadraticFunction([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], v),
+}
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Halfspace([1.0, 0.0], NAN),
-    lambda: Hyperplane([1.0, 0.0], NAN),
-    lambda: Ball([0.0, 0.0], NAN),
-    lambda: L1Ball(NAN),
-    lambda: BallQuadratic([0.0, 0.0], NAN),
-    lambda: Resolvent(AbsSum(), NAN),
-    lambda: AffineFunction([1.0, 0.0], NAN),
-    lambda: QuadraticFunction([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], NAN),
-], ids=["halfspace.b", "hyperplane.b", "ball.radius", "l1_ball.radius",
-        "ball_quadratic.radius", "resolvent.gamma", "affine.b", "quadratic.d"])
-def test_nan_scalar_refused(make):
+@pytest.mark.parametrize("field", SCALAR_FIELDS)
+def test_nan_scalar_refused(field):
     with pytest.raises(InvalidCutter, match="nan"):
-        make()
+        SCALAR_FIELDS[field](float("nan"))
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf")], ids=["inf", "-inf"])
+@pytest.mark.parametrize("field", SCALAR_FIELDS)
+def test_infinite_scalar_refused(field, value):
+    with pytest.raises(InvalidCutter, match="must be a finite number, got -?inf"):
+        SCALAR_FIELDS[field](value)
 
 
 def test_dimension_mismatch_on_apply():

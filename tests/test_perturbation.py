@@ -113,36 +113,34 @@ def test_input_validation():
 # policies
 
 def test_zero_policy():
-    rng = perturbation_rng(0, 0, 0)
-    e = ZeroPolicy().combined(np.ones(3), [1.0], [10.0], lambda j: rng)
+    e = ZeroPolicy().combined(np.ones(3), [1.0], [10.0],
+                              lambda: pytest.fail("the zero policy draws nothing"))
     assert np.array_equal(e, np.zeros(3))
 
 
 def test_random_direction_norm():
     policy = RandomDirectionPolicy(rho=0.9)
-    rng = perturbation_rng(1, 2, 3)
-    e = policy.combined(np.zeros(4), [1.0], [0.1], lambda j: rng)
+    e = policy.combined(np.zeros(4), [1.0], [0.1], lambda: perturbation_rng(1, 2))
     assert np.linalg.norm(e) == pytest.approx(0.09, abs=1e-12)
     assert np.linalg.norm(e) < 0.1  # strictly inside the budget
 
 
 def test_random_direction_zero_budget():
     policy = RandomDirectionPolicy(rho=0.9)
-    e = policy.combined(np.zeros(4), [1.0], [0.0], lambda j: perturbation_rng(1, 2, 3))
+    e = policy.combined(np.zeros(4), [1.0], [0.0], lambda: perturbation_rng(1, 2))
     assert np.array_equal(e, np.zeros(4))
 
 
 def test_superiorized_example():
     # cost ||x||^2 at (1, 0): -grad/||grad|| = (-1, 0), scaled by 0.5 * 0.2
     policy = SuperiorizedPolicy(SquaredNorm(), rho=0.5)
-    e = policy.combined(np.array([1.0, 0.0]), [1.0], [0.2],
-                        lambda j: perturbation_rng(0, 0, 0))
+    e = policy.combined(np.array([1.0, 0.0]), [1.0], [0.2], lambda: perturbation_rng(0, 0))
     assert np.allclose(e, [-0.1, 0.0], atol=1e-15)
 
 
 def test_superiorized_zero_gradient_gives_zero():
     policy = SuperiorizedPolicy(SquaredNorm(), rho=0.5)
-    e = policy.combined(np.zeros(3), [1.0], [0.2], lambda j: perturbation_rng(0, 0, 0))
+    e = policy.combined(np.zeros(3), [1.0], [0.2], lambda: perturbation_rng(0, 0))
     assert np.array_equal(e, np.zeros(3))
 
 
@@ -151,7 +149,7 @@ def test_strict_budget_sweep():
     policy = RandomDirectionPolicy(rho=0.99)
     for trial in range(200):
         b = rng_master.uniform(1e-6, 2.0)
-        e = policy.combined(np.zeros(3), [1.0], [b], lambda j: perturbation_rng(9, trial, 0))
+        e = policy.combined(np.zeros(3), [1.0], [b], lambda: perturbation_rng(9, trial))
         assert 0.0 < np.linalg.norm(e) < b
 
 
@@ -166,10 +164,10 @@ def test_rho_validation():
 # rng streams
 
 def test_perturbation_rng_reproducible_and_keyed():
-    a = perturbation_rng(42, 3, 1).standard_normal(5)
-    b = perturbation_rng(42, 3, 1).standard_normal(5)
-    c = perturbation_rng(42, 3, 2).standard_normal(5)
-    d = perturbation_rng(43, 3, 1).standard_normal(5)
+    a = perturbation_rng(42, 3).standard_normal(5)
+    b = perturbation_rng(42, 3).standard_normal(5)
+    c = perturbation_rng(42, 4).standard_normal(5)
+    d = perturbation_rng(43, 3).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -184,14 +182,15 @@ def test_reused_stream_draws_like_perturbation_rng():
     for trial in range(1200):
         seed = seeds[trial % len(seeds)]
         k = int(rng.integers(0, 10 ** 6)) if trial % 3 else trial
-        i = int(rng.integers(0, 500))
-        size = (1, 2, 7, 50, 100)[trial % 5]
-        expected = perturbation_rng(seed, k, i).standard_normal(size)
-        got = streams[seed].at(k, i).standard_normal(size)
+        rows = int(rng.integers(1, 80))
+        size = (rows, (1, 2, 7, 50, 100)[trial % 5])
+        expected = perturbation_rng(seed, k).standard_normal(size)
+        got = streams[seed].at(k).standard_normal(size)
         assert got.tobytes() == expected.tobytes()
-        # a reset after other draws, and a longer draw, match too
-        assert (streams[seed].at(k, np.int64(i)).standard_normal(2 * size).tobytes()
-                == perturbation_rng(seed, k, i).standard_normal(2 * size).tobytes())
+        # a reset after other draws, and a matrix then a redrawn row, match too
+        reused, fresh = streams[seed].at(np.int64(k)), perturbation_rng(seed, k)
+        for shape in (size, size[1]):
+            assert reused.standard_normal(shape).tobytes() == fresh.standard_normal(shape).tobytes()
 
 
 def test_batched_budgets_equal_scalar_budget():
@@ -212,36 +211,48 @@ def test_random_combined_is_weighted_sum_of_generate():
 
     policy = RandomDirectionPolicy(rho=0.9)
     x = np.zeros(6)
-    indices = np.array([0, 3, 4, 9])
     weights = np.array([0.1, 0.2, 0.3, 0.4])
     budgets = np.array([0.5, 0.0, 1e-3, 2.0])
     stream = PerturbationStream(3)
-    e = policy.combined(x, weights, budgets, lambda j: stream.at(7, indices[j]))
-    expected = sum(w * policy.combined(x, [1.0], [b], lambda j: perturbation_rng(3, 7, i))
-                   for w, b, i in zip(weights, budgets, indices))
+    e = policy.combined(x, weights, budgets, lambda: stream.at(7))
+    # row r of the iteration's draw belongs to the r-th entry with a budget
+    live = np.flatnonzero(budgets > 0.0)
+    directions = perturbation_rng(3, 7).standard_normal((live.size, x.size))
+    expected = sum(weights[j] * policy.combined(x, [1.0], [budgets[j]],
+                                                lambda: _ReplayRng([d]))
+                   for j, d in zip(live, directions[:, np.newaxis]))
     assert np.allclose(e, expected, rtol=0.0, atol=1e-15)
+    # one entry draws the first row of its iteration's stream
+    first = policy.combined(x, [1.0], [2.0], lambda: perturbation_rng(3, 7))
+    assert np.allclose(first, 0.9 * 2.0 * directions[0] / np.linalg.norm(directions[0]),
+                       rtol=0.0, atol=1e-15)
 
 
 class _ReplayRng:
-    """A generator whose first draws are zero vectors."""
+    """A generator that returns the given draws in order, checking that each
+    is asked for with its own shape."""
 
-    def __init__(self, zeros):
-        self.zeros = zeros
+    def __init__(self, draws):
+        self.draws = [np.asarray(d, dtype=float) for d in draws]
 
     def standard_normal(self, size):
-        if self.zeros:
-            self.zeros -= 1
-            return np.zeros(size)
-        return np.arange(1.0, size + 1.0)
+        draw = self.draws.pop(0)
+        assert draw.shape == np.empty(size).shape
+        return draw
 
 
 def test_random_combined_redraws_a_zero_direction():
     policy = RandomDirectionPolicy(rho=0.5)
-    # entry 1's stream starts with two zero draws: both are skipped
-    e = policy.combined(np.zeros(2), np.array([0.5, 0.5]), np.array([1.0, 2.0]),
-                        lambda j: _ReplayRng(2 if j == 1 else 0))
-    unit = np.array([1.0, 2.0]) / np.sqrt(5.0)
-    assert np.allclose(e, 0.5 * 0.5 * unit + 0.5 * 1.0 * unit, rtol=0.0, atol=1e-15)
+    # rows 1 and 2 of the matrix are zero; row 1's first redraw is zero too,
+    # so the redraws after the matrix go to rows 1, 1, 2
+    rng = _ReplayRng([[[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [3.0, 4.0], [0.0, 5.0]])
+    calls = []
+    e = policy.combined(np.zeros(2), np.array([0.25, 0.25, 0.5]), np.array([1.0, 2.0, 4.0]),
+                        lambda: calls.append(1) or rng)
+    assert calls == [1] and rng.draws == []
+    expected = (0.25 * 0.5 * np.array([1.0, 2.0]) / np.sqrt(5.0)
+                + 0.25 * 1.0 * np.array([0.6, 0.8]) + 0.5 * 2.0 * np.array([0.0, 1.0]))
+    assert np.allclose(e, expected, rtol=0.0, atol=1e-15)
 
 
 def test_superiorized_combined_uses_one_gradient():
@@ -255,6 +266,6 @@ def test_superiorized_combined_uses_one_gradient():
     policy = SuperiorizedPolicy(CountingNorm(), rho=0.5)
     x = np.array([3.0, 4.0])
     e = policy.combined(x, np.array([0.25, 0.25, 0.5]), np.array([0.4, 0.0, 0.2]),
-                        lambda j: pytest.fail("the superiorized policy draws nothing"))
+                        lambda: pytest.fail("the superiorized policy draws nothing"))
     assert calls == [1]
     assert np.allclose(e, -0.5 * (0.25 * 0.4 + 0.5 * 0.2) * x / 5.0, rtol=0.0, atol=1e-16)

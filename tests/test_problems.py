@@ -161,6 +161,44 @@ def test_nan_number_names_its_field(overrides, where):
         problem_from_json(doc)
 
 
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"cutters": [{"type": "halfspace", "a": [1.0, 0.0], "b": _INF}]}, "problem.cutters[0].b"),
+    ({"cutters": [{"type": "hyperplane", "a": [1.0, 0.0], "b": -_INF}]}, "problem.cutters[0].b"),
+    ({"cutters": [{"type": "ball", "center": [0.0, 0.0], "radius": _INF}]},
+     "problem.cutters[0].radius"),
+    ({"cutters": [{"type": "l1_ball", "radius": _INF}]}, "problem.cutters[0].radius"),
+    ({"cutters": [{"type": "subgradient_projection",
+                   "f": {"form": "norm_squared_minus", "center": [0.0, 0.0], "radius": _INF}}]},
+     "problem.cutters[0].f.radius"),
+    ({"cutters": [{"type": "subgradient_projection",
+                   "f": {"form": "affine", "a": [1.0, 0.0], "b": _INF}}]},
+     "problem.cutters[0].f.b"),
+    ({"cutters": [{"type": "subgradient_projection",
+                   "f": {"form": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]],
+                         "c": [0.0, 0.0], "d": -_INF}}]},
+     "problem.cutters[0].f.d"),
+    ({"cutters": [{"type": "resolvent", "g": {"form": "abs_sum"}, "gamma": _INF}]},
+     "problem.cutters[0].gamma"),
+    ({"cutters": [{"type": "halfspace", "a": [_INF, 1.0], "b": 1.0}]},
+     "problem.cutters[0].a"),
+])
+def test_infinite_number_names_its_field(overrides, where):
+    doc = {"dimension": 2, "cutters": [{"type": "l1_ball", "radius": 1.0}],
+           "x0": [0.0, 0.0], "sigma": 1.0, **overrides}
+    message = rf"^{re.escape(where)}: expected (a finite number|finite numbers), got -?inf$"
+    with pytest.raises(ParseError, match=message):
+        problem_from_json(doc)
+
+
+def test_numeric_infinite_sigma_is_infinite_sigma():
+    doc = {"dimension": 1, "cutters": [{"type": "l1_ball", "radius": 1.0}],
+           "x0": [0.0], "sigma": _INF}
+    assert problem_from_json(doc).sigma is INFINITE_SIGMA
+
+
 def test_dimension_mismatch_diagnostics(tmp_path):
     path = tmp_path / "dims.json"
     path.write_text(json.dumps({

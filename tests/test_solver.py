@@ -360,8 +360,10 @@ def test_residual_sweep_matches_records():
 
 def _reference_points(problem, config, schedule, policy, tol):
     """Iterates of a scalar implementation of the iteration: one ``apply``
-    per operator, one ``budget`` and one ``perturbation_rng`` per supported
-    index, stopping at max residual <= tol or at the cap."""
+    and one ``budget`` per operator, stopping at max residual <= tol or at
+    the cap.  A random iteration draws one (live, n) matrix from
+    ``perturbation_rng(seed, k)``, row r for the r-th supported index with a
+    positive budget, and redraws zero rows after it."""
     from blockproj import budget, perturbation_rng
 
     x, points = np.array(problem.x0), []
@@ -374,18 +376,21 @@ def _reference_points(problem, config, schedule, policy, tol):
         w, lam = schedule.weights_at(k), config.lambda_schedule(k)
         support = np.flatnonzero(w > 0.0)
         step, e = np.zeros_like(x), np.zeros_like(x)
+        live = []
         for i in support:
             step += w[i] * (applied[i] - x)
             b = 0.0 if isinstance(policy, ZeroPolicy) else budget(lam, residuals[i], problem.sigma)
-            if b == 0.0:
-                continue
-            if isinstance(policy, RandomDirectionPolicy):
-                rng = perturbation_rng(config.seed, k, i)
-                d = rng.standard_normal(x.size)
-                while np.linalg.norm(d) == 0.0:
-                    d = rng.standard_normal(x.size)
-            else:
-                d = -policy.cost.grad(x)
+            if b > 0.0:
+                live.append((i, b))
+        if live and isinstance(policy, RandomDirectionPolicy):
+            rng = perturbation_rng(config.seed, k)
+            directions = list(rng.standard_normal((len(live), x.size)))
+            for r in range(len(live)):
+                while np.linalg.norm(directions[r]) == 0.0:
+                    directions[r] = rng.standard_normal(x.size)
+        else:
+            directions = [-policy.cost.grad(x) for _ in live]
+        for (i, b), d in zip(live, directions):
             e += w[i] * (policy.rho * b / np.linalg.norm(d)) * d
         x = x + lam * step + e
     return points
@@ -445,3 +450,31 @@ def test_run_matches_scalar_reference(regime, policy_name):
         assert any(rec.perturbation_norm > 0 for rec in result.trace) == (policy_name != "zero")
         points = np.array([rec.point for rec in result.trace])
         assert np.max(np.abs(points - np.array(reference))) <= 1e-12
+
+
+def test_superiorized_run_never_touches_the_stream(monkeypatch):
+    from blockproj import solver
+    from blockproj.perturbation import PerturbationStream
+
+    streams = []
+
+    class WatchedStream(PerturbationStream):
+        def __init__(self, seed):
+            super().__init__(seed)
+            streams.append(self)
+
+        def at(self, k):
+            pytest.fail(f"the superiorized run reset the stream at k={k}")
+
+    def position(stream):
+        state = stream._bits.state
+        return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+    monkeypatch.setattr(solver, "PerturbationStream", WatchedStream)
+    problem = _mixed_problem(3)
+    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300),
+                 SimultaneousUniform(problem.m), SuperiorizedPolicy(problem.cost, 0.99))
+    assert any(rec.perturbation_norm > 0 for rec in result.trace)
+    # the run built its stream and left it where a fresh one starts
+    assert len(streams) == 1
+    assert position(streams[0]) == position(PerturbationStream(problem.m))
