@@ -35,10 +35,15 @@ def _zeta(lam, r, anchor):
 
 def _radius(theta, lam, r, anchor):
     """theta lam (2 - lam) r^2 / (sqrt(zeta) + lam r + anchor), zero where the
-    denominator (hence the numerator) vanishes; ``r`` may be an array."""
+    denominator (hence the numerator) vanishes; ``r`` may be an array.  A
+    positive anchor, such as the solver's 2 sigma, keeps the denominator
+    positive."""
     denominator = np.sqrt(_zeta(lam, r, anchor)) + lam * r + anchor
-    return np.divide(theta * lam * (2.0 - lam) * r * r, denominator,
-                     out=np.zeros_like(denominator), where=denominator != 0.0)
+    numerator = theta * lam * (2.0 - lam) * r * r
+    if anchor > 0.0:
+        return numerator / denominator
+    return np.divide(numerator, denominator, out=np.zeros_like(denominator),
+                     where=denominator != 0.0)
 
 
 def _budgets(lam, residuals, sigma):

@@ -59,9 +59,10 @@ def _floats(value, path):
     if not isinstance(value, list) or not value:
         raise ParseError(f"{path}: expected a nonempty array of numbers")
     floats = _convert(value, path, lambda vs: [float(v) for v in vs], "numbers")
-    if any(math.isnan(v) for v in floats):
-        raise ParseError(f"{path}: expected numbers, got NaN")
-    if any(math.isinf(v) for v in floats):
+    # one pass decides the common case; the scan below only names the fault
+    if not all(map(math.isfinite, floats)):
+        if any(math.isnan(v) for v in floats):
+            raise ParseError(f"{path}: expected numbers, got NaN")
         raise ParseError(f"{path}: expected finite numbers, got inf")
     return floats
 

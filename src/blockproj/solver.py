@@ -186,7 +186,7 @@ class _Sweep:
         for i, c in self.others:
             image = c.apply(x)
             images.append(image)
-            residuals[i] = float(np.linalg.norm(image - x))
+            residuals[i] = _norm(image - x)
         return residuals, excess, images
 
     def step(self, x, w, excess, images):
@@ -212,24 +212,28 @@ def _perturbation(policy, stream, x, w, residuals, lam, sigma, k):
     return policy.combined(x, w[support[live]], budgets[live], lambda: stream.at(k))
 
 
-def _frozen(arr):
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+def _norm(d):
+    """||d|| of a 1-D float64 array, bit for bit what np.linalg.norm computes."""
+    return math.sqrt(d.dot(d))
 
 
 def _record(problem, k, x, residuals, max_res, pert_norm, lam):
+    """The record of iterate k.  It keeps ``x`` and ``residuals`` themselves,
+    made read-only: ``run`` builds both afresh every iteration and writes to
+    neither once it has recorded them."""
+    x.flags.writeable = False
+    residuals.flags.writeable = False
     dist_witness = None
     if problem.witness is not None:
-        dist_witness = float(np.linalg.norm(x - problem.witness))
+        dist_witness = _norm(x - problem.witness)
     return IterationRecord(
         k=k,
-        point=_frozen(x),
+        point=x,
         max_residual=max_res,
-        per_index_residuals=_frozen(residuals),
+        per_index_residuals=residuals,
         perturbation_norm=pert_norm,
         lam=lam,
-        distance_from_start=float(np.linalg.norm(x - problem.x0)),
+        distance_from_start=_norm(x - problem.x0),
         distance_to_witness=dist_witness,
     )
 
@@ -288,8 +292,8 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         if stream is not None:
             e = _perturbation(policy, stream, x, w, residuals, lam, sigma, k)
             x_next += e
-            pert_norm = float(np.linalg.norm(e))
-        if not np.all(np.isfinite(x_next)):
+            pert_norm = _norm(e)
+        if not np.isfinite(x_next).all():
             raise NonfiniteIterate(f"non-finite iterate after step k={k}")
         trace.append(_record(problem, k, x, residuals, max_res, pert_norm, lam))
         x = x_next

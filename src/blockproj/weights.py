@@ -4,6 +4,11 @@ The support pattern of w_k encodes the control regime: sequential (one
 positive weight), simultaneous (all positive) or block-iterative (positive
 exactly on a selected subset).  All indices are 0-based here; file formats
 use 1-based indices (see cli).
+
+A schedule whose weights cycle through a fixed table (cyclic, simultaneous
+uniform, classical blocks, a tabled repetitive control) builds and checks
+the rows of its period once, at construction; a schedule that computes its
+weights, from a callable or from k, is checked on every call.
 """
 
 import numpy as np
@@ -13,20 +18,82 @@ from .core import InvalidSchedule
 _SUM_TOL = 1e-12
 
 
+def _entries(rule, convert, name):
+    table = tuple(convert(entry) for entry in rule)
+    if not table:
+        raise InvalidSchedule(f"{name} table must be nonempty")
+    return table
+
+
 def _cycled(rule, convert, name):
     """``rule`` when it is callable, else a nonempty table cycled over k."""
     if callable(rule):
         return rule
-    table = tuple(convert(entry) for entry in rule)
-    if not table:
-        raise InvalidSchedule(f"{name} table must be nonempty")
+    table = _entries(rule, convert, name)
     return lambda k: table[k % len(table)]
 
 
+def _check_index(i, m, name):
+    if not 0 <= i < m:
+        raise InvalidSchedule(f"{name} returned index {i} outside 0..{m - 1}")
+
+
+class _Table:
+    """A fixed period of weight vectors, built and checked once.
+
+    Row j is ``values[s:e]`` at ``indices[s:e]`` and 0 elsewhere, where
+    (s, e) = (bounds[j], bounds[j + 1]); memory is O(m + the sum of the row
+    sizes).  The caller guarantees in-range indices, distinct within a row,
+    and nonempty rows.  A period of one row is one shared read-only vector.
+    """
+
+    def __init__(self, m, indices, values, sizes):
+        self.m = m
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.values = np.asarray(values, dtype=float)
+        self.bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        self.period = self.bounds.size - 1
+        # weights_at's check of a computed vector, on every row at once:
+        # comparisons that NaN fails
+        starts = self.bounds[:-1]
+        inside = np.logical_and.reduceat((self.values >= 0) & (self.values <= 1), starts)
+        sums = np.add.reduceat(self.values, starts)
+        bad = np.flatnonzero(~(inside & (np.abs(sums - 1.0) <= _SUM_TOL)))
+        if bad.size:
+            j = int(bad[0])
+            raise InvalidSchedule(f"invalid weight vector at k={j}: {self._row(j)}")
+        self.shared = None
+        if self.period == 1:
+            self.shared = self._row(0)
+            self.shared.flags.writeable = False
+
+    def _row(self, j):
+        s, e = self.bounds[j], self.bounds[j + 1]
+        w = np.zeros(self.m)
+        w[self.indices[s:e]] = self.values[s:e]
+        return w
+
+    def at(self, k):
+        if self.shared is not None:
+            return self.shared
+        return self._row(k % self.period)
+
+
+def _one_hot(m, indices):
+    """The table whose rows put weight 1 on one index each, in order."""
+    size = len(indices)
+    return _Table(m, indices, np.ones(size), np.ones(size, dtype=np.intp))
+
+
 class WeightSchedule:
-    """Base class: deterministic map from iteration index k to a weight vector."""
+    """Base class: deterministic map from iteration index k to a weight vector.
+
+    A subclass sets ``_table`` to a ``_Table`` when its weights cycle through
+    a fixed period, else it computes w_k in ``_weights``.
+    """
 
     regime = "abstract"
+    _table = None
 
     def __init__(self, m):
         m = int(m)
@@ -35,10 +102,16 @@ class WeightSchedule:
         self.m = m
 
     def weights_at(self, k):
-        """Weight vector at iteration k: nonnegative entries summing to 1."""
+        """Weight vector at iteration k: nonnegative entries summing to 1.
+
+        A row of a fixed table was checked at construction and may be shared
+        between calls, read-only; a computed vector is checked here.
+        """
         k = int(k)
         if k < 0:
             raise InvalidSchedule("iteration index must be nonnegative")
+        if self._table is not None:
+            return self._table.at(k)
         w = np.asarray(self._weights(k), dtype=float)
         if w.shape != (self.m,):
             raise InvalidSchedule(f"schedule produced shape {w.shape}, expected ({self.m},)")
@@ -71,10 +144,9 @@ class SequentialCyclic(WeightSchedule):
 
     regime = "sequential_cyclic"
 
-    def _weights(self, k):
-        w = np.zeros(self.m)
-        w[k % self.m] = 1.0
-        return w
+    def __init__(self, m):
+        super().__init__(m)
+        self._table = _one_hot(self.m, np.arange(self.m))
 
 
 class SequentialAlmostCyclic(WeightSchedule):
@@ -82,7 +154,8 @@ class SequentialAlmostCyclic(WeightSchedule):
 
     Window order is a seeded shuffle: a permutation of all indices padded
     with random repeats, reshuffled per window, derived from
-    (order_seed, window) only.
+    (order_seed, window) only.  The order of the window last asked for is
+    kept, so a run builds each window's order once.
     """
 
     regime = "sequential_almost_cyclic"
@@ -93,6 +166,7 @@ class SequentialAlmostCyclic(WeightSchedule):
         self.order_seed = int(order_seed)
         if self.period_bound < self.m:
             raise InvalidSchedule("period_bound must be >= number of operators")
+        self._window = (None, None)
 
     def _window_order(self, window):
         rng = np.random.default_rng([self.order_seed, window])
@@ -104,27 +178,37 @@ class SequentialAlmostCyclic(WeightSchedule):
 
     def _weights(self, k):
         window, offset = divmod(k, self.period_bound)
+        # one tuple, so that a reader never pairs a window with another's order
+        cached = self._window
+        if cached[0] != window:
+            cached = self._window = (window, self._window_order(window))
         w = np.zeros(self.m)
-        w[self._window_order(window)[offset]] = 1.0
+        w[cached[1][offset]] = 1.0
         return w
 
 
 class SequentialRepetitive(WeightSchedule):
     """Weight 1 on control(k); the caller asserts the control is repetitive.
 
-    ``control`` is a callable k -> index or a finite sequence that is cycled.
+    ``control`` is a callable k -> index or a finite sequence that is cycled;
+    every entry of a sequence is checked at construction.
     """
 
     regime = "sequential_repetitive"
 
     def __init__(self, m, control):
         super().__init__(m)
-        self.control = _cycled(control, int, "control")
+        if callable(control):
+            self.control = control
+        else:
+            table = _entries(control, int, "control")
+            for i in table:
+                _check_index(i, self.m, "control")
+            self._table = _one_hot(self.m, table)
 
     def _weights(self, k):
         i = int(self.control(k))
-        if not 0 <= i < self.m:
-            raise InvalidSchedule(f"control returned index {i} outside 0..{self.m - 1}")
+        _check_index(i, self.m, "control")
         w = np.zeros(self.m)
         w[i] = 1.0
         return w
@@ -135,8 +219,9 @@ class SimultaneousUniform(WeightSchedule):
 
     regime = "simultaneous_uniform"
 
-    def _weights(self, k):
-        return np.full(self.m, 1.0 / self.m)
+    def __init__(self, m):
+        super().__init__(m)
+        self._table = _Table(self.m, np.arange(self.m), np.full(self.m, 1.0 / self.m), [self.m])
 
 
 class SimultaneousDrifting(WeightSchedule):
@@ -155,8 +240,7 @@ class SimultaneousDrifting(WeightSchedule):
 
     def _weights(self, k):
         i = int(self.selector(k))
-        if not 0 <= i < self.m:
-            raise InvalidSchedule(f"selector returned index {i} outside 0..{self.m - 1}")
+        _check_index(i, self.m, "selector")
         base = 1.0 / (self.m * k + self.m)
         w = np.full(self.m, base)
         w[i] = (self.m * k + 1.0) / (self.m * k + self.m)
@@ -183,27 +267,15 @@ class BlockClassicalCyclic(WeightSchedule):
             raise InvalidSchedule("partition must be disjoint and cover every index exactly once")
         self.partition = blocks
         if intra == "uniform":
-            self.intra = None
+            values = [1.0 / len(block) for block in blocks for _ in block]
         else:
             weights = [tuple(float(v) for v in ws) for ws in intra]
             if len(weights) != len(blocks) or any(
                 len(ws) != len(block) for ws, block in zip(weights, blocks)
             ):
                 raise InvalidSchedule("intra-block weights must match the partition shape")
-            for ws in weights:
-                if not (all(v >= 0 for v in ws) and abs(sum(ws) - 1.0) <= _SUM_TOL):
-                    raise InvalidSchedule("each block's weights must be nonnegative and sum to 1")
-            self.intra = weights
-
-    def _weights(self, k):
-        j = k % len(self.partition)
-        block = self.partition[j]
-        w = np.zeros(self.m)
-        if self.intra is None:
-            w[list(block)] = 1.0 / len(block)
-        else:
-            w[list(block)] = self.intra[j]
-        return w
+            values = [v for ws in weights for v in ws]
+        self._table = _Table(self.m, flat, values, [len(block) for block in blocks])
 
 
 class BlockGeneralized(WeightSchedule):

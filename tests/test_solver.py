@@ -478,3 +478,75 @@ def test_superiorized_run_never_touches_the_stream(monkeypatch):
     # the run built its stream and left it where a fresh one starts
     assert len(streams) == 1
     assert position(streams[0]) == position(PerturbationStream(problem.m))
+
+
+# ---------------------------------------------------------------------------
+# trace records
+
+def test_records_hold_read_only_unaliased_points():
+    problem = _mixed_problem(5)
+    x0 = np.array(problem.x0)
+    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=5),
+                 SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
+    assert len(result.trace) > 2
+    assert np.array_equal(problem.x0, x0)
+    for rec in result.trace:
+        for arr in (rec.point, rec.per_index_residuals):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert not np.shares_memory(rec.point, problem.x0)
+    last = result.trace[-1]
+    assert np.array_equal(result.final_point, last.point)
+    assert not np.shares_memory(result.final_point, last.point)
+
+
+def test_record_distances_are_the_norms_of_its_point():
+    problem = _mixed_problem(6)
+    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=6),
+                 SimultaneousUniform(problem.m), SuperiorizedPolicy(problem.cost, 0.99))
+    assert any(rec.perturbation_norm > 0 for rec in result.trace)
+    for rec in result.trace:
+        assert rec.distance_from_start == float(np.linalg.norm(rec.point - problem.x0))
+        assert rec.distance_to_witness == float(np.linalg.norm(rec.point - problem.witness))
+        for c, residual in zip(problem.cutters, rec.per_index_residuals):
+            if c.linear_row is None:
+                assert residual == float(np.linalg.norm(c.apply(rec.point) - rec.point))
+
+
+# ---------------------------------------------------------------------------
+# edge cases
+
+def test_lambda_at_both_bounds_is_accepted():
+    problem = gen_linear_feasibility(8, 6, 3, 2.0)
+    tau1, tau2 = 0.3, 0.4
+    lo, hi = tau1, 2.0 - tau2
+    for lam in (lo, hi, [lo, hi], lambda k: (lo, hi)[k % 2]):
+        config = _config(tau1=tau1, tau2=tau2, lambda_schedule=LambdaSchedule(lam),
+                         residual_tolerance=1e-6)
+        result = run(problem, config, SequentialCyclic(problem.m))
+        assert result.status is RunStatus.RESIDUAL_CONVERGED
+        assert {rec.lam for rec in result.trace} == ({lam} if isinstance(lam, float) else {lo, hi})
+
+
+_FIXED_SCHEDULES = {
+    "sequential_cyclic": SequentialCyclic,
+    "simultaneous_uniform": SimultaneousUniform,
+    "block_classical": lambda m: BlockClassicalCyclic(m, [list(range(0, m, 2)),
+                                                         list(range(1, m, 2))][:min(m, 2)]),
+    "sequential_repetitive": lambda m: SequentialRepetitive(m, list(range(m)) * 2),
+}
+
+
+@pytest.mark.parametrize("policy_name", ["zero", "random", "superiorized"])
+@pytest.mark.parametrize("regime", sorted(_FIXED_SCHEDULES))
+@pytest.mark.parametrize("m, n", [(1, 3), (4, 1), (1, 1)])
+def test_one_operator_and_one_dimension(m, n, regime, policy_name):
+    problem = gen_linear_feasibility(m + 10 * n, m, n, 2.0)
+    policy = {"zero": ZeroPolicy(), "random": RandomDirectionPolicy(0.99),
+              "superiorized": SuperiorizedPolicy(SquaredNorm(), 0.99)}[policy_name]
+    result = run(problem, _config(residual_tolerance=1e-8, max_iterations=10_000, seed=m),
+                 _FIXED_SCHEDULES[regime](m), policy)
+    assert result.status is RunStatus.RESIDUAL_CONVERGED
+    assert result.final_point.shape == (n,)
+    assert fejer_audit(result.trace, problem.witness) <= 1e-10

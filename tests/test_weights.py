@@ -149,3 +149,147 @@ def test_invalid_schedules():
     nan_rule = BlockGeneralized(3, lambda k: (0, 1), lambda k, block: np.array([nan, 1.0]))
     with pytest.raises(InvalidSchedule):
         nan_rule.weights_at(0)
+
+
+# ---------------------------------------------------------------------------
+# fixed tables: built and checked once, equal to the per-k formula
+
+def _unit(m, i):
+    w = np.zeros(m)
+    w[i] = 1.0
+    return w
+
+
+def _block_row(m, block, values):
+    w = np.zeros(m)
+    w[list(block)] = values
+    return w
+
+
+_PARTITION = [[0, 3], [1], [2, 4, 5]]
+_INTRA = [[0.25, 0.75], [1.0], [0.2, 0.3, 0.5]]
+_CONTROL = [2, 0, 5, 1, 3, 4, 2, 2]
+
+# name -> (schedule, period, the vector of iteration k as a fresh formula)
+_FIXED = {
+    "sequential_cyclic": (lambda: SequentialCyclic(6), 6, lambda k: _unit(6, k % 6)),
+    "simultaneous_uniform": (lambda: SimultaneousUniform(6), 1, lambda k: np.full(6, 1.0 / 6)),
+    "block_classical_uniform": (
+        lambda: BlockClassicalCyclic(6, _PARTITION), 3,
+        lambda k: _block_row(6, _PARTITION[k % 3], 1.0 / len(_PARTITION[k % 3]))),
+    "block_classical_intra": (
+        lambda: BlockClassicalCyclic(6, _PARTITION, intra=_INTRA), 3,
+        lambda k: _block_row(6, _PARTITION[k % 3], _INTRA[k % 3])),
+    "sequential_repetitive": (
+        lambda: SequentialRepetitive(6, _CONTROL), len(_CONTROL),
+        lambda k: _unit(6, _CONTROL[k % len(_CONTROL)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED))
+def test_fixed_schedule_rows_equal_the_formula(name):
+    build, period, formula = _FIXED[name]
+    sched = build()
+    for k in list(range(2 * period)) + [10**9 + 7]:
+        w = sched.weights_at(k)
+        assert w.dtype == np.float64
+        assert np.array_equal(w, formula(k))
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED))
+def test_shared_rows_are_read_only(name):
+    build, period, formula = _FIXED[name]
+    sched = build()
+    for k in range(period):
+        w = sched.weights_at(k)
+        if w is sched.weights_at(k + period):
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 0.5
+        else:
+            w[:] = 0.5  # a fresh row is the caller's own
+        assert np.array_equal(sched.weights_at(k), formula(k))
+    uniform = SimultaneousUniform(4)
+    assert uniform.weights_at(0) is uniform.weights_at(9)
+
+
+def test_bad_table_refused_at_construction():
+    nan = float("nan")
+    for intra in ([[nan, 1.0], [1.0]], [[0.5, 0.5], [nan]], [[-0.5, 1.5], [1.0]],
+                  [[0.5, 0.5], [0.999]]):
+        with pytest.raises(InvalidSchedule, match="invalid weight vector at k="):
+            BlockClassicalCyclic(3, [[0, 1], [2]], intra=intra)
+    # an entry that a short run would never reach is refused all the same
+    for control in ([0, 1, 7], [2, -1], []):
+        with pytest.raises(InvalidSchedule):
+            SequentialRepetitive(3, control)
+
+
+def test_computed_weights_are_checked_on_every_call():
+    calls = []
+
+    def weights_fn(k, block):
+        calls.append(k)
+        return np.array([0.5, 0.5]) if k != 3 else np.array([0.9, 0.9])
+
+    rule = BlockGeneralized(3, lambda k: (0, 2), weights_fn)
+    for k in (0, 1, 2, 0):
+        assert np.array_equal(rule.weights_at(k), [0.5, 0.0, 0.5])
+    with pytest.raises(InvalidSchedule, match="k=3"):
+        rule.weights_at(3)
+    assert calls == [0, 1, 2, 0, 3]
+
+    control = SequentialRepetitive(3, lambda k: 1 if k < 5 else 3)
+    assert np.array_equal(control.weights_at(4), [0.0, 1.0, 0.0])
+    with pytest.raises(InvalidSchedule, match="control returned index 3"):
+        control.weights_at(5)
+    drifting = SimultaneousDrifting(3, selector=lambda k: 0 if k != 2 else -1)
+    drifting.weights_at(1)
+    with pytest.raises(InvalidSchedule, match="selector returned index -1"):
+        drifting.weights_at(2)
+
+
+def _window_order(m, period_bound, seed, window):
+    rng = np.random.default_rng([seed, window])
+    order = np.concatenate([rng.permutation(m), rng.integers(0, m, period_bound - m)])
+    rng.shuffle(order)
+    return order
+
+
+def test_almost_cyclic_order_survives_jumps_across_windows(monkeypatch):
+    m, period_bound, seed = 5, 8, 4
+    sched = SequentialAlmostCyclic(m, period_bound, order_seed=seed)
+    for k in (0, 3, 17, 9, 2, 40, 41, 16, 0, 39, 8000):
+        window, offset = divmod(k, period_bound)
+        expected = _unit(m, _window_order(m, period_bound, seed, window)[offset])
+        assert np.array_equal(sched.weights_at(k), expected)
+
+    built = []
+    original = SequentialAlmostCyclic._window_order
+
+    def counted(self, window):
+        built.append(window)
+        return original(self, window)
+
+    monkeypatch.setattr(SequentialAlmostCyclic, "_window_order", counted)
+    fresh = SequentialAlmostCyclic(m, period_bound, order_seed=seed)
+    for k in range(5 * period_bound):
+        fresh.weights_at(k)
+    assert built == [0, 1, 2, 3, 4]
+
+
+def test_cyclic_table_memory_is_linear_in_m():
+    # as an m x m table the period would take 8 TB
+    import tracemalloc
+
+    m = 10**6
+    tracemalloc.start()
+    try:
+        sched = SequentialCyclic(m)
+        w = sched.weights_at(999_999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w[999_999] == 1.0 and w.sum() == 1.0
+    assert np.array_equal(sched.weights_at(2 * m + 5)[:7], _unit(7, 5))
+    assert peak < 100 * m
