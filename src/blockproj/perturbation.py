@@ -33,17 +33,15 @@ def _zeta(lam, r, anchor):
     return t * t + lam * (2.0 - lam) * r * r
 
 
+def _denominator(lam, r, anchor):
+    return np.sqrt(_zeta(lam, r, anchor)) + lam * r + anchor
+
+
 def _radius(theta, lam, r, anchor):
-    """theta lam (2 - lam) r^2 / (sqrt(zeta) + lam r + anchor), zero where the
-    denominator (hence the numerator) vanishes; ``r`` may be an array.  A
-    positive anchor, such as the solver's 2 sigma, keeps the denominator
-    positive."""
-    denominator = np.sqrt(_zeta(lam, r, anchor)) + lam * r + anchor
-    numerator = theta * lam * (2.0 - lam) * r * r
-    if anchor > 0.0:
-        return numerator / denominator
-    return np.divide(numerator, denominator, out=np.zeros_like(denominator),
-                     where=denominator != 0.0)
+    """theta lam (2 - lam) r^2 / (sqrt(zeta) + lam r + anchor); ``r`` may be
+    an array.  A positive anchor, such as the solver's 2 sigma, keeps the
+    denominator positive."""
+    return theta * lam * (2.0 - lam) * r * r / _denominator(lam, r, anchor)
 
 
 def _budgets(lam, residuals, sigma):
@@ -94,6 +92,8 @@ def theta_budget(theta, lam, residual, anchor_distance):
     anchor = float(anchor_distance)
     if anchor < 0.0:
         raise ValueError(f"anchor distance must be nonnegative, got {anchor}")
+    if _denominator(lam, r, anchor) == 0.0:
+        return 0.0
     return float(_radius(theta, lam, r, anchor))
 
 

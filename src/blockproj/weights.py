@@ -44,7 +44,8 @@ class _Table:
     Row j is ``values[s:e]`` at ``indices[s:e]`` and 0 elsewhere, where
     (s, e) = (bounds[j], bounds[j + 1]); memory is O(m + the sum of the row
     sizes).  The caller guarantees in-range indices, distinct within a row,
-    and nonempty rows.  A period of one row is one shared read-only vector.
+    and nonempty rows.  Every row handed out is read-only; a period of one
+    row is one shared vector.
     """
 
     def __init__(self, m, indices, values, sizes):
@@ -62,15 +63,13 @@ class _Table:
         if bad.size:
             j = int(bad[0])
             raise InvalidSchedule(f"invalid weight vector at k={j}: {self._row(j)}")
-        self.shared = None
-        if self.period == 1:
-            self.shared = self._row(0)
-            self.shared.flags.writeable = False
+        self.shared = self._row(0) if self.period == 1 else None
 
     def _row(self, j):
         s, e = self.bounds[j], self.bounds[j + 1]
         w = np.zeros(self.m)
         w[self.indices[s:e]] = self.values[s:e]
+        w.flags.writeable = False
         return w
 
     def at(self, k):
@@ -104,8 +103,9 @@ class WeightSchedule:
     def weights_at(self, k):
         """Weight vector at iteration k: nonnegative entries summing to 1.
 
-        A row of a fixed table was checked at construction and may be shared
-        between calls, read-only; a computed vector is checked here.
+        A row of a fixed table was checked at construction and is read-only
+        (a one-row period returns one shared vector); a computed vector is
+        checked here.
         """
         k = int(k)
         if k < 0:
@@ -154,8 +154,7 @@ class SequentialAlmostCyclic(WeightSchedule):
 
     Window order is a seeded shuffle: a permutation of all indices padded
     with random repeats, reshuffled per window, derived from
-    (order_seed, window) only.  The order of the window last asked for is
-    kept, so a run builds each window's order once.
+    (order_seed, window) only.
     """
 
     regime = "sequential_almost_cyclic"
@@ -166,7 +165,6 @@ class SequentialAlmostCyclic(WeightSchedule):
         self.order_seed = int(order_seed)
         if self.period_bound < self.m:
             raise InvalidSchedule("period_bound must be >= number of operators")
-        self._window = (None, None)
 
     def _window_order(self, window):
         rng = np.random.default_rng([self.order_seed, window])
@@ -178,12 +176,8 @@ class SequentialAlmostCyclic(WeightSchedule):
 
     def _weights(self, k):
         window, offset = divmod(k, self.period_bound)
-        # one tuple, so that a reader never pairs a window with another's order
-        cached = self._window
-        if cached[0] != window:
-            cached = self._window = (window, self._window_order(window))
         w = np.zeros(self.m)
-        w[cached[1][offset]] = 1.0
+        w[self._window_order(window)[offset]] = 1.0
         return w
 
 

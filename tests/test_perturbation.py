@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockproj import (
     INFINITE_SIGMA,
@@ -193,17 +195,19 @@ def test_reused_stream_draws_like_perturbation_rng():
             assert reused.standard_normal(shape).tobytes() == fresh.standard_normal(shape).tobytes()
 
 
-def test_batched_budgets_equal_scalar_budget():
+_RESIDUALS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e-150)),
+                      min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lam=st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.0, 2.0)),
+       residuals=_RESIDUALS, sigma=st.floats(1e-300, 1e100))
+def test_batched_budgets_equal_scalar_budget(lam, residuals, sigma):
     from blockproj.perturbation import _budgets
 
-    rng = np.random.default_rng(13)
-    for trial in range(300):
-        lam = [0.0, 2.0, 1.0][trial] if trial < 3 else rng.uniform(0.0, 2.0)
-        sigma = rng.uniform(1e-3, 1e3)
-        residuals = rng.uniform(0.0, 10.0, 40) * 10.0 ** rng.integers(-12, 3, 40)
-        residuals[rng.integers(0, 40, 5)] = 0.0
-        batched = _budgets(lam, residuals, sigma)
-        assert batched.tolist() == [budget(lam, r, sigma) for r in residuals]
+    batched = _budgets(lam, np.array(residuals), sigma)
+    scalar = np.array([budget(lam, r, sigma) for r in residuals])
+    assert batched.tobytes() == scalar.tobytes()
 
 
 def test_random_combined_is_weighted_sum_of_generate():
