@@ -5,6 +5,7 @@ in Fix(T), so each non-fixed point is separated from the fixed-point set by
 the hyperplane through T(x) orthogonal to T(x) - x.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -332,13 +333,32 @@ def project_l1_ball(x, radius):
     mag = np.abs(x)
     if float(mag.sum()) <= radius:
         return x
-    u = np.sort(mag)[::-1]
-    cumulative = np.cumsum(u)
-    counts = np.arange(1, x.size + 1)
-    positive = u - (cumulative - radius) / counts > 0
-    rho = int(np.nonzero(positive)[0][-1])
+    u = mag.copy()
+    u.sort()
+    u = u[::-1]
+    cumulative = u.cumsum()
+    # rho is the last j with u_j - (cumulative_j - radius) / (j + 1) > 0,
+    # that is with gap_j < 0
+    gap = cumulative - radius
+    gap /= _counts(x.size)
+    gap -= u
+    below = gap < 0.0
+    # exactly, gap_0 = -radius; when rounding loses that, j = 0 still counts
+    below[0] = True
+    rho = x.size - 1 - int(below[::-1].argmax())
     theta = (cumulative[rho] - radius) / (rho + 1.0)
-    return np.sign(x) * np.maximum(mag - theta, 0.0)
+    mag -= theta
+    np.maximum(mag, 0.0, out=mag)
+    mag *= np.sign(x)
+    return mag
+
+
+@functools.lru_cache(maxsize=8)
+def _counts(n):
+    """The read-only divisors 1.0, ..., n of ``project_l1_ball``."""
+    counts = np.arange(1.0, n + 1.0)
+    counts.flags.writeable = False
+    return counts
 
 
 class L1Ball(Cutter):

@@ -28,36 +28,77 @@ def _check_residual(residual):
     return residual
 
 
-def _zeta(lam, r, anchor):
-    t = lam * r + anchor
-    return t * t + lam * (2.0 - lam) * r * r
+# the unscaled budget formula squares lam r + anchor and r; at most this,
+# neither square overflows (the square of 1.34e154 does)
+_SQUARE_LIMIT = 1e150
 
 
-def _denominator(lam, r, anchor):
-    return np.sqrt(_zeta(lam, r, anchor)) + lam * r + anchor
+def _overflows(theta, lam, r, anchor):
+    """True where lam r + anchor or max(theta, 1) r exceeds _SQUARE_LIMIT,
+    beyond which ``_radius`` may overflow; ``r`` may be an array."""
+    return (lam * r + anchor > _SQUARE_LIMIT) | (max(theta, 1.0) * r > _SQUARE_LIMIT)
 
 
 def _radius(theta, lam, r, anchor):
-    """theta lam (2 - lam) r^2 / (sqrt(zeta) + lam r + anchor); ``r`` may be
-    an array.  A positive anchor, such as the solver's 2 sigma, keeps the
-    denominator positive."""
-    return theta * lam * (2.0 - lam) * r * r / _denominator(lam, r, anchor)
+    """theta lam (2 - lam) r^2 / (sqrt(zeta) + lam r + anchor) for a scalar or
+    an array ``r`` where it does not overflow (``_overflows``).  A positive
+    anchor, such as the solver's 2 sigma, keeps the denominator positive.
+    Temporaries updated in place compute
+    zeta = (lam r + anchor)^2 + lam (2 - lam) r^2 and the quotient in the
+    order of operations the formula reads."""
+    lr = lam * r
+    zeta = lr + anchor
+    zeta *= zeta
+    q = lam * (2.0 - lam) * r
+    q *= r
+    zeta += q
+    den = np.sqrt(zeta)
+    den += lr
+    den += anchor
+    num = theta * lam * (2.0 - lam) * r
+    num *= r
+    num /= den
+    return num
 
 
-def _budgets(lam, residuals, sigma):
-    """``budget`` of every entry of ``residuals`` for a lam in [0, 2] and a
-    finite sigma, which the caller has checked."""
-    return _radius(0.5, lam, residuals, 2.0 * sigma)
+def _large_radius(theta, lam, r, anchor):
+    """``_radius`` for any finite input.  Where ``_radius`` may overflow,
+    with b = sqrt(lam (2 - lam)) r and
+    z = (lam r + anchor) / b = sqrt(lam / (2 - lam)) + anchor / b, the
+    radius is theta b / (hypot(z, 1) + z), which squares nothing (and 0
+    where b is 0); every other entry keeps the unscaled arithmetic."""
+    # numpy scalars: lam / (2 - lam) at lam = 2 is inf, not ZeroDivisionError
+    lam = np.float64(lam)
+    r = np.asarray(r, dtype=float)
+    # each form overflows or divides by zero in the entries it does not serve
+    with np.errstate(all="ignore"):
+        large = _overflows(theta, lam, r, anchor)
+        b = np.sqrt(lam * (2.0 - lam)) * r
+        z = np.sqrt(lam / (2.0 - lam)) + anchor / b
+        scaled = np.where(b > 0.0, theta * (b / (np.hypot(z, 1.0) + z)), 0.0)
+        unscaled = _radius(theta, lam, r, anchor)
+    return np.where(large, scaled, unscaled)
+
+
+def _budgets(lam, residuals, sigma, r_max):
+    """``budget`` of every entry of ``residuals``, each at most ``r_max``, for
+    a lam in [0, 2] and a finite sigma, which the caller has checked."""
+    anchor = 2.0 * sigma
+    if _overflows(0.5, lam, r_max, anchor):
+        return _large_radius(0.5, lam, residuals, anchor)
+    return _radius(0.5, lam, residuals, anchor)
 
 
 def zeta(lam, residual, sigma):
-    """(lam r + 2 sigma)^2 + lam (2 - lam) r^2 for finite sigma."""
+    """(lam r + 2 sigma)^2 + lam (2 - lam) r^2 for finite sigma; inf where
+    the value exceeds the float range."""
     lam = _check_lambda(lam)
     r = _check_residual(residual)
     sigma = normalize_sigma(sigma)
     if not sigma_is_finite(sigma):
         raise InfiniteSigma("zeta is undefined for infinite sigma")
-    return _zeta(lam, r, 2.0 * sigma)
+    t = lam * r + 2.0 * sigma
+    return t * t + lam * (2.0 - lam) * r * r
 
 
 def budget(lam, residual, sigma):
@@ -74,7 +115,7 @@ def budget(lam, residual, sigma):
         return 0.0
     if r == 0.0 or lam == 0.0 or lam == 2.0:
         return 0.0
-    return float(_budgets(lam, r, sigma))
+    return float(_budgets(lam, r, sigma, r))
 
 
 def theta_budget(theta, lam, residual, anchor_distance):
@@ -92,8 +133,12 @@ def theta_budget(theta, lam, residual, anchor_distance):
     anchor = float(anchor_distance)
     if anchor < 0.0:
         raise ValueError(f"anchor distance must be nonnegative, got {anchor}")
-    if _denominator(lam, r, anchor) == 0.0:
+    # the denominator sqrt(zeta) + lam r + anchor, a sum of nonnegative
+    # terms, vanishes exactly when anchor, lam r and lam (2 - lam) r^2 do
+    if anchor == 0.0 and lam * r == 0.0 and lam * (2.0 - lam) * r * r == 0.0:
         return 0.0
+    if _overflows(theta, lam, r, anchor):
+        return float(_large_radius(theta, lam, r, anchor))
     return float(_radius(theta, lam, r, anchor))
 
 
@@ -112,8 +157,13 @@ class PerturbationPolicy:
 
     def combined(self, x, weights, budgets, iteration_rng):
         """sum_j weights[j] p_j, where p_j has norm rho * budgets[j].
-        ``iteration_rng()`` returns the generator of the iteration's stream;
-        a policy that draws nothing never calls it."""
+
+        ``budgets`` may hold zeros: the solver passes every index of the
+        support, and an entry whose rho * budgets[j] is not positive adds
+        nothing.  When no entry is positive the result is zeros like ``x``,
+        and ``iteration_rng`` is not called.  ``iteration_rng()`` returns
+        the generator of the iteration's stream; a policy that draws nothing
+        never calls it."""
         raise NotImplementedError
 
 
@@ -174,16 +224,18 @@ class SuperiorizedPolicy(PerturbationPolicy):
 
     def combined(self, x, weights, budgets, iteration_rng):
         x = np.asarray(x, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         scale = self.rho * np.asarray(budgets, dtype=float)
-        if not np.any(scale > 0.0):
+        live = scale > 0.0
+        weights, scale = weights[live], scale[live]
+        if not scale.size:
             return np.zeros_like(x)
         g = np.asarray(self.cost.grad(x), dtype=float)
-        gn = float(np.linalg.norm(g))
+        gn = math.sqrt(g.dot(g))
         if gn <= _GRAD_ZERO_TOL:
             return np.zeros_like(x)
         # every operator steps along -g: one gradient serves the whole sum
-        live = scale > 0.0
-        return (-float(np.dot(np.asarray(weights, dtype=float)[live], scale[live])) / gn) * g
+        return (-float(weights.dot(scale)) / gn) * g
 
 
 def _key(seed):

@@ -170,46 +170,80 @@ class _Sweep:
         self.A = np.array([a for _, (a, _, _) in rows], dtype=float).reshape(
             len(rows), problem.dimension)
         self.b = np.array([b for _, (_, b, _) in rows], dtype=float)
-        # excess = max(<a, x> - b, floor): a halfspace counts only its violation
-        self.floor = np.array([0.0 if one_sided else -np.inf for _, (_, _, one_sided) in rows])
+        # excess = max(<a, x> - b, floor): a halfspace counts only its
+        # violation; without halfspaces the maximum changes nothing
+        self.floor = None
+        if any(one_sided for _, (_, _, one_sided) in rows):
+            self.floor = np.array([0.0 if one_sided else -np.inf
+                                   for _, (_, _, one_sided) in rows])
         self.aa = np.array([float(np.dot(a, a)) for a in self.A])
         self.norms = np.sqrt(self.aa)
         self.others = [(i, c) for i, c in enumerate(cutters) if c.linear_row is None]
 
     def residuals(self, x):
         """||T_i(x) - x|| for every i, the rows' excesses and the other
-        operators' images T_i(x)."""
+        operators' steps T_i(x) - x."""
         residuals = np.empty(self.m)
-        excess = np.maximum(self.A @ x - self.b, self.floor)
+        excess = self.A @ x
+        excess -= self.b
+        if self.floor is not None:
+            np.maximum(excess, self.floor, out=excess)
         residuals[self.rows] = np.abs(excess) / self.norms
-        images = []
+        steps = []
         for i, c in self.others:
-            image = c.apply(x)
-            images.append(image)
-            residuals[i] = _norm(image - x)
-        return residuals, excess, images
+            d = c.apply(x) - x
+            steps.append(d)
+            residuals[i] = _norm(d)
+        return residuals, excess, steps
 
-    def step(self, x, w, excess, images):
-        """sum_i w_i (T_i(x) - x); a row's T_i(x) - x is -(excess_i / |a_i|^2) a_i."""
-        combined = -(self.A.T @ (w[self.rows] * excess / self.aa))
-        for (i, _), image in zip(self.others, images):
-            if w[i] > 0.0:
-                combined += w[i] * (image - x)
-        return combined
+    def update(self, x, lam, w, excess, steps):
+        """x + lam sum_i w_i (T_i(x) - x), where a row's T_i(x) - x is
+        -(excess_i / |a_i|^2) a_i."""
+        s = self.A.T @ (w[self.rows] * excess / self.aa)
+        terms = [w[i] * d for (i, _), d in zip(self.others, steps) if w[i] > 0.0]
+        if terms:
+            # negated first: -s + t rounds an exact zero to +0.0 where
+            # -(s - t) gives -0.0
+            np.negative(s, out=s)
+            for term in terms:
+                s += term
+            s *= lam
+        else:
+            # (-lam) s is lam (-s) bit for bit
+            s *= -lam
+        s += x
+        return s
 
 
-def _perturbation(policy, stream, x, w, residuals, lam, sigma, k):
-    """e^k: the policy's weighted perturbations over the support, each inside
-    its operator's budget, in ascending index order; a policy that draws
-    resets ``stream`` to iteration k's stream (keyed by (seed, k)) through the
-    accessor, one that does not never touches it.  ``run`` has checked that
-    lam lies in [tau1, 2 - tau2], inside (0, 2)."""
-    support = np.flatnonzero(w > 0.0)
-    budgets = _budgets(lam, residuals[support], sigma)
-    live = budgets > 0.0
-    if not live.any():
-        return np.zeros_like(x)
-    return policy.combined(x, w[support[live]], budgets[live], lambda: stream.at(k))
+class _Support:
+    """The support of a weight vector and the weights on it.  They are
+    resolved once for each distinct read-only vector, so a schedule that
+    hands out one shared row (``SimultaneousUniform``) resolves them once
+    per run; a read-only row is taken never to change.  A writable vector
+    may be refilled in place by its schedule and is resolved on every call."""
+
+    def __init__(self):
+        self.w = None
+        self.resolved = None
+
+    def of(self, w):
+        if w is not self.w or w.flags.writeable:
+            support = np.flatnonzero(w > 0.0)
+            self.w = w
+            self.resolved = support, w[support]
+        return self.resolved
+
+
+def _perturbation(policy, stream, support, x, w, residuals, max_res, lam, sigma, k):
+    """e^k: the policy's weighted perturbations over the support of ``w``,
+    each inside its operator's budget, in ascending index order; budgets
+    may be zero, and the policy leaves those entries out.  A policy that
+    draws resets ``stream`` to iteration k's stream (keyed by (seed, k))
+    through the accessor, one that does not never touches it.  ``run`` has
+    checked that lam lies in [tau1, 2 - tau2], inside (0, 2)."""
+    indices, weights = support.of(w)
+    budgets = _budgets(lam, residuals[indices], sigma, max_res)
+    return policy.combined(x, weights, budgets, lambda: stream.at(k))
 
 
 def _norm(d):
@@ -268,11 +302,12 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     stream = None
     if not isinstance(policy, ZeroPolicy) and sigma_is_finite(sigma):
         stream = PerturbationStream(config.seed)
+        support = _Support()
     x = np.array(problem.x0)
     trace = []
     k = 0
     while True:
-        residuals, excess, images = sweep.residuals(x)
+        residuals, excess, steps = sweep.residuals(x)
         max_res = float(residuals.max())
         if not math.isfinite(max_res):
             raise NonfiniteIterate(f"non-finite residual at k={k}")
@@ -287,13 +322,13 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         if not lo <= lam <= hi:
             raise LambdaOutOfRange(k, lam, lo, hi)
         w = schedule.weights_at(k)
-        x_next = x + lam * sweep.step(x, w, excess, images)
+        x_next = sweep.update(x, lam, w, excess, steps)
         pert_norm = 0.0
         if stream is not None:
-            e = _perturbation(policy, stream, x, w, residuals, lam, sigma, k)
+            e = _perturbation(policy, stream, support, x, w, residuals, max_res, lam, sigma, k)
             x_next += e
             pert_norm = _norm(e)
-        if not np.isfinite(x_next).all():
+        if np.count_nonzero(np.isfinite(x_next)) < x_next.size:
             raise NonfiniteIterate(f"non-finite iterate after step k={k}")
         trace.append(_record(problem, k, x, residuals, max_res, pert_norm, lam))
         x = x_next

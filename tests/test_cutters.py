@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import l1_projection_enumeration, prox_1d
 
@@ -193,6 +195,46 @@ def test_l1_projection_against_enumeration():
 def test_l1_projection_interior_identity():
     x = np.array([0.2, -0.1, 0.05])
     assert np.array_equal(project_l1_ball(x, 1.0), x)
+
+
+def _reference_l1_projection(x, radius):
+    """``project_l1_ball`` as first written, kept to pin its rewrite."""
+    x = np.asarray(x, dtype=float)
+    mag = np.abs(x)
+    if float(mag.sum()) <= radius:
+        return x
+    u = np.sort(mag)[::-1]
+    cumulative = np.cumsum(u)
+    counts = np.arange(1, x.size + 1)
+    positive = u - (cumulative - radius) / counts > 0
+    rho = int(np.nonzero(positive)[0][-1])
+    theta = (cumulative[rho] - radius) / (rho + 1.0)
+    return np.sign(x) * np.maximum(mag - theta, 0.0)
+
+
+# few distinct magnitudes, so that ties are common, and signed zeros
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0]),
+                     st.floats(-1e3, 1e3), st.floats(-1e-6, 1e-6))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(x=st.lists(_ENTRIES, min_size=1, max_size=200),
+       where=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(1e-3, 1.5)))
+def test_l1_projection_matches_reference_bytes(x, where):
+    x = np.array(x)
+    # where 1.0 puts x on the sphere, below 1 outside the ball, above inside
+    radius = float(np.abs(x).sum()) * where or where
+    assert project_l1_ball(x, radius).tobytes() == _reference_l1_projection(x, radius).tobytes()
+
+
+def test_l1_projection_radius_below_rounding():
+    # radius under half an ulp of the largest magnitude: no index passes the
+    # threshold test in floating point, where exactly the first one does
+    for x in ([1e20], [1e20, 1e20], [1e16, -3.0]):
+        with pytest.raises(IndexError):
+            _reference_l1_projection(x, 1.0)
+        p = project_l1_ball(x, 1.0)
+        assert np.all(np.isfinite(p)) and np.abs(p).sum() <= 1.0
 
 
 # ---------------------------------------------------------------------------

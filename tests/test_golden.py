@@ -1,10 +1,10 @@
 """Byte-for-byte regression against the committed files in tests/golden.
 
 Each golden file is the output of the recipe below.  Any change to a float
-the solver computes, to the trace CSV format, to the problem-file format or
-to a ``blockproj verify --json`` report fails here.  When such a change
-is intended, first compare fresh output with the committed traces,
-writing nothing:
+the solver computes, to the trace CSV format, to the problem-file format,
+to a ``blockproj verify --json`` report or to the values of a verify trial
+fails here.  When such a change is intended, first compare fresh output
+with the committed traces, writing nothing:
 
     PYTHONPATH=src python tests/test_golden.py --diff
 
@@ -20,6 +20,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -41,6 +42,7 @@ from blockproj import (
     load_problem,
     save_problem,
 )
+from blockproj import oracles
 from blockproj.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,6 +64,10 @@ PROBLEM = "problem_all_kinds.json"
 
 # suite -> trials of ``blockproj verify <suite> --seed 0 --json``
 VERIFY = {"fejer": 1000, "cutter": 1000, "budget": 200, "qhat": 1, "convergence": 1}
+
+# suite -> trials whose every outcome is pinned in TRIALS, seed 0
+TRIAL_VALUES = {"fejer": 100, "cutter": 200, "budget": 200, "qhat": 1}
+TRIALS = "verify_trials.tsv"
 
 CUTTER_TYPES = {"halfspace", "hyperplane", "ball", "box", "l1_ball",
                 "subgradient_projection", "resolvent"}
@@ -91,6 +97,28 @@ def write_verify(suite, out):
     """Run ``blockproj verify`` for one suite, writing its JSON report to ``out``."""
     assert main(["verify", suite, "--trials", str(VERIFY[suite]), "--seed", "0",
                  "--json", str(out)]) == 0
+
+
+def trial_lines():
+    """One tab-separated line per trial outcome of each suite in
+    TRIAL_VALUES: suite, inputs digest, lhs, rhs, violation (exact
+    ``repr``) and passed.  The outcomes are the ones the suite itself
+    hands to its summary, so the lines follow the suite's own seeding."""
+    lines = []
+    for suite, trials in TRIAL_VALUES.items():
+        seen = []
+        summarize = oracles._summarize
+
+        def keep(name, outcomes, coverage):
+            seen.extend(outcomes)
+            return summarize(name, outcomes, coverage)
+
+        with mock.patch.object(oracles, "_summarize", keep):
+            oracles.SUITES[suite](trials, 0)
+        for o in seen:
+            values = "\t".join(repr(float(v)) for v in (o.lhs, o.rhs, o.violation))
+            lines.append(f"{suite}\t{o.inputs_digest}\t{values}\t{o.passed}\n")
+    return "".join(lines)
 
 
 def all_kinds_problem():
@@ -143,6 +171,10 @@ def test_verify_report_matches_golden(suite, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"verify_{suite}.json").read_bytes()
 
 
+def test_verify_trial_values_match_golden():
+    assert trial_lines().encode("utf-8") == (GOLDEN / TRIALS).read_bytes()
+
+
 def _columns(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -179,3 +211,4 @@ if __name__ == "__main__":
     save_problem(all_kinds_problem(), GOLDEN / PROBLEM)
     for suite in VERIFY:
         write_verify(suite, GOLDEN / f"verify_{suite}.json")
+    (GOLDEN / TRIALS).write_bytes(trial_lines().encode("utf-8"))

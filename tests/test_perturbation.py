@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,41 @@ def test_budget_monotone_vanishing():
     assert all(a > b for a, b in zip(values_lam, values_lam[1:]))
     values_hi = [budget(lam, 1.0, 2.0) for lam in (1.0, 1.9, 1.999, 2.0 - 1e-9)]
     assert all(a > b for a, b in zip(values_hi, values_hi[1:]))
+
+
+def test_budgets_at_large_finite_inputs():
+    # at lam = 1 and r >> sigma every budget tends to (sqrt(2) - 1) r / 2
+    slope = (math.sqrt(2.0) - 1.0) / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1e154, 1e300):
+            assert budget(1.0, r, 10.0) == pytest.approx(slope * r, rel=1e-15)
+            assert theta_budget(0.5, 1.0, r, 20.0) == pytest.approx(slope * r, rel=1e-15)
+        # a large theta alone would overflow the numerator theta lam (2 - lam) r^2
+        assert theta_budget(1e10, 1.0, 1e150, 0.0) == pytest.approx(
+            1e10 * 2.0 * slope * 1e150, rel=1e-15)
+        # a tiny lam with a huge residual: lam (2 - lam) r^2 overflows, lam r does not
+        lam, r = 1e-200, 1e254
+        assert budget(lam, r, 1.0) == pytest.approx(
+            0.5 * math.sqrt(lam * (2.0 - lam)) * r, rel=1e-14)
+        assert budget(1.0, 1e300, 1e300) > 0.0
+        assert zeta(1.0, 1e153, 10.0) == pytest.approx(2e306, rel=1e-15)
+        # past the float range zeta itself is inf
+        assert zeta(1.0, 1e300, 10.0) == math.inf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(1e-3, 1.999), r=st.floats(1e-3, 1e3), anchor=st.floats(1e-3, 1e3),
+       theta=st.one_of(st.just(0.0), st.floats(1e-3, 4.0)), k=st.integers(480, 1000))
+def test_budgets_scale_with_their_inputs(lam, r, anchor, theta, k):
+    # the radius is homogeneous of degree 1 in (r, anchor); scaling by 2^k
+    # is exact below the square limit and crosses it from k = 480 on
+    scale = 2.0 ** k
+    expected = scale * theta_budget(theta, lam, r, anchor)
+    assert theta_budget(theta, lam, r * scale, anchor * scale) == pytest.approx(
+        expected, rel=1e-14, abs=0.0)
+    assert budget(lam, r * scale, anchor * scale / 2.0) == pytest.approx(
+        scale * budget(lam, r, anchor / 2.0), rel=1e-14, abs=0.0)
 
 
 def test_theta_budget_example():
@@ -195,17 +231,22 @@ def test_reused_stream_draws_like_perturbation_rng():
             assert reused.standard_normal(shape).tobytes() == fresh.standard_normal(shape).tobytes()
 
 
-_RESIDUALS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e-150)),
+_RESIDUALS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e-150),
+                                st.floats(1e140, 1e300)),
                       min_size=1, max_size=40)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(lam=st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.0, 2.0)),
-       residuals=_RESIDUALS, sigma=st.floats(1e-300, 1e100))
-def test_batched_budgets_equal_scalar_budget(lam, residuals, sigma):
+       residuals=_RESIDUALS,
+       sigma=st.one_of(st.floats(1e-300, 1e100), st.floats(1e100, 1e300)),
+       headroom=st.one_of(st.just(0.0), st.floats(0.0, 1e300)))
+def test_batched_budgets_equal_scalar_budget(lam, residuals, sigma, headroom):
     from blockproj.perturbation import _budgets
 
-    batched = _budgets(lam, np.array(residuals), sigma)
+    # the solver passes the largest residual of all operators, which may
+    # exceed every residual of the support
+    batched = _budgets(lam, np.array(residuals), sigma, max(residuals) + headroom)
     scalar = np.array([budget(lam, r, sigma) for r in residuals])
     assert batched.tobytes() == scalar.tobytes()
 
@@ -273,3 +314,39 @@ def test_superiorized_combined_uses_one_gradient():
                         lambda: pytest.fail("the superiorized policy draws nothing"))
     assert calls == [1]
     assert np.allclose(e, -0.5 * (0.25 * 0.4 + 0.5 * 0.2) * x / 5.0, rtol=0.0, atol=1e-16)
+
+
+def _reference_superiorized_combined(policy, x, weights, budgets):
+    """``SuperiorizedPolicy.combined`` as first written, kept to pin its
+    rewrite."""
+    x = np.asarray(x, dtype=float)
+    scale = policy.rho * np.asarray(budgets, dtype=float)
+    if not np.any(scale > 0.0):
+        return np.zeros_like(x)
+    g = np.asarray(policy.cost.grad(x), dtype=float)
+    gn = float(np.linalg.norm(g))
+    if gn <= 1e-14:
+        return np.zeros_like(x)
+    live = scale > 0.0
+    return (-float(np.dot(np.asarray(weights, dtype=float)[live], scale[live])) / gn) * g
+
+
+# zero budgets, subnormal ones whose rho * budget may round to zero, and
+# ordinary ones
+_BUDGETS = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-320]), st.floats(1e-12, 1e3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), size=st.integers(1, 30), n=st.integers(1, 50),
+       rho=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+       form=st.sampled_from(["abs_sum", "squared_norm"]))
+def test_superiorized_combined_matches_reference_bytes(data, size, n, rho, form):
+    from blockproj import AbsSum
+
+    policy = SuperiorizedPolicy(AbsSum() if form == "abs_sum" else SquaredNorm(), rho)
+    x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    weights = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=size, max_size=size)))
+    budgets = np.array(data.draw(st.lists(_BUDGETS, min_size=size, max_size=size)))
+    got = policy.combined(x, weights, budgets,
+                          lambda: pytest.fail("the superiorized policy draws nothing"))
+    assert got.tobytes() == _reference_superiorized_combined(policy, x, weights, budgets).tobytes()

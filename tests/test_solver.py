@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -478,6 +480,85 @@ def test_superiorized_run_never_touches_the_stream(monkeypatch):
     # the run built its stream and left it where a fresh one starts
     assert len(streams) == 1
     assert position(streams[0]) == position(PerturbationStream(problem.m))
+
+
+def test_update_adds_a_zero_step_to_a_negative_zero_coordinate():
+    # no operator moves coordinate 0, which starts at -0.0: the step there is
+    # -(0 * 2) + 0.5 * (+0.0) = +0.0, and -0.0 + lam * (+0.0) is +0.0
+    problem = Problem(2, [Hyperplane([0.0, 1.0], 1.0), Ball([0.0, 0.0], 100.0)],
+                      [-0.0, 3.0], sigma=10.0)
+    result = run(problem, _config(), SimultaneousUniform(2), stopping=[MaxIterations(1)])
+    assert result.trace[0].point.tobytes() == np.array([-0.0, 3.0]).tobytes()
+    assert result.final_point.tobytes() == np.array([0.0, 2.0]).tobytes()
+
+
+class _RefilledSchedule(BlockClassicalCyclic):
+    """Uniform weights on a block that moves with k, computed on every call:
+    into one writable array refilled in place, or into a fresh one."""
+
+    regime = "refilled"
+
+    def __init__(self, m, refill):
+        super().__init__(m, [list(range(m))])
+        self._table = None
+        self.buffer = np.zeros(m) if refill else None
+
+    def _weights(self, k):
+        w = np.zeros(self.m) if self.buffer is None else self.buffer
+        w[:] = 0.0
+        block = [(k + j) % self.m for j in range(1 + k % 3)]
+        w[block] = 1.0 / len(block)
+        return w
+
+
+@pytest.mark.parametrize("policy_name", ["random", "superiorized"])
+def test_weights_refilled_in_place_give_the_same_trace(policy_name):
+    problem = _mixed_problem(7)
+    traces = []
+    for refill in (False, True):
+        policy = {"random": RandomDirectionPolicy(0.99),
+                  "superiorized": SuperiorizedPolicy(problem.cost, 0.99)}[policy_name]
+        schedule = _RefilledSchedule(problem.m, refill)
+        result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=7),
+                     schedule, policy)
+        if refill:
+            assert schedule.weights_at(0) is schedule.weights_at(1)
+        traces.append([(rec.point.tobytes(), rec.perturbation_norm) for rec in result.trace])
+    assert sum(norm > 0.0 for _, norm in traces[0]) > 10
+    assert traces[0] == traces[1]
+
+
+def test_support_resolved_once_per_read_only_row():
+    from blockproj.solver import _Support
+
+    support = _Support()
+    schedule = SimultaneousUniform(4)
+    first = support.of(schedule.weights_at(0))
+    assert first[0].tolist() == [0, 1, 2, 3] and first[1].tolist() == [0.25] * 4
+    assert support.of(schedule.weights_at(5)) is first
+    # a fixed table of several rows hands out a new read-only vector each time
+    cyclic = SequentialCyclic(4)
+    assert support.of(cyclic.weights_at(1))[0].tolist() == [1]
+    assert support.of(cyclic.weights_at(2))[0].tolist() == [2]
+    writable = np.array([0.0, 0.5, 0.5, 0.0])
+    assert support.of(writable)[0].tolist() == [1, 2]
+    writable[:] = [1.0, 0.0, 0.0, 0.0]
+    assert support.of(writable)[0].tolist() == [0]
+
+
+def test_run_with_a_huge_sigma_computes_its_budgets_without_overflow():
+    # (lam r + 2 sigma)^2 overflows at sigma = 1e200; the budgets do not
+    from blockproj.perturbation import _budgets
+
+    problem = gen_linear_feasibility(3, 8, 4, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(problem, _config(residual_tolerance=1e-4, sigma=1e200, seed=3),
+                     SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
+        first = result.trace[0]
+        budgets = _budgets(1.0, first.per_index_residuals, 1e200, first.max_residual)
+    assert result.status is RunStatus.RESIDUAL_CONVERGED
+    assert np.all((budgets > 0.0) == (first.per_index_residuals > 0.0))
 
 
 # ---------------------------------------------------------------------------
