@@ -28,8 +28,8 @@ def _check_residual(residual):
     return residual
 
 
-# the unscaled budget formula squares lam r + anchor and r; at most this,
-# neither square overflows (the square of 1.34e154 does)
+# the unscaled budget formula squares lam r + anchor and r; up to this
+# limit neither square overflows, while the square of 1.34e154 does
 _SQUARE_LIMIT = 1e150
 
 

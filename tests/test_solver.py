@@ -41,6 +41,7 @@ from blockproj import (
     sigma_from_l1,
 )
 from blockproj.core import IterationRecord
+from blockproj.weights import WeightSchedule
 
 
 def _config(**kwargs):
@@ -484,7 +485,7 @@ def test_superiorized_run_never_touches_the_stream(monkeypatch):
 
 def test_update_adds_a_zero_step_to_a_negative_zero_coordinate():
     # no operator moves coordinate 0, which starts at -0.0: the step there is
-    # -(0 * 2) + 0.5 * (+0.0) = +0.0, and -0.0 + lam * (+0.0) is +0.0
+    # -(0 * 1) + 0.5 * (+0.0) = +0.0, and -0.0 + lam * (+0.0) is +0.0
     problem = Problem(2, [Hyperplane([0.0, 1.0], 1.0), Ball([0.0, 0.0], 100.0)],
                       [-0.0, 3.0], sigma=10.0)
     result = run(problem, _config(), SimultaneousUniform(2), stopping=[MaxIterations(1)])
@@ -492,15 +493,14 @@ def test_update_adds_a_zero_step_to_a_negative_zero_coordinate():
     assert result.final_point.tobytes() == np.array([0.0, 2.0]).tobytes()
 
 
-class _RefilledSchedule(BlockClassicalCyclic):
+class _RefilledSchedule(WeightSchedule):
     """Uniform weights on a block that moves with k, computed on every call:
     into one writable array refilled in place, or into a fresh one."""
 
     regime = "refilled"
 
     def __init__(self, m, refill):
-        super().__init__(m, [list(range(m))])
-        self._table = None
+        super().__init__(m)
         self.buffer = np.zeros(m) if refill else None
 
     def _weights(self, k):
