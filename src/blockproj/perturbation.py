@@ -39,20 +39,26 @@ def _overflows(theta, lam, r, anchor):
     return (lam * r + anchor > _SQUARE_LIMIT) | (max(theta, 1.0) * r > _SQUARE_LIMIT)
 
 
-def _radius(theta, lam, r, anchor):
-    """theta lam (2 - lam) r^2 / (sqrt(zeta) + lam r + anchor) for a scalar or
-    an array ``r`` where it does not overflow (``_overflows``).  A positive
-    anchor, such as the solver's 2 sigma, keeps the denominator positive.
-    Temporaries updated in place compute
-    zeta = (lam r + anchor)^2 + lam (2 - lam) r^2 and the quotient in the
-    order of operations the formula reads."""
-    lr = lam * r
+def _zeta(lr, lam, r, anchor):
+    """zeta = (lam r + anchor)^2 + lam (2 - lam) r^2 for a scalar or an array
+    ``r``, given lr = lam r, from temporaries updated in place in the order
+    of operations the formula reads."""
     zeta = lr + anchor
     zeta *= zeta
     q = lam * (2.0 - lam) * r
     q *= r
     zeta += q
-    den = np.sqrt(zeta)
+    return zeta
+
+
+def _radius(theta, lam, r, anchor):
+    """theta lam (2 - lam) r^2 / (sqrt(zeta) + lam r + anchor) for a scalar or
+    an array ``r`` where it does not overflow (``_overflows``).  A positive
+    anchor, such as the solver's 2 sigma, keeps the denominator positive.
+    Temporaries updated in place compute the quotient in the order of
+    operations the formula reads."""
+    lr = lam * r
+    den = np.sqrt(_zeta(lr, lam, r, anchor))
     den += lr
     den += anchor
     num = theta * lam * (2.0 - lam) * r
@@ -97,8 +103,7 @@ def zeta(lam, residual, sigma):
     sigma = normalize_sigma(sigma)
     if not sigma_is_finite(sigma):
         raise InfiniteSigma("zeta is undefined for infinite sigma")
-    t = lam * r + 2.0 * sigma
-    return t * t + lam * (2.0 - lam) * r * r
+    return _zeta(lam * r, lam, r, 2.0 * sigma)
 
 
 def budget(lam, residual, sigma):

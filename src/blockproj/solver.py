@@ -200,34 +200,31 @@ class _Sweep:
         """x + lam sum_i w_i (T_i(x) - x), where a row's T_i(x) - x is
         -(excess_i / |a_i|^2) a_i."""
         s = self.A.T @ (w[self.rows] * excess / self.aa)
-        terms = [w[i] * d for (i, _), d in zip(self.others, steps) if w[i] > 0.0]
-        if terms:
-            # negated first: -s + t rounds an exact zero to +0.0 where
-            # -(s - t) gives -0.0
-            np.negative(s, out=s)
-            for term in terms:
-                s += term
-            s *= lam
-        else:
-            # (-lam) s is lam (-s) bit for bit
-            s *= -lam
+        # negated first: -s + t rounds an exact zero to +0.0 where
+        # -(s - t) gives -0.0
+        np.negative(s, out=s)
+        for (i, _), d in zip(self.others, steps):
+            if w[i] > 0.0:
+                s += w[i] * d
+        s *= lam
         s += x
         return s
 
 
 class _Support:
     """The support of a weight vector and the weights on it.  They are
-    resolved once for each distinct read-only vector, so a schedule that
-    hands out one shared row (``SimultaneousUniform``) resolves them once
-    per run; a read-only row is taken never to change.  A writable vector
-    may be refilled in place by its schedule and is resolved on every call."""
+    resolved once for each distinct read-only vector that owns its data, so
+    a schedule that hands out one shared row (``SimultaneousUniform``)
+    resolves them once per run; such a row cannot change.  A writable
+    vector may be refilled in place by its schedule, and a read-only view
+    through a writable buffer, so both are resolved on every call."""
 
     def __init__(self):
         self.w = None
         self.resolved = None
 
     def of(self, w):
-        if w is not self.w or w.flags.writeable:
+        if w is not self.w or w.flags.writeable or not w.flags.owndata:
             support = np.flatnonzero(w > 0.0)
             self.w = w
             self.resolved = support, w[support]

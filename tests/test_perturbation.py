@@ -105,6 +105,15 @@ def test_budgets_scale_with_their_inputs(lam, r, anchor, theta, k):
         scale * budget(lam, r, anchor / 2.0), rel=1e-14, abs=0.0)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(1e-3, 1.999), r=st.floats(0.0, 1e100), sigma=st.floats(1e-3, 1e100))
+def test_budget_denominator_uses_zeta(lam, r, sigma):
+    # below the square limit the budget's denominator is sqrt(zeta) + lam r + 2 sigma
+    den = math.sqrt(zeta(lam, r, sigma)) + lam * r + 2.0 * sigma
+    expected = 0.5 * lam * (2.0 - lam) * r * r / den
+    assert budget(lam, r, sigma) == expected
+
+
 def test_theta_budget_example():
     # zeta = (1 + 2)^2 + 1 = 10; radius = 1 / (sqrt(10) + 3)
     value = theta_budget(1.0, 1.0, 1.0, 2.0)

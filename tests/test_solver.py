@@ -544,6 +544,14 @@ def test_support_resolved_once_per_read_only_row():
     assert support.of(writable)[0].tolist() == [1, 2]
     writable[:] = [1.0, 0.0, 0.0, 0.0]
     assert support.of(writable)[0].tolist() == [0]
+    # a read-only view of a buffer its schedule refills is resolved again
+    buffer = np.array([0.0, 0.5, 0.5, 0.0])
+    view = buffer.view()
+    view.flags.writeable = False
+    assert support.of(view)[0].tolist() == [1, 2]
+    buffer[:] = [0.0, 0.0, 0.0, 1.0]
+    assert support.of(view)[0].tolist() == [3]
+    assert support.of(view)[1].tolist() == [1.0]
 
 
 def test_run_with_a_huge_sigma_computes_its_budgets_without_overflow():
