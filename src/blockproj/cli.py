@@ -25,6 +25,7 @@ from .problems import (
     _convert,
     _get,
     _no_nan,
+    _write_json,
     function_from_json,
     gen_disc_intersection,
     gen_l1_constrained,
@@ -219,12 +220,10 @@ def write_summary(result, config_echo, path):
         "status": result.status.value,
         "iterations_used": result.iterations_used,
         "final_max_residual": result.trace[-1].max_residual,
-        "final_point": [float(v) for v in result.final_point],
+        "final_point": result.final_point.tolist(),
         "config_echo": config_echo,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +293,7 @@ def cmd_verify(args):
     for digest in report.failed_digests:
         print(f"  FAIL {digest}", file=sys.stderr)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(report), fh, indent=2)
-            fh.write("\n")
+        _write_json(dataclasses.asdict(report), args.json)
     return 0 if report.all_passed else 1
 
 

@@ -128,12 +128,17 @@ def normalize_sigma(sigma):
 # ---------------------------------------------------------------------------
 # vectors
 
+def _norm(d):
+    """||d|| of a 1-D float64 array, bit for bit what np.linalg.norm computes."""
+    return math.sqrt(d.dot(d))
+
+
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
     """Validate ``x`` as a finite 1-D float64 point and return a read-only copy."""
     arr = np.array(x, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionMismatch(f"{name} must be a 1-D point with at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     if dim is not None and arr.size != dim:
         raise DimensionMismatch(f"{name} has dimension {arr.size}, expected {dim}")

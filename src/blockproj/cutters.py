@@ -14,6 +14,7 @@ from .core import (
     DimensionMismatch,
     InvalidCutter,
     ZeroGradientAtPositiveValue,
+    _norm,
     as_vector,
 )
 
@@ -202,7 +203,7 @@ class Cutter:
     def residual(self, x):
         """||T(x) - x||; zero exactly on the fixed-point set."""
         x = _check_point(x, self.dim)
-        return float(np.linalg.norm(self.apply(x) - x))
+        return _norm(self.apply(x) - x)
 
     def fixed_point_distance(self, x):
         """d(x, Fix(T)) when a closed form exists, else None."""
@@ -284,14 +285,14 @@ class Ball(Cutter):
     def apply(self, x):
         x = _check_point(x, self.dim)
         diff = x - self.center
-        dist = float(np.linalg.norm(diff))
+        dist = _norm(diff)
         if dist <= self.radius:
             return x
         return self.center + (self.radius / dist) * diff
 
     def fixed_point_distance(self, x):
         x = _check_point(x, self.dim)
-        return max(0.0, float(np.linalg.norm(x - self.center)) - self.radius)
+        return max(0.0, _norm(x - self.center) - self.radius)
 
 
 class Box(Cutter):
@@ -318,7 +319,7 @@ class Box(Cutter):
 
     def fixed_point_distance(self, x):
         x = _check_point(x, self.dim)
-        return float(np.linalg.norm(x - np.clip(x, self.lo, self.hi)))
+        return _norm(x - np.clip(x, self.lo, self.hi))
 
 
 def project_l1_ball(x, radius):
@@ -377,7 +378,7 @@ class L1Ball(Cutter):
 
     def fixed_point_distance(self, x):
         x = _check_point(x, None)
-        return float(np.linalg.norm(x - self.apply(x)))
+        return _norm(x - self.apply(x))
 
 
 class SubgradientProjection(Cutter):
@@ -418,9 +419,9 @@ class SubgradientProjection(Cutter):
     def fixed_point_distance(self, x):
         x = _check_point(x, self.dim)
         if isinstance(self.f, BallQuadratic):
-            return max(0.0, float(np.linalg.norm(x - self.f.center)) - self.f.radius)
+            return max(0.0, _norm(x - self.f.center) - self.f.radius)
         if isinstance(self.f, AffineFunction):
-            return max(0.0, self.f.value(x)) / float(np.linalg.norm(self.f.a))
+            return max(0.0, self.f.value(x)) / _norm(self.f.a)
         return None
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITE_SIGMA, LambdaSchedule, RunStatus, SolverConfig
+from .core import INFINITE_SIGMA, LambdaSchedule, RunStatus, SolverConfig, _norm
 from .cutters import (
     AbsSum,
     AffineFunction,
@@ -120,7 +120,7 @@ def sample_fixed_point(cutter, rng, ndim=None):
     """A certified point of Fix(T) for any implemented kind."""
     if isinstance(cutter, Halfspace):
         z = cutter.apply(rng.uniform(-4, 4, cutter.dim))
-        return z - rng.uniform(0, 2) * cutter.a / float(np.linalg.norm(cutter.a))
+        return z - rng.uniform(0, 2) * cutter.a / _norm(cutter.a)
     if isinstance(cutter, Hyperplane):
         return cutter.apply(rng.uniform(-4, 4, cutter.dim))
     if isinstance(cutter, Ball):
@@ -137,7 +137,7 @@ def sample_fixed_point(cutter, rng, ndim=None):
         if isinstance(f, AffineFunction):
             z = rng.uniform(-4, 4, f.dim)
             z = z - (max(0.0, f.value(z)) / float(np.dot(f.a, f.a))) * f.a
-            return z - rng.uniform(0, 2) * f.a / float(np.linalg.norm(f.a))
+            return z - rng.uniform(0, 2) * f.a / _norm(f.a)
         if isinstance(f, QuadraticFunction):
             anchor = np.linalg.solve(2.0 * f.Q, -f.c)
             depth = -f.value(anchor)
@@ -177,12 +177,12 @@ def perturbed_fejer_trial(rng_state):
     q = sample_fixed_point(cutter, rng, ndim)
     lam = rng.uniform(0.0, 2.0)
     tx = cutter.apply(x)
-    residual = float(np.linalg.norm(tx - x))
-    anchor = float(np.linalg.norm(x - q))
+    residual = _norm(tx - x)
+    anchor = _norm(x - q)
     radius = theta_budget(1.0, lam, residual, anchor)
     e = radius * _unit(rng, ndim) if radius > 0 else np.zeros(ndim)
     y = x + lam * (tx - x) + e
-    lhs = float(np.linalg.norm(y - q))
+    lhs = _norm(y - q)
     rhs = anchor
     violation = max(0.0, lhs - rhs - INEQUALITY_TOL)
     digest = f"perturbed_fejer[{rng_state!r}] kind={label} n={ndim} lam={lam:.6f}"
@@ -201,12 +201,12 @@ def strict_fejer_trial(rng_state):
     q = sample_fixed_point(cutter, rng, ndim)
     lam = rng.uniform(0.05, 1.95)
     tx = cutter.apply(x)
-    residual = float(np.linalg.norm(tx - x))
-    anchor = float(np.linalg.norm(x - q))
+    residual = _norm(tx - x)
+    anchor = _norm(x - q)
     radius = 0.99 * theta_budget(1.0, lam, residual, anchor)
     e = radius * _unit(rng, ndim) if radius > 0 else np.zeros(ndim)
     y = x + lam * (tx - x) + e
-    lhs = float(np.linalg.norm(y - q))
+    lhs = _norm(y - q)
     rhs = anchor
     violation = max(0.0, lhs - rhs)
     digest = f"strict_fejer[{rng_state!r}] kind={label} n={ndim} lam={lam:.6f}"
@@ -225,10 +225,10 @@ def cutter_trial(rng_state):
     separator = cutter.check_separator(x, q)
     violation = max(0.0, separator - INEQUALITY_TOL)
     tx = cutter.apply(x)
-    quasi = float(np.linalg.norm(tx - q)) - float(np.linalg.norm(x - q))
+    quasi = _norm(tx - q) - _norm(x - q)
     violation = max(violation, quasi - INEQUALITY_TOL)
     if cutter.is_projection:
-        idem = float(np.linalg.norm(cutter.apply(tx) - tx))
+        idem = _norm(cutter.apply(tx) - tx)
         violation = max(violation, idem - INEQUALITY_TOL)
     digest = f"cutter[{rng_state!r}] kind={label} n={ndim}"
     return TrialOutcome(digest, separator, 0.0, max(0.0, violation), violation <= 0.0)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .core import InfiniteSigma, InvalidPolicy, normalize_sigma, sigma_is_finite
+from .core import InfiniteSigma, InvalidPolicy, _norm, normalize_sigma, sigma_is_finite
 from .cutters import _GRAD_ZERO_TOL
 
 
@@ -236,7 +236,7 @@ class SuperiorizedPolicy(PerturbationPolicy):
         if not scale.size:
             return np.zeros_like(x)
         g = np.asarray(self.cost.grad(x), dtype=float)
-        gn = math.sqrt(g.dot(g))
+        gn = _norm(g)
         if gn <= _GRAD_ZERO_TOL:
             return np.zeros_like(x)
         # every operator steps along -g: one gradient serves the whole sum

@@ -4,6 +4,8 @@ The file format is plain JSON: ``dimension``, ``cutters`` (array of operator
 encodings), ``x0``, ``sigma`` (positive number or the string "infinity"),
 optional ``witness`` and ``cost``.  Numbers round-trip exactly: floats are
 emitted via Python's shortest-repr encoder, which preserves all 64 bits.
+Files are written as ``json.dumps(doc, indent=2)`` writes them, plus a
+final newline.
 """
 
 import json
@@ -16,6 +18,7 @@ from .core import (
     DimensionMismatch,
     ParseError,
     UnknownCutterKind,
+    _norm,
     sigma_is_finite,
 )
 from .cutters import (
@@ -55,10 +58,24 @@ def _convert(value, path, convert=float, expected="a number"):
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{path}: expected {expected}")
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+def _numbers(values, path):
+    """``values`` as floats, refusing strings, booleans and other non-numbers
+    as ``_float`` does for a scalar.  One pass over the types decides the
+    common case: a list of floats, as JSON gives it, is returned as it is."""
+    types = set(map(type, values))
+    if types == {float}:
+        return values
+    if not types <= {float, int} and not all(map(_is_number, values)):
+        raise ParseError(f"{path}: expected numbers")
+    return _convert(values, path, lambda vs: list(map(float, vs)), "numbers")
+
 def _floats(value, path):
     if not isinstance(value, list) or not value:
         raise ParseError(f"{path}: expected a nonempty array of numbers")
-    floats = _convert(value, path, lambda vs: [float(v) for v in vs], "numbers")
+    floats = _numbers(value, path)
     # one pass decides the common case; the scan below only names the fault
     if not all(map(math.isfinite, floats)):
         if any(math.isnan(v) for v in floats):
@@ -74,7 +91,7 @@ def _no_nan(number, path):
     return number
 
 def _float(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ParseError(f"{path}: expected a number")
     return _no_nan(float(value), path)
 
@@ -89,6 +106,10 @@ def _finite(value, path):
 def _matrix(value, path):
     if not isinstance(value, list):
         raise ParseError(f"{path}: expected a matrix")
+    for i, row in enumerate(value):
+        # the constructor judges the shape; only the entries are checked here
+        if isinstance(row, list):
+            _numbers(row, f"{path}[{i}]")
     return value
 
 
@@ -141,9 +162,9 @@ def cutter_from_json(obj, path="cutter"):
     return _decode(obj, path, "type", _CUTTER_KINDS, "unknown cutter kind")
 
 
-_VECTOR = (lambda v: [float(x) for x in v], _floats)
+_VECTOR = (np.ndarray.tolist, _floats)
 _NUMBER = (float, _finite)
-_MATRIX = (lambda q: [[float(x) for x in row] for row in q], _matrix)
+_MATRIX = (np.ndarray.tolist, _matrix)
 _FUNCTION = (function_to_json, function_from_json)
 _CUTTER = (cutter_to_json, cutter_from_json)
 
@@ -174,11 +195,11 @@ def problem_to_json(problem):
     doc = {
         "dimension": problem.dimension,
         "cutters": [cutter_to_json(c) for c in problem.cutters],
-        "x0": [float(v) for v in problem.x0],
+        "x0": problem.x0.tolist(),
         "sigma": problem.sigma if sigma_is_finite(problem.sigma) else "infinity",
     }
     if problem.witness is not None:
-        doc["witness"] = [float(v) for v in problem.witness]
+        doc["witness"] = problem.witness.tolist()
     if problem.cost is not None:
         doc["cost"] = function_to_json(problem.cost)
     return doc
@@ -229,9 +250,67 @@ def load_problem(path):
 
 
 def save_problem(problem, path):
+    _write_json(problem_to_json(problem), path)
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+#
+# CPython encodes with C code only when ``indent`` is None, so
+# ``json.dump(doc, fh, indent=2)`` passes every float of a problem file
+# through its pure-Python generator.  The writer below gives the same text:
+# containers follow the dispatch of ``json.encoder`` at two-space indent, a
+# flat list of ints or of finite floats is one join of their reprs, and every
+# key and every other value is left to ``json.dumps``.
+
+def _key(key):
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        # json writes a scalar key as its own text, quoted
+        return json.dumps(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode_json(value, newline, out):
+    """Append the chunks of ``value`` at the indent that ``newline`` ends with."""
+    if isinstance(value, dict) and value:
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            out += separator, _key(key), ": "
+            _encode_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        types = set(map(type, value))
+        if types == {int} or types == {float} and all(map(math.isfinite, value)):
+            out += "[", inner, ("," + inner).join(map(repr, value)), newline, "]"
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _encode_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
+
+
+def _json_text(doc):
+    """``json.dumps(doc, indent=2)``, without the pure-Python encoder."""
+    out = []
+    _encode_json(doc, "\n", out)
+    return "".join(out)
+
+
+def _write_json(doc, path):
+    """Write ``doc`` and a final newline.  The text is complete before the
+    file is opened, so a document that cannot be encoded leaves it as it was."""
+    text = _json_text(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_json(problem), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +318,10 @@ def save_problem(problem, path):
 
 def _unit(rng, n):
     v = rng.standard_normal(n)
-    nrm = float(np.linalg.norm(v))
+    nrm = _norm(v)
     while nrm == 0.0:
         v = rng.standard_normal(n)
-        nrm = float(np.linalg.norm(v))
+        nrm = _norm(v)
     return v / nrm
 
 
@@ -289,7 +368,7 @@ def gen_disc_intersection(seed, m, n=2, overlap=0.5, margin=1.0):
     for _ in range(m):
         delta = rng.uniform(0.0, float(overlap)) * _unit(rng, n)
         center = q + delta
-        radius = float(np.linalg.norm(delta)) + 0.25 + rng.uniform(0.0, 0.75)
+        radius = _norm(delta) + 0.25 + rng.uniform(0.0, 0.75)
         cutters.append(Ball(center, radius))
     top = max(c.radius for c in cutters)
     x0 = q + (top + rng.uniform(1.0, 3.0)) * _unit(rng, n)
@@ -317,6 +396,6 @@ def gen_l1_constrained(seed, s, n, epsilon, margin=1.0):
     cutters = [Hyperplane(rows[i], float(np.dot(rows[i], xstar))) for i in range(s)]
     cutters.append(L1Ball(epsilon))
     x0 = rng.standard_normal(n)
-    x0 *= epsilon / float(np.linalg.norm(x0))
+    x0 *= epsilon / _norm(x0)
     sigma = sigma_from_l1(x0, epsilon, margin)
     return Problem(n, cutters, x0, sigma, witness=xstar, cost=AbsSum())

@@ -22,6 +22,7 @@ from .core import (
     RunResult,
     RunStatus,
     SolverConfig,
+    _norm,
     as_vector,
     normalize_sigma,
     sigma_is_finite,
@@ -243,11 +244,6 @@ def _perturbation(policy, stream, support, x, w, residuals, max_res, lam, sigma,
     return policy.combined(x, weights, budgets, lambda: stream.at(k))
 
 
-def _norm(d):
-    """||d|| of a 1-D float64 array, bit for bit what np.linalg.norm computes."""
-    return math.sqrt(d.dot(d))
-
-
 def _record(problem, k, x, residuals, max_res, pert_norm, lam):
     """The record of iterate k.  It keeps ``x`` and ``residuals`` themselves,
     made read-only: ``run`` builds both afresh every iteration and writes to
@@ -349,7 +345,7 @@ def sigma_from_ball(c0, r, x0, margin):
         raise ValueError("radius must be nonnegative")
     c0 = as_vector(c0, name="c0")
     x0 = as_vector(x0, c0.size, name="x0")
-    return r + float(np.linalg.norm(x0 - c0)) + margin
+    return r + _norm(x0 - c0) + margin
 
 
 def sigma_from_l1(x0, epsilon, margin):
@@ -365,7 +361,7 @@ def sigma_from_l1(x0, epsilon, margin):
     epsilon = float(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return float(np.linalg.norm(as_vector(x0, name="x0"))) + epsilon + margin
+    return _norm(as_vector(x0, name="x0")) + epsilon + margin
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +374,7 @@ def fejer_audit(trace, witness):
     ||x^0 - witness|| <= 2 sigma.
     """
     q = as_vector(witness, name="witness")
-    distances = [float(np.linalg.norm(rec.point - q)) for rec in trace]
+    distances = [_norm(rec.point - q) for rec in trace]
     if len(distances) < 2:
         return 0.0
     return max(b - a for a, b in zip(distances, distances[1:]))

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockproj import (
     INFINITE_SIGMA,
@@ -19,6 +21,7 @@ from blockproj import (
     SetIndicator,
     SubgradientProjection,
     BallQuadratic,
+    Cutter,
     UnknownCutterKind,
     gen_disc_intersection,
     gen_l1_constrained,
@@ -27,6 +30,7 @@ from blockproj import (
     save_problem,
 )
 from blockproj.problems import (
+    _json_text,
     cutter_from_json,
     cutter_to_json,
     problem_from_json,
@@ -220,6 +224,52 @@ def test_missing_file_and_bad_json(tmp_path):
         load_problem(bad)
 
 
+@pytest.mark.parametrize("overrides, where", [
+    ({"x0": ["3", " 4 "]}, "problem.x0"),
+    ({"x0": [0.0, True]}, "problem.x0"),
+    ({"witness": ["0", 0.0]}, "problem.witness"),
+    ({"cutters": [{"type": "halfspace", "a": ["1.5", True], "b": 1.0}]}, "problem.cutters[0].a"),
+    ({"cutters": [{"type": "ball", "center": [False, 0.0], "radius": 1.0}]},
+     "problem.cutters[0].center"),
+    ({"cutters": [{"type": "box", "lo": ["-1", -1.0], "hi": [1.0, 1.0]}]}, "problem.cutters[0].lo"),
+    ({"cutters": [{"type": "subgradient_projection",
+                   "f": {"form": "quadratic", "Q": [[1.0, 0.0], [0.0, "1"]],
+                         "c": [0.0, 0.0], "d": -1.0}}]},
+     "problem.cutters[0].f.Q[1]"),
+])
+def test_strings_and_booleans_in_arrays_name_their_field(overrides, where):
+    doc = {"dimension": 2, "cutters": [{"type": "l1_ball", "radius": 1.0}],
+           "x0": [0.0, 0.0], "sigma": 1.0, **overrides}
+    with pytest.raises(ParseError, match=rf"^{re.escape(where)}: expected numbers$"):
+        problem_from_json(doc)
+
+
+def test_integers_in_arrays_are_numbers():
+    doc = {"dimension": 2, "cutters": [{"type": "halfspace", "a": [1, 0], "b": 1}],
+           "x0": [3, 4.0], "sigma": 10}
+    problem = problem_from_json(doc)
+    assert problem.x0.tolist() == [3.0, 4.0]
+    assert problem.cutters[0].a.tolist() == [1.0, 0.0]
+
+
+class _Unlisted(Cutter):
+    """A cutter kind the file format does not know."""
+
+    kind = "unlisted"
+
+    def apply(self, x):
+        return x
+
+
+def test_failed_save_leaves_the_target_as_it_was(tmp_path):
+    path = tmp_path / "p.json"
+    save_problem(Problem(2, [Halfspace([1.0, 0.0], 1.0)], [0.0, 0.0], sigma=5.0), path)
+    before = path.read_bytes()
+    with pytest.raises(UnknownCutterKind):
+        save_problem(Problem(2, [_Unlisted()], [0.0, 0.0], sigma=5.0), path)
+    assert path.read_bytes() == before
+
+
 def test_cutter_codec_field_names():
     doc = cutter_to_json(Halfspace([1.0, 0.0], 1.0))
     assert doc == {"type": "halfspace", "a": [1.0, 0.0], "b": 1.0}
@@ -279,17 +329,22 @@ def test_gen_l1_constrained_properties():
     assert isinstance(problem.cost, AbsSum)
 
 
-def test_generator_outputs_survive_save_load(tmp_path):
-    problems = [
-        gen_linear_feasibility(4, 6, 4, 3),
-        gen_disc_intersection(4, 3),
-        gen_l1_constrained(4, 3, 5, 1.5),
-    ]
-    for i, problem in enumerate(problems):
-        path = tmp_path / f"gen{i}.json"
-        save_problem(problem, path)
-        loaded = load_problem(path)
-        assert problem_to_json(loaded) == problem_to_json(problem)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["linear", "discs", "l1"]), seed=st.integers(0, 2**32 - 1),
+       m=st.integers(2, 12), n=st.integers(1, 6))
+def test_generator_outputs_survive_save_load(tmp_path_factory, kind, seed, m, n):
+    if kind == "linear":
+        problem = gen_linear_feasibility(seed, m, n, 3.0)
+    elif kind == "discs":
+        problem = gen_disc_intersection(seed, m, n)
+    else:
+        problem = gen_l1_constrained(seed, m, n, 1.5)
+    path = tmp_path_factory.mktemp("gen") / "p.json"
+    save_problem(problem, path)
+    first = path.read_bytes()
+    assert first.decode() == json.dumps(problem_to_json(problem), indent=2) + "\n"
+    save_problem(load_problem(path), path)
+    assert path.read_bytes() == first
 
 
 def test_generator_parameter_validation():
@@ -301,3 +356,31 @@ def test_generator_parameter_validation():
         gen_disc_intersection(0, 3, overlap=0.0)
     with pytest.raises(ValueError):
         gen_l1_constrained(0, 5, 8, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, float("nan"), float("inf")]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, st.text())
+_KEYS = st.one_of(st.text(), st.none(), st.booleans(), st.integers(), _FLOATS)
+_DOCUMENTS = st.recursive(
+    _SCALARS | st.lists(_FLOATS) | st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(_KEYS, inner)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=_DOCUMENTS)
+def test_writer_text_is_json_dumps_at_indent_2(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_refuses_what_json_refuses():
+    for doc in ({(1, 2): 0.0}, {"x": np.zeros(2)}, [{1.5}]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(doc)
