@@ -8,7 +8,6 @@ from .core import (
     BlockprojError,
     DimensionMismatch,
     InfeasibleWitness,
-    InfiniteSigma,
     InvalidCutter,
     InvalidPolicy,
     InvalidRelaxationBounds,
@@ -27,7 +26,6 @@ from .core import (
     ZeroGradientAtPositiveValue,
     as_vector,
     normalize_sigma,
-    sigma_is_finite,
     validate_config,
 )
 from .cutters import (

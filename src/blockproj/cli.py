@@ -8,11 +8,9 @@ identical (problem, config, seed) inputs.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from .core import (
-    INFINITE_SIGMA,
     BlockprojError,
     LambdaSchedule,
     ParseError,
@@ -22,9 +20,11 @@ from .core import (
 from .oracles import SUITES
 from .perturbation import RandomDirectionPolicy, SuperiorizedPolicy, ZeroPolicy
 from .problems import (
-    _convert,
+    _float,
+    _floats,
     _get,
-    _no_nan,
+    _int,
+    _sigma,
     _write_json,
     function_from_json,
     gen_disc_intersection,
@@ -52,14 +52,17 @@ _SUCCESS_STATUSES = (
 
 
 # ---------------------------------------------------------------------------
-# config-file decoding (operator indices are 1-based in files)
+# config-file decoding (operator indices are 1-based in files); numbers
+# follow the problem-file rules
 
-def _number(value, path):
-    return _no_nan(_convert(value, path), path)
+def _array(value, path):
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected an array")
+    return value
 
 
 def _indices(raw, m, path):
-    idx = _convert(raw, path, lambda r: [int(i) - 1 for i in r], "an array of 1-based indices")
+    idx = [_int(i, f"{path}[{j}]") - 1 for j, i in enumerate(_array(raw, path))]
     if any(not 0 <= i < m for i in idx):
         raise ParseError(f"{path}: index outside 1..{m}")
     return idx
@@ -74,8 +77,8 @@ def schedule_from_json(obj, m, path="config.schedule"):
     if regime == "sequential_almost_cyclic":
         return SequentialAlmostCyclic(
             m,
-            _convert(obj.get("period_bound", m), f"{path}.period_bound", int),
-            _convert(obj.get("order_seed", 0), f"{path}.order_seed", int),
+            _int(obj.get("period_bound", m), f"{path}.period_bound"),
+            _int(obj.get("order_seed", 0), f"{path}.order_seed"),
         )
     if regime == "sequential_repetitive":
         if "control" not in obj:
@@ -93,24 +96,18 @@ def schedule_from_json(obj, m, path="config.schedule"):
             raise ParseError(f"{path}.partition: required")
         partition = [
             _indices(block, m, f"{path}.partition[{i}]")
-            for i, block in enumerate(_convert(obj["partition"], f"{path}.partition", list,
-                                               "an array"))
+            for i, block in enumerate(_array(obj["partition"], f"{path}.partition"))
         ]
         intra = obj.get("intra", "uniform")
         if intra != "uniform":
-            intra = _convert(intra, f"{path}.intra",
-                             lambda raw: [[float(v) for v in ws] for ws in raw],
-                             "\"uniform\" or an array of weight arrays")
-            if any(math.isnan(v) for ws in intra for v in ws):
-                raise ParseError(f"{path}.intra: expected numbers, got NaN")
+            intra = [_floats(ws, f"{path}.intra") for ws in _array(intra, f"{path}.intra")]
         return BlockClassicalCyclic(m, partition, intra)
     if regime == "block_generalized":
         if "blocks" not in obj:
             raise ParseError(f"{path}.blocks: required")
         blocks = [
             _indices(block, m, f"{path}.blocks[{i}]")
-            for i, block in enumerate(_convert(obj["blocks"], f"{path}.blocks", list,
-                                               "an array"))
+            for i, block in enumerate(_array(obj["blocks"], f"{path}.blocks"))
         ]
         return BlockGeneralized(m, blocks)
     raise ParseError(f"{path}.regime: unknown regime {regime!r}")
@@ -123,7 +120,7 @@ def policy_from_json(obj, problem_cost, path="config.policy"):
     if kind == "zero":
         return ZeroPolicy()
     if kind == "random":
-        return RandomDirectionPolicy(_number(obj.get("rho", 0.99), f"{path}.rho"))
+        return RandomDirectionPolicy(_float(obj.get("rho", 0.99), f"{path}.rho"))
     if kind == "superiorized":
         cost = obj.get("cost")
         if cost is not None:
@@ -132,21 +129,21 @@ def policy_from_json(obj, problem_cost, path="config.policy"):
             cost = problem_cost
         else:
             raise ParseError(f"{path}.cost: required (the problem declares no cost)")
-        return SuperiorizedPolicy(cost, _number(obj.get("rho", 0.99), f"{path}.rho"))
+        return SuperiorizedPolicy(cost, _float(obj.get("rho", 0.99), f"{path}.rho"))
     raise ParseError(f"{path}.policy: unknown policy {kind!r}")
 
 
 _RULES = {
-    "residual_below": (ResidualBelow, "tol", _number),
-    "max_distance": (MaxDistance, "eps", _number),
-    "max_function_value": (MaxFunctionValue, "eps", _number),
-    "max_iterations": (MaxIterations, "limit", lambda raw, path: _convert(raw, path, int)),
+    "residual_below": (ResidualBelow, "tol", _float),
+    "max_distance": (MaxDistance, "eps", _float),
+    "max_function_value": (MaxFunctionValue, "eps", _float),
+    "max_iterations": (MaxIterations, "limit", _int),
 }
 
 
 def stopping_from_json(rules, path="config.stopping"):
     out = []
-    for i, obj in enumerate(_convert(rules, path, list, "an array")):
+    for i, obj in enumerate(_array(rules, path)):
         if not isinstance(obj, dict) or "rule" not in obj:
             raise ParseError(f"{path}[{i}]: expected an object with a 'rule' field")
         kind = obj["rule"]
@@ -165,29 +162,23 @@ def assemble_config(doc, problem, seed_override=None):
     if isinstance(lam, dict):
         if "list" not in lam:
             raise ParseError("config.lambda: expected a number or {\"list\": [...]}")
-        values = _convert(lam["list"], "config.lambda.list",
-                          lambda vs: [float(v) for v in vs], "numbers")
-        if any(math.isnan(v) for v in values):
-            raise ParseError("config.lambda.list: expected numbers, got NaN")
-        schedule = LambdaSchedule(values)
+        schedule = LambdaSchedule(_floats(lam["list"], "config.lambda.list"))
     else:
-        schedule = LambdaSchedule(_number(lam, "config.lambda"))
+        schedule = LambdaSchedule(_float(lam, "config.lambda"))
     sigma = doc.get("sigma_override")
-    if sigma == "infinity":
-        sigma = INFINITE_SIGMA
-    elif sigma is not None:
-        sigma = _number(sigma, "config.sigma_override")
+    if sigma is not None:
+        sigma = _sigma(sigma, "config.sigma_override")
     stopping = stopping_from_json(doc.get("stopping", [{"rule": "residual_below", "tol": 1e-8}]))
     if seed_override is None:
-        seed = _convert(doc.get("seed", 0), "config.seed", int)
+        seed = _int(doc.get("seed", 0), "config.seed")
     else:
         seed = int(seed_override)
     config = SolverConfig(
-        tau1=_number(doc.get("tau1", 0.5), "config.tau1"),
-        tau2=_number(doc.get("tau2", 0.5), "config.tau2"),
+        tau1=_float(doc.get("tau1", 0.5), "config.tau1"),
+        tau2=_float(doc.get("tau2", 0.5), "config.tau2"),
         lambda_schedule=schedule,
         sigma=sigma,
-        max_iterations=_convert(doc.get("max_iterations", 100_000), "config.max_iterations", int),
+        max_iterations=_int(doc.get("max_iterations", 100_000), "config.max_iterations"),
         seed=seed,
     )
     weight_schedule = schedule_from_json(

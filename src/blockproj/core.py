@@ -42,10 +42,6 @@ class NonpositiveSigma(BlockprojError):
     pass
 
 
-class InfiniteSigma(BlockprojError):
-    pass
-
-
 class ZeroGradientAtPositiveValue(BlockprojError):
     """The nonempty-sublevel-set assumption behind a subgradient projector failed."""
 
@@ -81,46 +77,19 @@ class UnknownCutterKind(BlockprojError):
 # ---------------------------------------------------------------------------
 # sigma
 
-class _InfiniteSigmaType:
-    """Distinguished "sigma = infinity" state: all perturbation budgets are zero.
-
-    A singleton rather than float('inf') so the zero-perturbation semantics
-    cannot be produced accidentally by arithmetic overflow.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE_SIGMA"
-
-
-INFINITE_SIGMA = _InfiniteSigmaType()
-
-
-def sigma_is_finite(sigma) -> bool:
-    return sigma is not INFINITE_SIGMA
+# sigma = infinity makes every perturbation budget zero: the unperturbed
+# iteration
+INFINITE_SIGMA = math.inf
 
 
 def normalize_sigma(sigma):
-    """Return a positive float or INFINITE_SIGMA, rejecting everything else.
-
-    float('inf') is folded into INFINITE_SIGMA so callers meet a single
-    unmissable representation of the no-perturbation regime.
-    """
-    if sigma is INFINITE_SIGMA:
-        return INFINITE_SIGMA
+    """Return sigma as a float that is positive or +inf, refusing the rest."""
     try:
         value = float(sigma)
     except (TypeError, ValueError):
-        raise NonpositiveSigma(f"sigma must be a positive number or INFINITE_SIGMA, got {sigma!r}")
-    if math.isinf(value) and value > 0:
-        return INFINITE_SIGMA
-    if math.isnan(value) or value <= 0:
+        raise NonpositiveSigma(f"sigma must be a positive number, got {sigma!r}")
+    # a comparison that NaN fails
+    if not value > 0:
         raise NonpositiveSigma(f"sigma must be positive, got {value}")
     return value
 
@@ -203,15 +172,15 @@ class LambdaSchedule:
 class SolverConfig:
     """Input parameters of the iteration.
 
-    ``sigma`` may be a positive float, INFINITE_SIGMA, or None, meaning
-    "inherit the problem's sigma".  INFINITE_SIGMA collapses every
-    perturbation budget to zero.
+    ``sigma`` is a positive float, INFINITE_SIGMA (``math.inf``) included,
+    or None, meaning "inherit the problem's sigma".  An infinite sigma
+    collapses every perturbation budget to zero.
     """
 
     tau1: float = 0.5
     tau2: float = 0.5
     lambda_schedule: LambdaSchedule = field(default_factory=LambdaSchedule)
-    sigma: object = None
+    sigma: Optional[float] = None
     max_iterations: int = 100_000
     residual_tolerance: float = 1e-8
     seed: int = 0

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .core import InfiniteSigma, InvalidPolicy, _norm, normalize_sigma, sigma_is_finite
+from .core import InvalidPolicy, _norm, normalize_sigma
 from .cutters import _GRAD_ZERO_TOL
 
 
@@ -96,13 +96,11 @@ def _budgets(lam, residuals, sigma, r_max):
 
 
 def zeta(lam, residual, sigma):
-    """(lam r + 2 sigma)^2 + lam (2 - lam) r^2 for finite sigma; inf where
-    the value exceeds the float range."""
+    """(lam r + 2 sigma)^2 + lam (2 - lam) r^2; inf for an infinite sigma and
+    where the value exceeds the float range."""
     lam = _check_lambda(lam)
     r = _check_residual(residual)
     sigma = normalize_sigma(sigma)
-    if not sigma_is_finite(sigma):
-        raise InfiniteSigma("zeta is undefined for infinite sigma")
     return _zeta(lam * r, lam, r, 2.0 * sigma)
 
 
@@ -116,7 +114,7 @@ def budget(lam, residual, sigma):
     lam = _check_lambda(lam)
     r = _check_residual(residual)
     sigma = normalize_sigma(sigma)
-    if not sigma_is_finite(sigma):
+    if math.isinf(sigma):
         return 0.0
     if r == 0.0 or lam == 0.0 or lam == 2.0:
         return 0.0

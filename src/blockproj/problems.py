@@ -19,7 +19,6 @@ from .core import (
     ParseError,
     UnknownCutterKind,
     _norm,
-    sigma_is_finite,
 )
 from .cutters import (
     AbsSum,
@@ -83,17 +82,26 @@ def _floats(value, path):
         raise ParseError(f"{path}: expected finite numbers, got inf")
     return floats
 
-def _no_nan(number, path):
-    """Python's JSON reader accepts NaN, which a range check written as a
-    comparison lets pass; refusing it here names the field."""
+def _float(value, path):
+    """A number field.  Python's JSON reader accepts NaN, which a range check
+    written as a comparison lets pass; refusing it here names the field."""
+    if not _is_number(value):
+        raise ParseError(f"{path}: expected a number")
+    number = _convert(value, path)
     if math.isnan(number):
         raise ParseError(f"{path}: expected a number, got NaN")
     return number
 
-def _float(value, path):
-    if not _is_number(value):
-        raise ParseError(f"{path}: expected a number")
-    return _no_nan(float(value), path)
+def _int(value, path):
+    """An integer field: booleans, strings and floats, 12.0 included, are
+    refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{path}: expected an integer")
+    return value
+
+def _sigma(value, path):
+    """A sigma field: a number, or the string "infinity" for INFINITE_SIGMA."""
+    return INFINITE_SIGMA if value == "infinity" else _float(value, path)
 
 def _finite(value, path):
     """A cutter or function scalar.  Python's JSON reader accepts Infinity,
@@ -196,7 +204,7 @@ def problem_to_json(problem):
         "dimension": problem.dimension,
         "cutters": [cutter_to_json(c) for c in problem.cutters],
         "x0": problem.x0.tolist(),
-        "sigma": problem.sigma if sigma_is_finite(problem.sigma) else "infinity",
+        "sigma": problem.sigma if math.isfinite(problem.sigma) else "infinity",
     }
     if problem.witness is not None:
         doc["witness"] = problem.witness.tolist()
@@ -206,19 +214,15 @@ def problem_to_json(problem):
 
 
 def problem_from_json(obj, path="problem"):
-    dimension = _get(obj, "dimension", path)
-    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
+    dimension = _int(_get(obj, "dimension", path), f"{path}.dimension")
+    if dimension < 1:
         raise ParseError(f"{path}.dimension: expected a positive integer")
     raw_cutters = _get(obj, "cutters", path)
     if not isinstance(raw_cutters, list) or not raw_cutters:
         raise ParseError(f"{path}.cutters: expected a nonempty array")
     cutters = [cutter_from_json(c, f"{path}.cutters[{i}]") for i, c in enumerate(raw_cutters)]
     x0 = _floats(_get(obj, "x0", path), f"{path}.x0")
-    raw_sigma = _get(obj, "sigma", path)
-    if raw_sigma == "infinity":
-        sigma = INFINITE_SIGMA
-    else:
-        sigma = _float(raw_sigma, f"{path}.sigma")
+    sigma = _sigma(_get(obj, "sigma", path), f"{path}.sigma")
     witness = _get(obj, "witness", path, required=False)
     if witness is not None:
         witness = _floats(witness, f"{path}.witness")

@@ -25,10 +25,10 @@ from .core import (
     _norm,
     as_vector,
     normalize_sigma,
-    sigma_is_finite,
     validate_config,
 )
 from .perturbation import PerturbationStream, ZeroPolicy, _budgets
+from .weights import SequentialCyclic
 
 WITNESS_RESIDUAL_TOL = 1e-10
 
@@ -37,17 +37,17 @@ WITNESS_RESIDUAL_TOL = 1e-10
 class Problem:
     """A family of cutters with a common fixed point, a start and a radius.
 
-    ``sigma`` must exceed the (unknown) distance from x0 to the common
-    fixed-point set; INFINITE_SIGMA is always safe and disables
-    perturbations.  ``witness`` is an optional known common fixed point used
-    by audits; ``cost`` (value/grad) feeds superiorization and the
-    function-value stopping rule.
+    ``sigma`` is a float that must exceed the (unknown) distance from x0 to
+    the common fixed-point set; INFINITE_SIGMA (``math.inf``) is always
+    safe and disables perturbations.  ``witness`` is an optional known
+    common fixed point used by audits; ``cost`` (value/grad) feeds
+    superiorization and the function-value stopping rule.
     """
 
     dimension: int
     cutters: tuple
     x0: np.ndarray
-    sigma: object
+    sigma: float
     witness: Optional[np.ndarray] = None
     cost: Optional[object] = None
 
@@ -272,10 +272,9 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     perturbations, and ResidualBelow(config.residual_tolerance).  The trace
     holds one record per visited iterate, the last one describing
     ``final_point``.  Each lambda_k is checked against [tau1, 2 - tau2]
-    before the update that uses it (LambdaOutOfRange).
+    before the update that uses it (LambdaOutOfRange).  The iteration cap
+    ``config.max_iterations`` is the last stopping rule.
     """
-    from .weights import SequentialCyclic
-
     if config is None:
         config = SolverConfig()
     validate_config(config)
@@ -287,13 +286,14 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         policy = ZeroPolicy()
     if stopping is None:
         stopping = [ResidualBelow(config.residual_tolerance)]
+    stopping = [*stopping, MaxIterations(config.max_iterations)]
     _check_rules(problem, stopping)
     sigma = normalize_sigma(config.sigma if config.sigma is not None else problem.sigma)
     lo, hi = config.tau1, 2.0 - config.tau2
 
     sweep = _Sweep(problem)
     stream = None
-    if not isinstance(policy, ZeroPolicy) and sigma_is_finite(sigma):
+    if not isinstance(policy, ZeroPolicy) and math.isfinite(sigma):
         stream = PerturbationStream(config.seed)
         support = _Support()
     x = np.array(problem.x0)
@@ -305,8 +305,6 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         if not math.isfinite(max_res):
             raise NonfiniteIterate(f"non-finite residual at k={k}")
         status = _fired_status(problem, stopping, k, x, max_res)
-        if status is None and k >= config.max_iterations:
-            status = RunStatus.MAX_ITERATIONS
         lam = config.lambda_schedule(k)
         if status is not None:
             trace.append(_record(problem, k, x, residuals, max_res, 0.0, lam))

@@ -167,6 +167,16 @@ def test_invalid_lambda_config_exits_1(tmp_path, capsys):
     ({"tau1": float("nan")}, "config.tau1"),
     ({"schedule": {"regime": "block_classical", "partition": [[1, 2], [3]],
                    "intra": [[float("nan"), 1.0], [1.0]]}}, "config.schedule.intra"),
+    # numbers and integers are decoded as in problem files, not coerced
+    ({"lambda": {"list": ["1.5", True]}}, "config.lambda.list"),
+    ({"schedule": {"regime": "block_classical", "partition": [[1.9, "2"], ["3", 4.7]]}},
+     "config.schedule.partition[0][0]"),
+    ({"max_iterations": 12.9}, "config.max_iterations"),
+    ({"seed": "7"}, "config.seed"),
+    ({"sigma_override": "7"}, "config.sigma_override"),
+    ({"policy": {"policy": "random", "rho": True}}, "config.policy.rho"),
+    ({"stopping": [{"rule": "max_iterations", "limit": 3.0}]}, "config.stopping[0].limit"),
+    ({"stopping": {"rule": "residual_below", "tol": 1e-6}}, "config.stopping"),
 ])
 def test_malformed_config_field_exits_1(tmp_path, capsys, overrides, where):
     problem_path = tmp_path / "p.json"
@@ -177,6 +187,22 @@ def test_malformed_config_field_exits_1(tmp_path, capsys, overrides, where):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+
+def test_numeric_infinite_sigma_override_is_infinity(tmp_path):
+    problem_path = tmp_path / "p.json"
+    main(["gen", "linear", "--m", "6", "--n", "4", "--seed", "3", "--out", str(problem_path)])
+    traces = []
+    for name, override in (("string", "infinity"), ("number", float("inf"))):
+        config_path = tmp_path / f"{name}.json"
+        _write_config(config_path, sigma_override=override,
+                      policy={"policy": "random", "rho": 0.99})
+        trace = tmp_path / f"{name}.csv"
+        assert main(_solve_args(problem_path, config_path, trace, tmp_path / "s.json")) == 0
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
+    rows = traces[0].decode().splitlines()[1:]
+    assert rows and all(float(row.split(",")[2]) == 0.0 for row in rows)
 
 
 def test_nan_cutter_field_exits_1(tmp_path, capsys):

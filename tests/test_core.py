@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from blockproj import (
@@ -14,7 +16,6 @@ from blockproj import (
     as_vector,
     normalize_sigma,
     run,
-    sigma_is_finite,
     validate_config,
 )
 
@@ -38,11 +39,11 @@ def test_as_vector_rejects_nonfinite_and_is_readonly():
 
 def test_sigma_normalization():
     assert normalize_sigma(2.5) == 2.5
-    assert normalize_sigma(INFINITE_SIGMA) is INFINITE_SIGMA
-    assert normalize_sigma(float("inf")) is INFINITE_SIGMA
-    assert not sigma_is_finite(INFINITE_SIGMA)
-    assert sigma_is_finite(1.0)
-    for bad in (0.0, -1.0, float("nan"), "three"):
+    assert normalize_sigma(INFINITE_SIGMA) == INFINITE_SIGMA
+    assert normalize_sigma(float("inf")) == INFINITE_SIGMA == math.inf
+    assert not math.isfinite(INFINITE_SIGMA)
+    assert math.isfinite(normalize_sigma(1.0))
+    for bad in (0.0, -1.0, float("nan"), float("-inf"), "three"):
         with pytest.raises(NonpositiveSigma):
             normalize_sigma(bad)
 

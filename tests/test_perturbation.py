@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from blockproj import (
     INFINITE_SIGMA,
-    InfiniteSigma,
     InvalidPolicy,
     RandomDirectionPolicy,
     SquaredNorm,
@@ -27,9 +26,10 @@ def test_zeta_examples():
     assert zeta(1.0, 0.0, 2.0) == pytest.approx(16.0)
 
 
-def test_zeta_infinite_sigma_raises():
-    with pytest.raises(InfiniteSigma):
-        zeta(1.0, 1.0, INFINITE_SIGMA)
+def test_zeta_infinite_sigma_is_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta(1.0, 1.0, INFINITE_SIGMA) == math.inf
 
 
 def test_budget_example_value():

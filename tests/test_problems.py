@@ -92,7 +92,7 @@ def test_infinite_sigma_round_trip(tmp_path):
     path = tmp_path / "inf.json"
     save_problem(problem, path)
     assert json.loads(path.read_text())["sigma"] == "infinity"
-    assert load_problem(path).sigma is INFINITE_SIGMA
+    assert load_problem(path).sigma == INFINITE_SIGMA
 
 
 def test_infeasible_witness_rejected(tmp_path):
@@ -200,7 +200,18 @@ def test_infinite_number_names_its_field(overrides, where):
 def test_numeric_infinite_sigma_is_infinite_sigma():
     doc = {"dimension": 1, "cutters": [{"type": "l1_ball", "radius": 1.0}],
            "x0": [0.0], "sigma": _INF}
-    assert problem_from_json(doc).sigma is INFINITE_SIGMA
+    assert problem_from_json(doc).sigma == INFINITE_SIGMA
+
+
+def test_numeric_infinite_sigma_saves_as_infinity(tmp_path):
+    source = tmp_path / "numeric.json"
+    source.write_text(json.dumps({"dimension": 1, "cutters": [{"type": "l1_ball", "radius": 1.0}],
+                                  "x0": [0.0], "sigma": _INF}))
+    resaved, built = tmp_path / "resaved.json", tmp_path / "built.json"
+    save_problem(load_problem(source), resaved)
+    save_problem(Problem(1, [L1Ball(1.0)], [0.0], sigma=INFINITE_SIGMA), built)
+    assert json.loads(resaved.read_text())["sigma"] == "infinity"
+    assert resaved.read_bytes() == built.read_bytes()
 
 
 def test_dimension_mismatch_diagnostics(tmp_path):
@@ -250,6 +261,18 @@ def test_integers_in_arrays_are_numbers():
     problem = problem_from_json(doc)
     assert problem.x0.tolist() == [3.0, 4.0]
     assert problem.cutters[0].a.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"cutters": [{"type": "halfspace", "a": [1.0, 0.0], "b": 10 ** 400}]},
+     "problem.cutters[0].b"),
+    ({"sigma": 10 ** 400}, "problem.sigma"),
+])
+def test_integer_beyond_the_float_range_names_its_field(overrides, where):
+    doc = {"dimension": 2, "cutters": [{"type": "l1_ball", "radius": 1.0}],
+           "x0": [0.0, 0.0], "sigma": 1.0, **overrides}
+    with pytest.raises(ParseError, match=rf"^{re.escape(where)}: expected a number$"):
+        problem_from_json(doc)
 
 
 class _Unlisted(Cutter):
