@@ -276,6 +276,10 @@ def cmd_verify(args):
     if trials < 1:
         print(f"error: --trials must be >= 1, got {trials}", file=sys.stderr)
         return 1
+    # the trial streams are keyed on the seed as a 64-bit unsigned integer
+    if not 0 <= args.seed < 2 ** 64:
+        print(f"error: --seed must be in [0, 2^64), got {args.seed}", file=sys.stderr)
+        return 1
     report = SUITES[suite](trials, args.seed)
     print(
         f"suite={report.suite} trials={report.trials} passes={report.passes}"

@@ -84,10 +84,14 @@ INFINITE_SIGMA = math.inf
 
 def normalize_sigma(sigma):
     """Return sigma as a float that is positive or +inf, refusing the rest."""
+    if isinstance(sigma, (bool, np.bool_)):
+        raise NonpositiveSigma(f"sigma must be a positive number, got {sigma!r}")
     try:
         value = float(sigma)
     except (TypeError, ValueError):
         raise NonpositiveSigma(f"sigma must be a positive number, got {sigma!r}")
+    except OverflowError:
+        raise NonpositiveSigma("sigma must be a positive number, got one that overflows a float")
     # a comparison that NaN fails
     if not value > 0:
         raise NonpositiveSigma(f"sigma must be positive, got {value}")

@@ -1,15 +1,24 @@
 """Randomized property suites for the solver's monotonicity and convergence
 guarantees.
 
-Each trial is reproducible from its seed state; suites aggregate pass/fail
-counts, the worst violation seen, and coverage accounting over operator
-kinds and control regimes.  Monotonicity trials use projection-kind
-operators because those admit exact fixed-point samples; the other kinds are
-exercised by the separator/quasi-nonexpansivity sweep, which can construct
-certified fixed points for every implemented kind.
+Each trial is reproducible from its seed state.  Trial ``[s, t]`` of the
+fejer, cutter and budget suites draws from the counter-based Philox stream
+``perturbation_rng(s, t)``; its suite resets one ``PerturbationStream(s)``
+to t instead of building a generator per trial.  A failing trial's digest
+names its seed state, so ``cutter_trial([s, t])``, or the trial the digest
+names, reruns it on its own; the strict half of ``run_fejer_suite(trials,
+s)`` is numbered from ``trials``.
+
+Suites aggregate pass/fail counts, the worst violation seen, and coverage
+accounting over the operator kinds the trials drew and the control regimes.
+Monotonicity trials use projection-kind operators because those admit exact
+fixed-point samples; the other kinds are exercised by the
+separator/quasi-nonexpansivity sweep, which can construct certified fixed
+points for every implemented kind.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +38,14 @@ from .cutters import (
     SquaredNorm,
     SubgradientProjection,
 )
-from .perturbation import RandomDirectionPolicy, ZeroPolicy, budget, theta_budget
+from .perturbation import (
+    PerturbationStream,
+    RandomDirectionPolicy,
+    ZeroPolicy,
+    budget,
+    perturbation_rng,
+    theta_budget,
+)
 from .problems import _unit, gen_linear_feasibility
 from .solver import (
     MaxIterations,
@@ -59,6 +75,7 @@ class TrialOutcome:
     rhs: float
     violation: float
     passed: bool
+    kind: Optional[str] = None  # the operator kind the trial drew, if any
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +181,12 @@ def _sample_exterior_point(cutter, rng, ndim, min_residual=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# trials
+# trials: ``rng``, when given, is the generator of perturbation_rng(*rng_state)
 
-def perturbed_fejer_trial(rng_state):
+def perturbed_fejer_trial(rng_state, rng=None):
     """Relaxed step plus a boundary-sized perturbation never moves away
     from a fixed point (checked at the exact budget boundary)."""
-    rng = np.random.default_rng(rng_state)
+    rng = perturbation_rng(*rng_state) if rng is None else rng
     ndim = int(rng.integers(1, 7))
     label = PROJECTION_KINDS[int(rng.integers(len(PROJECTION_KINDS)))]
     cutter = draw_cutter(rng, label, ndim)
@@ -186,13 +203,13 @@ def perturbed_fejer_trial(rng_state):
     rhs = anchor
     violation = max(0.0, lhs - rhs - INEQUALITY_TOL)
     digest = f"perturbed_fejer[{rng_state!r}] kind={label} n={ndim} lam={lam:.6f}"
-    return TrialOutcome(digest, lhs, rhs, violation, violation == 0.0)
+    return TrialOutcome(digest, lhs, rhs, violation, violation == 0.0, label)
 
 
-def strict_fejer_trial(rng_state):
+def strict_fejer_trial(rng_state, rng=None):
     """With x not fixed, lam away from the endpoints and the perturbation
     strictly inside the budget, the distance decrease is strict."""
-    rng = np.random.default_rng(rng_state)
+    rng = perturbation_rng(*rng_state) if rng is None else rng
     ndim = int(rng.integers(1, 7))
     label = PROJECTION_KINDS[int(rng.integers(len(PROJECTION_KINDS)))]
     cutter = draw_cutter(rng, label, ndim)
@@ -210,13 +227,13 @@ def strict_fejer_trial(rng_state):
     rhs = anchor
     violation = max(0.0, lhs - rhs)
     digest = f"strict_fejer[{rng_state!r}] kind={label} n={ndim} lam={lam:.6f}"
-    return TrialOutcome(digest, lhs, rhs, violation, lhs < rhs)
+    return TrialOutcome(digest, lhs, rhs, violation, lhs < rhs, label)
 
 
-def cutter_trial(rng_state):
+def cutter_trial(rng_state, rng=None):
     """Separator inequality, quasi-nonexpansivity, and idempotence of the
     projection kinds, for one random operator/point/fixed-point triple."""
-    rng = np.random.default_rng(rng_state)
+    rng = perturbation_rng(*rng_state) if rng is None else rng
     ndim = int(rng.integers(1, 7))
     label = ALL_KINDS[int(rng.integers(len(ALL_KINDS)))]
     cutter = draw_cutter(rng, label, ndim)
@@ -231,14 +248,15 @@ def cutter_trial(rng_state):
         idem = _norm(cutter.apply(tx) - tx)
         violation = max(violation, idem - INEQUALITY_TOL)
     digest = f"cutter[{rng_state!r}] kind={label} n={ndim}"
-    return TrialOutcome(digest, separator, 0.0, max(0.0, violation), violation <= 0.0)
+    return TrialOutcome(digest, separator, 0.0, max(0.0, violation), violation <= 0.0,
+                        label)
 
 
-def budget_trial(rng_state):
+def budget_trial(rng_state, rng=None):
     """Budget algebra: the quadratic bound, the anchor identity, exact
     vanishing at the degenerate parameters (including infinite sigma), and
     homogeneity in theta."""
-    rng = np.random.default_rng(rng_state)
+    rng = perturbation_rng(*rng_state) if rng is None else rng
     pick = rng.uniform()
     if pick < 0.1:
         lam = float(rng.choice([0.0, 2.0]))
@@ -420,13 +438,6 @@ class SuiteReport:
         return self.failures == 0
 
 
-def _kind_of(digest):
-    for token in digest.split():
-        if token.startswith("kind="):
-            return token[5:]
-    return None
-
-
 def _summarize(suite, outcomes, coverage):
     failures = [o for o in outcomes if not o.passed]
     worst = max((o.violation for o in outcomes), default=0.0)
@@ -447,30 +458,31 @@ def _count(coverage, key):
 
 def run_fejer_suite(trials, seed):
     """Boundary-budget monotonicity and strict-decrease sweeps."""
+    stream = PerturbationStream(seed)
     outcomes, coverage = [], {}
     for t in range(trials):
-        out = perturbed_fejer_trial([seed, t])
-        _count(coverage, _kind_of(out.inputs_digest))
+        out = perturbed_fejer_trial([seed, t], stream.at(t))
+        _count(coverage, out.kind)
         outcomes.append(out)
-        out = strict_fejer_trial([seed, trials + t])
-        _count(coverage, _kind_of(out.inputs_digest))
+        out = strict_fejer_trial([seed, trials + t], stream.at(trials + t))
+        _count(coverage, out.kind)
         outcomes.append(out)
     return _summarize("fejer", outcomes, coverage)
 
 
 def run_cutter_suite(trials, seed):
+    stream = PerturbationStream(seed)
     outcomes, coverage = [], {}
     for t in range(trials):
-        out = cutter_trial([seed, t])
-        _count(coverage, _kind_of(out.inputs_digest))
+        out = cutter_trial([seed, t], stream.at(t))
+        _count(coverage, out.kind)
         outcomes.append(out)
     return _summarize("cutter", outcomes, coverage)
 
 
 def run_budget_suite(trials, seed):
-    outcomes = []
-    for t in range(trials):
-        outcomes.append(budget_trial([seed, t]))
+    stream = PerturbationStream(seed)
+    outcomes = [budget_trial([seed, t], stream.at(t)) for t in range(trials)]
     return _summarize("budget", outcomes, {"budget": trials})
 
 

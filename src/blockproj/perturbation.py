@@ -88,8 +88,12 @@ def _large_radius(theta, lam, r, anchor):
 
 def _budgets(lam, residuals, sigma, r_max):
     """``budget`` of every entry of ``residuals``, each at most ``r_max``, for
-    a lam in [0, 2] and a finite sigma, which the caller has checked."""
+    a lam in [0, 2] and a finite sigma, which the caller has checked.  Where
+    the anchor 2 sigma overflows, the radius's homogeneity in (r, anchor)
+    gives the budget as 2 radius(1/2, lam, r / 2, sigma)."""
     anchor = 2.0 * sigma
+    if math.isinf(anchor):
+        return 2.0 * _large_radius(0.5, lam, 0.5 * residuals, sigma)
     if _overflows(0.5, lam, r_max, anchor):
         return _large_radius(0.5, lam, residuals, anchor)
     return _radius(0.5, lam, residuals, anchor)

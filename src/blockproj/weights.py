@@ -115,8 +115,8 @@ class WeightSchedule:
         w = np.asarray(self._weights(k), dtype=float)
         if w.shape != (self.m,):
             raise InvalidSchedule(f"schedule produced shape {w.shape}, expected ({self.m},)")
-        # comparisons that NaN fails
-        if not (np.all(w >= 0) and np.all(w <= 1) and abs(float(w.sum()) - 1.0) <= _SUM_TOL):
+        # min and max propagate NaN, and NaN fails every comparison
+        if not (w.min() >= 0 and w.max() <= 1 and abs(float(w.sum()) - 1.0) <= _SUM_TOL):
             raise InvalidSchedule(f"invalid weight vector at k={k}: {w}")
         return w
 
@@ -291,7 +291,7 @@ class BlockGeneralized(WeightSchedule):
         block = tuple(int(i) for i in self.selection(k))
         if not block:
             raise InvalidSchedule(f"selection at k={k} is empty")
-        if any(not 0 <= i < self.m for i in block) or len(set(block)) != len(block):
+        if min(block) < 0 or max(block) >= self.m or len(set(block)) != len(block):
             raise InvalidSchedule(f"selection at k={k} is not a valid index subset: {block}")
         w = np.zeros(self.m)
         if self.weights_fn is None:

@@ -298,6 +298,18 @@ def test_verify_without_trials_exits_1(capsys, trials):
     assert "--trials must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 70)])
+def test_verify_seed_outside_64_bits_exits_1(capsys, seed):
+    # a 64-bit stream key would alias these seeds onto others
+    assert main(["verify", "cutter", "--trials", "1", "--seed", seed]) == 1
+    assert "--seed must be in [0, 2^64)" in capsys.readouterr().err
+
+
+def test_verify_largest_seed_runs(capsys):
+    assert main(["verify", "cutter", "--trials", "5", "--seed", str(2 ** 64 - 1)]) == 0
+    assert "failures=0" in capsys.readouterr().out
+
+
 def test_verify_unknown_suite_exits_1(capsys):
     assert main(["verify", "qhatt"]) == 1
     assert "unknown suite" in capsys.readouterr().err

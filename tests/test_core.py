@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from blockproj import (
@@ -43,9 +44,14 @@ def test_sigma_normalization():
     assert normalize_sigma(float("inf")) == INFINITE_SIGMA == math.inf
     assert not math.isfinite(INFINITE_SIGMA)
     assert math.isfinite(normalize_sigma(1.0))
-    for bad in (0.0, -1.0, float("nan"), float("-inf"), "three"):
+    for bad in (0.0, -1.0, float("nan"), float("-inf"), "three", True, np.True_, 10 ** 400):
         with pytest.raises(NonpositiveSigma):
             normalize_sigma(bad)
+
+
+def test_problem_refuses_a_boolean_sigma():
+    with pytest.raises(NonpositiveSigma):
+        Problem(1, [Halfspace([1.0], 1.0)], [0.0], sigma=True)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +127,9 @@ def test_validate_config_sigma():
     validate_config(SolverConfig(sigma=None))
     with pytest.raises(NonpositiveSigma):
         validate_config(SolverConfig(sigma=-2.0))
+    # an int past the float range, not a bare OverflowError
+    with pytest.raises(NonpositiveSigma):
+        validate_config(SolverConfig(sigma=10 ** 400))
 
 
 def test_validate_config_boundary_lambdas_allowed():

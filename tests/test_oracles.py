@@ -1,6 +1,10 @@
 
+from unittest import mock
+
+from blockproj import oracles
 from blockproj.oracles import (
     ALL_KINDS,
+    PROJECTION_KINDS,
     budget_trial,
     convergence_trial,
     cutter_trial,
@@ -21,6 +25,47 @@ def test_trials_reproducible_from_seed_state():
         a = fn([123, 4])
         b = fn([123, 4])
         assert a == b
+
+
+def _suite_outcomes(suite, trials, seed):
+    """The outcomes ``suite`` hands to its summary, in order."""
+    seen = []
+    summarize = oracles._summarize
+
+    def keep(name, outcomes, coverage):
+        seen.extend(outcomes)
+        return summarize(name, outcomes, coverage)
+
+    with mock.patch.object(oracles, "_summarize", keep):
+        suite(trials, seed)
+    return seen
+
+
+def test_suites_reuse_one_stream_without_leaking_state():
+    # trial t of a suite, drawn from the suite's reused generator, equals
+    # the same trial run on its own, also after a trial that drew another
+    # kind or left half of a 64-bit draw buffered (an integer draw, such as
+    # the choice of an endpoint lambda in the budget suite)
+    seed, trials = 9, 60
+    fejer = _suite_outcomes(run_fejer_suite, trials, seed)
+    cutter = _suite_outcomes(run_cutter_suite, trials, seed)
+    budget = _suite_outcomes(run_budget_suite, trials, seed)
+    assert {o.kind for o in fejer} == set(PROJECTION_KINDS)
+    assert {o.kind for o in cutter} == set(ALL_KINDS)
+    endpoints = [t for t, o in enumerate(budget)
+                 if " lam=0.000000 " in o.inputs_digest or " lam=2.000000 " in o.inputs_digest]
+    assert endpoints and endpoints[0] < trials - 1
+    for t in range(trials):
+        assert fejer[2 * t] == perturbed_fejer_trial([seed, t])
+        assert fejer[2 * t + 1] == strict_fejer_trial([seed, trials + t])
+        assert cutter[t] == cutter_trial([seed, t])
+        assert budget[t] == budget_trial([seed, t])
+
+
+def test_suite_coverage_counts_the_kinds_drawn():
+    rep = run_cutter_suite(30, 4)
+    kinds = [cutter_trial([4, t]).kind for t in range(30)]
+    assert rep.coverage == {kind: kinds.count(kind) for kind in set(kinds)}
 
 
 def test_perturbed_fejer_boundary_sweep():

@@ -86,6 +86,11 @@ def test_budgets_at_large_finite_inputs():
         assert budget(lam, r, 1.0) == pytest.approx(
             0.5 * math.sqrt(lam * (2.0 - lam)) * r, rel=1e-14)
         assert budget(1.0, 1e300, 1e300) > 0.0
+        # past 8.99e307 the anchor 2 sigma overflows; the budget is still
+        # homogeneous of degree 1 in (r, sigma)
+        assert budget(1.0, 1e308, 1e308) == pytest.approx(
+            10.0 * budget(1.0, 1e307, 1e307), rel=1e-12)
+        assert budget(1.0, 1e308, 1e308) > 8e306
         assert zeta(1.0, 1e153, 10.0) == pytest.approx(2e306, rel=1e-15)
         # past the float range zeta itself is inf
         assert zeta(1.0, 1e300, 10.0) == math.inf
@@ -248,7 +253,8 @@ _RESIDUALS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(lam=st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.0, 2.0)),
        residuals=_RESIDUALS,
-       sigma=st.one_of(st.floats(1e-300, 1e100), st.floats(1e100, 1e300)),
+       sigma=st.one_of(st.floats(1e-300, 1e100), st.floats(1e100, 1e300),
+                       st.floats(9e307, 1.7e308)),
        headroom=st.one_of(st.just(0.0), st.floats(0.0, 1e300)))
 def test_batched_budgets_equal_scalar_budget(lam, residuals, sigma, headroom):
     from blockproj.perturbation import _budgets
