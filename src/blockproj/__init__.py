@@ -7,12 +7,10 @@ from .core import (
     INFINITE_SIGMA,
     BlockprojError,
     DimensionMismatch,
-    InfeasibleWitness,
+    InvalidConfig,
     InvalidCutter,
-    InvalidPolicy,
-    InvalidRelaxationBounds,
+    InvalidProblem,
     InvalidSchedule,
-    InvalidStoppingRule,
     IterationRecord,
     LambdaOutOfRange,
     LambdaSchedule,
@@ -22,8 +20,6 @@ from .core import (
     RunResult,
     RunStatus,
     SolverConfig,
-    UnknownCutterKind,
-    ZeroGradientAtPositiveValue,
     as_vector,
     normalize_sigma,
     validate_config,

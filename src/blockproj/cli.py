@@ -10,13 +10,7 @@ import dataclasses
 import json
 import sys
 
-from .core import (
-    BlockprojError,
-    LambdaSchedule,
-    ParseError,
-    RunStatus,
-    SolverConfig,
-)
+from .core import InvalidConfig, LambdaSchedule, ParseError, RunStatus, SolverConfig, _check_seed
 from .oracles import SUITES
 from .perturbation import RandomDirectionPolicy, SuperiorizedPolicy, ZeroPolicy
 from .problems import (
@@ -170,9 +164,9 @@ def assemble_config(doc, problem, seed_override=None):
         sigma = _sigma(sigma, "config.sigma_override")
     stopping = stopping_from_json(doc.get("stopping", [{"rule": "residual_below", "tol": 1e-8}]))
     if seed_override is None:
-        seed = _int(doc.get("seed", 0), "config.seed")
+        seed = _check_seed(_int(doc.get("seed", 0), "config.seed"), "config.seed")
     else:
-        seed = int(seed_override)
+        seed = _check_seed(seed_override, "--seed")
     config = SolverConfig(
         tau1=_float(doc.get("tau1", 0.5), "config.tau1"),
         tau2=_float(doc.get("tau2", 0.5), "config.tau2"),
@@ -274,13 +268,8 @@ def cmd_verify(args):
         return 1
     trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[suite]
     if trials < 1:
-        print(f"error: --trials must be >= 1, got {trials}", file=sys.stderr)
-        return 1
-    # the trial streams are keyed on the seed as a 64-bit unsigned integer
-    if not 0 <= args.seed < 2 ** 64:
-        print(f"error: --seed must be in [0, 2^64), got {args.seed}", file=sys.stderr)
-        return 1
-    report = SUITES[suite](trials, args.seed)
+        raise InvalidConfig(f"--trials must be >= 1, got {trials}")
+    report = SUITES[suite](trials, _check_seed(args.seed, "--seed"))
     print(
         f"suite={report.suite} trials={report.trials} passes={report.passes}"
         f" failures={report.failures} worst_violation={_fmt(report.worst_violation)}"
@@ -338,9 +327,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BlockprojError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # every BlockprojError is a ValueError
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

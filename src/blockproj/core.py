@@ -11,23 +11,27 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # errors
 
-class BlockprojError(Exception):
-    """Base class for all blockproj errors."""
+class BlockprojError(ValueError):
+    """Base class of every error blockproj raises; a ValueError."""
 
 
 class DimensionMismatch(BlockprojError):
-    pass
+    """An input is not a finite 1-D point of the dimension it needs."""
 
 
 class InvalidCutter(BlockprojError):
+    """An operator cannot be built, encoded or sampled, or its assumption fails."""
+
+
+class InvalidProblem(BlockprojError):
     pass
 
 
-class InvalidRelaxationBounds(BlockprojError):
-    pass
+class InvalidConfig(BlockprojError):
+    """Solver parameters, a perturbation policy or a stopping rule."""
 
 
-class LambdaOutOfRange(BlockprojError):
+class LambdaOutOfRange(InvalidConfig):
     def __init__(self, k, value, lo, hi):
         self.k = k
         self.value = value
@@ -42,15 +46,7 @@ class NonpositiveSigma(BlockprojError):
     pass
 
 
-class ZeroGradientAtPositiveValue(BlockprojError):
-    """The nonempty-sublevel-set assumption behind a subgradient projector failed."""
-
-
 class InvalidSchedule(BlockprojError):
-    pass
-
-
-class InvalidPolicy(BlockprojError):
     pass
 
 
@@ -58,19 +54,7 @@ class NonfiniteIterate(BlockprojError):
     pass
 
 
-class InvalidStoppingRule(BlockprojError):
-    pass
-
-
 class ParseError(BlockprojError):
-    pass
-
-
-class InfeasibleWitness(BlockprojError):
-    pass
-
-
-class UnknownCutterKind(BlockprojError):
     pass
 
 
@@ -108,11 +92,15 @@ def _norm(d):
 
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
     """Validate ``x`` as a finite 1-D float64 point and return a read-only copy."""
-    arr = np.array(x, dtype=float)
+    try:
+        arr = np.array(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        # ragged nesting, strings, objects and ints beyond the float range
+        raise DimensionMismatch(f"{name} must be a 1-D point of numbers") from None
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionMismatch(f"{name} must be a 1-D point with at least one entry")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite entries")
+        raise DimensionMismatch(f"{name} has non-finite entries")
     if dim is not None and arr.size != dim:
         raise DimensionMismatch(f"{name} has dimension {arr.size}, expected {dim}")
     arr.flags.writeable = False
@@ -144,7 +132,7 @@ class LambdaSchedule:
         else:
             table = tuple(float(v) for v in rule)
             if not table:
-                raise ValueError("lambda table must be nonempty")
+                raise InvalidConfig("lambda table must be nonempty")
             self._table = table
             # numpy's min and max propagate NaN, which the range check refuses
             self._range = (float(np.min(table)), float(np.max(table)))
@@ -190,6 +178,13 @@ class SolverConfig:
     seed: int = 0
 
 
+def _check_seed(seed, name="seed"):
+    """Refuse a seed outside [0, 2^64), which the 64-bit stream key would alias."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise InvalidConfig(f"{name} must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def validate_config(cfg: SolverConfig) -> None:
     """Reject configurations outside the admissible parameter region.
 
@@ -198,14 +193,15 @@ def validate_config(cfg: SolverConfig) -> None:
     sampled, ``run`` checks each lambda_k before the update that uses it.
     """
     if not (cfg.tau1 > 0 and cfg.tau2 > 0):
-        raise InvalidRelaxationBounds(f"tau1 and tau2 must be positive, got {cfg.tau1}, {cfg.tau2}")
+        raise InvalidConfig(f"tau1 and tau2 must be positive, got {cfg.tau1}, {cfg.tau2}")
     if cfg.tau1 + cfg.tau2 > 2:
-        raise InvalidRelaxationBounds(f"tau1 + tau2 must be <= 2, got {cfg.tau1 + cfg.tau2}")
+        raise InvalidConfig(f"tau1 + tau2 must be <= 2, got {cfg.tau1 + cfg.tau2}")
     if cfg.max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+        raise InvalidConfig("max_iterations must be >= 1")
     # written so that NaN fails every range check
     if not cfg.residual_tolerance >= 0:
-        raise ValueError(f"residual_tolerance must be >= 0, got {cfg.residual_tolerance}")
+        raise InvalidConfig(f"residual_tolerance must be >= 0, got {cfg.residual_tolerance}")
+    _check_seed(cfg.seed)
     if cfg.sigma is not None:
         normalize_sigma(cfg.sigma)
 

@@ -10,13 +10,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    DimensionMismatch,
-    InvalidCutter,
-    ZeroGradientAtPositiveValue,
-    _norm,
-    as_vector,
-)
+from .core import DimensionMismatch, InvalidCutter, _norm, as_vector
 
 # f values at or below this are treated as feasible, guarding the subgradient
 # step against division by a vanishing gradient at the boundary
@@ -29,10 +23,22 @@ def _number(value, name):
     """float(value), refusing NaN and infinities: an offset has no range check
     to fail, an infinite offset makes residuals inf or NaN, and an infinite
     radius makes a ball all of R^n."""
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidCutter(f"{name} must be a finite number, got {value!r}") from None
     if not math.isfinite(value):
         raise InvalidCutter(f"{name} must be a finite number, got {value}")
     return value
+
+
+def _squared_norm(a, zero_message):
+    """<a, a>, refusing 0 and inf, with which offset / <a, a> would vanish;
+    ``np.vdot`` sums as ``np.dot`` does, without its overflow warning."""
+    aa = float(np.vdot(a, a))
+    if not 0.0 < aa < math.inf:
+        raise InvalidCutter(zero_message if aa == 0.0 else "the squared norm of a overflows")
+    return aa
 
 
 def _check_point(x, dim, name="x"):
@@ -55,8 +61,7 @@ class AffineFunction:
     def __init__(self, a, b):
         self.a = as_vector(a, name="a")
         self.b = _number(b, "b")
-        if float(np.dot(self.a, self.a)) == 0.0:
-            raise InvalidCutter("affine function needs a nonzero slope")
+        _squared_norm(self.a, "affine function needs a nonzero slope")
 
     @property
     def dim(self):
@@ -76,13 +81,21 @@ class QuadraticFunction:
     form = "quadratic"
 
     def __init__(self, Q, c, d):
-        Q = np.array(Q, dtype=float)
+        try:
+            Q = np.array(Q, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidCutter("Q must be a matrix of numbers") from None
         self.c = as_vector(c, name="c")
         self.d = _number(d, "d")
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] != self.c.size:
             raise InvalidCutter("Q must be square and match the dimension of c")
-        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
-            raise InvalidCutter("Q must be symmetric")
+        # Q - Q.T overflows for an asymmetric pair near the float range
+        with np.errstate(over="ignore"):
+            if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
+                raise InvalidCutter("Q must be symmetric")
+        # after the symmetry check, which NaN fails and matching infinities pass
+        if not np.isfinite(Q).all():
+            raise InvalidCutter("Q must be finite")
         if np.linalg.eigvalsh(Q).min() < -1e-10:
             raise InvalidCutter("Q must be positive semidefinite")
         Q.flags.writeable = False
@@ -111,6 +124,9 @@ class BallQuadratic:
         self.radius = _number(radius, "radius")
         if not self.radius >= 0:
             raise InvalidCutter(f"radius must be nonnegative, got {self.radius}")
+        # value subtracts radius ** 2, which overflows from about 1.34e154
+        if self.radius >= 1e154:
+            raise InvalidCutter(f"radius must be below 1e154, got {self.radius}")
 
     @property
     def dim(self):
@@ -198,7 +214,7 @@ class Cutter:
         return None
 
     def apply(self, x):
-        raise NotImplementedError
+        raise InvalidCutter(f"{type(self).__name__} does not define apply")
 
     def residual(self, x):
         """||T(x) - x||; zero exactly on the fixed-point set."""
@@ -228,9 +244,7 @@ class _AffineCutter(Cutter):
     def __init__(self, a, b):
         self.a = as_vector(a, name="a")
         self.b = _number(b, "b")
-        self._aa = float(np.dot(self.a, self.a))
-        if self._aa == 0.0:
-            raise InvalidCutter(f"{self.kind} normal must be nonzero")
+        self._aa = _squared_norm(self.a, f"{self.kind} normal must be nonzero")
 
     @property
     def dim(self):
@@ -407,7 +421,7 @@ class SubgradientProjection(Cutter):
         g = self.f.grad(x)
         gg = float(np.dot(g, g))
         if math.sqrt(gg) <= _GRAD_ZERO_TOL:
-            raise ZeroGradientAtPositiveValue(
+            raise InvalidCutter(
                 f"gradient vanished at f(x) = {fx}; the zero-sublevel set is empty there"
             )
         return x - (fx / gg) * g

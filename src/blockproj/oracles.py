@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INFINITE_SIGMA, LambdaSchedule, RunStatus, SolverConfig, _norm
+from .core import INFINITE_SIGMA, InvalidCutter, InvalidSchedule, LambdaSchedule, RunStatus
+from .core import SolverConfig, _norm
 from .cutters import (
     AbsSum,
     AffineFunction,
@@ -130,7 +131,7 @@ def draw_cutter(rng, label, ndim):
             SetIndicator(Ball(rng.uniform(-3, 3, ndim), rng.uniform(0.5, 3.0))),
             rng.uniform(0.2, 2.0),
         )
-    raise ValueError(f"unknown kind label {label!r}")
+    raise InvalidCutter(f"unknown kind label {label!r}")
 
 
 def sample_fixed_point(cutter, rng, ndim=None):
@@ -159,7 +160,7 @@ def sample_fixed_point(cutter, rng, ndim=None):
             anchor = np.linalg.solve(2.0 * f.Q, -f.c)
             depth = -f.value(anchor)
             if depth < 0:
-                raise ValueError("quadratic sublevel set is empty at its minimizer")
+                raise InvalidCutter("quadratic sublevel set is empty at its minimizer")
             direction = _unit(rng, f.dim)
             curvature = float(direction @ f.Q @ direction)
             reach = np.sqrt(depth / curvature) if curvature > 0 else 2.0
@@ -169,7 +170,7 @@ def sample_fixed_point(cutter, rng, ndim=None):
             return np.zeros(ndim)
         if isinstance(cutter.g, SetIndicator):
             return sample_fixed_point(cutter.g.set_cutter, rng, ndim)
-    raise ValueError(f"no fixed-point sampler for {cutter!r}")
+    raise InvalidCutter(f"no fixed-point sampler for {cutter!r}")
 
 
 def _sample_exterior_point(cutter, rng, ndim, min_residual=1e-6):
@@ -177,7 +178,7 @@ def _sample_exterior_point(cutter, rng, ndim, min_residual=1e-6):
         x = rng.uniform(-6, 6, ndim)
         if cutter.residual(x) > min_residual:
             return x
-    raise RuntimeError(f"could not draw a point outside Fix for {cutter!r}")
+    raise InvalidCutter(f"could not draw a point outside Fix for {cutter!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,7 @@ def _extra_schedule(name, m, seed):
     if name == "block_classical":
         cut = max(1, m // 2)
         return BlockClassicalCyclic(m, [list(range(cut)), list(range(cut, m))])
-    raise ValueError(f"unknown extra regime {name!r}")
+    raise InvalidSchedule(f"unknown extra regime {name!r}")
 
 
 def convergence_trial(instance_seed, extra_regime=None):

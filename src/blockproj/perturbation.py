@@ -10,21 +10,21 @@ import math
 
 import numpy as np
 
-from .core import InvalidPolicy, _norm, normalize_sigma
+from .core import InvalidConfig, _norm, normalize_sigma
 from .cutters import _GRAD_ZERO_TOL
 
 
 def _check_lambda(lam):
     lam = float(lam)
     if not 0.0 <= lam <= 2.0:
-        raise ValueError(f"lambda must be in [0, 2], got {lam}")
+        raise InvalidConfig(f"lambda must be in [0, 2], got {lam}")
     return lam
 
 
 def _check_residual(residual):
     residual = float(residual)
     if residual < 0.0 or math.isnan(residual):
-        raise ValueError(f"residual must be nonnegative, got {residual}")
+        raise InvalidConfig(f"residual must be nonnegative, got {residual}")
     return residual
 
 
@@ -134,12 +134,12 @@ def theta_budget(theta, lam, residual, anchor_distance):
     """
     theta = float(theta)
     if theta < 0.0:
-        raise ValueError(f"theta must be nonnegative, got {theta}")
+        raise InvalidConfig(f"theta must be nonnegative, got {theta}")
     lam = _check_lambda(lam)
     r = _check_residual(residual)
     anchor = float(anchor_distance)
     if anchor < 0.0:
-        raise ValueError(f"anchor distance must be nonnegative, got {anchor}")
+        raise InvalidConfig(f"anchor distance must be nonnegative, got {anchor}")
     # the denominator sqrt(zeta) + lam r + anchor, a sum of nonnegative
     # terms, vanishes exactly when anchor, lam r and lam (2 - lam) r^2 do
     if anchor == 0.0 and lam * r == 0.0 and lam * (2.0 - lam) * r * r == 0.0:
@@ -171,7 +171,7 @@ class PerturbationPolicy:
         and ``iteration_rng`` is not called.  ``iteration_rng()`` returns
         the generator of the iteration's stream; a policy that draws nothing
         never calls it."""
-        raise NotImplementedError
+        raise InvalidConfig(f"{type(self).__name__} does not define combined")
 
 
 class ZeroPolicy(PerturbationPolicy):
@@ -187,7 +187,7 @@ def _check_rho(rho):
     rho = float(rho)
     # strict: generated vectors must sit strictly inside the budget
     if not 0.0 <= rho < 1.0:
-        raise InvalidPolicy(f"rho must be in [0, 1), got {rho}")
+        raise InvalidConfig(f"rho must be in [0, 1), got {rho}")
     return rho
 
 
@@ -225,7 +225,7 @@ class SuperiorizedPolicy(PerturbationPolicy):
 
     def __init__(self, cost, rho=0.99):
         if not hasattr(cost, "grad"):
-            raise InvalidPolicy("superiorized policy needs a cost with a grad method")
+            raise InvalidConfig("superiorized policy needs a cost with a grad method")
         self.cost = cost
         self.rho = _check_rho(rho)
 

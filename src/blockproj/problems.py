@@ -16,8 +16,9 @@ import numpy as np
 from .core import (
     INFINITE_SIGMA,
     DimensionMismatch,
+    InvalidCutter,
+    InvalidProblem,
     ParseError,
-    UnknownCutterKind,
     _norm,
 )
 from .cutters import (
@@ -112,12 +113,12 @@ def _finite(value, path):
     return number
 
 def _matrix(value, path):
-    if not isinstance(value, list):
+    """Rows of numbers, all of one length; the constructor judges the shape."""
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and len(row) == len(value[0]) for row in value):
         raise ParseError(f"{path}: expected a matrix")
     for i, row in enumerate(value):
-        # the constructor judges the shape; only the entries are checked here
-        if isinstance(row, list):
-            _numbers(row, f"{path}[{i}]")
+        _numbers(row, f"{path}[{i}]")
     return value
 
 
@@ -137,7 +138,7 @@ def _tagged(table, tag):
 def _encode(obj, tag_key, tag, table, noun):
     spec = _tagged(table, tag)
     if spec is None or not isinstance(obj, spec[0]):
-        raise UnknownCutterKind(f"cannot encode {noun} {obj!r}")
+        raise InvalidCutter(f"cannot encode {noun} {obj!r}")
     doc = {tag_key: tag}
     for key, (encode, _), *attr in spec[1]:
         doc[key] = encode(getattr(obj, attr[0] if attr else key))
@@ -148,7 +149,7 @@ def _decode(obj, path, tag_key, table, unknown):
     tag = _get(obj, tag_key, path)
     spec = _tagged(table, tag)
     if spec is None:
-        raise UnknownCutterKind(f"{path}.{tag_key}: {unknown} {tag!r}")
+        raise ParseError(f"{path}.{tag_key}: {unknown} {tag!r}")
     cls, fields = spec
     return cls(*[decode(_get(obj, key, path), f"{path}.{key}")
                  for key, (_, decode), *_ in fields])
@@ -342,7 +343,7 @@ def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
     fair share of the halfspaces.
     """
     if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+        raise InvalidProblem("need m >= 1 and n >= 1")
     rng = np.random.default_rng(seed)
     q = _uniform_ball(rng, n, float(radius))
     cutters = []
@@ -363,9 +364,9 @@ def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
 def gen_disc_intersection(seed, m, n=2, overlap=0.5, margin=1.0):
     """Overlapping discs sharing an interior witness (bounded solution set)."""
     if m < 2:
-        raise ValueError("need m >= 2 discs")
+        raise InvalidProblem("need m >= 2 discs")
     if overlap <= 0:
-        raise ValueError("overlap must be positive")
+        raise InvalidProblem("overlap must be positive")
     rng = np.random.default_rng(seed)
     q = rng.uniform(-3.0, 3.0, int(n))
     cutters = []
@@ -389,10 +390,10 @@ def gen_l1_constrained(seed, s, n, epsilon, margin=1.0):
     so the witness residuals are identically zero.
     """
     if s < 1 or n < 1:
-        raise ValueError("need s >= 1 and n >= 1")
+        raise InvalidProblem("need s >= 1 and n >= 1")
     epsilon = float(epsilon)
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidProblem("epsilon must be positive")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     xstar = v * (0.9 * epsilon * rng.uniform(0.3, 1.0) / float(np.sum(np.abs(v))))

@@ -13,10 +13,10 @@ import numpy as np
 
 from .core import (
     DimensionMismatch,
-    InfeasibleWitness,
-    IterationRecord,
+    InvalidConfig,
+    InvalidProblem,
     InvalidSchedule,
-    InvalidStoppingRule,
+    IterationRecord,
     LambdaOutOfRange,
     NonfiniteIterate,
     RunResult,
@@ -54,10 +54,10 @@ class Problem:
     def __post_init__(self):
         self.dimension = int(self.dimension)
         if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InvalidProblem("dimension must be >= 1")
         self.cutters = tuple(self.cutters)
         if not self.cutters:
-            raise ValueError("need at least one cutter")
+            raise InvalidProblem("need at least one cutter")
         for idx, c in enumerate(self.cutters):
             if c.dim is not None and c.dim != self.dimension:
                 raise DimensionMismatch(
@@ -67,12 +67,14 @@ class Problem:
         self.sigma = normalize_sigma(self.sigma)
         if self.witness is not None:
             self.witness = as_vector(self.witness, self.dimension, name="witness")
-            for idx, c in enumerate(self.cutters):
-                res = c.residual(self.witness)
-                if res > WITNESS_RESIDUAL_TOL:
-                    raise InfeasibleWitness(
-                        f"witness violates cutter {idx}: residual {res:.3e}"
-                    )
+            # an overflowing residual is inf or NaN, which the comparison refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                for idx, c in enumerate(self.cutters):
+                    res = c.residual(self.witness)
+                    if not res <= WITNESS_RESIDUAL_TOL:
+                        raise InvalidProblem(
+                            f"witness violates cutter {idx}: residual {res:.3e}"
+                        )
 
     @property
     def m(self):
@@ -113,7 +115,7 @@ class MaxIterations:
 def _check_threshold(value, name):
     # a comparison that NaN fails
     if not value >= 0.0:
-        raise InvalidStoppingRule(f"{name} must be >= 0, got {value}")
+        raise InvalidConfig(f"{name} must be >= 0, got {value}")
 
 
 def _check_rules(problem, stopping):
@@ -124,18 +126,18 @@ def _check_rules(problem, stopping):
             _check_threshold(rule.eps, "MaxDistance eps")
             for idx, c in enumerate(problem.cutters):
                 if c.fixed_point_distance(problem.x0) is None:
-                    raise InvalidStoppingRule(
+                    raise InvalidConfig(
                         f"MaxDistance needs distance support, cutter {idx} has none"
                     )
         elif isinstance(rule, MaxFunctionValue):
             _check_threshold(rule.eps, "MaxFunctionValue eps")
             for idx, c in enumerate(problem.cutters):
                 if not hasattr(c, "level_value"):
-                    raise InvalidStoppingRule(
+                    raise InvalidConfig(
                         f"MaxFunctionValue needs level functions, cutter {idx} has none"
                     )
         elif not isinstance(rule, MaxIterations):
-            raise InvalidStoppingRule(f"unknown stopping rule {rule!r}")
+            raise InvalidConfig(f"unknown stopping rule {rule!r}")
 
 
 def _fired_status(problem, stopping, k, x, max_res):
@@ -337,10 +339,10 @@ def sigma_from_ball(c0, r, x0, margin):
     """
     margin = float(margin)
     if margin <= 0:
-        raise ValueError("margin must be positive")
+        raise InvalidProblem("margin must be positive")
     r = float(r)
     if r < 0:
-        raise ValueError("radius must be nonnegative")
+        raise InvalidProblem("radius must be nonnegative")
     c0 = as_vector(c0, name="c0")
     x0 = as_vector(x0, c0.size, name="x0")
     return r + _norm(x0 - c0) + margin
@@ -355,10 +357,10 @@ def sigma_from_l1(x0, epsilon, margin):
     """
     margin = float(margin)
     if margin <= 0:
-        raise ValueError("margin must be positive")
+        raise InvalidProblem("margin must be positive")
     epsilon = float(epsilon)
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidProblem("epsilon must be positive")
     return _norm(as_vector(x0, name="x0")) + epsilon + margin
 
 

@@ -136,7 +136,7 @@ class WeightSchedule:
         return total
 
     def _weights(self, k):
-        raise NotImplementedError
+        raise InvalidSchedule(f"{type(self).__name__} defines neither a table nor _weights")
 
 
 class SequentialCyclic(WeightSchedule):
@@ -165,6 +165,8 @@ class SequentialAlmostCyclic(WeightSchedule):
         self.order_seed = int(order_seed)
         if self.period_bound < self.m:
             raise InvalidSchedule("period_bound must be >= number of operators")
+        if self.order_seed < 0:
+            raise InvalidSchedule(f"order_seed must be >= 0, got {self.order_seed}")
 
     def _window_order(self, window):
         rng = np.random.default_rng([self.order_seed, window])

@@ -305,6 +305,32 @@ def test_verify_seed_outside_64_bits_exits_1(capsys, seed):
     assert "--seed must be in [0, 2^64)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["--seed", "config.seed"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_solve_seed_outside_64_bits_exits_1(tmp_path, capsys, where, seed):
+    # the stream key keeps 64 bits, so -1 and 2^64 - 1 would write one trace
+    problem_path = tmp_path / "p.json"
+    main(["gen", "linear", "--m", "6", "--n", "4", "--seed", "9", "--out", str(problem_path)])
+    config_path = tmp_path / "c.json"
+    _write_config(config_path, **({"seed": seed} if where == "config.seed" else {}))
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    args = _solve_args(problem_path, config_path, trace, summary,
+                       seed=seed if where == "--seed" else None)
+    assert main(args) == 1
+    assert not trace.exists() and not summary.exists()
+    assert f"error: {where} must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+
+
+def test_solve_largest_seed_runs(tmp_path):
+    problem_path = tmp_path / "p.json"
+    main(["gen", "linear", "--m", "6", "--n", "4", "--seed", "9", "--out", str(problem_path)])
+    config_path = tmp_path / "c.json"
+    _write_config(config_path, policy={"policy": "random", "rho": 0.99})
+    args = _solve_args(problem_path, config_path, tmp_path / "t.csv", tmp_path / "s.json",
+                       seed=2 ** 64 - 1)
+    assert main(args) == 0
+
+
 def test_verify_largest_seed_runs(capsys):
     assert main(["verify", "cutter", "--trials", "5", "--seed", str(2 ** 64 - 1)]) == 0
     assert "failures=0" in capsys.readouterr().out

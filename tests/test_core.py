@@ -7,7 +7,7 @@ from blockproj import (
     INFINITE_SIGMA,
     DimensionMismatch,
     Halfspace,
-    InvalidRelaxationBounds,
+    InvalidConfig,
     LambdaOutOfRange,
     LambdaSchedule,
     MaxIterations,
@@ -33,6 +33,13 @@ def test_as_vector_rejects_nonfinite_and_is_readonly():
         as_vector([[1.0, 2.0]])
     with pytest.raises(DimensionMismatch):
         as_vector([1.0, 2.0], dim=3)
+
+
+@pytest.mark.parametrize("x", [[[1.0], [1.0, 2.0]], "ab", [1.0, "x"], {"a": 1.0}, [10 ** 400]])
+def test_as_vector_refuses_what_numpy_cannot_convert(x):
+    # numpy raises its own ValueError, TypeError or OverflowError for these
+    with pytest.raises(DimensionMismatch, match="^x must be a 1-D point of numbers$"):
+        as_vector(x, name="x")
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +91,11 @@ def test_validate_config_accepts_midpoint():
 
 
 def test_validate_config_rejects_bad_relaxation_bounds():
-    with pytest.raises(InvalidRelaxationBounds):
+    with pytest.raises(InvalidConfig, match=r"tau1 \+ tau2 must be <= 2, got 2.5"):
         validate_config(SolverConfig(tau1=1.5, tau2=1.0))
-    with pytest.raises(InvalidRelaxationBounds):
+    with pytest.raises(InvalidConfig, match="tau1 and tau2 must be positive, got -0.1, 0.5"):
         validate_config(SolverConfig(tau1=-0.1, tau2=0.5))
-    with pytest.raises(InvalidRelaxationBounds):
+    with pytest.raises(InvalidConfig, match="tau1 and tau2 must be positive, got 0.5, 0.0"):
         validate_config(SolverConfig(tau1=0.5, tau2=0.0))
 
 
@@ -130,6 +137,18 @@ def test_validate_config_sigma():
     # an int past the float range, not a bare OverflowError
     with pytest.raises(NonpositiveSigma):
         validate_config(SolverConfig(sigma=10 ** 400))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70, 1.0, "7", True])
+def test_validate_config_refuses_seeds_outside_64_bits(seed):
+    # the perturbation streams are keyed on 64 bits: -1 would alias 2^64 - 1
+    with pytest.raises(InvalidConfig, match=r"^seed must be in \[0, 2\^64\), got "):
+        validate_config(SolverConfig(seed=seed))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int64(3)])
+def test_validate_config_accepts_64_bit_seeds(seed):
+    validate_config(SolverConfig(seed=seed))
 
 
 def test_validate_config_boundary_lambdas_allowed():

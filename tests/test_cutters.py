@@ -21,7 +21,6 @@ from blockproj import (
     SetIndicator,
     SquaredNorm,
     SubgradientProjection,
-    ZeroGradientAtPositiveValue,
     project_l1_ball,
 )
 from blockproj.oracles import ALL_KINDS, draw_cutter, sample_fixed_point
@@ -173,8 +172,55 @@ def test_subgradient_fixed_point_set_is_sublevel_set():
 def test_zero_gradient_at_positive_value_raises():
     # f identically 1: PSD zero matrix, zero slope, positive offset
     flat = SubgradientProjection(QuadraticFunction(np.zeros((2, 2)), [0.0, 0.0], 1.0))
-    with pytest.raises(ZeroGradientAtPositiveValue):
+    with pytest.raises(InvalidCutter, match="the zero-sublevel set is empty there"):
         flat.apply([0.0, 0.0])
+
+
+def test_empty_quadratic_sublevel_set_has_no_fixed_point_sample():
+    # f(x) = ||x||^2 + 1 is positive everywhere
+    empty = SubgradientProjection(QuadraticFunction(np.eye(2), [0.0, 0.0], 1.0))
+    with pytest.raises(InvalidCutter, match="quadratic sublevel set is empty at its minimizer"):
+        sample_fixed_point(empty, np.random.default_rng(0), 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: L1Ball("ab"), lambda: L1Ball(None), lambda: L1Ball(10 ** 400),
+    lambda: Ball([0.0], [1.0]), lambda: Resolvent(AbsSum(), {"gamma": 1.0}),
+])
+def test_scalar_that_is_not_a_number_is_refused(make):
+    # float() would raise its own TypeError, ValueError or OverflowError
+    with pytest.raises(InvalidCutter, match="must be a finite number, got "):
+        make()
+
+
+def test_ball_quadratic_radius_whose_square_overflows_is_refused():
+    # f subtracts radius ** 2, which raises OverflowError from about 1.34e154
+    with pytest.raises(InvalidCutter, match=r"^radius must be below 1e154, got 1e\+200$"):
+        BallQuadratic([0.0], 1e200)
+    assert BallQuadratic([0.0], 9.9e153).value([0.0]) == -(9.9e153 ** 2)
+
+
+def test_quadratic_matrix_must_be_finite_and_symmetric():
+    with pytest.raises(InvalidCutter, match="^Q must be finite$"):
+        QuadraticFunction([[np.inf]], [0.0], 0.0)
+    # Q - Q.T overflows here; refused without a RuntimeWarning
+    with pytest.raises(InvalidCutter, match="^Q must be symmetric$"):
+        QuadraticFunction([[1e308, -1e308], [1e308, 1e308]], [0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+def test_normal_whose_squared_norm_overflows_is_refused(cls):
+    # with <a, a> = inf the step offset / <a, a> vanishes, and the projection
+    # would be the identity
+    with pytest.raises(InvalidCutter, match="^the squared norm of a overflows$"):
+        cls([1e308], 0.0)
+    with pytest.raises(InvalidCutter, match="^the squared norm of a overflows$"):
+        SubgradientProjection(AffineFunction([1e200, 1e200], 0.0))
+    # np.vdot, which does not warn, gives np.dot's sum bit for bit
+    rng = np.random.default_rng(4)
+    for n in range(1, 60):
+        a = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+        assert cls(a, 0.0)._aa == float(np.dot(a, a))
 
 
 # ---------------------------------------------------------------------------

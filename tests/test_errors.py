@@ -1,0 +1,210 @@
+"""The error contract: every error blockproj raises is a BlockprojError.
+
+A static check keeps builtin exceptions out of the library's raise
+statements, and a fuzz of the decoders and constructors checks that what
+numpy or Python would raise on a malformed input is turned into one of the
+library's classes.
+"""
+
+import ast
+import builtins
+import functools
+import math
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import blockproj
+from blockproj import core, problems
+from blockproj import (
+    AbsSum,
+    AffineFunction,
+    Ball,
+    BallQuadratic,
+    BlockprojError,
+    Box,
+    Halfspace,
+    Hyperplane,
+    L1Ball,
+    Problem,
+    QuadraticFunction,
+    Resolvent,
+    SetIndicator,
+    SquaredNorm,
+    SubgradientProjection,
+    validate_config,
+)
+from blockproj.cli import assemble_config
+from blockproj.problems import (
+    _CUTTER_KINDS,
+    _FUNCTION_FORMS,
+    cutter_from_json,
+    problem_from_json,
+)
+
+ERRORS = {
+    "BlockprojError",
+    "DimensionMismatch",
+    "InvalidConfig",
+    "InvalidCutter",
+    "InvalidProblem",
+    "InvalidSchedule",
+    "LambdaOutOfRange",
+    "NonfiniteIterate",
+    "NonpositiveSigma",
+    "ParseError",
+}
+
+
+def _raised_builtins(path):
+    """(file, class) for each raise of a builtin exception class in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            value = getattr(builtins, getattr(exc, "id", ""), None)
+            if isinstance(value, type) and issubclass(value, BaseException):
+                found.append((path.name, exc.id))
+    return found
+
+
+def test_library_raises_no_builtin_exception():
+    # the one exception: the JSON writer refuses a key with the TypeError
+    # that json.dumps raises
+    src = Path(blockproj.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py")) for hit in _raised_builtins(path)]
+    assert found == [("problems.py", "TypeError")]
+
+
+def test_exception_classes_are_the_documented_ten():
+    defined = {name for name, value in vars(core).items()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == core.__name__}
+    exported = {name for name, value in vars(blockproj).items()
+                if isinstance(value, type) and issubclass(value, BaseException)}
+    assert defined == exported == ERRORS
+    assert all(issubclass(getattr(blockproj, name), BlockprojError) for name in ERRORS)
+    assert issubclass(BlockprojError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: JSON-like trees, and documents shaped like the file formats whose
+# field values are such trees
+
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0])
+_NUMBERS = st.integers(-3, 3) | st.floats(-4, 4) | st.integers() | _FLOATS
+_SCALARS = _NUMBERS | st.none() | st.booleans() | st.text(max_size=4) | st.just("infinity")
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(typed):
+    """``typed`` most of the time, any tree otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: _JSON if i == 3 else typed)
+
+
+def _vectors(n):
+    return st.lists(_NUMBERS, min_size=n, max_size=n)
+
+
+def _matrices(n):
+    return st.lists(_vectors(n), min_size=n, max_size=n)
+
+
+@functools.lru_cache(maxsize=None)
+def _operators(n, tag_key):
+    """Documents with a known tag and every field of its kind, each field
+    mostly drawn as the kind of value its codec reads, in dimension n."""
+    table = _CUTTER_KINDS if tag_key == "type" else _FUNCTION_FORMS
+    typed = {problems._VECTOR: _vectors(n), problems._NUMBER: _NUMBERS,
+             problems._MATRIX: _matrices(n),
+             problems._FUNCTION: st.deferred(lambda: _operators(n, "form")),
+             problems._CUTTER: st.deferred(lambda: _operators(n, "type"))}
+    return st.sampled_from(sorted(table)).flatmap(lambda tag: st.fixed_dictionaries(
+        {tag_key: st.just(tag),
+         **{key: _mostly(typed[codec]) for key, codec, *_ in table[tag][1]}}))
+
+
+_DIMENSIONS = st.integers(1, 2)
+_PROBLEMS = _mostly(_DIMENSIONS.flatmap(lambda n: st.fixed_dictionaries(
+    {"dimension": _mostly(st.just(n)),
+     "cutters": _mostly(st.lists(_mostly(_operators(n, "type")), min_size=1, max_size=2)),
+     "x0": _mostly(_vectors(n)),
+     "sigma": _mostly(st.floats(-1.0, 10.0) | st.just("infinity")),
+     "witness": _mostly(_vectors(n))},
+    optional={"cost": _mostly(_operators(n, "form"))},
+)))
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    "lambda": _NUMBERS | st.fixed_dictionaries({"list": _mostly(_vectors(2))}) | _JSON,
+    "tau1": _NUMBERS, "tau2": _NUMBERS, "sigma_override": _SCALARS,
+    "max_iterations": _NUMBERS,
+    "seed": st.sampled_from([-1, 0, 2 ** 64 - 1, 2 ** 64]) | _SCALARS,
+    "stopping": st.lists(st.fixed_dictionaries(
+        {"rule": st.sampled_from(["residual_below", "max_distance", "max_function_value",
+                                  "max_iterations"]) | _SCALARS},
+        optional={"tol": _NUMBERS, "eps": _NUMBERS, "limit": _NUMBERS}), max_size=2) | _JSON,
+    "schedule": st.fixed_dictionaries(
+        {"regime": st.sampled_from(["sequential_cyclic", "sequential_almost_cyclic",
+                                    "sequential_repetitive", "simultaneous_uniform",
+                                    "simultaneous_drifting", "block_classical",
+                                    "block_generalized"]) | _SCALARS},
+        optional={key: _mostly(_vectors(2) | _matrices(2))
+                  for key in ("period_bound", "order_seed", "control", "selector",
+                              "partition", "blocks", "intra")}),
+    "policy": st.fixed_dictionaries(
+        {"policy": st.sampled_from(["zero", "random", "superiorized"]) | _SCALARS},
+        optional={"rho": _NUMBERS, "cost": _mostly(_operators(2, "form"))}),
+}) | _JSON
+# each constructor with the kind of value each argument takes: a vector, a
+# number, a matrix or an operator
+_OPERANDS = st.sampled_from([AbsSum(), SquaredNorm(), Ball([0.0], 1.0), BallQuadratic([0.0], 1.0)])
+_CONSTRUCTORS = [(Halfspace, "vn"), (Hyperplane, "vn"), (Ball, "vn"), (Box, "vv"), (L1Ball, "n"),
+                 (AffineFunction, "vn"), (QuadraticFunction, "mvn"), (BallQuadratic, "vn"),
+                 (SubgradientProjection, "o"), (Resolvent, "on"), (SetIndicator, "o")]
+_FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _result_or_library_error(fn, *args):
+    """fn(*args), or None when it raises a BlockprojError; any other
+    exception fails the test."""
+    try:
+        return fn(*args)
+    except BlockprojError:
+        return None
+
+
+@_FUZZ
+@given(doc=_mostly(_DIMENSIONS.flatmap(lambda n: _operators(n, "type"))))
+def test_cutter_decoder_raises_only_library_errors(doc):
+    _result_or_library_error(cutter_from_json, doc)
+
+
+@_FUZZ
+@given(doc=_PROBLEMS)
+def test_problem_decoder_raises_only_library_errors(doc):
+    _result_or_library_error(problem_from_json, doc)
+
+
+@_FUZZ
+@given(doc=_CONFIGS)
+def test_config_decoder_raises_only_library_errors(doc):
+    problem = Problem(2, [Halfspace([1.0, 0.0], 1.0)] * 3, [2.0, 0.0], sigma=5.0)
+    assembled = _result_or_library_error(assemble_config, doc, problem)
+    if assembled is not None:
+        _result_or_library_error(validate_config, assembled[0])
+
+
+@_FUZZ
+@given(data=st.data(), constructor=st.sampled_from(_CONSTRUCTORS))
+def test_constructors_raise_only_library_errors(data, constructor):
+    cls, kinds = constructor
+    n = data.draw(_DIMENSIONS)
+    arguments = {"v": _vectors(n), "n": _NUMBERS, "m": _matrices(n), "o": _OPERANDS}
+    args = [data.draw(_mostly(arguments[kind])) for kind in kinds]
+    _result_or_library_error(cls, *args)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from blockproj import (
     INFINITE_SIGMA,
-    InvalidPolicy,
+    InvalidConfig,
     RandomDirectionPolicy,
     SquaredNorm,
     SuperiorizedPolicy,
@@ -206,9 +206,9 @@ def test_strict_budget_sweep():
 
 
 def test_rho_validation():
-    with pytest.raises(InvalidPolicy):
+    with pytest.raises(InvalidConfig, match=r"rho must be in \[0, 1\), got 1.0"):
         RandomDirectionPolicy(rho=1.0)
-    with pytest.raises(InvalidPolicy):
+    with pytest.raises(InvalidConfig, match=r"rho must be in \[0, 1\), got -0.1"):
         SuperiorizedPolicy(SquaredNorm(), rho=-0.1)
 
 

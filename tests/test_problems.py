@@ -13,7 +13,8 @@ from blockproj import (
     DimensionMismatch,
     Halfspace,
     Hyperplane,
-    InfeasibleWitness,
+    InvalidCutter,
+    InvalidProblem,
     L1Ball,
     ParseError,
     Problem,
@@ -22,7 +23,6 @@ from blockproj import (
     SubgradientProjection,
     BallQuadratic,
     Cutter,
-    UnknownCutterKind,
     gen_disc_intersection,
     gen_l1_constrained,
     gen_linear_feasibility,
@@ -104,7 +104,7 @@ def test_infeasible_witness_rejected(tmp_path):
         "sigma": 5.0,
         "witness": [0.5, 0.0],
     }))
-    with pytest.raises(InfeasibleWitness):
+    with pytest.raises(InvalidProblem, match="witness violates cutter 0"):
         load_problem(path)
 
 
@@ -125,9 +125,8 @@ def test_unknown_cutter_kind(tmp_path):
             "x0": [0.0],
             "sigma": 1.0,
         }))
-        with pytest.raises(UnknownCutterKind) as info:
+        with pytest.raises(ParseError, match=rf"{re.escape(where)}: unknown (cutter kind|function form)"):
             load_problem(path)
-        assert where in str(info.value)
 
 
 def test_field_path_diagnostics(tmp_path):
@@ -255,6 +254,16 @@ def test_strings_and_booleans_in_arrays_name_their_field(overrides, where):
         problem_from_json(doc)
 
 
+@pytest.mark.parametrize("Q", [[[1.0], [1.0, 2.0]], [[1.0, 0.0], 1.0], [1.0, 2.0], ["ab"]])
+def test_ragged_matrix_names_its_field(Q):
+    # numpy would refuse the ragged rows with its own ValueError, unnamed
+    doc = {"dimension": 2, "x0": [0.0, 0.0], "sigma": 1.0,
+           "cutters": [{"type": "subgradient_projection",
+                        "f": {"form": "quadratic", "Q": Q, "c": [0.0, 0.0], "d": -1.0}}]}
+    with pytest.raises(ParseError, match=r"^problem\.cutters\[0\]\.f\.Q: expected a matrix$"):
+        problem_from_json(doc)
+
+
 def test_integers_in_arrays_are_numbers():
     doc = {"dimension": 2, "cutters": [{"type": "halfspace", "a": [1, 0], "b": 1}],
            "x0": [3, 4.0], "sigma": 10}
@@ -288,7 +297,7 @@ def test_failed_save_leaves_the_target_as_it_was(tmp_path):
     path = tmp_path / "p.json"
     save_problem(Problem(2, [Halfspace([1.0, 0.0], 1.0)], [0.0, 0.0], sigma=5.0), path)
     before = path.read_bytes()
-    with pytest.raises(UnknownCutterKind):
+    with pytest.raises(InvalidCutter, match="cannot encode cutter"):
         save_problem(Problem(2, [_Unlisted()], [0.0, 0.0], sigma=5.0), path)
     assert path.read_bytes() == before
 

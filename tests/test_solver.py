@@ -11,15 +11,18 @@ from blockproj import (
     DimensionMismatch,
     Halfspace,
     Hyperplane,
-    InfeasibleWitness,
+    InvalidConfig,
+    InvalidCutter,
+    InvalidProblem,
     InvalidSchedule,
-    InvalidStoppingRule,
+    L1Ball,
     LambdaSchedule,
     MaxDistance,
     MaxFunctionValue,
     MaxIterations,
     NonfiniteIterate,
     Problem,
+    QuadraticFunction,
     RandomDirectionPolicy,
     Resolvent,
     ResidualBelow,
@@ -178,7 +181,7 @@ def test_max_distance_rule():
 
 def test_max_distance_requires_distance_support():
     problem = Problem(2, [Resolvent(SquaredNorm(), 1.0)], [1.0, 1.0], sigma=5.0)
-    with pytest.raises(InvalidStoppingRule):
+    with pytest.raises(InvalidConfig, match="MaxDistance needs distance support, cutter 0"):
         run(problem, _config(), stopping=[MaxDistance(1e-5)])
 
 
@@ -196,7 +199,7 @@ def test_max_function_value_rule():
 
 def test_max_function_value_requires_level_functions():
     problem = Problem(2, [Halfspace([1.0, 0.0], 0.0)], [1.0, 1.0], sigma=5.0)
-    with pytest.raises(InvalidStoppingRule):
+    with pytest.raises(InvalidConfig, match="MaxFunctionValue needs level functions, cutter 0"):
         run(problem, _config(), stopping=[MaxFunctionValue(1e-6)])
 
 
@@ -217,7 +220,7 @@ def test_max_iterations_rule_and_cap():
 # problem validation
 
 def test_witness_must_be_feasible():
-    with pytest.raises(InfeasibleWitness):
+    with pytest.raises(InvalidProblem, match="witness violates cutter 0: residual 5.000e-01"):
         Problem(2, [Halfspace([1.0, 0.0], 0.0)], [0.0, 0.0], sigma=5.0,
                 witness=[0.5, 0.0])
 
@@ -238,6 +241,14 @@ class _BrokenCutter(Cutter):
 
     def apply(self, x):
         return np.full_like(np.asarray(x, dtype=float), np.inf)
+
+
+def test_empty_quadratic_sublevel_set_stops_the_run():
+    # f(x) = ||x||^2 + 1: at x0 = 0 the gradient vanishes where f is positive
+    cutter = SubgradientProjection(QuadraticFunction(np.eye(2), [0.0, 0.0], 1.0))
+    problem = Problem(2, [cutter], [0.0, 0.0], sigma=5.0)
+    with pytest.raises(InvalidCutter, match="the zero-sublevel set is empty there"):
+        run(problem, _config())
 
 
 def test_nonfinite_iterate_aborts():
@@ -264,6 +275,23 @@ def test_nonfinite_residual_aborts():
             stopping=[ResidualBelow(1e-6), MaxIterations(10)])
 
 
+@pytest.mark.parametrize("cutter, witness", [
+    (Ball([1e308], 1.0), [-1e308]),
+    (L1Ball(1.0), [1.3407807929942597e154]),
+    (L1Ball(1.0), [8e307, 1e308]),
+])
+def test_witness_whose_residual_overflows_is_refused(cutter, witness):
+    # the residual is inf or NaN; numpy's overflow warning would be an error here
+    with pytest.raises(InvalidProblem, match="witness violates cutter 0"):
+        Problem(len(witness), [cutter], [0.0] * len(witness), sigma=5.0, witness=witness)
+
+
+def test_witness_with_a_nan_residual_is_refused():
+    # NaN fails the comparison with the tolerance; it must not pass it
+    with pytest.raises(InvalidProblem, match="witness violates cutter 0: residual nan"):
+        Problem(2, [_NanCutter()], [1.0, 1.0], sigma=5.0, witness=[0.0, 0.0])
+
+
 @pytest.mark.parametrize("rule", [
     ResidualBelow(float("nan")), ResidualBelow(-1.0),
     MaxDistance(float("nan")), MaxDistance(-1e-9),
@@ -272,7 +300,7 @@ def test_nonfinite_residual_aborts():
 def test_stopping_threshold_must_be_a_nonnegative_number(rule):
     cutters = [SubgradientProjection(BallQuadratic([0.0, 0.0], 1.0))]
     problem = Problem(2, cutters, [4.0, 0.0], sigma=10.0)
-    with pytest.raises(InvalidStoppingRule, match="must be >= 0"):
+    with pytest.raises(InvalidConfig, match="must be >= 0"):
         run(problem, _config(), SequentialCyclic(1), stopping=[rule])
 
 

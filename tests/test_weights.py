@@ -132,6 +132,8 @@ def test_invalid_schedules():
         BlockClassicalCyclic(3, [[0, 1], [2]], intra=[[0.5, 0.6], [1.0]])  # bad sum
     with pytest.raises(InvalidSchedule):
         SequentialAlmostCyclic(5, 3)  # window too small
+    with pytest.raises(InvalidSchedule, match="order_seed must be >= 0, got -1"):
+        SequentialAlmostCyclic(3, 3, order_seed=-1)  # numpy refuses it as a seed
     with pytest.raises(InvalidSchedule):
         SimultaneousUniform(0)
     with pytest.raises(InvalidSchedule):
