@@ -50,14 +50,19 @@ GOLDEN = Path(__file__).parent / "golden"
 LINEAR = ["linear", "--m", "12", "--n", "6", "--seed", "5"]
 L1 = ["l1", "--s", "5", "--n", "8", "--eps", "2", "--seed", "3"]
 
-# file name -> (generator arguments, regime, policy, residual tolerance)
+# three blocks of the 12 LINEAR halfspaces, 1-based as in config files
+THIRDS = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
+
+# file name -> (generator arguments, schedule, policy, residual tolerance)
 TRACES = {
     "trace_cyclic_zero_linear.csv":
-        (LINEAR, "sequential_cyclic", {"policy": "zero"}, 1e-6),
+        (LINEAR, {"regime": "sequential_cyclic"}, {"policy": "zero"}, 1e-6),
     "trace_simultaneous_random_linear.csv":
-        (LINEAR, "simultaneous_uniform", {"policy": "random", "rho": 0.99}, 1e-3),
+        (LINEAR, {"regime": "simultaneous_uniform"}, {"policy": "random", "rho": 0.99}, 1e-3),
+    "trace_block_classical_linear.csv":
+        (LINEAR, {"regime": "block_classical", "partition": THIRDS}, {"policy": "zero"}, 1e-6),
     "trace_superiorized_l1.csv":
-        (L1, "simultaneous_uniform", {"policy": "superiorized", "rho": 0.99}, 1e-4),
+        (L1, {"regime": "simultaneous_uniform"}, {"policy": "superiorized", "rho": 0.99}, 1e-4),
 }
 
 PROBLEM = "problem_all_kinds.json"
@@ -77,13 +82,13 @@ FUNCTION_FORMS = {"affine", "quadratic", "norm_squared_minus", "abs_sum",
 
 def write_trace(name, work, out):
     """Run ``blockproj gen`` and ``blockproj solve`` for one recipe into ``out``."""
-    gen, regime, policy, tol = TRACES[name]
+    gen, schedule, policy, tol = TRACES[name]
     problem = work / "problem.json"
     config = work / "config.json"
     assert main(["gen", *gen, "--out", str(problem)]) == 0
     config.write_text(json.dumps({
         "lambda": 1.0,
-        "schedule": {"regime": regime},
+        "schedule": schedule,
         "policy": policy,
         "stopping": [{"rule": "residual_below", "tol": tol}],
         "max_iterations": 50_000,
