@@ -1,6 +1,7 @@
 """Shared numeric primitives, solver configuration and run records."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -56,6 +57,15 @@ class NonfiniteIterate(BlockprojError):
 
 class ParseError(BlockprojError):
     pass
+
+
+def _converted(value, name, error, convert=float, kind="a number"):
+    """convert(value), or ``error`` naming ``name`` where Python's own
+    conversion fails: a string, None, or an integer beyond the float range."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be {kind}, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +137,11 @@ class LambdaSchedule:
         if callable(rule):
             self._fn = rule
         elif np.isscalar(rule):
-            self._const = float(rule)
+            self._const = _converted(rule, "lambda", InvalidConfig)
             self._range = (self._const, self._const)
         else:
-            table = tuple(float(v) for v in rule)
+            table = _converted(rule, "lambda", InvalidConfig, lambda r: tuple(map(float, r)),
+                               "a number, a table of numbers or a callable")
             if not table:
                 raise InvalidConfig("lambda table must be nonempty")
             self._table = table
@@ -192,6 +203,10 @@ def validate_config(cfg: SolverConfig) -> None:
     table is checked here through its range; a callable schedule is not
     sampled, ``run`` checks each lambda_k before the update that uses it.
     """
+    for name in ("tau1", "tau2", "max_iterations", "residual_tolerance"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidConfig(f"{name} must be a number, got {value!r}")
     if not (cfg.tau1 > 0 and cfg.tau2 > 0):
         raise InvalidConfig(f"tau1 and tau2 must be positive, got {cfg.tau1}, {cfg.tau2}")
     if cfg.tau1 + cfg.tau2 > 2:
@@ -222,12 +237,14 @@ class RunStatus(Enum):
     MAX_ITERATIONS = "max_iterations"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterationRecord:
     """Snapshot of iterate k before the update that leaves it.
 
     perturbation_norm is the norm of the aggregated perturbation applied by
-    that update (0 for the terminal record, where no update happens).
+    that update (0 for the terminal record, where no update happens).  The
+    record is slotted, not frozen, but ``run`` hands out ``point`` and
+    ``per_index_residuals`` read-only.
     """
 
     k: int

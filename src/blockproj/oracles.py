@@ -157,7 +157,12 @@ def sample_fixed_point(cutter, rng, ndim=None):
             z = z - (max(0.0, f.value(z)) / float(np.dot(f.a, f.a))) * f.a
             return z - rng.uniform(0, 2) * f.a / _norm(f.a)
         if isinstance(f, QuadraticFunction):
-            anchor = np.linalg.solve(2.0 * f.Q, -f.c)
+            try:
+                anchor = np.linalg.solve(2.0 * f.Q, -f.c)
+            except np.linalg.LinAlgError:
+                # the minimizer is not unique, or there is none
+                raise InvalidCutter(
+                    "no fixed-point sampler for a quadratic with singular Q") from None
             depth = -f.value(anchor)
             if depth < 0:
                 raise InvalidCutter("quadratic sublevel set is empty at its minimizer")

@@ -10,19 +10,19 @@ import math
 
 import numpy as np
 
-from .core import InvalidConfig, _norm, normalize_sigma
+from .core import InvalidConfig, _converted, _norm, normalize_sigma
 from .cutters import _GRAD_ZERO_TOL
 
 
 def _check_lambda(lam):
-    lam = float(lam)
+    lam = _converted(lam, "lambda", InvalidConfig)
     if not 0.0 <= lam <= 2.0:
         raise InvalidConfig(f"lambda must be in [0, 2], got {lam}")
     return lam
 
 
 def _check_residual(residual):
-    residual = float(residual)
+    residual = _converted(residual, "residual", InvalidConfig)
     if residual < 0.0 or math.isnan(residual):
         raise InvalidConfig(f"residual must be nonnegative, got {residual}")
     return residual
@@ -132,12 +132,12 @@ def theta_budget(theta, lam, residual, anchor_distance):
     zero when the denominator (hence the numerator) vanishes.  The
     algorithmic budget is the theta = 1/2 case with anchor 2 sigma.
     """
-    theta = float(theta)
+    theta = _converted(theta, "theta", InvalidConfig)
     if theta < 0.0:
         raise InvalidConfig(f"theta must be nonnegative, got {theta}")
     lam = _check_lambda(lam)
     r = _check_residual(residual)
-    anchor = float(anchor_distance)
+    anchor = _converted(anchor_distance, "anchor distance", InvalidConfig)
     if anchor < 0.0:
         raise InvalidConfig(f"anchor distance must be nonnegative, got {anchor}")
     # the denominator sqrt(zeta) + lam r + anchor, a sum of nonnegative
@@ -184,7 +184,7 @@ class ZeroPolicy(PerturbationPolicy):
 
 
 def _check_rho(rho):
-    rho = float(rho)
+    rho = _converted(rho, "rho", InvalidConfig)
     # strict: generated vectors must sit strictly inside the budget
     if not 0.0 <= rho < 1.0:
         raise InvalidConfig(f"rho must be in [0, 1), got {rho}")
@@ -234,9 +234,11 @@ class SuperiorizedPolicy(PerturbationPolicy):
         weights = np.asarray(weights, dtype=float)
         scale = self.rho * np.asarray(budgets, dtype=float)
         live = scale > 0.0
-        weights, scale = weights[live], scale[live]
-        if not scale.size:
+        count = np.count_nonzero(live)
+        if not count:
             return np.zeros_like(x)
+        if count < scale.size:
+            weights, scale = weights[live], scale[live]
         g = np.asarray(self.cost.grad(x), dtype=float)
         gn = _norm(g)
         if gn <= _GRAD_ZERO_TOL:

@@ -22,6 +22,7 @@ from .core import (
     RunResult,
     RunStatus,
     SolverConfig,
+    _converted,
     _norm,
     as_vector,
     normalize_sigma,
@@ -52,7 +53,8 @@ class Problem:
     cost: Optional[object] = None
 
     def __post_init__(self):
-        self.dimension = int(self.dimension)
+        self.dimension = _converted(self.dimension, "dimension", InvalidProblem, int,
+                                    "an integer")
         if self.dimension < 1:
             raise InvalidProblem("dimension must be >= 1")
         self.cutters = tuple(self.cutters)
@@ -69,12 +71,13 @@ class Problem:
             self.witness = as_vector(self.witness, self.dimension, name="witness")
             # an overflowing residual is inf or NaN, which the comparison refuses
             with np.errstate(over="ignore", invalid="ignore"):
-                for idx, c in enumerate(self.cutters):
-                    res = c.residual(self.witness)
-                    if not res <= WITNESS_RESIDUAL_TOL:
-                        raise InvalidProblem(
-                            f"witness violates cutter {idx}: residual {res:.3e}"
-                        )
+                residuals = _Sweep(self).residuals(self.witness)[0]
+            violated = np.flatnonzero(~(residuals <= WITNESS_RESIDUAL_TOL))
+            if violated.size:
+                idx = int(violated[0])
+                raise InvalidProblem(
+                    f"witness violates cutter {idx}: residual {residuals[idx]:.3e}"
+                )
 
     @property
     def m(self):
@@ -185,12 +188,15 @@ class _Sweep:
 
     def residuals(self, x):
         """||T_i(x) - x|| for every i, the rows' excesses and the other
-        operators' steps T_i(x) - x."""
-        residuals = np.empty(self.m)
+        operators' steps T_i(x) - x.  When every operator is a row, the
+        rows' residuals are all of them, in index order."""
         excess = self.A @ x
         excess -= self.b
         if self.floor is not None:
             np.maximum(excess, self.floor, out=excess)
+        if not self.others:
+            return np.abs(excess) / self.norms, excess, []
+        residuals = np.empty(self.m)
         residuals[self.rows] = np.abs(excess) / self.norms
         steps = []
         for i, c in self.others:
@@ -202,7 +208,7 @@ class _Sweep:
     def update(self, x, lam, w, excess, steps):
         """x + lam sum_i w_i (T_i(x) - x), where a row's T_i(x) - x is
         -(excess_i / |a_i|^2) a_i."""
-        s = self.A.T @ (w[self.rows] * excess / self.aa)
+        s = self.A.T @ ((w[self.rows] if self.others else w) * excess / self.aa)
         # negated first: -s + t rounds an exact zero to +0.0 where
         # -(s - t) gives -0.0
         np.negative(s, out=s)
@@ -242,29 +248,43 @@ def _perturbation(policy, stream, support, x, w, residuals, max_res, lam, sigma,
     through the accessor, one that does not never touches it.  ``run`` has
     checked that lam lies in [tau1, 2 - tau2], inside (0, 2)."""
     indices, weights = support.of(w)
-    budgets = _budgets(lam, residuals[indices], sigma, max_res)
+    # a support of every index takes the residuals as they are
+    if indices.size < residuals.size:
+        residuals = residuals[indices]
+    budgets = _budgets(lam, residuals, sigma, max_res)
     return policy.combined(x, weights, budgets, lambda: stream.at(k))
 
 
-def _record(problem, k, x, residuals, max_res, pert_norm, lam):
-    """The record of iterate k.  It keeps ``x`` and ``residuals`` themselves,
-    made read-only: ``run`` builds both afresh every iteration and writes to
-    neither once it has recorded them."""
-    x.flags.writeable = False
-    residuals.flags.writeable = False
-    dist_witness = None
-    if problem.witness is not None:
-        dist_witness = _norm(x - problem.witness)
-    return IterationRecord(
-        k=k,
-        point=x,
-        max_residual=max_res,
-        per_index_residuals=residuals,
-        perturbation_norm=pert_norm,
-        lam=lam,
-        distance_from_start=_norm(x - problem.x0),
-        distance_to_witness=dist_witness,
-    )
+# points stacked at a time by the distance pass after a run: 16 KiB, so its
+# temporaries stay small beside the trace itself
+_CHUNK_FLOATS = 1 << 11
+
+
+def _row_norms(d):
+    """||d_j|| for each row of ``d``, bit for bit ``_norm(d_j)``: ``matmul``
+    of a row with itself as a column calls the dot that ``_norm`` calls."""
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]).tolist()
+
+
+def _trace(problem, points, residuals, maxima, perturbations, lams):
+    """The records of one run from its columns, entry k of each describing
+    iterate k.  The distances to x0 and to the witness are computed here,
+    and the records built, a bounded chunk of stacked points at a time."""
+    x0, witness = problem.x0, problem.witness
+    step = max(1, _CHUNK_FLOATS // x0.size)
+    records = []
+    for s in range(0, len(points), step):
+        e = s + step
+        chunk = np.array(points[s:e])
+        from_start = _row_norms(chunk - x0)
+        if witness is None:
+            to_witness = [None] * len(from_start)
+        else:
+            chunk -= witness
+            to_witness = _row_norms(chunk)
+        records += map(IterationRecord, range(s, e), points[s:e], maxima[s:e], residuals[s:e],
+                       perturbations[s:e], lams[s:e], from_start, to_witness)
+    return tuple(records)
 
 
 def run(problem, config=None, schedule=None, policy=None, stopping=None):
@@ -299,7 +319,8 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         stream = PerturbationStream(config.seed)
         support = _Support()
     x = np.array(problem.x0)
-    trace = []
+    # the trace as columns: entry k of each describes iterate k
+    points, residual_rows, maxima, perturbations, lams = [], [], [], [], []
     k = 0
     while True:
         residuals, excess, steps = sweep.residuals(x)
@@ -308,9 +329,18 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
             raise NonfiniteIterate(f"non-finite residual at k={k}")
         status = _fired_status(problem, stopping, k, x, max_res)
         lam = config.lambda_schedule(k)
+        # the trace keeps x and its residuals themselves, made read-only: both
+        # are built afresh every iteration, and nothing writes to them from here
+        x.flags.writeable = False
+        residuals.flags.writeable = False
+        points.append(x)
+        residual_rows.append(residuals)
+        maxima.append(max_res)
+        lams.append(lam)
         if status is not None:
-            trace.append(_record(problem, k, x, residuals, max_res, 0.0, lam))
-            return RunResult(as_vector(x), status, k, tuple(trace))
+            perturbations.append(0.0)
+            trace = _trace(problem, points, residual_rows, maxima, perturbations, lams)
+            return RunResult(as_vector(x), status, k, trace)
         # a comparison that NaN fails
         if not lo <= lam <= hi:
             raise LambdaOutOfRange(k, lam, lo, hi)
@@ -323,7 +353,7 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
             pert_norm = _norm(e)
         if np.count_nonzero(np.isfinite(x_next)) < x_next.size:
             raise NonfiniteIterate(f"non-finite iterate after step k={k}")
-        trace.append(_record(problem, k, x, residuals, max_res, pert_norm, lam))
+        perturbations.append(pert_norm)
         x = x_next
         k += 1
 
@@ -337,10 +367,10 @@ def sigma_from_ball(c0, r, x0, margin):
     r + ||x0 - c0|| bounds d(x0, Q) from above; the positive margin keeps
     the required strict inequality.
     """
-    margin = float(margin)
+    margin = _converted(margin, "margin", InvalidProblem)
     if margin <= 0:
         raise InvalidProblem("margin must be positive")
-    r = float(r)
+    r = _converted(r, "radius", InvalidProblem)
     if r < 0:
         raise InvalidProblem("radius must be nonnegative")
     c0 = as_vector(c0, name="c0")
@@ -355,10 +385,10 @@ def sigma_from_l1(x0, epsilon, margin):
     ||x0|| + epsilon bounds d(x0, Q); the positive margin keeps the strict
     inequality.
     """
-    margin = float(margin)
+    margin = _converted(margin, "margin", InvalidProblem)
     if margin <= 0:
         raise InvalidProblem("margin must be positive")
-    epsilon = float(epsilon)
+    epsilon = _converted(epsilon, "epsilon", InvalidProblem)
     if epsilon <= 0:
         raise InvalidProblem("epsilon must be positive")
     return _norm(as_vector(x0, name="x0")) + epsilon + margin

@@ -13,7 +13,7 @@ weights, from a callable or from k, is checked on every call.
 
 import numpy as np
 
-from .core import InvalidSchedule
+from .core import InvalidSchedule, _converted
 
 _SUM_TOL = 1e-12
 
@@ -52,11 +52,13 @@ class _Table:
         self.m = m
         self.indices = np.asarray(indices, dtype=np.intp)
         self.values = np.asarray(values, dtype=float)
-        self.bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-        self.period = self.bounds.size - 1
+        bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        # Python ints, which slice faster than numpy's
+        self.bounds = bounds.tolist()
+        self.period = len(self.bounds) - 1
         # weights_at's check of a computed vector, on every row at once:
         # comparisons that NaN fails
-        starts = self.bounds[:-1]
+        starts = bounds[:-1]
         inside = np.logical_and.reduceat((self.values >= 0) & (self.values <= 1), starts)
         sums = np.add.reduceat(self.values, starts)
         bad = np.flatnonzero(~(inside & (np.abs(sums - 1.0) <= _SUM_TOL)))
@@ -95,7 +97,7 @@ class WeightSchedule:
     _table = None
 
     def __init__(self, m):
-        m = int(m)
+        m = _converted(m, "m", InvalidSchedule, int, "an integer")
         if m < 1:
             raise InvalidSchedule("need at least one operator")
         self.m = m
@@ -161,8 +163,10 @@ class SequentialAlmostCyclic(WeightSchedule):
 
     def __init__(self, m, period_bound, order_seed=0):
         super().__init__(m)
-        self.period_bound = int(period_bound)
-        self.order_seed = int(order_seed)
+        self.period_bound = _converted(period_bound, "period_bound", InvalidSchedule, int,
+                                       "an integer")
+        self.order_seed = _converted(order_seed, "order_seed", InvalidSchedule, int,
+                                     "an integer")
         if self.period_bound < self.m:
             raise InvalidSchedule("period_bound must be >= number of operators")
         if self.order_seed < 0:

@@ -12,11 +12,13 @@ import functools
 import math
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockproj
-from blockproj import core, problems
+from blockproj import core, oracles, problems
 from blockproj import (
     AbsSum,
     AffineFunction,
@@ -26,13 +28,22 @@ from blockproj import (
     Box,
     Halfspace,
     Hyperplane,
+    InvalidConfig,
+    InvalidCutter,
+    InvalidProblem,
+    InvalidSchedule,
     L1Ball,
+    LambdaSchedule,
     Problem,
     QuadraticFunction,
+    RandomDirectionPolicy,
     Resolvent,
+    SequentialCyclic,
     SetIndicator,
+    SolverConfig,
     SquaredNorm,
     SubgradientProjection,
+    budget,
     validate_config,
 )
 from blockproj.cli import assemble_config
@@ -86,6 +97,27 @@ def test_exception_classes_are_the_documented_ten():
     assert defined == exported == ERRORS
     assert all(issubclass(getattr(blockproj, name), BlockprojError) for name in ERRORS)
     assert issubclass(BlockprojError, ValueError)
+
+
+# Python's float() and int() raise a bare ValueError or TypeError on these
+@pytest.mark.parametrize("call, error, name", [
+    (lambda: RandomDirectionPolicy(rho="x"), InvalidConfig, "rho"),
+    (lambda: budget("x", 1.0, 1.0), InvalidConfig, "lambda"),
+    (lambda: LambdaSchedule("a"), InvalidConfig, "lambda"),
+    (lambda: Problem("x", [Halfspace([1.0], 0.0)], [0.0], 1.0), InvalidProblem, "dimension"),
+    (lambda: SequentialCyclic("x"), InvalidSchedule, "m"),
+    (lambda: validate_config(SolverConfig(tau1="a")), InvalidConfig, "tau1"),
+])
+def test_an_argument_that_is_not_a_number_raises_a_library_error_naming_it(call, error, name):
+    with pytest.raises(error, match=f"^{name} must be "):
+        call()
+
+
+def test_fixed_point_sampler_refuses_a_singular_quadratic():
+    # numpy's solve raises LinAlgError here
+    cutter = SubgradientProjection(QuadraticFunction(np.zeros((2, 2)), [1.0, 0.0], -1.0))
+    with pytest.raises(InvalidCutter, match="singular Q"):
+        oracles.sample_fixed_point(cutter, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -44,6 +45,7 @@ from blockproj import (
     sigma_from_l1,
 )
 from blockproj.core import IterationRecord
+from blockproj.solver import WITNESS_RESIDUAL_TOL
 from blockproj.weights import WeightSchedule
 
 
@@ -223,6 +225,21 @@ def test_witness_must_be_feasible():
     with pytest.raises(InvalidProblem, match="witness violates cutter 0: residual 5.000e-01"):
         Problem(2, [Halfspace([1.0, 0.0], 0.0)], [0.0, 0.0], sigma=5.0,
                 witness=[0.5, 0.0])
+
+
+def test_witness_at_the_tolerance_is_accepted_and_one_ulp_beyond_it_refused():
+    # unit normals through the origin: the stacked residual of each row is
+    # exact, as is the residual through the projection
+    cutters = [Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], 0.0), Hyperplane([0.0, 1.0], 0.0)]
+    edge = WITNESS_RESIDUAL_TOL
+    beyond = math.nextafter(edge, 1.0)
+    for witness in ([edge, 0.0], [0.0, -edge]):
+        Problem(2, cutters, [0.5, 0.5], sigma=5.0, witness=witness)
+        assert max(c.residual(witness) for c in cutters) == edge
+    for idx, witness in ((1, [beyond, 0.0]), (2, [0.0, -beyond])):
+        assert cutters[idx].residual(witness) == beyond
+        with pytest.raises(InvalidProblem, match=f"witness violates cutter {idx}"):
+            Problem(2, cutters, [0.5, 0.5], sigma=5.0, witness=witness)
 
 
 def test_cutter_dimension_checked():
@@ -629,6 +646,22 @@ def test_record_distances_are_the_norms_of_its_point():
         for c, residual in zip(problem.cutters, rec.per_index_residuals):
             if c.linear_row is None:
                 assert residual == float(np.linalg.norm(c.apply(rec.point) - rec.point))
+
+
+def test_distances_over_many_chunks_match_one_chunk(monkeypatch):
+    from blockproj import solver
+
+    problem = _mixed_problem(6)
+    args = (problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=6),
+            SimultaneousUniform(problem.m), SuperiorizedPolicy(problem.cost, 0.99))
+    whole = run(*args).trace
+    # 13 floats hold three points of R^4: many chunks and a short last one
+    monkeypatch.setattr(solver, "_CHUNK_FLOATS", 13)
+    chunked = run(*args).trace
+    assert len(chunked) > 3 and len(chunked) % 3
+    distances = [[(r.distance_from_start, r.distance_to_witness) for r in trace]
+                 for trace in (whole, chunked)]
+    assert distances[0] == distances[1]
 
 
 # ---------------------------------------------------------------------------
