@@ -2,6 +2,7 @@
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -153,7 +154,7 @@ class LambdaSchedule:
             return self._const
         if self._table is not None:
             return self._table[k % len(self._table)]
-        return float(self._fn(k))
+        return _converted(self._fn(k), "lambda", InvalidConfig)
 
     @property
     def declared_range(self):
@@ -242,9 +243,11 @@ class IterationRecord:
     """Snapshot of iterate k before the update that leaves it.
 
     perturbation_norm is the norm of the aggregated perturbation applied by
-    that update (0 for the terminal record, where no update happens).  The
-    record is slotted, not frozen, but ``run`` hands out ``point`` and
-    ``per_index_residuals`` read-only.
+    that update (0 for the terminal record, where no update happens).  A
+    run's trace builds its records when they are read, so each access makes
+    a new record: ``trace[i] is trace[i]`` is false, and editing a record
+    edits that copy only.  ``point`` and ``per_index_residuals`` are
+    read-only rows of the trace's storage.
     """
 
     k: int
@@ -262,4 +265,9 @@ class RunResult:
     final_point: np.ndarray
     status: RunStatus
     iterations_used: int
-    trace: tuple  # of IterationRecord
+    # of IterationRecord, one per visited iterate, built on access from the
+    # run's columns; read-only, and a slice of it is a tuple
+    trace: Sequence
+    # the drift max_k ||x^k - x^0|| exceeded 2 sigma, which proves that the
+    # run's sigma did not exceed d(x^0, Q) as it must
+    sigma_refuted: bool = False

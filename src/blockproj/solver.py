@@ -6,7 +6,9 @@ per-operator perturbations drawn inside the adaptive budget.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -255,36 +257,83 @@ def _perturbation(policy, stream, support, x, w, residuals, max_res, lam, sigma,
     return policy.combined(x, weights, budgets, lambda: stream.at(k))
 
 
-# points stacked at a time by the distance pass after a run: 16 KiB, so its
-# temporaries stay small beside the trace itself
-_CHUNK_FLOATS = 1 << 11
+# rows of one block of a run's trace.  The run allocates its blocks one at a
+# time, so no buffer is copied to grow, and cuts the last one down to the
+# rows it used.
+_BLOCK_ROWS = 256
+
+# the scalar columns of a trace block; the last is there only with a witness
+_MAX_RESIDUAL, _PERTURBATION, _LAM, _FROM_START, _TO_WITNESS = range(5)
 
 
 def _row_norms(d):
     """||d_j|| for each row of ``d``, bit for bit ``_norm(d_j)``: ``matmul``
     of a row with itself as a column calls the dot that ``_norm`` calls."""
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]).tolist()
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
 
-def _trace(problem, points, residuals, maxima, perturbations, lams):
-    """The records of one run from its columns, entry k of each describing
-    iterate k.  The distances to x0 and to the witness are computed here,
-    and the records built, a bounded chunk of stacked points at a time."""
+class _Trace(Sequence):
+    """The records of one run, built when they are read.  Block b holds
+    iterates b * rows onwards: their points and residual vectors as the
+    rows of two matrices, and their scalar columns.  Every block is
+    read-only, and so are the rows a record holds."""
+
+    def __init__(self, blocks, rows, length):
+        self._blocks = blocks
+        self._rows = rows
+        self._len = length
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, key):
+        # indexing a range normalizes a negative index, raises IndexError
+        # outside the trace and gives the indices of a slice as a range
+        at = range(self._len)[key]
+        if isinstance(at, int):
+            return next(self._records(at, at + 1))
+        if not at:
+            return ()
+        lo = min(at)
+        return tuple(self._records(lo, max(at) + 1))[at.start - lo::at.step]
+
+    def __iter__(self):
+        return self._records(0, self._len)
+
+    def _records(self, start, stop):
+        """The records of iterates start..stop - 1, a block at a time."""
+        rows = self._rows
+        for b in range(start // rows, (stop - 1) // rows + 1):
+            points, residuals, columns = self._blocks[b]
+            s, e = max(start - b * rows, 0), min(stop - b * rows, rows)
+            cols = columns[s:e].T.tolist()
+            to_witness = cols[_TO_WITNESS] if len(cols) > _TO_WITNESS else repeat(None)
+            yield from map(IterationRecord, range(b * rows + s, b * rows + e), points[s:e],
+                           cols[_MAX_RESIDUAL], residuals[s:e], cols[_PERTURBATION], cols[_LAM],
+                           cols[_FROM_START], to_witness)
+
+
+def _finished(problem, blocks, rows, length):
+    """The trace of a run whose iterates 0..length - 1 fill ``blocks``, and
+    its drift max_k ||x^k - x^0||.  The last block is cut down to its used
+    rows; the distances to x0 and to the witness are computed a block at a
+    time, then every block is made read-only, before any record views it."""
+    used = length - (len(blocks) - 1) * rows
+    if used < rows:
+        blocks[-1] = tuple(a[:used].copy() for a in blocks[-1])
     x0, witness = problem.x0, problem.witness
-    step = max(1, _CHUNK_FLOATS // x0.size)
-    records = []
-    for s in range(0, len(points), step):
-        e = s + step
-        chunk = np.array(points[s:e])
-        from_start = _row_norms(chunk - x0)
-        if witness is None:
-            to_witness = [None] * len(from_start)
-        else:
-            chunk -= witness
-            to_witness = _row_norms(chunk)
-        records += map(IterationRecord, range(s, e), points[s:e], maxima[s:e], residuals[s:e],
-                       perturbations[s:e], lams[s:e], from_start, to_witness)
-    return tuple(records)
+    drift = 0.0
+    for block in blocks:
+        points, _, columns = block
+        d = points - x0
+        columns[:, _FROM_START] = _row_norms(d)
+        if witness is not None:
+            np.subtract(points, witness, out=d)
+            columns[:, _TO_WITNESS] = _row_norms(d)
+        drift = max(drift, float(columns[:, _FROM_START].max()))
+        for a in block:
+            a.flags.writeable = False
+    return _Trace(blocks, rows, length), drift
 
 
 def run(problem, config=None, schedule=None, policy=None, stopping=None):
@@ -292,8 +341,9 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
 
     Defaults: a unit relaxation SolverConfig, cyclic control, no
     perturbations, and ResidualBelow(config.residual_tolerance).  The trace
-    holds one record per visited iterate, the last one describing
-    ``final_point``.  Each lambda_k is checked against [tau1, 2 - tau2]
+    is a read-only sequence of one record per visited iterate, built when
+    read, the last one describing ``final_point``; ``sigma_refuted`` says
+    whether some iterate drifted more than 2 sigma from x0.  Each lambda_k is checked against [tau1, 2 - tau2]
     before the update that uses it (LambdaOutOfRange).  The iteration cap
     ``config.max_iterations`` is the last stopping rule.
     """
@@ -318,29 +368,32 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     if not isinstance(policy, ZeroPolicy) and math.isfinite(sigma):
         stream = PerturbationStream(config.seed)
         support = _Support()
-    x = np.array(problem.x0)
-    # the trace as columns: entry k of each describes iterate k
-    points, residual_rows, maxima, perturbations, lams = [], [], [], [], []
+    # the trace as blocks of columns: row r of block b describes iterate
+    # b * rows + r; the scalar columns wait for the distances until the run ends
+    rows = _BLOCK_ROWS
+    widths = (problem.dimension, problem.m, _TO_WITNESS + (problem.witness is not None))
+    blocks = []
+    x = problem.x0
     k = 0
     while True:
+        r = k % rows
+        if not r:
+            points, residual_rows, columns = block = tuple(np.empty((rows, n)) for n in widths)
+            blocks.append(block)
         residuals, excess, steps = sweep.residuals(x)
         max_res = float(residuals.max())
         if not math.isfinite(max_res):
             raise NonfiniteIterate(f"non-finite residual at k={k}")
         status = _fired_status(problem, stopping, k, x, max_res)
         lam = config.lambda_schedule(k)
-        # the trace keeps x and its residuals themselves, made read-only: both
-        # are built afresh every iteration, and nothing writes to them from here
-        x.flags.writeable = False
-        residuals.flags.writeable = False
-        points.append(x)
-        residual_rows.append(residuals)
-        maxima.append(max_res)
-        lams.append(lam)
+        points[r] = x
+        residual_rows[r] = residuals
+        columns[r, _MAX_RESIDUAL] = max_res
+        columns[r, _LAM] = lam
         if status is not None:
-            perturbations.append(0.0)
-            trace = _trace(problem, points, residual_rows, maxima, perturbations, lams)
-            return RunResult(as_vector(x), status, k, trace)
+            columns[r, _PERTURBATION] = 0.0
+            trace, drift = _finished(problem, blocks, rows, k + 1)
+            return RunResult(as_vector(x), status, k, trace, drift > 2.0 * sigma)
         # a comparison that NaN fails
         if not lo <= lam <= hi:
             raise LambdaOutOfRange(k, lam, lo, hi)
@@ -353,7 +406,7 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
             pert_norm = _norm(e)
         if np.count_nonzero(np.isfinite(x_next)) < x_next.size:
             raise NonfiniteIterate(f"non-finite iterate after step k={k}")
-        perturbations.append(pert_norm)
+        columns[r, _PERTURBATION] = pert_norm
         x = x_next
         k += 1
 

@@ -19,7 +19,7 @@ _SUM_TOL = 1e-12
 
 
 def _entries(rule, convert, name):
-    table = tuple(convert(entry) for entry in rule)
+    table = tuple(convert(entry, name) for entry in rule)
     if not table:
         raise InvalidSchedule(f"{name} table must be nonempty")
     return table
@@ -31,6 +31,15 @@ def _cycled(rule, convert, name):
         return rule
     table = _entries(rule, convert, name)
     return lambda k: table[k % len(table)]
+
+
+def _index(i, name):
+    return _converted(i, name, InvalidSchedule, int, "an integer index")
+
+
+def _block(indices, name):
+    return _converted(indices, name, InvalidSchedule, lambda b: tuple(map(int, b)),
+                      "a list of integer indices")
 
 
 def _check_index(i, m, name):
@@ -201,13 +210,13 @@ class SequentialRepetitive(WeightSchedule):
         if callable(control):
             self.control = control
         else:
-            table = _entries(control, int, "control")
+            table = _entries(control, _index, "control")
             for i in table:
                 _check_index(i, self.m, "control")
             self._table = _one_hot(self.m, table)
 
     def _weights(self, k):
-        i = int(self.control(k))
+        i = _index(self.control(k), "control")
         _check_index(i, self.m, "control")
         w = np.zeros(self.m)
         w[i] = 1.0
@@ -236,10 +245,11 @@ class SimultaneousDrifting(WeightSchedule):
 
     def __init__(self, m, selector=None):
         super().__init__(m)
-        self.selector = _cycled(range(self.m) if selector is None else selector, int, "selector")
+        self.selector = _cycled(range(self.m) if selector is None else selector, _index,
+                                "selector")
 
     def _weights(self, k):
-        i = int(self.selector(k))
+        i = _index(self.selector(k), "selector")
         _check_index(i, self.m, "selector")
         base = 1.0 / (self.m * k + self.m)
         w = np.full(self.m, base)
@@ -259,7 +269,7 @@ class BlockClassicalCyclic(WeightSchedule):
 
     def __init__(self, m, partition, intra="uniform"):
         super().__init__(m)
-        blocks = [tuple(int(i) for i in block) for block in partition]
+        blocks = [_block(block, "partition block") for block in partition]
         if not blocks or any(not block for block in blocks):
             raise InvalidSchedule("partition blocks must be nonempty")
         flat = [i for block in blocks for i in block]
@@ -289,12 +299,11 @@ class BlockGeneralized(WeightSchedule):
 
     def __init__(self, m, selection, weights_fn=None):
         super().__init__(m)
-        self.selection = _cycled(selection, lambda block: tuple(int(i) for i in block),
-                                 "selection")
+        self.selection = _cycled(selection, _block, "selection")
         self.weights_fn = weights_fn
 
     def _weights(self, k):
-        block = tuple(int(i) for i in self.selection(k))
+        block = _block(self.selection(k), "selection")
         if not block:
             raise InvalidSchedule(f"selection at k={k} is empty")
         if min(block) < 0 or max(block) >= self.m or len(set(block)) != len(block):

@@ -24,6 +24,8 @@ from blockproj import (
     AffineFunction,
     Ball,
     BallQuadratic,
+    BlockClassicalCyclic,
+    BlockGeneralized,
     BlockprojError,
     Box,
     Halfspace,
@@ -39,11 +41,14 @@ from blockproj import (
     RandomDirectionPolicy,
     Resolvent,
     SequentialCyclic,
+    SequentialRepetitive,
     SetIndicator,
+    SimultaneousDrifting,
     SolverConfig,
     SquaredNorm,
     SubgradientProjection,
     budget,
+    run,
     validate_config,
 )
 from blockproj.cli import assemble_config
@@ -107,6 +112,15 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: Problem("x", [Halfspace([1.0], 0.0)], [0.0], 1.0), InvalidProblem, "dimension"),
     (lambda: SequentialCyclic("x"), InvalidSchedule, "m"),
     (lambda: validate_config(SolverConfig(tau1="a")), InvalidConfig, "tau1"),
+    (lambda: run(Problem(1, [Halfspace([1.0], 0.0)], [1.0], 1.0),
+                 SolverConfig(lambda_schedule=LambdaSchedule(lambda k: "a"))),
+     InvalidConfig, "lambda"),
+    (lambda: BlockClassicalCyclic(1, [["a"]]), InvalidSchedule, "partition block"),
+    (lambda: SequentialRepetitive(1, ["a"]), InvalidSchedule, "control"),
+    (lambda: SequentialRepetitive(1, lambda k: "a").weights_at(0), InvalidSchedule, "control"),
+    (lambda: BlockGeneralized(1, [["a"]]).weights_at(0), InvalidSchedule, "selection"),
+    (lambda: BlockGeneralized(2, lambda k: ["x"]).weights_at(0), InvalidSchedule, "selection"),
+    (lambda: SimultaneousDrifting(2, lambda k: "a").weights_at(0), InvalidSchedule, "selector"),
 ])
 def test_an_argument_that_is_not_a_number_raises_a_library_error_naming_it(call, error, name):
     with pytest.raises(error, match=f"^{name} must be "):

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +42,7 @@ from blockproj import (
     BallQuadratic,
     ZeroPolicy,
     fejer_audit,
+    gen_l1_constrained,
     gen_linear_feasibility,
     run,
     sigma_from_ball,
@@ -655,13 +659,87 @@ def test_distances_over_many_chunks_match_one_chunk(monkeypatch):
     args = (problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=6),
             SimultaneousUniform(problem.m), SuperiorizedPolicy(problem.cost, 0.99))
     whole = run(*args).trace
-    # 13 floats hold three points of R^4: many chunks and a short last one
-    monkeypatch.setattr(solver, "_CHUNK_FLOATS", 13)
+    # blocks of three rows: many blocks and a short last one
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", 3)
     chunked = run(*args).trace
     assert len(chunked) > 3 and len(chunked) % 3
     distances = [[(r.distance_from_start, r.distance_to_witness) for r in trace]
                  for trace in (whole, chunked)]
     assert distances[0] == distances[1]
+
+
+def _record_bytes(rec):
+    """A record's fields, each float as its hex and each array as its shape
+    and bytes, so that equal tuples mean bit-identical records."""
+    return tuple(
+        (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v.hex() if isinstance(v, float)
+        else v
+        for v in (getattr(rec, f.name) for f in dataclasses.fields(rec)))
+
+
+def test_trace_reads_the_same_records_across_block_boundaries(monkeypatch):
+    from blockproj import solver
+
+    problem = _mixed_problem(6)
+    args = (problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=6),
+            SimultaneousUniform(problem.m), SuperiorizedPolicy(problem.cost, 0.99))
+    expected = [_record_bytes(rec) for rec in run(*args).trace]
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", 3)
+    result = run(*args)
+    trace = result.trace
+    n = len(trace)
+    assert n == result.iterations_used + 1 == len(expected)
+    assert n > 6 and n % 3
+    assert [_record_bytes(rec) for rec in trace] == expected
+    assert [_record_bytes(trace[i]) for i in range(n)] == expected
+    assert [_record_bytes(trace[i - n]) for i in range(n)] == expected
+    assert _record_bytes(trace[np.int64(4)]) == expected[4]
+    for key in (slice(None), slice(2, 7), slice(4, -1), slice(1, None, 2), slice(None, None, -1),
+                slice(-2, 0, -3), slice(5, 2), slice(2 * n, None)):
+        records = trace[key]
+        assert isinstance(records, tuple)
+        assert [_record_bytes(rec) for rec in records] == expected[key]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[i]
+    # a record is built on each access: editing one leaves the trace as it was
+    rec = trace[4]
+    assert rec is not trace[4]
+    rec.lam = -1.0
+    assert _record_bytes(trace[4]) == expected[4]
+    assert all(not rec.point.flags.writeable and not rec.per_index_residuals.flags.writeable
+               for rec in trace)
+
+
+def test_a_finished_run_holds_little_more_than_its_numbers():
+    problem = gen_l1_constrained(3, 20, 100, 2.0)
+    args = (problem, SolverConfig(residual_tolerance=1e-6, seed=3),
+            SimultaneousUniform(problem.m), SuperiorizedPolicy(problem.cost, 0.99))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(*args)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # per iterate: its point, its residuals and seven floats' worth of
+    # scalars and storage, with a tenth to spare
+    n, m = problem.dimension, problem.m
+    assert len(result.trace) > 1000
+    assert held / len(result.trace) <= 1.1 * 8 * (n + m + 7)
+
+
+def test_a_drift_beyond_twice_sigma_refutes_it():
+    problem = gen_linear_feasibility(3, 20, 10, 5.0)
+    schedule, policy = SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99)
+    for sigma, refuted in ((1e-300, True), (None, False)):
+        result = run(problem, _config(sigma=sigma), schedule, policy)
+        assert result.status is RunStatus.RESIDUAL_CONVERGED
+        drift = max(rec.distance_from_start for rec in result.trace)
+        assert 9.0 < drift < 9.2
+        assert result.sigma_refuted is refuted is (drift > 2.0 * (sigma or problem.sigma))
 
 
 # ---------------------------------------------------------------------------
