@@ -212,8 +212,8 @@ def validate_config(cfg: SolverConfig) -> None:
         raise InvalidConfig(f"tau1 and tau2 must be positive, got {cfg.tau1}, {cfg.tau2}")
     if cfg.tau1 + cfg.tau2 > 2:
         raise InvalidConfig(f"tau1 + tau2 must be <= 2, got {cfg.tau1 + cfg.tau2}")
-    if cfg.max_iterations < 1:
-        raise InvalidConfig("max_iterations must be >= 1")
+    if not isinstance(cfg.max_iterations, numbers.Integral) or cfg.max_iterations < 1:
+        raise InvalidConfig(f"max_iterations must be an integer >= 1, got {cfg.max_iterations!r}")
     # written so that NaN fails every range check
     if not cfg.residual_tolerance >= 0:
         raise InvalidConfig(f"residual_tolerance must be >= 0, got {cfg.residual_tolerance}")

@@ -245,9 +245,10 @@ def cutter_trial(rng_state, rng=None):
     cutter = draw_cutter(rng, label, ndim)
     x = rng.uniform(-6, 6, ndim)
     q = sample_fixed_point(cutter, rng, ndim)
-    separator = cutter.check_separator(x, q)
-    violation = max(0.0, separator - INEQUALITY_TOL)
+    # Cutter.check_separator's <x - Tx, q - Tx>, from the one Tx
     tx = cutter.apply(x)
+    separator = float(np.dot(x - tx, q - tx))
+    violation = max(0.0, separator - INEQUALITY_TOL)
     quasi = _norm(tx - q) - _norm(x - q)
     violation = max(violation, quasi - INEQUALITY_TOL)
     if cutter.is_projection:

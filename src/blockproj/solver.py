@@ -6,6 +6,7 @@ per-operator perturbations drawn inside the adaptive budget.
 """
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -117,10 +118,10 @@ class MaxIterations:
     limit: int
 
 
-def _check_threshold(value, name):
-    # a comparison that NaN fails
-    if not value >= 0.0:
-        raise InvalidConfig(f"{name} must be >= 0, got {value}")
+def _check_threshold(value, name, kind=numbers.Real, what="a real number"):
+    # a comparison that NaN fails; a bool is not a number here
+    if isinstance(value, bool) or not isinstance(value, kind) or not value >= 0:
+        raise InvalidConfig(f"{name} must be >= 0 and {what}, got {value!r}")
 
 
 def _check_rules(problem, stopping):
@@ -141,7 +142,9 @@ def _check_rules(problem, stopping):
                     raise InvalidConfig(
                         f"MaxFunctionValue needs level functions, cutter {idx} has none"
                     )
-        elif not isinstance(rule, MaxIterations):
+        elif isinstance(rule, MaxIterations):
+            _check_threshold(rule.limit, "MaxIterations limit", numbers.Integral, "an integer")
+        else:
             raise InvalidConfig(f"unknown stopping rule {rule!r}")
 
 
@@ -220,41 +223,6 @@ class _Sweep:
         s *= lam
         s += x
         return s
-
-
-class _Support:
-    """The support of a weight vector and the weights on it.  They are
-    resolved once for each distinct read-only vector that owns its data, so
-    a schedule that hands out one shared row (``SimultaneousUniform``)
-    resolves them once per run; such a row cannot change.  A writable
-    vector may be refilled in place by its schedule, and a read-only view
-    through a writable buffer, so both are resolved on every call."""
-
-    def __init__(self):
-        self.w = None
-        self.resolved = None
-
-    def of(self, w):
-        if w is not self.w or w.flags.writeable or not w.flags.owndata:
-            support = np.flatnonzero(w > 0.0)
-            self.w = w
-            self.resolved = support, w[support]
-        return self.resolved
-
-
-def _perturbation(policy, stream, support, x, w, residuals, max_res, lam, sigma, k):
-    """e^k: the policy's weighted perturbations over the support of ``w``,
-    each inside its operator's budget, in ascending index order; budgets
-    may be zero, and the policy leaves those entries out.  A policy that
-    draws resets ``stream`` to iteration k's stream (keyed by (seed, k))
-    through the accessor, one that does not never touches it.  ``run`` has
-    checked that lam lies in [tau1, 2 - tau2], inside (0, 2)."""
-    indices, weights = support.of(w)
-    # a support of every index takes the residuals as they are
-    if indices.size < residuals.size:
-        residuals = residuals[indices]
-    budgets = _budgets(lam, residuals, sigma, max_res)
-    return policy.combined(x, weights, budgets, lambda: stream.at(k))
 
 
 # rows of one block of a run's trace.  The run allocates its blocks one at a
@@ -367,7 +335,9 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     stream = None
     if not isinstance(policy, ZeroPolicy) and math.isfinite(sigma):
         stream = PerturbationStream(config.seed)
-        support = _Support()
+        # a one-row table resolved the support of its row when it built it
+        table = getattr(schedule, "_table", None)
+        fixed = table.support if table is not None else None
     # the trace as blocks of columns: row r of block b describes iterate
     # b * rows + r; the scalar columns wait for the distances until the run ends
     rows = _BLOCK_ROWS
@@ -401,7 +371,19 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         x_next = sweep.update(x, lam, w, excess, steps)
         pert_norm = 0.0
         if stream is not None:
-            e = _perturbation(policy, stream, support, x, w, residuals, max_res, lam, sigma, k)
+            # e^k: the policy's perturbations over the support of w, in index
+            # order and each inside its budget; a policy that draws resets the
+            # stream to iteration k's, keyed by (seed, k), through the accessor
+            if fixed is None:
+                indices = np.flatnonzero(w > 0.0)
+                weights = w[indices]
+            else:
+                indices, weights = fixed
+            # a support of every index takes the residuals as they are
+            if indices.size < residuals.size:
+                residuals = residuals[indices]
+            budgets = _budgets(lam, residuals, sigma, max_res)
+            e = policy.combined(x, weights, budgets, lambda: stream.at(k))
             x_next += e
             pert_norm = _norm(e)
         if np.count_nonzero(np.isfinite(x_next)) < x_next.size:
@@ -456,8 +438,9 @@ def fejer_audit(trace, witness):
     The caller asserts that ``witness`` is a common fixed point with
     ||x^0 - witness|| <= 2 sigma.
     """
-    q = as_vector(witness, name="witness")
-    distances = [_norm(rec.point - q) for rec in trace]
+    points = [rec.point for rec in trace]
+    q = as_vector(witness, points[0].size if points else None, name="witness")
+    distances = [_norm(p - q) for p in points]
     if len(distances) < 2:
         return 0.0
     return max(b - a for a, b in zip(distances, distances[1:]))

@@ -54,7 +54,8 @@ class _Table:
     (s, e) = (bounds[j], bounds[j + 1]); memory is O(m + the sum of the row
     sizes).  The caller guarantees in-range indices, distinct within a row,
     and nonempty rows.  Every row handed out is read-only; a period of one
-    row is one shared vector.
+    row is one shared vector, and ``support`` holds its positive indices
+    and the weights on them (None for a longer period).
     """
 
     def __init__(self, m, indices, values, sizes):
@@ -74,7 +75,11 @@ class _Table:
         if bad.size:
             j = int(bad[0])
             raise InvalidSchedule(f"invalid weight vector at k={j}: {self._row(j)}")
-        self.shared = self._row(0) if self.period == 1 else None
+        self.shared = self.support = None
+        if self.period == 1:
+            self.shared = self._row(0)
+            indices = np.flatnonzero(self.shared > 0.0)
+            self.support = indices, self.shared[indices]
 
     def _row(self, j):
         s, e = self.bounds[j], self.bounds[j + 1]

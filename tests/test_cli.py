@@ -2,7 +2,18 @@ import json
 
 import pytest
 
-from blockproj import load_problem
+from blockproj import (
+    BlockGeneralized,
+    LambdaSchedule,
+    RandomDirectionPolicy,
+    ResidualBelow,
+    SequentialRepetitive,
+    SimultaneousDrifting,
+    SolverConfig,
+    ZeroPolicy,
+    load_problem,
+    run,
+)
 from blockproj.cli import main
 
 
@@ -177,6 +188,8 @@ def test_invalid_lambda_config_exits_1(tmp_path, capsys):
     ({"policy": {"policy": "random", "rho": True}}, "config.policy.rho"),
     ({"stopping": [{"rule": "max_iterations", "limit": 3.0}]}, "config.stopping[0].limit"),
     ({"stopping": {"rule": "residual_below", "tol": 1e-6}}, "config.stopping"),
+    ({"schedule": {"regime": "sequential_repetitive"}}, "config.schedule.control"),
+    ({"schedule": {"regime": "block_generalized"}}, "config.schedule.blocks"),
 ])
 def test_malformed_config_field_exits_1(tmp_path, capsys, overrides, where):
     problem_path = tmp_path / "p.json"
@@ -258,6 +271,37 @@ def test_block_schedule_one_based_indices(tmp_path):
     )
     assert main(_solve_args(problem_path, config_path, tmp_path / "t2.csv",
                             tmp_path / "s2.json")) == 1
+
+
+# each regime as a config names it (1-based), and the schedule it names
+@pytest.mark.parametrize("regime, schedule", [
+    ({"regime": "sequential_repetitive", "control": [2, 1, 3, 1]},
+     lambda m: SequentialRepetitive(m, [1, 0, 2, 0])),
+    ({"regime": "simultaneous_drifting"}, SimultaneousDrifting),
+    ({"regime": "simultaneous_drifting", "selector": [3, 1]},
+     lambda m: SimultaneousDrifting(m, [2, 0])),
+    ({"regime": "block_generalized", "blocks": [[3, 1], [2]]},
+     lambda m: BlockGeneralized(m, [[2, 0], [1]])),
+])
+@pytest.mark.parametrize("policy", ["zero", "random"])
+def test_config_regime_solves_as_its_schedule(tmp_path, regime, schedule, policy):
+    problem_path = tmp_path / "p.json"
+    main(["gen", "discs", "--m", "3", "--seed", "6", "--out", str(problem_path)])
+    config_path = tmp_path / "c.json"
+    _write_config(config_path, schedule=regime, policy={"policy": policy})
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    assert main(_solve_args(problem_path, config_path, trace, summary)) == 0
+    doc = json.loads(summary.read_text())
+    assert doc["status"] == "residual_converged"
+    assert len(trace.read_text().splitlines()) == doc["iterations_used"] + 2
+
+    problem = load_problem(problem_path)
+    config = SolverConfig(lambda_schedule=LambdaSchedule(1.0), max_iterations=50_000, seed=1)
+    result = run(problem, config, schedule(problem.m),
+                 ZeroPolicy() if policy == "zero" else RandomDirectionPolicy(0.99),
+                 [ResidualBelow(1e-6)])
+    assert result.iterations_used == doc["iterations_used"]
+    assert result.final_point.tolist() == doc["final_point"]
 
 
 def test_superiorized_policy_uses_problem_cost(tmp_path):

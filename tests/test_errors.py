@@ -28,6 +28,7 @@ from blockproj import (
     BlockGeneralized,
     BlockprojError,
     Box,
+    DimensionMismatch,
     Halfspace,
     Hyperplane,
     InvalidConfig,
@@ -36,9 +37,13 @@ from blockproj import (
     InvalidSchedule,
     L1Ball,
     LambdaSchedule,
+    MaxDistance,
+    MaxFunctionValue,
+    MaxIterations,
     Problem,
     QuadraticFunction,
     RandomDirectionPolicy,
+    ResidualBelow,
     Resolvent,
     SequentialCyclic,
     SequentialRepetitive,
@@ -48,6 +53,7 @@ from blockproj import (
     SquaredNorm,
     SubgradientProjection,
     budget,
+    fejer_audit,
     run,
     validate_config,
 )
@@ -121,10 +127,34 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: BlockGeneralized(1, [["a"]]).weights_at(0), InvalidSchedule, "selection"),
     (lambda: BlockGeneralized(2, lambda k: ["x"]).weights_at(0), InvalidSchedule, "selection"),
     (lambda: SimultaneousDrifting(2, lambda k: "a").weights_at(0), InvalidSchedule, "selector"),
+    # a comparison with the threshold raised TypeError; a limit was unchecked
+    (lambda: _stopped_by(ResidualBelow(None)), InvalidConfig, "ResidualBelow tol"),
+    (lambda: _stopped_by(ResidualBelow(True)), InvalidConfig, "ResidualBelow tol"),
+    (lambda: _stopped_by(MaxDistance("a")), InvalidConfig, "MaxDistance eps"),
+    (lambda: _stopped_by(MaxFunctionValue(False)), InvalidConfig, "MaxFunctionValue eps"),
+    (lambda: _stopped_by(MaxIterations(None)), InvalidConfig, "MaxIterations limit"),
+    (lambda: _stopped_by(MaxIterations(-1)), InvalidConfig, "MaxIterations limit"),
+    (lambda: _stopped_by(MaxIterations(2.5)), InvalidConfig, "MaxIterations limit"),
+    (lambda: _stopped_by(MaxIterations(True)), InvalidConfig, "MaxIterations limit"),
+    (lambda: validate_config(SolverConfig(max_iterations=2.5)), InvalidConfig, "max_iterations"),
+    (lambda: validate_config(SolverConfig(max_iterations=1e5)), InvalidConfig, "max_iterations"),
 ])
 def test_an_argument_that_is_not_a_number_raises_a_library_error_naming_it(call, error, name):
     with pytest.raises(error, match=f"^{name} must be "):
         call()
+
+
+def _stopped_by(rule):
+    return run(Problem(1, [Halfspace([1.0], 0.0)], [1.0], 1.0), stopping=[rule])
+
+
+@pytest.mark.parametrize("witness", [[0.0], [0.0, 0.0], [0.0] * 4])
+def test_fejer_audit_refuses_a_witness_of_another_dimension(witness):
+    # a 1-entry witness broadcast against the points and gave a number
+    problem = Problem(3, [Halfspace([1.0, 0.0, 0.0], 0.0)], [1.0, 2.0, 3.0], 10.0)
+    trace = run(problem).trace
+    with pytest.raises(DimensionMismatch, match="^witness has dimension"):
+        fejer_audit(trace, witness)
 
 
 def test_fixed_point_sampler_refuses_a_singular_quadratic():

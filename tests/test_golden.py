@@ -61,6 +61,10 @@ TRACES = {
         (LINEAR, {"regime": "simultaneous_uniform"}, {"policy": "random", "rho": 0.99}, 1e-3),
     "trace_block_classical_linear.csv":
         (LINEAR, {"regime": "block_classical", "partition": THIRDS}, {"policy": "zero"}, 1e-6),
+    # a table of several rows: the support of w_k is resolved on every step
+    "trace_block_random_linear.csv":
+        (LINEAR, {"regime": "block_classical", "partition": THIRDS},
+         {"policy": "random", "rho": 0.99}, 1e-3),
     "trace_superiorized_l1.csv":
         (L1, {"regime": "simultaneous_uniform"}, {"policy": "superiorized", "rho": 0.99}, 1e-4),
 }

@@ -11,6 +11,7 @@ from blockproj import (
     INFINITE_SIGMA,
     Ball,
     BlockClassicalCyclic,
+    BlockGeneralized,
     Cutter,
     DimensionMismatch,
     Halfspace,
@@ -577,30 +578,36 @@ def test_weights_refilled_in_place_give_the_same_trace(policy_name):
     assert traces[0] == traces[1]
 
 
-def test_support_resolved_once_per_read_only_row():
-    from blockproj.solver import _Support
+def _record_bytes(rec):
+    return (rec.k, rec.point.tobytes(), rec.per_index_residuals.tobytes(),
+            *(np.float64(v).tobytes() for v in (rec.max_residual, rec.perturbation_norm,
+                                                rec.lam, rec.distance_from_start)))
 
-    support = _Support()
-    schedule = SimultaneousUniform(4)
-    first = support.of(schedule.weights_at(0))
-    assert first[0].tolist() == [0, 1, 2, 3] and first[1].tolist() == [0.25] * 4
-    assert support.of(schedule.weights_at(5)) is first
-    # a fixed table of several rows hands out a new read-only vector each time
-    cyclic = SequentialCyclic(4)
-    assert support.of(cyclic.weights_at(1))[0].tolist() == [1]
-    assert support.of(cyclic.weights_at(2))[0].tolist() == [2]
-    writable = np.array([0.0, 0.5, 0.5, 0.0])
-    assert support.of(writable)[0].tolist() == [1, 2]
-    writable[:] = [1.0, 0.0, 0.0, 0.0]
-    assert support.of(writable)[0].tolist() == [0]
-    # a read-only view of a buffer its schedule refills is resolved again
-    buffer = np.array([0.0, 0.5, 0.5, 0.0])
-    view = buffer.view()
-    view.flags.writeable = False
-    assert support.of(view)[0].tolist() == [1, 2]
-    buffer[:] = [0.0, 0.0, 0.0, 1.0]
-    assert support.of(view)[0].tolist() == [3]
-    assert support.of(view)[1].tolist() == [1.0]
+
+@pytest.mark.parametrize("policy_name", ["random", "superiorized"])
+def test_one_block_table_gives_the_trace_of_the_same_computed_weights(policy_name):
+    # a one-block partition is a one-row table, whose support is resolved
+    # when the table is built; BlockGeneralized computes the same row on
+    # every call, and its support is resolved on every step.  The block is
+    # unsorted and holds one zero weight, which the support leaves out.
+    problem = _mixed_problem(7)
+    m = problem.m
+    block = [int(i) for i in np.random.default_rng(3).permutation(m)]
+    intra = np.arange(1.0, m + 1.0)
+    intra[5] = 0.0
+    intra = (intra / intra.sum()).tolist()
+    schedules = [BlockClassicalCyclic(m, [block], [intra]),
+                 BlockGeneralized(m, [block], lambda k, b: intra)]
+    assert schedules[0]._table.support[0].size == m - 1
+    traces = []
+    for schedule in schedules:
+        policy = {"random": RandomDirectionPolicy(0.99),
+                  "superiorized": SuperiorizedPolicy(problem.cost, 0.99)}[policy_name]
+        result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=7),
+                     schedule, policy)
+        traces.append([_record_bytes(rec) for rec in result.trace])
+    assert sum(rec.perturbation_norm > 0.0 for rec in result.trace) > 10
+    assert traces[0] == traces[1]
 
 
 def test_run_with_a_huge_sigma_computes_its_budgets_without_overflow():
