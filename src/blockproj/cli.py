@@ -189,15 +189,22 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
+# one trace row from (k, max_residual, perturbation_norm, lam,
+# distance_from_start[, distance_to_witness]); the witness column stays
+# empty without a witness
+_TRACE_ROW = "{0},{1:.17g},{2:.17g},{3:.17g},{5:.17g},{4:.17g}\n"
+_TRACE_ROW_NO_WITNESS = "{0},{1:.17g},{2:.17g},{3:.17g},,{4:.17g}\n"
+
+
 def write_trace_csv(trace, path):
+    """Write a run's trace one block of its columns at a time, building no
+    record: each row holds what ``f"{v:.17g}"`` gives for its record's
+    fields."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,max_residual,perturbation_norm,lambda,dist_to_witness,dist_from_start\n")
-        for rec in trace:
-            witness = "" if rec.distance_to_witness is None else _fmt(rec.distance_to_witness)
-            fh.write(
-                f"{rec.k},{_fmt(rec.max_residual)},{_fmt(rec.perturbation_norm)},"
-                f"{_fmt(rec.lam)},{witness},{_fmt(rec.distance_from_start)}\n"
-            )
+        for start, columns in trace._scalar_columns():
+            row = _TRACE_ROW if len(columns) > 4 else _TRACE_ROW_NO_WITNESS
+            fh.write("".join(map(row.format, range(start, start + len(columns[0])), *columns)))
 
 
 def write_summary(result, config_echo, path):

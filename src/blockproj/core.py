@@ -60,9 +60,16 @@ class ParseError(BlockprojError):
     pass
 
 
+# the types Python converts as 0 or 1, which no number argument takes
+_BOOLEANS = (bool, np.bool_)
+
+
 def _converted(value, name, error, convert=float, kind="a number"):
     """convert(value), or ``error`` naming ``name`` where Python's own
-    conversion fails: a string, None, or an integer beyond the float range."""
+    conversion fails: a string, None, or an integer beyond the float range.
+    A boolean is refused too."""
+    if isinstance(value, _BOOLEANS):
+        raise error(f"{name} must be {kind}, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
@@ -79,7 +86,7 @@ INFINITE_SIGMA = math.inf
 
 def normalize_sigma(sigma):
     """Return sigma as a float that is positive or +inf, refusing the rest."""
-    if isinstance(sigma, (bool, np.bool_)):
+    if isinstance(sigma, _BOOLEANS):
         raise NonpositiveSigma(f"sigma must be a positive number, got {sigma!r}")
     try:
         value = float(sigma)
@@ -220,6 +227,9 @@ def validate_config(cfg: SolverConfig) -> None:
     _check_seed(cfg.seed)
     if cfg.sigma is not None:
         normalize_sigma(cfg.sigma)
+    if not isinstance(cfg.lambda_schedule, LambdaSchedule):
+        raise InvalidConfig(
+            f"lambda_schedule must be a LambdaSchedule, got {cfg.lambda_schedule!r}")
 
     lo, hi = cfg.tau1, 2.0 - cfg.tau2
     declared = cfg.lambda_schedule.declared_range

@@ -204,8 +204,8 @@ class Cutter:
 
     kind = "abstract"
     is_projection = False
-    # (a, b, one_sided) for halfspaces and hyperplanes, which the solver
-    # sweeps as rows of one matrix; None for every other kind
+    # (a, b, one_sided, <a, a>) for halfspaces and hyperplanes, which the
+    # solver sweeps as rows of one matrix; None for every other kind
     linear_row = None
 
     @property
@@ -252,7 +252,7 @@ class _AffineCutter(Cutter):
 
     @property
     def linear_row(self):
-        return self.a, self.b, self.one_sided
+        return self.a, self.b, self.one_sided, self._aa
 
     def apply(self, x):
         x = _check_point(x, self.dim)

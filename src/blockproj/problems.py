@@ -19,6 +19,8 @@ from .core import (
     InvalidCutter,
     InvalidProblem,
     ParseError,
+    _BOOLEANS,
+    _converted,
     _norm,
 )
 from .cutters import (
@@ -334,6 +336,22 @@ def _uniform_ball(rng, n, radius):
     return _unit(rng, n) * radius * rng.uniform() ** (1.0 / n)
 
 
+def _integer(value, name):
+    """A generator's integer argument as an int: a boolean, a float such as
+    2.5 and a string are refused rather than truncated or parsed."""
+    if isinstance(value, _BOOLEANS) or not isinstance(value, (int, np.integer)):
+        raise InvalidProblem(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _generator(seed):
+    """The instance generator of a seed, an integer >= 0."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise InvalidProblem(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
     """Random halfspaces with a strictly interior witness.
 
@@ -342,10 +360,12 @@ def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
     least 0.01 and usable for monotonicity audits; x0 is drawn outside a
     fair share of the halfspaces.
     """
+    m, n = _integer(m, "m"), _integer(n, "n")
+    radius = _converted(radius, "radius", InvalidProblem)
     if m < 1 or n < 1:
         raise InvalidProblem("need m >= 1 and n >= 1")
-    rng = np.random.default_rng(seed)
-    q = _uniform_ball(rng, n, float(radius))
+    rng = _generator(seed)
+    q = _uniform_ball(rng, n, radius)
     cutters = []
     for _ in range(m):
         a = _unit(rng, n)
@@ -363,15 +383,17 @@ def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
 
 def gen_disc_intersection(seed, m, n=2, overlap=0.5, margin=1.0):
     """Overlapping discs sharing an interior witness (bounded solution set)."""
+    m, n = _integer(m, "m"), _integer(n, "n")
+    overlap = _converted(overlap, "overlap", InvalidProblem)
     if m < 2:
         raise InvalidProblem("need m >= 2 discs")
-    if overlap <= 0:
+    if not overlap > 0:
         raise InvalidProblem("overlap must be positive")
-    rng = np.random.default_rng(seed)
-    q = rng.uniform(-3.0, 3.0, int(n))
+    rng = _generator(seed)
+    q = rng.uniform(-3.0, 3.0, n)
     cutters = []
     for _ in range(m):
-        delta = rng.uniform(0.0, float(overlap)) * _unit(rng, n)
+        delta = rng.uniform(0.0, overlap) * _unit(rng, n)
         center = q + delta
         radius = _norm(delta) + 0.25 + rng.uniform(0.0, 0.75)
         cutters.append(Ball(center, radius))
@@ -379,7 +401,7 @@ def gen_disc_intersection(seed, m, n=2, overlap=0.5, margin=1.0):
     x0 = q + (top + rng.uniform(1.0, 3.0)) * _unit(rng, n)
     # the whole solution set sits inside the first disc
     sigma = sigma_from_ball(cutters[0].center, cutters[0].radius, x0, margin)
-    return Problem(int(n), cutters, x0, sigma, witness=q)
+    return Problem(n, cutters, x0, sigma, witness=q)
 
 
 def gen_l1_constrained(seed, s, n, epsilon, margin=1.0):
@@ -389,12 +411,13 @@ def gen_l1_constrained(seed, s, n, epsilon, margin=1.0):
     feasible for the ball; row right-hand sides reuse the exact dot products
     so the witness residuals are identically zero.
     """
+    s, n = _integer(s, "s"), _integer(n, "n")
+    epsilon = _converted(epsilon, "epsilon", InvalidProblem)
     if s < 1 or n < 1:
         raise InvalidProblem("need s >= 1 and n >= 1")
-    epsilon = float(epsilon)
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidProblem("epsilon must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     v = rng.standard_normal(n)
     xstar = v * (0.9 * epsilon * rng.uniform(0.3, 1.0) / float(np.sum(np.abs(v))))
     rows = rng.standard_normal((s, n))

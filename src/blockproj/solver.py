@@ -178,30 +178,34 @@ class _Sweep:
         rows = [(i, c.linear_row) for i, c in enumerate(cutters) if c.linear_row is not None]
         self.m = len(cutters)
         self.rows = np.array([i for i, _ in rows], dtype=np.intp)
-        self.A = np.array([a for _, (a, _, _) in rows], dtype=float).reshape(
+        self.A = np.array([a for _, (a, _, _, _) in rows], dtype=float).reshape(
             len(rows), problem.dimension)
-        self.b = np.array([b for _, (_, b, _) in rows], dtype=float)
+        self.b = np.array([b for _, (_, b, _, _) in rows], dtype=float)
         # excess = max(<a, x> - b, floor): a halfspace counts only its
         # violation; without halfspaces the maximum changes nothing
         self.floor = None
-        if any(one_sided for _, (_, _, one_sided) in rows):
+        if any(one_sided for _, (_, _, one_sided, _) in rows):
             self.floor = np.array([0.0 if one_sided else -np.inf
-                                   for _, (_, _, one_sided) in rows])
-        self.aa = np.array([float(np.dot(a, a)) for a in self.A])
+                                   for _, (_, _, one_sided, _) in rows])
+        # <a, a> as each cutter summed it when it was built
+        self.aa = np.array([aa for _, (_, _, _, aa) in rows], dtype=float)
         self.norms = np.sqrt(self.aa)
         self.others = [(i, c) for i, c in enumerate(cutters) if c.linear_row is None]
 
-    def residuals(self, x):
-        """||T_i(x) - x|| for every i, the rows' excesses and the other
-        operators' steps T_i(x) - x.  When every operator is a row, the
-        rows' residuals are all of them, in index order."""
+    def residuals(self, x, out=None):
+        """||T_i(x) - x|| for every i, written into ``out`` (a new vector
+        when None), the rows' excesses and the other operators' steps
+        T_i(x) - x.  When every operator is a row, the rows' residuals are
+        all of them, in index order."""
+        residuals = np.empty(self.m) if out is None else out
         excess = self.A @ x
         excess -= self.b
         if self.floor is not None:
             np.maximum(excess, self.floor, out=excess)
         if not self.others:
-            return np.abs(excess) / self.norms, excess, []
-        residuals = np.empty(self.m)
+            np.abs(excess, out=residuals)
+            residuals /= self.norms
+            return residuals, excess, []
         residuals[self.rows] = np.abs(excess) / self.norms
         steps = []
         for i, c in self.others:
@@ -267,6 +271,14 @@ class _Trace(Sequence):
 
     def __iter__(self):
         return self._records(0, self._len)
+
+    def _scalar_columns(self):
+        """Per block: the k of its first row, and its scalar columns as
+        lists of floats in IterationRecord's field order: max_residual,
+        perturbation_norm, lam, distance_from_start and, with a witness,
+        distance_to_witness."""
+        for b, (_, _, columns) in enumerate(self._blocks):
+            yield b * self._rows, columns.T.tolist()
 
     def _records(self, start, stop):
         """The records of iterates start..stop - 1, a block at a time."""
@@ -350,14 +362,14 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         if not r:
             points, residual_rows, columns = block = tuple(np.empty((rows, n)) for n in widths)
             blocks.append(block)
-        residuals, excess, steps = sweep.residuals(x)
-        max_res = float(residuals.max())
+        residuals, excess, steps = sweep.residuals(x, residual_rows[r])
+        # the reduction that ndarray.max calls, without its wrapper
+        max_res = float(np.maximum.reduce(residuals))
         if not math.isfinite(max_res):
             raise NonfiniteIterate(f"non-finite residual at k={k}")
         status = _fired_status(problem, stopping, k, x, max_res)
         lam = config.lambda_schedule(k)
         points[r] = x
-        residual_rows[r] = residuals
         columns[r, _MAX_RESIDUAL] = max_res
         columns[r, _LAM] = lam
         if status is not None:

@@ -51,11 +51,14 @@ class _Table:
     """A fixed period of weight vectors, built and checked once.
 
     Row j is ``values[s:e]`` at ``indices[s:e]`` and 0 elsewhere, where
-    (s, e) = (bounds[j], bounds[j + 1]); memory is O(m + the sum of the row
-    sizes).  The caller guarantees in-range indices, distinct within a row,
-    and nonempty rows.  Every row handed out is read-only; a period of one
-    row is one shared vector, and ``support`` holds its positive indices
-    and the weights on them (None for a longer period).
+    (s, e) = (bounds[j], bounds[j + 1]).  The caller guarantees in-range
+    indices, distinct within a row, and nonempty rows.  Every row handed out
+    is read-only.  When the dense period is small, period x m <= 8 (m + the
+    stored weights), every row is built once and ``at`` hands out the same
+    object each period; otherwise a row is built on each call, so memory
+    stays O(m + the sum of the row sizes).  ``support`` holds the positive
+    indices of a one-row period and the weights on them (None for a longer
+    period).
     """
 
     def __init__(self, m, indices, values, sizes):
@@ -75,11 +78,13 @@ class _Table:
         if bad.size:
             j = int(bad[0])
             raise InvalidSchedule(f"invalid weight vector at k={j}: {self._row(j)}")
-        self.shared = self.support = None
+        self.rows = self.support = None
+        if self.period * m <= 8 * (m + self.values.size):
+            self.rows = [self._row(j) for j in range(self.period)]
         if self.period == 1:
-            self.shared = self._row(0)
-            indices = np.flatnonzero(self.shared > 0.0)
-            self.support = indices, self.shared[indices]
+            w = self.rows[0]
+            indices = np.flatnonzero(w > 0.0)
+            self.support = indices, w[indices]
 
     def _row(self, j):
         s, e = self.bounds[j], self.bounds[j + 1]
@@ -89,8 +94,8 @@ class _Table:
         return w
 
     def at(self, k):
-        if self.shared is not None:
-            return self.shared
+        if self.rows is not None:
+            return self.rows[k % self.period]
         return self._row(k % self.period)
 
 
@@ -120,10 +125,10 @@ class WeightSchedule:
         """Weight vector at iteration k: nonnegative entries summing to 1.
 
         A row of a fixed table was checked at construction and is read-only
-        (a one-row period returns one shared vector); a computed vector is
-        checked here.
+        (a short period hands out the same vector each period); a computed
+        vector is checked here.
         """
-        k = int(k)
+        k = _converted(k, "k", InvalidSchedule, int, "an integer")
         if k < 0:
             raise InvalidSchedule("iteration index must be nonnegative")
         if self._table is not None:
@@ -143,7 +148,7 @@ class WeightSchedule:
         empirically-divergent ones; the limit point is only guaranteed to be
         feasible for those.
         """
-        horizon = int(horizon)
+        horizon = _converted(horizon, "horizon", InvalidSchedule, int, "an integer")
         if horizon < 1:
             raise InvalidSchedule("horizon must be >= 1")
         total = np.zeros(self.m)
@@ -281,10 +286,12 @@ class BlockClassicalCyclic(WeightSchedule):
         if sorted(flat) != list(range(self.m)):
             raise InvalidSchedule("partition must be disjoint and cover every index exactly once")
         self.partition = blocks
-        if intra == "uniform":
+        if isinstance(intra, str) and intra == "uniform":
             values = [1.0 / len(block) for block in blocks for _ in block]
         else:
-            weights = [tuple(float(v) for v in ws) for ws in intra]
+            weights = _converted(intra, "intra", InvalidSchedule,
+                                 lambda rows: [tuple(map(float, ws)) for ws in rows],
+                                 '"uniform" or a list of per-block weight lists')
             if len(weights) != len(blocks) or any(
                 len(ws) != len(block) for ws, block in zip(weights, blocks)
             ):

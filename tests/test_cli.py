@@ -14,7 +14,8 @@ from blockproj import (
     load_problem,
     run,
 )
-from blockproj.cli import main
+from blockproj import solver
+from blockproj.cli import assemble_config, main
 
 
 def _write_config(path, **overrides):
@@ -69,6 +70,33 @@ def test_gen_then_solve_roundtrip(tmp_path):
     # monotone nonincreasing distance-to-witness column
     dist = [float(row.split(",")[4]) for row in lines[1:]]
     assert all(b <= a + 1e-10 for a, b in zip(dist, dist[1:]))
+
+
+def test_trace_csv_without_a_witness_formats_every_record(tmp_path):
+    generated = tmp_path / "g.json"
+    assert main(["gen", "linear", "--m", "20", "--n", "5", "--out", str(generated)]) == 0
+    doc = json.loads(generated.read_text())
+    del doc["witness"]
+    problem_path = tmp_path / "p.json"
+    problem_path.write_text(json.dumps(doc))
+    partition = [list(range(b + 1, b + 6)) for b in range(0, 20, 5)]
+    config = _write_config(tmp_path / "c.json",
+                           schedule={"regime": "block_classical", "partition": partition},
+                           stopping=[{"rule": "residual_below", "tol": 1e-8}])
+    trace = tmp_path / "t.csv"
+    assert main(_solve_args(problem_path, tmp_path / "c.json", trace, tmp_path / "s.json")) == 0
+
+    problem = load_problem(problem_path)
+    assert problem.witness is None
+    records = run(problem, *assemble_config(config, problem)).trace
+    # the trace crosses a storage block
+    assert len(records) > solver._BLOCK_ROWS
+    rows = ["k,max_residual,perturbation_norm,lambda,dist_to_witness,dist_from_start"]
+    for rec in records:
+        assert rec.distance_to_witness is None
+        fields = (rec.max_residual, rec.perturbation_norm, rec.lam, "", rec.distance_from_start)
+        rows.append(",".join([str(rec.k)] + [v if v == "" else f"{v:.17g}" for v in fields]))
+    assert trace.read_text() == "\n".join(rows) + "\n"
 
 
 def test_gen_discs_and_l1_structure(tmp_path):

@@ -54,6 +54,9 @@ from blockproj import (
     SubgradientProjection,
     budget,
     fejer_audit,
+    gen_disc_intersection,
+    gen_l1_constrained,
+    gen_linear_feasibility,
     run,
     validate_config,
 )
@@ -138,6 +141,28 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: _stopped_by(MaxIterations(True)), InvalidConfig, "MaxIterations limit"),
     (lambda: validate_config(SolverConfig(max_iterations=2.5)), InvalidConfig, "max_iterations"),
     (lambda: validate_config(SolverConfig(max_iterations=1e5)), InvalidConfig, "max_iterations"),
+    (lambda: SequentialCyclic(2).weights_at("a"), InvalidSchedule, "k"),
+    (lambda: SequentialCyclic(2).divergence_profile("x"), InvalidSchedule, "horizon"),
+    (lambda: BlockClassicalCyclic(1, [[0]], [["a"]]), InvalidSchedule, "intra"),
+    (lambda: BlockClassicalCyclic(1, [[0]], intra="foo"), InvalidSchedule, "intra"),
+    (lambda: gen_linear_feasibility(1, "a", 3, 2.0), InvalidProblem, "m"),
+    (lambda: gen_linear_feasibility(1, 4, 3, "x"), InvalidProblem, "radius"),
+    (lambda: gen_linear_feasibility(-1, 4, 3, 2.0), InvalidProblem, "seed"),
+    (lambda: gen_linear_feasibility(1.5, 4, 3, 2.0), InvalidProblem, "seed"),
+    (lambda: gen_l1_constrained(1, 2, "x", 1.0), InvalidProblem, "n"),
+    (lambda: gen_l1_constrained(1, 2, 3, None), InvalidProblem, "epsilon"),
+    (lambda: gen_disc_intersection(1, 2.5), InvalidProblem, "m"),
+    (lambda: gen_disc_intersection(1, 3, overlap="x"), InvalidProblem, "overlap"),
+    (lambda: run(Problem(1, [Halfspace([1.0], 0.0)], [1.0], 1.0),
+                 SolverConfig(lambda_schedule=1.0)), InvalidConfig, "lambda_schedule"),
+    # Python converts a boolean as 0 or 1
+    (lambda: LambdaSchedule(True), InvalidConfig, "lambda"),
+    (lambda: SequentialCyclic(True), InvalidSchedule, "m"),
+    (lambda: SequentialCyclic(2).weights_at(True), InvalidSchedule, "k"),
+    (lambda: SequentialCyclic(2).weights_at(np.True_), InvalidSchedule, "k"),
+    (lambda: Problem(True, [Halfspace([1.0], 0.0)], [0.0], 1.0), InvalidProblem, "dimension"),
+    (lambda: gen_linear_feasibility(True, 4, 3, 2.0), InvalidProblem, "seed"),
+    (lambda: gen_disc_intersection(1, 3, n=True), InvalidProblem, "n"),
 ])
 def test_an_argument_that_is_not_a_number_raises_a_library_error_naming_it(call, error, name):
     with pytest.raises(error, match=f"^{name} must be "):

@@ -330,6 +330,15 @@ def test_gen_linear_feasibility_deterministic():
     assert problem_to_json(a) != problem_to_json(c)
 
 
+def test_generators_take_numpy_integers_as_ints():
+    i = np.int64
+    for gen, args in ((gen_linear_feasibility, (13, 6, 4, 3)),
+                      (gen_disc_intersection, (13, 4, 3, 0.5)),
+                      (gen_l1_constrained, (13, 3, 6, 2))):
+        assert (problem_to_json(gen(*args))
+                == problem_to_json(gen(*(i(a) if isinstance(a, int) else a for a in args))))
+
+
 def test_gen_disc_intersection_properties():
     problem = gen_disc_intersection(1, 3, overlap=0.5)
     assert problem.m == 3 and problem.dimension == 2

@@ -212,6 +212,27 @@ def test_table_rows_are_read_only(name):
     assert uniform.weights_at(0) is uniform.weights_at(9)
 
 
+@pytest.mark.parametrize("name", sorted(_FIXED))
+def test_prebuilt_rows_are_the_rows_built_per_call(name):
+    build, period, _ = _FIXED[name]
+    sched = build()
+    table = sched._table
+    # a short period: every row is built once and handed out each period
+    assert table.rows is not None and len(table.rows) == period
+    for k in range(period):
+        assert table.rows[k].tobytes() == table._row(k).tobytes()
+        assert sched.weights_at(k) is sched.weights_at(k + period)
+
+
+def test_long_period_builds_rows_on_demand():
+    # 100 rows of 100 floats exceed 8 (m + the stored weights) = 1600
+    sched = SequentialCyclic(100)
+    assert sched._table.rows is None
+    w = sched.weights_at(3)
+    assert w is not sched.weights_at(103) and not w.flags.writeable
+    assert np.array_equal(w, _unit(100, 3))
+
+
 def test_bad_table_refused_at_construction():
     nan = float("nan")
     for intra in ([[nan, 1.0], [1.0]], [[0.5, 0.5], [nan]], [[-0.5, 1.5], [1.0]],
