@@ -75,7 +75,7 @@ PROBLEM = "problem_all_kinds.json"
 VERIFY = {"fejer": 1000, "cutter": 1000, "budget": 200, "qhat": 1, "convergence": 1}
 
 # suite -> trials whose every outcome is pinned in TRIALS, seed 0
-TRIAL_VALUES = {"fejer": 100, "cutter": 200, "budget": 200, "qhat": 1}
+TRIAL_VALUES = {"fejer": 100, "cutter": 200, "budget": 200, "qhat": 1, "convergence": 1}
 TRIALS = "verify_trials.tsv"
 
 CUTTER_TYPES = {"halfspace", "hyperplane", "ball", "box", "l1_ball",

@@ -12,6 +12,7 @@ from blockproj.oracles import (
     qhat_instance,
     qhat_trial,
     run_budget_suite,
+    run_convergence_suite,
     run_cutter_suite,
     run_fejer_suite,
     run_qhat_suite,
@@ -60,6 +61,10 @@ def test_suites_reuse_one_stream_without_leaking_state():
         assert fejer[2 * t + 1] == strict_fejer_trial([seed, trials + t])
         assert cutter[t] == cutter_trial([seed, t])
         assert budget[t] == budget_trial([seed, t])
+    # the instance suites number their instances from the suite's seed
+    assert _suite_outcomes(run_qhat_suite, 2, seed) == qhat_trial(seed) + qhat_trial(seed + 1)
+    assert _suite_outcomes(run_convergence_suite, 1, seed) == convergence_trial(
+        seed, extra_regime="almost_cyclic")
 
 
 def test_suite_coverage_counts_the_kinds_drawn():
