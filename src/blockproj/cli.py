@@ -7,6 +7,7 @@ identical (problem, config, seed) inputs.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -291,7 +292,9 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="blockproj",
         description="Block-iterative projection solver for common fixed point problems",
@@ -304,7 +307,6 @@ def build_parser():
     solve.add_argument("--trace", required=True, help="output CSV path")
     solve.add_argument("--summary", required=True, help="output JSON path")
     solve.add_argument("--seed", type=int, default=None, help="override the config seed")
-    solve.set_defaults(func=cmd_solve)
 
     gen = sub.add_parser("gen", help="generate a problem instance")
     gen.add_argument("kind", help="linear | discs | l1")
@@ -318,22 +320,22 @@ def build_parser():
     gen.add_argument("--margin", type=float, default=1.0, help="sigma safety margin")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_gen)
 
     verify = sub.add_parser("verify", help="run a randomized property suite")
     verify.add_argument("suite", help="fejer | cutter | budget | convergence | qhat")
     verify.add_argument("--trials", type=int, default=None)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--json", default=None, help="write a machine-readable report")
-    verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up when main runs, not when the one parser was built, so a
+    # command wrapped after that (as by a tracer) is the one called
+    command = {"solve": cmd_solve, "gen": cmd_gen, "verify": cmd_verify}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     # every BlockprojError is a ValueError
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,6 +75,12 @@ def _converted(value, name, error, convert=float, kind="a number"):
         return convert(value)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{name} must be {kind}, got {value!r}") from None
+
+
+def _integer(value, name, error, kind="an integer"):
+    """``value`` as an int, or ``error`` naming ``name``: a float, 2.0
+    included, is refused rather than truncated, as are a string and a boolean."""
+    return _converted(value, name, error, operator.index, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .core import DimensionMismatch, InvalidCutter, _norm, as_vector
+from .core import DimensionMismatch, InvalidCutter, _converted, _norm, as_vector
 
 # f values at or below this are treated as feasible, guarding the subgradient
 # step against division by a vanishing gradient at the boundary
@@ -20,13 +20,10 @@ _GRAD_ZERO_TOL = 1e-14
 
 
 def _number(value, name):
-    """float(value), refusing NaN and infinities: an offset has no range check
-    to fail, an infinite offset makes residuals inf or NaN, and an infinite
-    radius makes a ball all of R^n."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidCutter(f"{name} must be a finite number, got {value!r}") from None
+    """float(value), refusing a boolean, NaN and infinities: an offset has no
+    range check to fail, an infinite offset makes residuals inf or NaN, and an
+    infinite radius makes a ball all of R^n."""
+    value = _converted(value, name, InvalidCutter, kind="a finite number")
     if not math.isfinite(value):
         raise InvalidCutter(f"{name} must be a finite number, got {value}")
     return value

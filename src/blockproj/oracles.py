@@ -1,13 +1,13 @@
 """Randomized property suites for the solver's monotonicity and convergence
 guarantees.
 
-Each trial is reproducible from its seed state.  Trial ``[s, t]`` of the
+Each trial is reproducible from its seed state.  Trial ``[s, j]`` of the
 fejer, cutter and budget suites draws from the counter-based Philox stream
-``perturbation_rng(s, t)``; its suite resets one ``PerturbationStream(s)``
-to t instead of building a generator per trial.  A failing trial's digest
-names its seed state, so ``cutter_trial([s, t])``, or the trial the digest
-names, reruns it on its own; the strict half of ``run_fejer_suite(trials,
-s)`` is numbered from ``trials``.
+``perturbation_rng(s, j)``; its suite resets one ``PerturbationStream(s)``
+to j instead of building a generator per trial.  Trial t of a suite's i-th
+trial function is numbered j = i * trials + t, so the strict half of
+``run_fejer_suite(trials, s)`` starts at ``trials``.  A failing trial's
+digest names its seed state, so the trial it names reruns on its own.
 
 Suites aggregate pass/fail counts, the worst violation seen, and coverage
 accounting over the operator kinds the trials drew and the control regimes.
@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INFINITE_SIGMA, InvalidCutter, InvalidSchedule, LambdaSchedule, RunStatus
-from .core import SolverConfig, _norm
+from .core import INFINITE_SIGMA, InvalidCutter, InvalidSchedule, RunStatus, SolverConfig, _norm
 from .cutters import (
     AbsSum,
     AffineFunction,
@@ -189,51 +188,42 @@ def _sample_exterior_point(cutter, rng, ndim, min_residual=1e-6):
 # ---------------------------------------------------------------------------
 # trials: ``rng``, when given, is the generator of perturbation_rng(*rng_state)
 
-def perturbed_fejer_trial(rng_state, rng=None):
-    """Relaxed step plus a boundary-sized perturbation never moves away
-    from a fixed point (checked at the exact budget boundary)."""
+def _fejer_trial(rng_state, rng, strict):
+    """||y - q|| <= ||x - q|| for y a relaxed step from x plus a perturbation
+    of the budget's size; with ``strict``, ||y - q|| < ||x - q|| for x outside
+    Fix, lam in [0.05, 1.95] and a perturbation of 0.99 of the budget."""
     rng = perturbation_rng(*rng_state) if rng is None else rng
     ndim = int(rng.integers(1, 7))
     label = PROJECTION_KINDS[int(rng.integers(len(PROJECTION_KINDS)))]
     cutter = draw_cutter(rng, label, ndim)
-    x = rng.uniform(-6, 6, ndim)
+    if strict:
+        # residual floor keeps the guaranteed decrease above float resolution
+        x = _sample_exterior_point(cutter, rng, ndim, min_residual=1e-3)
+    else:
+        x = rng.uniform(-6, 6, ndim)
     q = sample_fixed_point(cutter, rng, ndim)
-    lam = rng.uniform(0.0, 2.0)
+    lam = rng.uniform(0.05, 1.95) if strict else rng.uniform(0.0, 2.0)
     tx = cutter.apply(x)
     residual = _norm(tx - x)
     anchor = _norm(x - q)
-    radius = theta_budget(1.0, lam, residual, anchor)
+    radius = (0.99 if strict else 1.0) * theta_budget(1.0, lam, residual, anchor)
     e = radius * _unit(rng, ndim) if radius > 0 else np.zeros(ndim)
-    y = x + lam * (tx - x) + e
-    lhs = _norm(y - q)
-    rhs = anchor
-    violation = max(0.0, lhs - rhs - INEQUALITY_TOL)
-    digest = f"perturbed_fejer[{rng_state!r}] kind={label} n={ndim} lam={lam:.6f}"
-    return TrialOutcome(digest, lhs, rhs, violation, violation == 0.0, label)
+    lhs = _norm(x + lam * (tx - x) + e - q)
+    violation = max(0.0, lhs - anchor - (0.0 if strict else INEQUALITY_TOL))
+    name = "strict_fejer" if strict else "perturbed_fejer"
+    digest = f"{name}[{rng_state!r}] kind={label} n={ndim} lam={lam:.6f}"
+    passed = lhs < anchor if strict else violation == 0.0
+    return TrialOutcome(digest, lhs, anchor, violation, passed, label)
+
+
+def perturbed_fejer_trial(rng_state, rng=None):
+    """A boundary-sized perturbation never moves away from a fixed point."""
+    return _fejer_trial(rng_state, rng, strict=False)
 
 
 def strict_fejer_trial(rng_state, rng=None):
-    """With x not fixed, lam away from the endpoints and the perturbation
-    strictly inside the budget, the distance decrease is strict."""
-    rng = perturbation_rng(*rng_state) if rng is None else rng
-    ndim = int(rng.integers(1, 7))
-    label = PROJECTION_KINDS[int(rng.integers(len(PROJECTION_KINDS)))]
-    cutter = draw_cutter(rng, label, ndim)
-    # residual floor keeps the guaranteed decrease above float resolution
-    x = _sample_exterior_point(cutter, rng, ndim, min_residual=1e-3)
-    q = sample_fixed_point(cutter, rng, ndim)
-    lam = rng.uniform(0.05, 1.95)
-    tx = cutter.apply(x)
-    residual = _norm(tx - x)
-    anchor = _norm(x - q)
-    radius = 0.99 * theta_budget(1.0, lam, residual, anchor)
-    e = radius * _unit(rng, ndim) if radius > 0 else np.zeros(ndim)
-    y = x + lam * (tx - x) + e
-    lhs = _norm(y - q)
-    rhs = anchor
-    violation = max(0.0, lhs - rhs)
-    digest = f"strict_fejer[{rng_state!r}] kind={label} n={ndim} lam={lam:.6f}"
-    return TrialOutcome(digest, lhs, rhs, violation, lhs < rhs, label)
+    """A perturbation strictly inside the budget strictly decreases the distance."""
+    return _fejer_trial(rng_state, rng, strict=True)
 
 
 def cutter_trial(rng_state, rng=None):
@@ -341,14 +331,7 @@ def convergence_trial(instance_seed, extra_regime=None):
         )
     outcomes = []
     for name, schedule, policy, tol, cap in configs:
-        config = SolverConfig(
-            tau1=0.5,
-            tau2=0.5,
-            lambda_schedule=LambdaSchedule(1.0),
-            max_iterations=cap,
-            residual_tolerance=tol,
-            seed=instance_seed,
-        )
+        config = SolverConfig(max_iterations=cap, residual_tolerance=tol, seed=instance_seed)
         result = run(problem, config, schedule, policy)
         lhs = result.trace[-1].max_residual
         violation = max(0.0, lhs - tol)
@@ -402,29 +385,25 @@ def qhat_trial(instance_seed):
     intersection.  Returns both outcomes; the first digest records the
     (unasserted) distance to the exempted set."""
     problem = qhat_instance(instance_seed)
-    config = SolverConfig(lambda_schedule=LambdaSchedule(1.0), max_iterations=4000,
-                          seed=instance_seed)
-    summable = run(problem, config, summable_last_index_schedule(3), ZeroPolicy(),
-                   stopping=[MaxIterations(4000)])
-    limit = summable.final_point
-    d = [c.fixed_point_distance(limit) for c in problem.cutters]
-    lhs = max(d[0], d[1])
-    violation = max(0.0, lhs - 1e-5)
-    digest = (
-        f"qhat[seed={instance_seed}] summable d(limit,Q1)={d[0]:.3e}"
-        f" d(limit,Q2)={d[1]:.3e} d(limit,Q3)={d[2]:.3e} (Q3 not asserted)"
-    )
-    first = TrialOutcome(digest, lhs, 1e-5, violation, violation == 0.0)
-
-    divergent = run(problem, config, SimultaneousUniform(3), ZeroPolicy(),
-                    stopping=[ResidualBelow(1e-8)])
-    limit2 = divergent.final_point
-    d2 = [c.fixed_point_distance(limit2) for c in problem.cutters]
-    lhs2 = max(d2)
-    violation2 = max(0.0, lhs2 - 1e-5)
-    digest2 = f"qhat[seed={instance_seed}] divergent max_d={lhs2:.3e}"
-    second = TrialOutcome(digest2, lhs2, 1e-5, violation2, violation2 == 0.0)
-    return [first, second]
+    config = SolverConfig(max_iterations=4000, seed=instance_seed)
+    outcomes = []
+    for summable, schedule, stopping in (
+        (True, summable_last_index_schedule(3), MaxIterations(4000)),
+        (False, SimultaneousUniform(3), ResidualBelow(1e-8)),
+    ):
+        limit = run(problem, config, schedule, ZeroPolicy(), stopping=[stopping]).final_point
+        d = [c.fixed_point_distance(limit) for c in problem.cutters]
+        if summable:
+            lhs = max(d[0], d[1])
+            detail = (f"summable d(limit,Q1)={d[0]:.3e} d(limit,Q2)={d[1]:.3e}"
+                      f" d(limit,Q3)={d[2]:.3e} (Q3 not asserted)")
+        else:
+            lhs = max(d)
+            detail = f"divergent max_d={lhs:.3e}"
+        violation = max(0.0, lhs - 1e-5)
+        outcomes.append(TrialOutcome(f"qhat[seed={instance_seed}] {detail}", lhs, 1e-5,
+                                     violation, violation == 0.0))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -463,34 +442,32 @@ def _count(coverage, key):
     coverage[key] = coverage.get(key, 0) + 1
 
 
-def run_fejer_suite(trials, seed):
-    """Boundary-budget monotonicity and strict-decrease sweeps."""
+def _stream_suite(suite, trial_fns, trials, seed):
+    """Trial t of ``trial_fns[i]`` on stream state ``[seed, i * trials + t]``,
+    all of them drawn from one reused PerturbationStream(seed).  Coverage
+    counts the kinds drawn, or the suite's name for a trial without one."""
     stream = PerturbationStream(seed)
     outcomes, coverage = [], {}
     for t in range(trials):
-        out = perturbed_fejer_trial([seed, t], stream.at(t))
-        _count(coverage, out.kind)
-        outcomes.append(out)
-        out = strict_fejer_trial([seed, trials + t], stream.at(trials + t))
-        _count(coverage, out.kind)
-        outcomes.append(out)
-    return _summarize("fejer", outcomes, coverage)
+        for i, trial in enumerate(trial_fns):
+            j = i * trials + t
+            out = trial([seed, j], stream.at(j))
+            _count(coverage, out.kind or suite)
+            outcomes.append(out)
+    return _summarize(suite, outcomes, coverage)
+
+
+def run_fejer_suite(trials, seed):
+    """Boundary-budget monotonicity and strict-decrease sweeps."""
+    return _stream_suite("fejer", (perturbed_fejer_trial, strict_fejer_trial), trials, seed)
 
 
 def run_cutter_suite(trials, seed):
-    stream = PerturbationStream(seed)
-    outcomes, coverage = [], {}
-    for t in range(trials):
-        out = cutter_trial([seed, t], stream.at(t))
-        _count(coverage, out.kind)
-        outcomes.append(out)
-    return _summarize("cutter", outcomes, coverage)
+    return _stream_suite("cutter", (cutter_trial,), trials, seed)
 
 
 def run_budget_suite(trials, seed):
-    stream = PerturbationStream(seed)
-    outcomes = [budget_trial([seed, t], stream.at(t)) for t in range(trials)]
-    return _summarize("budget", outcomes, {"budget": trials})
+    return _stream_suite("budget", (budget_trial,), trials, seed)
 
 
 def run_convergence_suite(trials, seed):
@@ -499,8 +476,7 @@ def run_convergence_suite(trials, seed):
     outcomes, coverage = [], {}
     for t in range(trials):
         extra = _EXTRA_REGIMES[t % len(_EXTRA_REGIMES)]
-        for out in convergence_trial(seed + t, extra_regime=extra):
-            outcomes.append(out)
+        outcomes += convergence_trial(seed + t, extra_regime=extra)
         _count(coverage, "regime:sequential_cyclic")
         _count(coverage, "regime:simultaneous_uniform")
         _count(coverage, f"regime:{_extra_schedule(extra, 2, 0).regime}")
@@ -510,8 +486,7 @@ def run_convergence_suite(trials, seed):
 def run_qhat_suite(trials, seed):
     outcomes, coverage = [], {}
     for t in range(trials):
-        for out in qhat_trial(seed + t):
-            outcomes.append(out)
+        outcomes += qhat_trial(seed + t)
         _count(coverage, "regime:block_generalized")
         _count(coverage, "regime:simultaneous_uniform")
     return _summarize("qhat", outcomes, coverage)

@@ -19,8 +19,8 @@ from .core import (
     InvalidCutter,
     InvalidProblem,
     ParseError,
-    _BOOLEANS,
     _converted,
+    _integer,
     _norm,
 )
 from .cutters import (
@@ -336,17 +336,9 @@ def _uniform_ball(rng, n, radius):
     return _unit(rng, n) * radius * rng.uniform() ** (1.0 / n)
 
 
-def _integer(value, name):
-    """A generator's integer argument as an int: a boolean, a float such as
-    2.5 and a string are refused rather than truncated or parsed."""
-    if isinstance(value, _BOOLEANS) or not isinstance(value, (int, np.integer)):
-        raise InvalidProblem(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _generator(seed):
     """The instance generator of a seed, an integer >= 0."""
-    seed = _integer(seed, "seed")
+    seed = _integer(seed, "seed", InvalidProblem)
     if seed < 0:
         raise InvalidProblem(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
@@ -360,7 +352,7 @@ def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
     least 0.01 and usable for monotonicity audits; x0 is drawn outside a
     fair share of the halfspaces.
     """
-    m, n = _integer(m, "m"), _integer(n, "n")
+    m, n = _integer(m, "m", InvalidProblem), _integer(n, "n", InvalidProblem)
     radius = _converted(radius, "radius", InvalidProblem)
     if m < 1 or n < 1:
         raise InvalidProblem("need m >= 1 and n >= 1")
@@ -383,7 +375,7 @@ def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
 
 def gen_disc_intersection(seed, m, n=2, overlap=0.5, margin=1.0):
     """Overlapping discs sharing an interior witness (bounded solution set)."""
-    m, n = _integer(m, "m"), _integer(n, "n")
+    m, n = _integer(m, "m", InvalidProblem), _integer(n, "n", InvalidProblem)
     overlap = _converted(overlap, "overlap", InvalidProblem)
     if m < 2:
         raise InvalidProblem("need m >= 2 discs")
@@ -411,7 +403,7 @@ def gen_l1_constrained(seed, s, n, epsilon, margin=1.0):
     feasible for the ball; row right-hand sides reuse the exact dot products
     so the witness residuals are identically zero.
     """
-    s, n = _integer(s, "s"), _integer(n, "n")
+    s, n = _integer(s, "s", InvalidProblem), _integer(n, "n", InvalidProblem)
     epsilon = _converted(epsilon, "epsilon", InvalidProblem)
     if s < 1 or n < 1:
         raise InvalidProblem("need s >= 1 and n >= 1")

@@ -26,6 +26,7 @@ from .core import (
     RunStatus,
     SolverConfig,
     _converted,
+    _integer,
     _norm,
     as_vector,
     normalize_sigma,
@@ -56,8 +57,7 @@ class Problem:
     cost: Optional[object] = None
 
     def __post_init__(self):
-        self.dimension = _converted(self.dimension, "dimension", InvalidProblem, int,
-                                    "an integer")
+        self.dimension = _integer(self.dimension, "dimension", InvalidProblem)
         if self.dimension < 1:
             raise InvalidProblem("dimension must be >= 1")
         self.cutters = tuple(self.cutters)

@@ -11,9 +11,11 @@ the rows of its period once, at construction; a schedule that computes its
 weights, from a callable or from k, is checked on every call.
 """
 
+import operator
+
 import numpy as np
 
-from .core import InvalidSchedule, _converted
+from .core import InvalidSchedule, _converted, _integer
 
 _SUM_TOL = 1e-12
 
@@ -34,11 +36,11 @@ def _cycled(rule, convert, name):
 
 
 def _index(i, name):
-    return _converted(i, name, InvalidSchedule, int, "an integer index")
+    return _integer(i, name, InvalidSchedule, "an integer index")
 
 
 def _block(indices, name):
-    return _converted(indices, name, InvalidSchedule, lambda b: tuple(map(int, b)),
+    return _converted(indices, name, InvalidSchedule, lambda b: tuple(map(operator.index, b)),
                       "a list of integer indices")
 
 
@@ -116,7 +118,7 @@ class WeightSchedule:
     _table = None
 
     def __init__(self, m):
-        m = _converted(m, "m", InvalidSchedule, int, "an integer")
+        m = _integer(m, "m", InvalidSchedule)
         if m < 1:
             raise InvalidSchedule("need at least one operator")
         self.m = m
@@ -128,7 +130,7 @@ class WeightSchedule:
         (a short period hands out the same vector each period); a computed
         vector is checked here.
         """
-        k = _converted(k, "k", InvalidSchedule, int, "an integer")
+        k = _integer(k, "k", InvalidSchedule)
         if k < 0:
             raise InvalidSchedule("iteration index must be nonnegative")
         if self._table is not None:
@@ -148,7 +150,7 @@ class WeightSchedule:
         empirically-divergent ones; the limit point is only guaranteed to be
         feasible for those.
         """
-        horizon = _converted(horizon, "horizon", InvalidSchedule, int, "an integer")
+        horizon = _integer(horizon, "horizon", InvalidSchedule)
         if horizon < 1:
             raise InvalidSchedule("horizon must be >= 1")
         total = np.zeros(self.m)
@@ -182,10 +184,8 @@ class SequentialAlmostCyclic(WeightSchedule):
 
     def __init__(self, m, period_bound, order_seed=0):
         super().__init__(m)
-        self.period_bound = _converted(period_bound, "period_bound", InvalidSchedule, int,
-                                       "an integer")
-        self.order_seed = _converted(order_seed, "order_seed", InvalidSchedule, int,
-                                     "an integer")
+        self.period_bound = _integer(period_bound, "period_bound", InvalidSchedule)
+        self.order_seed = _integer(order_seed, "order_seed", InvalidSchedule)
         if self.period_bound < self.m:
             raise InvalidSchedule("period_bound must be >= number of operators")
         if self.order_seed < 0:

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 
@@ -14,7 +15,7 @@ from blockproj import (
     load_problem,
     run,
 )
-from blockproj import solver
+from blockproj import cli, solver
 from blockproj.cli import assemble_config, main
 
 
@@ -420,3 +421,15 @@ def test_gen_unknown_kind_exits_1(tmp_path, capsys):
 
 def test_gen_invalid_params_exit_1(tmp_path):
     assert main(["gen", "discs", "--m", "1", "--out", str(tmp_path / "x.json")]) == 1
+
+
+def test_main_reuses_its_parser_and_runs_the_command_bound_when_called(tmp_path):
+    # a command replaced after the parser was built, as a tracer replaces
+    # cmd_gen and cmd_solve, is the one main runs
+    assert main(["gen", "linear", "--m", "3", "--n", "2", "--out", str(tmp_path / "a.json")]) == 0
+    parser = cli.build_parser()
+    with mock.patch.object(cli, "cmd_gen", return_value=7) as gen:
+        assert main(["gen", "linear", "--out", str(tmp_path / "b.json")]) == 7
+    gen.assert_called_once()
+    assert cli.build_parser() is parser
+    assert not (tmp_path / "b.json").exists()

@@ -163,6 +163,21 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: Problem(True, [Halfspace([1.0], 0.0)], [0.0], 1.0), InvalidProblem, "dimension"),
     (lambda: gen_linear_feasibility(True, 4, 3, 2.0), InvalidProblem, "seed"),
     (lambda: gen_disc_intersection(1, 3, n=True), InvalidProblem, "n"),
+    (lambda: Halfspace([1.0, 0.0], True), InvalidCutter, "b"),
+    (lambda: Ball([0.0, 0.0], True), InvalidCutter, "ball radius"),
+    (lambda: L1Ball(np.True_), InvalidCutter, "l1 ball radius"),
+    (lambda: Resolvent(AbsSum(), True), InvalidCutter, "gamma"),
+    # Python's int() truncates a float, 2.0 included
+    (lambda: SequentialCyclic(2.5), InvalidSchedule, "m"),
+    (lambda: SequentialCyclic(2.0), InvalidSchedule, "m"),
+    (lambda: BlockClassicalCyclic(3, [[0, 1.7], [2]]), InvalidSchedule, "partition block"),
+    (lambda: BlockGeneralized(3, [[0, 2.9]]).weights_at(0), InvalidSchedule, "selection"),
+    (lambda: SequentialRepetitive(2, [0, 1.0]), InvalidSchedule, "control"),
+    (lambda: SequentialCyclic(2).weights_at(1.9), InvalidSchedule, "k"),
+    (lambda: SequentialCyclic(2).weights_at(np.float64(1.0)), InvalidSchedule, "k"),
+    (lambda: SequentialCyclic(2).divergence_profile(3.0), InvalidSchedule, "horizon"),
+    (lambda: Problem(2.7, [Halfspace([1.0, 0.0], 0.0)], [0.0, 0.0], 1.0), InvalidProblem,
+     "dimension"),
 ])
 def test_an_argument_that_is_not_a_number_raises_a_library_error_naming_it(call, error, name):
     with pytest.raises(error, match=f"^{name} must be "):
