@@ -3,6 +3,7 @@
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,22 +66,50 @@ class ParseError(BlockprojError):
 _BOOLEANS = (bool, np.bool_)
 
 
-def _converted(value, name, error, convert=float, kind="a number"):
+# requirements of ``_converted``: (text, low, high), met where
+# low <= value <= high, a comparison that NaN fails; an open end is the
+# first float inside it, so float(x) > 0 is float(x) >= 5e-324
+_POSITIVE = ("positive", math.ulp(0.0), math.inf)
+_NONNEGATIVE = ("nonnegative", 0.0, math.inf)
+_FINITE = ("a finite number", -sys.float_info.max, sys.float_info.max)
+
+
+def _converted(value, name, error, requirement=None, convert=float, kind="a number"):
     """convert(value), or ``error`` naming ``name`` where Python's own
     conversion fails: a string, None, or an integer beyond the float range.
-    A boolean is refused too."""
+    A boolean is refused too.  A converted value outside ``requirement``
+    raises ``error("<name> must be <text>, got <value>")``."""
     if isinstance(value, _BOOLEANS):
         raise error(f"{name} must be {kind}, got {value!r}")
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
+        value = convert(value)
+    except (TypeError, ValueError):
         raise error(f"{name} must be {kind}, got {value!r}") from None
+    except OverflowError:
+        raise error(f"{name} must be {kind}, got one that overflows a float") from None
+    if requirement is not None and not requirement[1] <= value <= requirement[2]:
+        raise error(f"{name} must be {requirement[0]}, got {value}")
+    return value
 
 
-def _integer(value, name, error, kind="an integer"):
+def _integer(value, name, error, at_least=None, kind="an integer"):
     """``value`` as an int, or ``error`` naming ``name``: a float, 2.0
-    included, is refused rather than truncated, as are a string and a boolean."""
-    return _converted(value, name, error, operator.index, kind)
+    included, is refused rather than truncated, as are a string and a
+    boolean, and so is an int below ``at_least``."""
+    value = _converted(value, name, error, None, operator.index, kind)
+    if at_least is not None and value < at_least:
+        raise error(f"{name} must be >= {at_least}, got {value}")
+    return value
+
+
+def _table(values, name, error, convert=float, kind="a number", table="a table of numbers"):
+    """The entries of ``values`` as a nonempty tuple, each converted as
+    ``_converted`` converts a scalar, so a boolean entry is refused;
+    ``error`` names ``name`` when ``values`` is empty or not iterable."""
+    entries = _converted(values, name, error, None, tuple, table)
+    if not entries:
+        raise error(f"{name} table must be nonempty")
+    return tuple([_converted(v, name, error, None, convert, kind) for v in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +122,7 @@ INFINITE_SIGMA = math.inf
 
 def normalize_sigma(sigma):
     """Return sigma as a float that is positive or +inf, refusing the rest."""
-    if isinstance(sigma, _BOOLEANS):
-        raise NonpositiveSigma(f"sigma must be a positive number, got {sigma!r}")
-    try:
-        value = float(sigma)
-    except (TypeError, ValueError):
-        raise NonpositiveSigma(f"sigma must be a positive number, got {sigma!r}")
-    except OverflowError:
-        raise NonpositiveSigma("sigma must be a positive number, got one that overflows a float")
-    # a comparison that NaN fails
-    if not value > 0:
-        raise NonpositiveSigma(f"sigma must be positive, got {value}")
-    return value
+    return _converted(sigma, "sigma", NonpositiveSigma, _POSITIVE, float, "a positive number")
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +173,8 @@ class LambdaSchedule:
             self._const = _converted(rule, "lambda", InvalidConfig)
             self._range = (self._const, self._const)
         else:
-            table = _converted(rule, "lambda", InvalidConfig, lambda r: tuple(map(float, r)),
-                               "a number, a table of numbers or a callable")
-            if not table:
-                raise InvalidConfig("lambda table must be nonempty")
-            self._table = table
+            self._table = table = _table(rule, "lambda", InvalidConfig,
+                                         table="a number, a table of numbers or a callable")
             # numpy's min and max propagate NaN, which the range check refuses
             self._range = (float(np.min(table)), float(np.max(table)))
 

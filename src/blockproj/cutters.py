@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .core import DimensionMismatch, InvalidCutter, _converted, _norm, as_vector
+from .core import (_FINITE, _NONNEGATIVE, _POSITIVE, DimensionMismatch, InvalidCutter,
+                   _converted, _norm, as_vector)
 
 # f values at or below this are treated as feasible, guarding the subgradient
 # step against division by a vanishing gradient at the boundary
@@ -19,14 +20,13 @@ LEVEL_ZERO_TOL = 1e-14
 _GRAD_ZERO_TOL = 1e-14
 
 
-def _number(value, name):
+def _number(value, name, requirement=None):
     """float(value), refusing a boolean, NaN and infinities: an offset has no
     range check to fail, an infinite offset makes residuals inf or NaN, and an
-    infinite radius makes a ball all of R^n."""
-    value = _converted(value, name, InvalidCutter, kind="a finite number")
-    if not math.isfinite(value):
-        raise InvalidCutter(f"{name} must be a finite number, got {value}")
-    return value
+    infinite radius makes a ball all of R^n.  A further ``requirement`` is
+    checked after, so that an infinity is refused as not finite."""
+    value = _converted(value, name, InvalidCutter, _FINITE, float, "a finite number")
+    return value if requirement is None else _converted(value, name, InvalidCutter, requirement)
 
 
 def _squared_norm(a, zero_message):
@@ -118,9 +118,7 @@ class BallQuadratic:
 
     def __init__(self, center, radius):
         self.center = as_vector(center, name="center")
-        self.radius = _number(radius, "radius")
-        if not self.radius >= 0:
-            raise InvalidCutter(f"radius must be nonnegative, got {self.radius}")
+        self.radius = _number(radius, "radius", _NONNEGATIVE)
         # value subtracts radius ** 2, which overflows from about 1.34e154
         if self.radius >= 1e154:
             raise InvalidCutter(f"radius must be below 1e154, got {self.radius}")
@@ -285,9 +283,7 @@ class Ball(Cutter):
 
     def __init__(self, center, radius):
         self.center = as_vector(center, name="center")
-        self.radius = _number(radius, "ball radius")
-        if not self.radius > 0:
-            raise InvalidCutter(f"ball radius must be positive, got {self.radius}")
+        self.radius = _number(radius, "ball radius", _POSITIVE)
 
     @property
     def dim(self):
@@ -339,9 +335,12 @@ def project_l1_ball(x, radius):
     Reduces to projecting |x| onto the simplex of size ``radius`` and
     restoring signs; O(n log n).
     """
-    x = np.asarray(x, dtype=float)
-    if not radius > 0:
-        raise InvalidCutter(f"l1 ball radius must be positive, got {radius}")
+    radius = _converted(radius, "l1 ball radius", InvalidCutter, _POSITIVE)
+    return _project_l1_ball(np.asarray(x, dtype=float), radius)
+
+
+def _project_l1_ball(x, radius):
+    """``project_l1_ball`` of a float array ``x`` and a radius > 0."""
     mag = np.abs(x)
     if float(mag.sum()) <= radius:
         return x
@@ -380,12 +379,10 @@ class L1Ball(Cutter):
     is_projection = True
 
     def __init__(self, radius):
-        self.radius = _number(radius, "l1 ball radius")
-        if not self.radius > 0:
-            raise InvalidCutter(f"l1 ball radius must be positive, got {self.radius}")
+        self.radius = _number(radius, "l1 ball radius", _POSITIVE)
 
     def apply(self, x):
-        return project_l1_ball(_check_point(x, None), self.radius)
+        return _project_l1_ball(_check_point(x, None), self.radius)
 
     def fixed_point_distance(self, x):
         x = _check_point(x, None)
@@ -448,9 +445,7 @@ class Resolvent(Cutter):
         if not hasattr(g, "prox"):
             raise InvalidCutter("resolvent needs a function with a prox method")
         self.g = g
-        self.gamma = _number(gamma, "gamma")
-        if not self.gamma > 0:
-            raise InvalidCutter(f"gamma must be positive, got {self.gamma}")
+        self.gamma = _number(gamma, "gamma", _POSITIVE)
 
     @property
     def dim(self):

@@ -10,22 +10,12 @@ import math
 
 import numpy as np
 
-from .core import InvalidConfig, _converted, _norm, normalize_sigma
+from .core import _NONNEGATIVE, InvalidConfig, _converted, _norm, normalize_sigma
 from .cutters import _GRAD_ZERO_TOL
 
-
-def _check_lambda(lam):
-    lam = _converted(lam, "lambda", InvalidConfig)
-    if not 0.0 <= lam <= 2.0:
-        raise InvalidConfig(f"lambda must be in [0, 2], got {lam}")
-    return lam
-
-
-def _check_residual(residual):
-    residual = _converted(residual, "residual", InvalidConfig)
-    if residual < 0.0 or math.isnan(residual):
-        raise InvalidConfig(f"residual must be nonnegative, got {residual}")
-    return residual
+_LAMBDA = ("in [0, 2]", 0.0, 2.0)
+# strict: generated vectors must sit strictly inside the budget
+_RHO = ("in [0, 1)", 0.0, math.nextafter(1.0, 0.0))
 
 
 # the unscaled budget formula squares lam r + anchor and r; up to this
@@ -102,8 +92,8 @@ def _budgets(lam, residuals, sigma, r_max):
 def zeta(lam, residual, sigma):
     """(lam r + 2 sigma)^2 + lam (2 - lam) r^2; inf for an infinite sigma and
     where the value exceeds the float range."""
-    lam = _check_lambda(lam)
-    r = _check_residual(residual)
+    lam = _converted(lam, "lambda", InvalidConfig, _LAMBDA)
+    r = _converted(residual, "residual", InvalidConfig, _NONNEGATIVE)
     sigma = normalize_sigma(sigma)
     return _zeta(lam * r, lam, r, 2.0 * sigma)
 
@@ -115,8 +105,8 @@ def budget(lam, residual, sigma):
     zero when sigma is infinite, when the residual vanishes, or when lam is
     an endpoint of [0, 2].
     """
-    lam = _check_lambda(lam)
-    r = _check_residual(residual)
+    lam = _converted(lam, "lambda", InvalidConfig, _LAMBDA)
+    r = _converted(residual, "residual", InvalidConfig, _NONNEGATIVE)
     sigma = normalize_sigma(sigma)
     if math.isinf(sigma):
         return 0.0
@@ -132,14 +122,10 @@ def theta_budget(theta, lam, residual, anchor_distance):
     zero when the denominator (hence the numerator) vanishes.  The
     algorithmic budget is the theta = 1/2 case with anchor 2 sigma.
     """
-    theta = _converted(theta, "theta", InvalidConfig)
-    if theta < 0.0:
-        raise InvalidConfig(f"theta must be nonnegative, got {theta}")
-    lam = _check_lambda(lam)
-    r = _check_residual(residual)
-    anchor = _converted(anchor_distance, "anchor distance", InvalidConfig)
-    if anchor < 0.0:
-        raise InvalidConfig(f"anchor distance must be nonnegative, got {anchor}")
+    theta = _converted(theta, "theta", InvalidConfig, _NONNEGATIVE)
+    lam = _converted(lam, "lambda", InvalidConfig, _LAMBDA)
+    r = _converted(residual, "residual", InvalidConfig, _NONNEGATIVE)
+    anchor = _converted(anchor_distance, "anchor distance", InvalidConfig, _NONNEGATIVE)
     # the denominator sqrt(zeta) + lam r + anchor, a sum of nonnegative
     # terms, vanishes exactly when anchor, lam r and lam (2 - lam) r^2 do
     if anchor == 0.0 and lam * r == 0.0 and lam * (2.0 - lam) * r * r == 0.0:
@@ -183,21 +169,13 @@ class ZeroPolicy(PerturbationPolicy):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _check_rho(rho):
-    rho = _converted(rho, "rho", InvalidConfig)
-    # strict: generated vectors must sit strictly inside the budget
-    if not 0.0 <= rho < 1.0:
-        raise InvalidConfig(f"rho must be in [0, 1), got {rho}")
-    return rho
-
-
 class RandomDirectionPolicy(PerturbationPolicy):
     """Uniformly random direction scaled to rho * budget."""
 
     kind = "random"
 
     def __init__(self, rho=0.99):
-        self.rho = _check_rho(rho)
+        self.rho = _converted(rho, "rho", InvalidConfig, _RHO)
 
     def combined(self, x, weights, budgets, iteration_rng):
         """Row r of one (live, n) standard normal draw is the direction of
@@ -227,7 +205,7 @@ class SuperiorizedPolicy(PerturbationPolicy):
         if not hasattr(cost, "grad"):
             raise InvalidConfig("superiorized policy needs a cost with a grad method")
         self.cost = cost
-        self.rho = _check_rho(rho)
+        self.rho = _converted(rho, "rho", InvalidConfig, _RHO)
 
     def combined(self, x, weights, budgets, iteration_rng):
         x = np.asarray(x, dtype=float)

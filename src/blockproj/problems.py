@@ -10,6 +10,7 @@ final newline.
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -338,10 +339,13 @@ def _uniform_ball(rng, n, radius):
 
 def _generator(seed):
     """The instance generator of a seed, an integer >= 0."""
-    seed = _integer(seed, "seed", InvalidProblem)
-    if seed < 0:
-        raise InvalidProblem(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_integer(seed, "seed", InvalidProblem, 0))
+
+
+# requirements of the generators' scalars (see core._converted): x0 lies
+# between radius + 2 and 2 radius + 4 from the witness, finite up to this
+_RADIUS = (f"in [0, {sys.float_info.max / 2}]", 0.0, sys.float_info.max / 2)
+_POSITIVE_FINITE = ("positive and finite", math.ulp(0.0), sys.float_info.max)
 
 
 def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
@@ -352,10 +356,9 @@ def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
     least 0.01 and usable for monotonicity audits; x0 is drawn outside a
     fair share of the halfspaces.
     """
-    m, n = _integer(m, "m", InvalidProblem), _integer(n, "n", InvalidProblem)
-    radius = _converted(radius, "radius", InvalidProblem)
-    if m < 1 or n < 1:
-        raise InvalidProblem("need m >= 1 and n >= 1")
+    m = _integer(m, "m", InvalidProblem, 1)
+    n = _integer(n, "n", InvalidProblem, 1)
+    radius = _converted(radius, "radius", InvalidProblem, _RADIUS)
     rng = _generator(seed)
     q = _uniform_ball(rng, n, radius)
     cutters = []
@@ -375,12 +378,9 @@ def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
 
 def gen_disc_intersection(seed, m, n=2, overlap=0.5, margin=1.0):
     """Overlapping discs sharing an interior witness (bounded solution set)."""
-    m, n = _integer(m, "m", InvalidProblem), _integer(n, "n", InvalidProblem)
-    overlap = _converted(overlap, "overlap", InvalidProblem)
-    if m < 2:
-        raise InvalidProblem("need m >= 2 discs")
-    if not overlap > 0:
-        raise InvalidProblem("overlap must be positive")
+    m = _integer(m, "m", InvalidProblem, 2)
+    n = _integer(n, "n", InvalidProblem, 1)
+    overlap = _converted(overlap, "overlap", InvalidProblem, _POSITIVE_FINITE)
     rng = _generator(seed)
     q = rng.uniform(-3.0, 3.0, n)
     cutters = []
@@ -403,12 +403,9 @@ def gen_l1_constrained(seed, s, n, epsilon, margin=1.0):
     feasible for the ball; row right-hand sides reuse the exact dot products
     so the witness residuals are identically zero.
     """
-    s, n = _integer(s, "s", InvalidProblem), _integer(n, "n", InvalidProblem)
-    epsilon = _converted(epsilon, "epsilon", InvalidProblem)
-    if s < 1 or n < 1:
-        raise InvalidProblem("need s >= 1 and n >= 1")
-    if not epsilon > 0:
-        raise InvalidProblem("epsilon must be positive")
+    s = _integer(s, "s", InvalidProblem, 1)
+    n = _integer(n, "n", InvalidProblem, 1)
+    epsilon = _converted(epsilon, "epsilon", InvalidProblem, _POSITIVE_FINITE)
     rng = _generator(seed)
     v = rng.standard_normal(n)
     xstar = v * (0.9 * epsilon * rng.uniform(0.3, 1.0) / float(np.sum(np.abs(v))))

@@ -15,6 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    _NONNEGATIVE,
+    _POSITIVE,
     DimensionMismatch,
     InvalidConfig,
     InvalidProblem,
@@ -57,9 +59,7 @@ class Problem:
     cost: Optional[object] = None
 
     def __post_init__(self):
-        self.dimension = _integer(self.dimension, "dimension", InvalidProblem)
-        if self.dimension < 1:
-            raise InvalidProblem("dimension must be >= 1")
+        self.dimension = _integer(self.dimension, "dimension", InvalidProblem, 1)
         self.cutters = tuple(self.cutters)
         if not self.cutters:
             raise InvalidProblem("need at least one cutter")
@@ -414,12 +414,8 @@ def sigma_from_ball(c0, r, x0, margin):
     r + ||x0 - c0|| bounds d(x0, Q) from above; the positive margin keeps
     the required strict inequality.
     """
-    margin = _converted(margin, "margin", InvalidProblem)
-    if margin <= 0:
-        raise InvalidProblem("margin must be positive")
-    r = _converted(r, "radius", InvalidProblem)
-    if r < 0:
-        raise InvalidProblem("radius must be nonnegative")
+    margin = _converted(margin, "margin", InvalidProblem, _POSITIVE)
+    r = _converted(r, "radius", InvalidProblem, _NONNEGATIVE)
     c0 = as_vector(c0, name="c0")
     x0 = as_vector(x0, c0.size, name="x0")
     return r + _norm(x0 - c0) + margin
@@ -432,12 +428,8 @@ def sigma_from_l1(x0, epsilon, margin):
     ||x0|| + epsilon bounds d(x0, Q); the positive margin keeps the strict
     inequality.
     """
-    margin = _converted(margin, "margin", InvalidProblem)
-    if margin <= 0:
-        raise InvalidProblem("margin must be positive")
-    epsilon = _converted(epsilon, "epsilon", InvalidProblem)
-    if epsilon <= 0:
-        raise InvalidProblem("epsilon must be positive")
+    margin = _converted(margin, "margin", InvalidProblem, _POSITIVE)
+    epsilon = _converted(epsilon, "epsilon", InvalidProblem, _POSITIVE)
     return _norm(as_vector(x0, name="x0")) + epsilon + margin
 
 

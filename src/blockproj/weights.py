@@ -15,38 +15,30 @@ import operator
 
 import numpy as np
 
-from .core import InvalidSchedule, _converted, _integer
+from .core import InvalidSchedule, _converted, _integer, _table
 
 _SUM_TOL = 1e-12
 
 
-def _entries(rule, convert, name):
-    table = tuple(convert(entry, name) for entry in rule)
-    if not table:
-        raise InvalidSchedule(f"{name} table must be nonempty")
-    return table
+def _indices(rule, name):
+    """A nonempty table of integer indices, each checked once."""
+    return _table(rule, name, InvalidSchedule, operator.index, "an integer index",
+                  "a callable or a list of integer indices")
 
 
-def _cycled(rule, convert, name):
-    """``rule`` when it is callable, else a nonempty table cycled over k."""
-    if callable(rule):
-        return rule
-    table = _entries(rule, convert, name)
-    return lambda k: table[k % len(table)]
-
-
-def _index(i, name):
-    return _integer(i, name, InvalidSchedule, "an integer index")
+def _index(i, m, name):
+    """An integer index in 0..m-1 that a callable or a table gave."""
+    i = _integer(i, name, InvalidSchedule, None, "an integer index")
+    if not 0 <= i < m:
+        raise InvalidSchedule(f"{name} returned index {i} outside 0..{m - 1}")
+    return i
 
 
 def _block(indices, name):
-    return _converted(indices, name, InvalidSchedule, lambda b: tuple(map(operator.index, b)),
-                      "a list of integer indices")
-
-
-def _check_index(i, m, name):
-    if not 0 <= i < m:
-        raise InvalidSchedule(f"{name} returned index {i} outside 0..{m - 1}")
+    """A callable's index list, converted on each call at the least cost:
+    a boolean entry passes as 0 or 1, which ``_indices`` refuses."""
+    return _converted(indices, name, InvalidSchedule, None,
+                      lambda b: tuple(map(operator.index, b)), "a list of integer indices")
 
 
 class _Table:
@@ -118,10 +110,7 @@ class WeightSchedule:
     _table = None
 
     def __init__(self, m):
-        m = _integer(m, "m", InvalidSchedule)
-        if m < 1:
-            raise InvalidSchedule("need at least one operator")
-        self.m = m
+        self.m = _integer(m, "m", InvalidSchedule, 1)
 
     def weights_at(self, k):
         """Weight vector at iteration k: nonnegative entries summing to 1.
@@ -130,9 +119,7 @@ class WeightSchedule:
         (a short period hands out the same vector each period); a computed
         vector is checked here.
         """
-        k = _integer(k, "k", InvalidSchedule)
-        if k < 0:
-            raise InvalidSchedule("iteration index must be nonnegative")
+        k = _integer(k, "k", InvalidSchedule, 0)
         if self._table is not None:
             return self._table.at(k)
         w = np.asarray(self._weights(k), dtype=float)
@@ -150,9 +137,7 @@ class WeightSchedule:
         empirically-divergent ones; the limit point is only guaranteed to be
         feasible for those.
         """
-        horizon = _integer(horizon, "horizon", InvalidSchedule)
-        if horizon < 1:
-            raise InvalidSchedule("horizon must be >= 1")
+        horizon = _integer(horizon, "horizon", InvalidSchedule, 1)
         total = np.zeros(self.m)
         for k in range(horizon):
             total += self.weights_at(k)
@@ -184,12 +169,8 @@ class SequentialAlmostCyclic(WeightSchedule):
 
     def __init__(self, m, period_bound, order_seed=0):
         super().__init__(m)
-        self.period_bound = _integer(period_bound, "period_bound", InvalidSchedule)
-        self.order_seed = _integer(order_seed, "order_seed", InvalidSchedule)
-        if self.period_bound < self.m:
-            raise InvalidSchedule("period_bound must be >= number of operators")
-        if self.order_seed < 0:
-            raise InvalidSchedule(f"order_seed must be >= 0, got {self.order_seed}")
+        self.period_bound = _integer(period_bound, "period_bound", InvalidSchedule, self.m)
+        self.order_seed = _integer(order_seed, "order_seed", InvalidSchedule, 0)
 
     def _window_order(self, window):
         rng = np.random.default_rng([self.order_seed, window])
@@ -220,14 +201,11 @@ class SequentialRepetitive(WeightSchedule):
         if callable(control):
             self.control = control
         else:
-            table = _entries(control, _index, "control")
-            for i in table:
-                _check_index(i, self.m, "control")
+            table = [_index(i, self.m, "control") for i in _indices(control, "control")]
             self._table = _one_hot(self.m, table)
 
     def _weights(self, k):
-        i = _index(self.control(k), "control")
-        _check_index(i, self.m, "control")
+        i = _index(self.control(k), self.m, "control")
         w = np.zeros(self.m)
         w[i] = 1.0
         return w
@@ -255,12 +233,13 @@ class SimultaneousDrifting(WeightSchedule):
 
     def __init__(self, m, selector=None):
         super().__init__(m)
-        self.selector = _cycled(range(self.m) if selector is None else selector, _index,
-                                "selector")
+        if not callable(selector):
+            table = _indices(range(self.m) if selector is None else selector, "selector")
+            selector = lambda k: table[k % len(table)]
+        self.selector = selector
 
     def _weights(self, k):
-        i = _index(self.selector(k), "selector")
-        _check_index(i, self.m, "selector")
+        i = _index(self.selector(k), self.m, "selector")
         base = 1.0 / (self.m * k + self.m)
         w = np.full(self.m, base)
         w[i] = (self.m * k + 1.0) / (self.m * k + self.m)
@@ -279,19 +258,21 @@ class BlockClassicalCyclic(WeightSchedule):
 
     def __init__(self, m, partition, intra="uniform"):
         super().__init__(m)
-        blocks = [_block(block, "partition block") for block in partition]
-        if not blocks or any(not block for block in blocks):
-            raise InvalidSchedule("partition blocks must be nonempty")
+        kind = "a list of index lists"
+        blocks = [_indices(block, "partition block")
+                  for block in _table(partition, "partition", InvalidSchedule, tuple, kind, kind)]
         flat = [i for block in blocks for i in block]
         if sorted(flat) != list(range(self.m)):
             raise InvalidSchedule("partition must be disjoint and cover every index exactly once")
         self.partition = blocks
-        if isinstance(intra, str) and intra == "uniform":
+        kind = '"uniform" or a list of per-block weight lists'
+        if isinstance(intra, str):
+            if intra != "uniform":
+                raise InvalidSchedule(f"intra must be {kind}, got {intra!r}")
             values = [1.0 / len(block) for block in blocks for _ in block]
         else:
-            weights = _converted(intra, "intra", InvalidSchedule,
-                                 lambda rows: [tuple(map(float, ws)) for ws in rows],
-                                 '"uniform" or a list of per-block weight lists')
+            weights = [_table(ws, "intra", InvalidSchedule, table=kind)
+                       for ws in _converted(intra, "intra", InvalidSchedule, None, tuple, kind)]
             if len(weights) != len(blocks) or any(
                 len(ws) != len(block) for ws, block in zip(weights, blocks)
             ):
@@ -311,15 +292,28 @@ class BlockGeneralized(WeightSchedule):
 
     def __init__(self, m, selection, weights_fn=None):
         super().__init__(m)
-        self.selection = _cycled(selection, _block, "selection")
         self.weights_fn = weights_fn
+        self.selection = selection
+        self._tabled = not callable(selection)
+        if self._tabled:
+            # each tabled block is checked once, as the k it first serves
+            kind = "a callable or a table of index lists"
+            table = _table(selection, "selection", InvalidSchedule, tuple, kind, kind)
+            blocks = tuple(self._subset(_indices(block, "selection"), k)
+                           for k, block in enumerate(table))
+            self.selection = lambda k: blocks[k % len(blocks)]
 
-    def _weights(self, k):
-        block = _block(self.selection(k), "selection")
+    def _subset(self, block, k):
         if not block:
             raise InvalidSchedule(f"selection at k={k} is empty")
         if min(block) < 0 or max(block) >= self.m or len(set(block)) != len(block):
             raise InvalidSchedule(f"selection at k={k} is not a valid index subset: {block}")
+        return block
+
+    def _weights(self, k):
+        block = self.selection(k)
+        if not self._tabled:
+            block = self._subset(_block(block, "selection"), k)
         w = np.zeros(self.m)
         if self.weights_fn is None:
             w[list(block)] = 1.0 / len(block)

@@ -57,7 +57,12 @@ from blockproj import (
     gen_disc_intersection,
     gen_l1_constrained,
     gen_linear_feasibility,
+    normalize_sigma,
+    project_l1_ball,
     run,
+    sigma_from_ball,
+    sigma_from_l1,
+    theta_budget,
     validate_config,
 )
 from blockproj.cli import assemble_config
@@ -178,10 +183,47 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: SequentialCyclic(2).divergence_profile(3.0), InvalidSchedule, "horizon"),
     (lambda: Problem(2.7, [Halfspace([1.0, 0.0], 0.0)], [0.0, 0.0], 1.0), InvalidProblem,
      "dimension"),
+    # a range check written as x < 0 or x <= 0 lets NaN through
+    (lambda: sigma_from_ball([0.0, 0.0], math.nan, [1.0, 1.0], 1.0), InvalidProblem, "radius"),
+    (lambda: sigma_from_ball([0.0, 0.0], 1.0, [1.0, 1.0], math.nan), InvalidProblem, "margin"),
+    (lambda: sigma_from_l1([0.0, 0.0], math.nan, 1.0), InvalidProblem, "epsilon"),
+    (lambda: sigma_from_l1([0.0, 0.0], 1.0, math.nan), InvalidProblem, "margin"),
+    (lambda: theta_budget(math.nan, 1.0, 1.0, 1.0), InvalidConfig, "theta"),
+    (lambda: theta_budget(0.5, 1.0, 1.0, math.nan), InvalidConfig, "anchor distance"),
+    # a table that is not iterable, and a boolean inside a table
+    (lambda: BlockClassicalCyclic(3, 5), InvalidSchedule, "partition"),
+    (lambda: BlockGeneralized(3, 5), InvalidSchedule, "selection"),
+    (lambda: SequentialRepetitive(3, 5), InvalidSchedule, "control"),
+    (lambda: SimultaneousDrifting(3, 5), InvalidSchedule, "selector"),
+    (lambda: BlockClassicalCyclic(2, [[0, True]]), InvalidSchedule, "partition block"),
+    (lambda: BlockGeneralized(2, [[0, True]]), InvalidSchedule, "selection"),
+    (lambda: LambdaSchedule([True]), InvalidConfig, "lambda"),
+    (lambda: BlockClassicalCyclic(1, [[0]], [[True]]), InvalidSchedule, "intra"),
+    # generator arguments that numpy refused with its own errors, or with
+    # a RuntimeWarning and then a NaN offset
+    (lambda: gen_linear_feasibility(1, 4, 3, 1e308), InvalidProblem, "radius"),
+    (lambda: gen_linear_feasibility(1, 4, 3, -5.0), InvalidProblem, "radius"),
+    (lambda: gen_linear_feasibility(1, 4, 3, math.inf), InvalidProblem, "radius"),
+    (lambda: gen_disc_intersection(1, 3, overlap=math.inf), InvalidProblem, "overlap"),
+    (lambda: gen_disc_intersection(1, 3, n=-1), InvalidProblem, "n"),
+    (lambda: gen_l1_constrained(1, 2, 3, math.inf), InvalidProblem, "epsilon"),
+    (lambda: project_l1_ball([1.0, 2.0], "x"), InvalidCutter, "l1 ball radius"),
+    (lambda: project_l1_ball([1.0, 2.0], True), InvalidCutter, "l1 ball radius"),
 ])
 def test_an_argument_that_is_not_a_number_raises_a_library_error_naming_it(call, error, name):
     with pytest.raises(error, match=f"^{name} must be "):
         call()
+
+
+@pytest.mark.parametrize("call, error, name", [
+    (lambda v: normalize_sigma(v), blockproj.NonpositiveSigma, "sigma"),
+    (lambda v: L1Ball(v), InvalidCutter, "l1 ball radius"),
+    (lambda v: LambdaSchedule(v), InvalidConfig, "lambda"),
+    (lambda v: gen_l1_constrained(1, 2, 3, v), InvalidProblem, "epsilon"),
+])
+def test_an_integer_beyond_the_float_range_is_named_without_its_digits(call, error, name):
+    with pytest.raises(error, match=f"^{name} must be [a-z ]+, got one that overflows a float$"):
+        call(10**400)
 
 
 def _stopped_by(rule):
