@@ -63,6 +63,14 @@ def _indices(raw, m, path):
     return idx
 
 
+def _blocks(obj, key, m, path):
+    """The required array of index lists ``obj[key]``, each as ``_indices`` reads it."""
+    if key not in obj:
+        raise ParseError(f"{path}.{key}: required")
+    return [_indices(block, m, f"{path}.{key}[{i}]")
+            for i, block in enumerate(_array(obj[key], f"{path}.{key}"))]
+
+
 def schedule_from_json(obj, m, path="config.schedule"):
     if not isinstance(obj, dict) or "regime" not in obj:
         raise ParseError(f"{path}: expected an object with a 'regime' field")
@@ -87,24 +95,13 @@ def schedule_from_json(obj, m, path="config.schedule"):
             selector = _indices(selector, m, f"{path}.selector")
         return SimultaneousDrifting(m, selector)
     if regime == "block_classical":
-        if "partition" not in obj:
-            raise ParseError(f"{path}.partition: required")
-        partition = [
-            _indices(block, m, f"{path}.partition[{i}]")
-            for i, block in enumerate(_array(obj["partition"], f"{path}.partition"))
-        ]
+        partition = _blocks(obj, "partition", m, path)
         intra = obj.get("intra", "uniform")
         if intra != "uniform":
             intra = [_floats(ws, f"{path}.intra") for ws in _array(intra, f"{path}.intra")]
         return BlockClassicalCyclic(m, partition, intra)
     if regime == "block_generalized":
-        if "blocks" not in obj:
-            raise ParseError(f"{path}.blocks: required")
-        blocks = [
-            _indices(block, m, f"{path}.blocks[{i}]")
-            for i, block in enumerate(_array(obj["blocks"], f"{path}.blocks"))
-        ]
-        return BlockGeneralized(m, blocks)
+        return BlockGeneralized(m, _blocks(obj, "blocks", m, path))
     raise ParseError(f"{path}.regime: unknown regime {regime!r}")
 
 

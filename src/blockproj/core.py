@@ -102,14 +102,27 @@ def _integer(value, name, error, at_least=None, kind="an integer"):
     return value
 
 
+def _rule(rule, name, error, check, kind):
+    """``(at, table)`` of a per-iteration rule: ``at(k)`` is its value at k
+    as ``check(value, k)`` converts it.  A callable ``k -> value`` is checked
+    on every call, and ``table`` is None; any other rule is a nonempty table
+    cycled over k, whose entries are checked once, here, as the k each first
+    serves."""
+    if callable(rule):
+        return (lambda k: check(rule(k), k)), None
+    entries = _converted(rule, name, error, None, tuple, kind)
+    if not entries:
+        raise error(f"{name} table must be nonempty")
+    table = tuple([check(v, k) for k, v in enumerate(entries)])
+    return (lambda k: table[k % len(table)]), table
+
+
 def _table(values, name, error, convert=float, kind="a number", table="a table of numbers"):
     """The entries of ``values`` as a nonempty tuple, each converted as
     ``_converted`` converts a scalar, so a boolean entry is refused;
     ``error`` names ``name`` when ``values`` is empty or not iterable."""
-    entries = _converted(values, name, error, None, tuple, table)
-    if not entries:
-        raise error(f"{name} table must be nonempty")
-    return tuple([_converted(v, name, error, None, convert, kind) for v in entries])
+    return _rule(_converted(values, name, error, None, tuple, table), name, error,
+                 lambda v, k: _converted(v, name, error, None, convert, kind), table)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -156,46 +169,33 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
 class LambdaSchedule:
     """Per-iteration relaxation parameters.
 
-    Accepts a constant, a finite table that is cycled, or a callable
-    ``k -> lambda_k``.  A constant's or a table's range is known in closed
-    form and checked by ``validate_config``; a callable's value is checked
-    by ``run`` at each iteration whose update uses it.
+    Accepts a constant, which is a one-entry table, a finite table that is
+    cycled, or a callable ``k -> lambda_k``.  A table's range is known in
+    closed form and checked by ``validate_config``; a callable's value is
+    checked by ``run`` at each iteration whose update uses it.
     """
 
     def __init__(self, rule=1.0):
-        self._fn = None
-        self._table = None
-        self._const = None
-        self._range = None
-        if callable(rule):
-            self._fn = rule
-        elif np.isscalar(rule):
-            self._const = _converted(rule, "lambda", InvalidConfig)
-            self._range = (self._const, self._const)
-        else:
-            self._table = table = _table(rule, "lambda", InvalidConfig,
-                                         table="a number, a table of numbers or a callable")
-            # numpy's min and max propagate NaN, which the range check refuses
-            self._range = (float(np.min(table)), float(np.max(table)))
+        self._at, self._table = _rule(
+            (rule,) if np.isscalar(rule) else rule, "lambda", InvalidConfig,
+            lambda v, k: _converted(v, "lambda", InvalidConfig),
+            "a number, a table of numbers or a callable")
 
     def __call__(self, k: int) -> float:
-        if self._const is not None:
-            return self._const
-        if self._table is not None:
-            return self._table[k % len(self._table)]
-        return _converted(self._fn(k), "lambda", InvalidConfig)
+        table = self._table  # indexed here: ``run`` calls this on every iteration
+        return self._at(k) if table is None else table[k % len(table)]
 
     @property
     def declared_range(self):
-        """(lo, hi) of a constant or a table; None for a callable."""
-        return self._range
+        """(lo, hi) of a table, a constant included; None for a callable."""
+        table = self._table
+        # numpy's min and max propagate NaN, which the range check refuses
+        return None if table is None else (float(np.min(table)), float(np.max(table)))
 
     def __repr__(self):
-        if self._const is not None:
-            return f"LambdaSchedule({self._const})"
-        if self._table is not None:
-            return f"LambdaSchedule({list(self._table)})"
-        return "LambdaSchedule(<callable>)"
+        table = self._table
+        rule = "<callable>" if table is None else table[0] if len(table) == 1 else list(table)
+        return f"LambdaSchedule({rule})"
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,7 @@ def summable_last_index_schedule(m):
         w[-1] = tail
         return w
 
-    return BlockGeneralized(m, lambda k: tuple(range(m)), weights_fn)
+    return BlockGeneralized(m, [range(m)], weights_fn)
 
 
 def qhat_trial(instance_seed):

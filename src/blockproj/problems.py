@@ -342,9 +342,10 @@ def _generator(seed):
     return np.random.default_rng(_integer(seed, "seed", InvalidProblem, 0))
 
 
-# requirements of the generators' scalars (see core._converted): x0 lies
-# between radius + 2 and 2 radius + 4 from the witness, finite up to this
-_RADIUS = (f"in [0, {sys.float_info.max / 2}]", 0.0, sys.float_info.max / 2)
+# requirements of the generators' scalars (see core._converted): from 1e14
+# and 1e6 on, rounding put some sampled witness past WITNESS_RESIDUAL_TOL
+_RADIUS = ("in [0, 1e13]", 0.0, 1e13)
+_EPSILON = ("in (0, 1e5]", math.ulp(0.0), 1e5)
 _POSITIVE_FINITE = ("positive and finite", math.ulp(0.0), sys.float_info.max)
 
 
@@ -400,12 +401,12 @@ def gen_l1_constrained(seed, s, n, epsilon, margin=1.0):
     """Consistent linear system plus an l1-ball constraint, with an l1 cost.
 
     The planted solution has l1 norm at most 0.9 epsilon, so it is strictly
-    feasible for the ball; row right-hand sides reuse the exact dot products
-    so the witness residuals are identically zero.
+    feasible for the ball; row right-hand sides reuse the computed dot
+    products, so the witness residuals are rounding error (< 1e-16 at eps 2).
     """
     s = _integer(s, "s", InvalidProblem, 1)
     n = _integer(n, "n", InvalidProblem, 1)
-    epsilon = _converted(epsilon, "epsilon", InvalidProblem, _POSITIVE_FINITE)
+    epsilon = _converted(epsilon, "epsilon", InvalidProblem, _EPSILON)
     rng = _generator(seed)
     v = rng.standard_normal(n)
     xstar = v * (0.9 * epsilon * rng.uniform(0.3, 1.0) / float(np.sum(np.abs(v))))

@@ -47,8 +47,8 @@ class Problem:
     ``sigma`` is a float that must exceed the (unknown) distance from x0 to
     the common fixed-point set; INFINITE_SIGMA (``math.inf``) is always
     safe and disables perturbations.  ``witness`` is an optional known
-    common fixed point used by audits; ``cost`` (value/grad) feeds
-    superiorization and the function-value stopping rule.
+    common fixed point used by audits; ``cost`` (value/grad) is the
+    superiorized policy's cost where a config file names none.
     """
 
     dimension: int

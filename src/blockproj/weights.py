@@ -15,30 +15,25 @@ import operator
 
 import numpy as np
 
-from .core import InvalidSchedule, _converted, _integer, _table
+from .core import InvalidSchedule, _converted, _integer, _rule, _table
 
 _SUM_TOL = 1e-12
 
 
-def _indices(rule, name):
-    """A nonempty table of integer indices, each checked once."""
-    return _table(rule, name, InvalidSchedule, operator.index, "an integer index",
-                  "a callable or a list of integer indices")
+def _indices(block, name):
+    """A nonempty list of integer indices as a tuple, each entry checked."""
+    return _table(block, name, InvalidSchedule, operator.index, "an integer index",
+                  "a list of integer indices")
 
 
-def _index(i, m, name):
-    """An integer index in 0..m-1 that a callable or a table gave."""
-    i = _integer(i, name, InvalidSchedule, None, "an integer index")
-    if not 0 <= i < m:
-        raise InvalidSchedule(f"{name} returned index {i} outside 0..{m - 1}")
-    return i
-
-
-def _block(indices, name):
-    """A callable's index list, converted on each call at the least cost:
-    a boolean entry passes as 0 or 1, which ``_indices`` refuses."""
-    return _converted(indices, name, InvalidSchedule, None,
-                      lambda b: tuple(map(operator.index, b)), "a list of integer indices")
+def _index_rule(rule, m, name):
+    """A callable or a table of indices in 0..m-1, as ``_rule`` returns it."""
+    def index(i, k):
+        i = _integer(i, name, InvalidSchedule, None, "an integer index")
+        if not 0 <= i < m:
+            raise InvalidSchedule(f"{name} returned index {i} outside 0..{m - 1}")
+        return i
+    return _rule(rule, name, InvalidSchedule, index, "a callable or a list of integer indices")
 
 
 class _Table:
@@ -198,16 +193,13 @@ class SequentialRepetitive(WeightSchedule):
 
     def __init__(self, m, control):
         super().__init__(m)
-        if callable(control):
-            self.control = control
-        else:
-            table = [_index(i, self.m, "control") for i in _indices(control, "control")]
+        self.control, table = _index_rule(control, self.m, "control")
+        if table is not None:
             self._table = _one_hot(self.m, table)
 
     def _weights(self, k):
-        i = _index(self.control(k), self.m, "control")
         w = np.zeros(self.m)
-        w[i] = 1.0
+        w[self.control(k)] = 1.0
         return w
 
 
@@ -227,22 +219,19 @@ class SimultaneousDrifting(WeightSchedule):
     The exceptional index receives (mk+1)/(mk+m), so the vector sums to 1
     exactly while every index keeps w_k(i) >= 1/(mk+m), a divergent series:
     the limit is feasible for every operator regardless of how i_k drifts.
+    ``selector`` is a callable, or a table (0..m-1 when None) checked when built.
     """
 
     regime = "simultaneous_drifting"
 
     def __init__(self, m, selector=None):
         super().__init__(m)
-        if not callable(selector):
-            table = _indices(range(self.m) if selector is None else selector, "selector")
-            selector = lambda k: table[k % len(table)]
-        self.selector = selector
+        self.selector = _index_rule(range(self.m) if selector is None else selector, self.m,
+                                    "selector")[0]
 
     def _weights(self, k):
-        i = _index(self.selector(k), self.m, "selector")
-        base = 1.0 / (self.m * k + self.m)
-        w = np.full(self.m, base)
-        w[i] = (self.m * k + 1.0) / (self.m * k + self.m)
+        w = np.full(self.m, 1.0 / (self.m * k + self.m))
+        w[self.selector(k)] = (self.m * k + 1.0) / (self.m * k + self.m)
         return w
 
 
@@ -284,8 +273,9 @@ class BlockClassicalCyclic(WeightSchedule):
 class BlockGeneralized(WeightSchedule):
     """Arbitrary block selection: w_k vanishes outside selection(k).
 
-    ``selection`` maps k to a nonempty iterable of indices; ``weights_fn``
-    maps (k, block) to the weights inside the block (uniform when None).
+    ``selection`` is a callable k -> block or a table of blocks, cycled and
+    checked at construction; ``weights_fn`` maps (k, block) to the weights
+    inside the block (uniform when None).
     """
 
     regime = "block_generalized"
@@ -293,33 +283,27 @@ class BlockGeneralized(WeightSchedule):
     def __init__(self, m, selection, weights_fn=None):
         super().__init__(m)
         self.weights_fn = weights_fn
-        self.selection = selection
-        self._tabled = not callable(selection)
-        if self._tabled:
-            # each tabled block is checked once, as the k it first serves
-            kind = "a callable or a table of index lists"
-            table = _table(selection, "selection", InvalidSchedule, tuple, kind, kind)
-            blocks = tuple(self._subset(_indices(block, "selection"), k)
-                           for k, block in enumerate(table))
-            self.selection = lambda k: blocks[k % len(blocks)]
+        self.selection = _rule(selection, "selection", InvalidSchedule, self._subset,
+                               "a callable or a table of index lists")[0]
 
     def _subset(self, block, k):
+        """The block for k as a tuple of distinct indices in 0..m-1."""
+        block = _converted(block, "selection", InvalidSchedule, None, tuple,
+                           "a list of integer indices")
         if not block:
             raise InvalidSchedule(f"selection at k={k} is empty")
+        block = _indices(block, "selection")
         if min(block) < 0 or max(block) >= self.m or len(set(block)) != len(block):
             raise InvalidSchedule(f"selection at k={k} is not a valid index subset: {block}")
         return block
 
     def _weights(self, k):
         block = self.selection(k)
-        if not self._tabled:
-            block = self._subset(_block(block, "selection"), k)
-        w = np.zeros(self.m)
-        if self.weights_fn is None:
-            w[list(block)] = 1.0 / len(block)
-        else:
+        inside = 1.0 / len(block)
+        if self.weights_fn is not None:
             inside = np.asarray(self.weights_fn(k, block), dtype=float)
             if inside.shape != (len(block),):
                 raise InvalidSchedule("intra-block weights rule returned a wrong-shaped vector")
-            w[list(block)] = inside
+        w = np.zeros(self.m)
+        w[list(block)] = inside
         return w

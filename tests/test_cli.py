@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 
 from blockproj import (
+    AbsSum,
     BlockGeneralized,
     LambdaSchedule,
     RandomDirectionPolicy,
@@ -11,6 +12,7 @@ from blockproj import (
     SequentialRepetitive,
     SimultaneousDrifting,
     SolverConfig,
+    SquaredNorm,
     ZeroPolicy,
     load_problem,
     run,
@@ -350,6 +352,41 @@ def test_superiorized_policy_uses_problem_cost(tmp_path):
     main(["gen", "linear", "--m", "4", "--n", "3", "--seed", "4", "--out", str(bare)])
     assert main(_solve_args(bare, config_path, tmp_path / "t2.csv",
                             tmp_path / "s2.json")) == 1
+
+
+def test_superiorized_policy_cost_in_the_config_comes_first(tmp_path):
+    problem_path = tmp_path / "p.json"
+    main(["gen", "l1", "--s", "4", "--n", "6", "--eps", "2", "--seed", "8",
+          "--out", str(problem_path)])
+    problem = load_problem(problem_path)
+    doc = {"policy": {"policy": "superiorized", "cost": {"form": "squared_norm"}}}
+    policy = assemble_config(doc, problem)[2]
+    assert isinstance(policy.cost, SquaredNorm) and isinstance(problem.cost, AbsSum)
+    # a problem without a cost takes the config's
+    bare = tmp_path / "bare.json"
+    main(["gen", "linear", "--m", "4", "--n", "3", "--seed", "4", "--out", str(bare)])
+    config_path = tmp_path / "c.json"
+    _write_config(config_path, policy=doc["policy"], schedule={"regime": "simultaneous_uniform"})
+    assert main(_solve_args(bare, config_path, tmp_path / "t.csv", tmp_path / "s.json")) == 0
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config file"),
+    ("{not json", "invalid JSON in"),
+])
+def test_unreadable_or_malformed_config_exits_1(tmp_path, capsys, content, message):
+    problem_path = tmp_path / "p.json"
+    main(["gen", "linear", "--m", "4", "--n", "3", "--seed", "4", "--out", str(problem_path)])
+    config_path = tmp_path / "c.json"
+    if content is None:
+        config_path.mkdir()  # a directory: open() raises an OSError
+    else:
+        config_path.write_text(content)
+    trace = tmp_path / "t.csv"
+    code = main(_solve_args(problem_path, config_path, trace, tmp_path / "s.json"))
+    assert code == 1 and not trace.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} ") and err.count("\n") == 1
 
 
 def test_verify_suites(tmp_path, capsys):

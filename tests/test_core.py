@@ -77,6 +77,12 @@ def test_lambda_schedule_forms():
     assert fn(3) == 1.1
     assert fn.declared_range is None
 
+    assert repr(const) == "LambdaSchedule(1.5)"
+    assert repr(table) == "LambdaSchedule([1.0, 1.5, 0.5])"
+    assert repr(fn) == "LambdaSchedule(<callable>)"
+    # a constant is a one-entry table
+    assert repr(LambdaSchedule([1.5])) == "LambdaSchedule(1.5)"
+
 
 # ---------------------------------------------------------------------------
 # config validation

@@ -343,3 +343,10 @@ def test_affine_function_distance():
     # f(x) = 2 x_2 - 4 <= 0 is the halfspace x_2 <= 2; distance from (0, 5) is 3
     assert sub.fixed_point_distance([0.0, 5.0]) == pytest.approx(3.0)
     assert sub.fixed_point_distance([0.0, 1.0]) == 0.0
+
+
+def test_ball_quadratic_distance():
+    # ||x - c||^2 - 1 <= 0 is the unit ball at c = (1, 1); (4, 5) is 5 from c
+    sub = SubgradientProjection(BallQuadratic([1.0, 1.0], 1.0))
+    assert sub.fixed_point_distance([4.0, 5.0]) == 4.0
+    assert sub.fixed_point_distance([1.5, 1.0]) == 0.0

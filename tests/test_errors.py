@@ -197,6 +197,7 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: SimultaneousDrifting(3, 5), InvalidSchedule, "selector"),
     (lambda: BlockClassicalCyclic(2, [[0, True]]), InvalidSchedule, "partition block"),
     (lambda: BlockGeneralized(2, [[0, True]]), InvalidSchedule, "selection"),
+    (lambda: BlockGeneralized(2, lambda k: [0, True]).weights_at(0), InvalidSchedule, "selection"),
     (lambda: LambdaSchedule([True]), InvalidConfig, "lambda"),
     (lambda: BlockClassicalCyclic(1, [[0]], [[True]]), InvalidSchedule, "intra"),
     # generator arguments that numpy refused with its own errors, or with
@@ -207,6 +208,12 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: gen_disc_intersection(1, 3, overlap=math.inf), InvalidProblem, "overlap"),
     (lambda: gen_disc_intersection(1, 3, n=-1), InvalidProblem, "n"),
     (lambda: gen_l1_constrained(1, 2, 3, math.inf), InvalidProblem, "epsilon"),
+    # scales at which rounding put the witness past its check, so that the
+    # generated problem was refused naming no argument; the least refused scales
+    (lambda: gen_linear_feasibility(1, 20, 5, 1e150), InvalidProblem, "radius"),
+    (lambda: gen_linear_feasibility(1, 4, 3, 1.0000000000001e13), InvalidProblem, "radius"),
+    (lambda: gen_l1_constrained(1, 5, 8, 1e8), InvalidProblem, "epsilon"),
+    (lambda: gen_l1_constrained(1, 2, 3, 1.0000000000001e5), InvalidProblem, "epsilon"),
     (lambda: project_l1_ball([1.0, 2.0], "x"), InvalidCutter, "l1 ball radius"),
     (lambda: project_l1_ball([1.0, 2.0], True), InvalidCutter, "l1 ball radius"),
 ])

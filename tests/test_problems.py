@@ -225,6 +225,15 @@ def test_dimension_mismatch_diagnostics(tmp_path):
         load_problem(path)
 
 
+@pytest.mark.parametrize("field", ["x0", "witness"])
+def test_point_of_another_dimension_names_its_field(field):
+    doc = {"dimension": 2, "cutters": [{"type": "l1_ball", "radius": 1.0}],
+           "x0": [0.0, 0.0], "sigma": 1.0, field: [0.0, 0.0, 0.0]}
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^problem\.{field}: dimension 3 does not match 2$"):
+        problem_from_json(doc)
+
+
 def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ParseError):
         load_problem(tmp_path / "never-written.json")
@@ -386,6 +395,19 @@ def test_generator_outputs_survive_save_load(tmp_path_factory, kind, seed, m, n)
     assert first.decode() == json.dumps(problem_to_json(problem), indent=2) + "\n"
     save_problem(load_problem(path), path)
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("m, n", [(200, 2), (20, 8), (200, 50)])
+def test_generators_accept_their_largest_scale(m, n):
+    # a witness is only as exact as rounding at its scale lets it be; the
+    # bounds leave a factor 10 before the first refused witness
+    for seed in range(5):
+        gen_linear_feasibility(seed, m, n, 1e13)
+        gen_l1_constrained(seed, m, n, 1e5)
+    with pytest.raises(InvalidProblem, match=r"^radius must be in \[0, 1e13\], got 1e\+16$"):
+        gen_linear_feasibility(0, m, n, 1e16)
+    with pytest.raises(InvalidProblem, match=r"^epsilon must be in \(0, 1e5\], got 1000000.0$"):
+        gen_l1_constrained(0, m, n, 1e6)
 
 
 def test_generator_parameter_validation():

@@ -26,6 +26,7 @@ from blockproj import (
     MaxFunctionValue,
     MaxIterations,
     NonfiniteIterate,
+    PerturbationPolicy,
     Problem,
     QuadraticFunction,
     RandomDirectionPolicy,
@@ -277,6 +278,20 @@ def test_nonfinite_iterate_aborts():
     problem = Problem(2, [_BrokenCutter()], [1.0, 1.0], sigma=5.0)
     with pytest.raises(NonfiniteIterate):
         run(problem, _config(max_iterations=10, residual_tolerance=0.0))
+
+
+class _InfinitePolicy(PerturbationPolicy):
+    kind = "infinite"
+
+    def combined(self, x, weights, budgets, iteration_rng):
+        return np.full(len(x), np.inf)
+
+
+def test_nonfinite_perturbation_aborts_after_the_step():
+    # every residual and the step itself are finite; the perturbation is not
+    problem = Problem(2, [Halfspace([1.0, 0.0], 0.0)], [1.0, 1.0], sigma=5.0)
+    with pytest.raises(NonfiniteIterate, match="^non-finite iterate after step k=0$"):
+        run(problem, _config(max_iterations=10), policy=_InfinitePolicy())
 
 
 class _NanCutter(Cutter):

@@ -243,6 +243,8 @@ def test_bad_table_refused_at_construction():
     for control in ([0, 1, 7], [2, -1], []):
         with pytest.raises(InvalidSchedule):
             SequentialRepetitive(3, control)
+    with pytest.raises(InvalidSchedule, match="^selector returned index 7 outside 0..2$"):
+        SimultaneousDrifting(3, [0, 7])
 
 
 def test_computed_weights_are_checked_on_every_call():
@@ -267,6 +269,15 @@ def test_computed_weights_are_checked_on_every_call():
     drifting.weights_at(1)
     with pytest.raises(InvalidSchedule, match="selector returned index -1"):
         drifting.weights_at(2)
+
+    repeats = BlockGeneralized(3, lambda k: (0, 2) if k != 1 else (0, 0))
+    repeats.weights_at(0)
+    with pytest.raises(InvalidSchedule, match=r"^selection at k=1 is not a valid index subset"):
+        repeats.weights_at(1)
+    short = BlockGeneralized(3, lambda k: (0, 2), lambda k, block: [1.0] if k == 2 else [0.5, 0.5])
+    short.weights_at(1)
+    with pytest.raises(InvalidSchedule, match="^intra-block weights rule returned a wrong-shaped"):
+        short.weights_at(2)
 
 
 def _window_order(m, period_bound, seed, window):
