@@ -8,17 +8,19 @@ identical (problem, config, seed) inputs.
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
-from .core import InvalidConfig, LambdaSchedule, ParseError, RunStatus, SolverConfig, _check_seed
+from .core import (DimensionMismatch, InvalidConfig, LambdaSchedule, ParseError, RunStatus,
+                   SolverConfig, _check_seed, _integer)
 from .oracles import SUITES
 from .perturbation import RandomDirectionPolicy, SuperiorizedPolicy, ZeroPolicy
 from .problems import (
+    _decode,
     _float,
     _floats,
     _get,
     _int,
+    _read_json,
     _sigma,
     _write_json,
     function_from_json,
@@ -37,12 +39,6 @@ from .weights import (
     SequentialRepetitive,
     SimultaneousDrifting,
     SimultaneousUniform,
-)
-
-_SUCCESS_STATUSES = (
-    RunStatus.RESIDUAL_CONVERGED,
-    RunStatus.DISTANCE_CONVERGED,
-    RunStatus.FUNCTION_CONVERGED,
 )
 
 
@@ -65,16 +61,12 @@ def _indices(raw, m, path):
 
 def _blocks(obj, key, m, path):
     """The required array of index lists ``obj[key]``, each as ``_indices`` reads it."""
-    if key not in obj:
-        raise ParseError(f"{path}.{key}: required")
     return [_indices(block, m, f"{path}.{key}[{i}]")
-            for i, block in enumerate(_array(obj[key], f"{path}.{key}"))]
+            for i, block in enumerate(_array(_get(obj, key, path), f"{path}.{key}"))]
 
 
 def schedule_from_json(obj, m, path="config.schedule"):
-    if not isinstance(obj, dict) or "regime" not in obj:
-        raise ParseError(f"{path}: expected an object with a 'regime' field")
-    regime = obj["regime"]
+    regime = _get(obj, "regime", path)
     if regime == "sequential_cyclic":
         return SequentialCyclic(m)
     if regime == "sequential_almost_cyclic":
@@ -84,9 +76,7 @@ def schedule_from_json(obj, m, path="config.schedule"):
             _int(obj.get("order_seed", 0), f"{path}.order_seed"),
         )
     if regime == "sequential_repetitive":
-        if "control" not in obj:
-            raise ParseError(f"{path}.control: a control cycle is required")
-        return SequentialRepetitive(m, _indices(obj["control"], m, f"{path}.control"))
+        return SequentialRepetitive(m, _indices(_get(obj, "control", path), m, f"{path}.control"))
     if regime == "simultaneous_uniform":
         return SimultaneousUniform(m)
     if regime == "simultaneous_drifting":
@@ -105,10 +95,8 @@ def schedule_from_json(obj, m, path="config.schedule"):
     raise ParseError(f"{path}.regime: unknown regime {regime!r}")
 
 
-def policy_from_json(obj, problem_cost, path="config.policy"):
-    if not isinstance(obj, dict) or "policy" not in obj:
-        raise ParseError(f"{path}: expected an object with a 'policy' field")
-    kind = obj["policy"]
+def policy_from_json(obj, problem, path="config.policy"):
+    kind = _get(obj, "policy", path)
     if kind == "zero":
         return ZeroPolicy()
     if kind == "random":
@@ -117,33 +105,29 @@ def policy_from_json(obj, problem_cost, path="config.policy"):
         cost = obj.get("cost")
         if cost is not None:
             cost = function_from_json(cost, f"{path}.cost")
-        elif problem_cost is not None:
-            cost = problem_cost
+            if cost.dim not in (None, problem.dimension):
+                raise DimensionMismatch(
+                    f"{path}.cost: dimension {cost.dim} does not match {problem.dimension}")
+        elif problem.cost is not None:
+            cost = problem.cost
         else:
             raise ParseError(f"{path}.cost: required (the problem declares no cost)")
         return SuperiorizedPolicy(cost, _float(obj.get("rho", 0.99), f"{path}.rho"))
     raise ParseError(f"{path}.policy: unknown policy {kind!r}")
 
 
+# tables of the problem-file codec (problems._decode); a config is never encoded
 _RULES = {
-    "residual_below": (ResidualBelow, "tol", _float),
-    "max_distance": (MaxDistance, "eps", _float),
-    "max_function_value": (MaxFunctionValue, "eps", _float),
-    "max_iterations": (MaxIterations, "limit", _int),
+    "residual_below": (ResidualBelow, [("tol", (None, _float))]),
+    "max_distance": (MaxDistance, [("eps", (None, _float))]),
+    "max_function_value": (MaxFunctionValue, [("eps", (None, _float))]),
+    "max_iterations": (MaxIterations, [("limit", (None, _int))]),
 }
 
 
 def stopping_from_json(rules, path="config.stopping"):
-    out = []
-    for i, obj in enumerate(_array(rules, path)):
-        if not isinstance(obj, dict) or "rule" not in obj:
-            raise ParseError(f"{path}[{i}]: expected an object with a 'rule' field")
-        kind = obj["rule"]
-        if not isinstance(kind, str) or kind not in _RULES:
-            raise ParseError(f"{path}[{i}].rule: unknown rule {kind!r}")
-        rule, key, decode = _RULES[kind]
-        out.append(rule(decode(_get(obj, key, f"{path}[{i}]"), f"{path}[{i}].{key}")))
-    return out
+    return [_decode(obj, f"{path}[{i}]", "rule", _RULES, "unknown rule")
+            for i, obj in enumerate(_array(rules, path))]
 
 
 def assemble_config(doc, problem, seed_override=None):
@@ -176,7 +160,7 @@ def assemble_config(doc, problem, seed_override=None):
     weight_schedule = schedule_from_json(
         doc.get("schedule", {"regime": "sequential_cyclic"}), problem.m
     )
-    policy = policy_from_json(doc.get("policy", {"policy": "zero"}), problem.cost)
+    policy = policy_from_json(doc.get("policy", {"policy": "zero"}), problem)
     return config, weight_schedule, policy, stopping
 
 
@@ -221,13 +205,7 @@ def write_summary(result, config_echo, path):
 
 def cmd_solve(args):
     problem = load_problem(args.problem)
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read config file {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {args.config}: {exc}") from exc
+    doc = _read_json(args.config, "config file")
     config, schedule, policy, stopping = assemble_config(doc, problem, args.seed)
     result = run(problem, config, schedule, policy, stopping)
     echo = dict(doc)
@@ -238,7 +216,7 @@ def cmd_solve(args):
         f"status={result.status.value} iterations={result.iterations_used}"
         f" final_max_residual={_fmt(result.trace[-1].max_residual)}"
     )
-    return 0 if result.status in _SUCCESS_STATUSES else 2
+    return 2 if result.status is RunStatus.MAX_ITERATIONS else 0
 
 
 def cmd_gen(args):
@@ -269,11 +247,9 @@ _DEFAULT_TRIALS = {"fejer": 10_000, "cutter": 10_000, "budget": 1_000,
 def cmd_verify(args):
     suite = args.suite
     if suite not in SUITES:
-        print(f"unknown suite {suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
-        return 1
+        raise ParseError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[suite]
-    if trials < 1:
-        raise InvalidConfig(f"--trials must be >= 1, got {trials}")
+    trials = _integer(trials, "--trials", InvalidConfig, 1)
     report = SUITES[suite](trials, _check_seed(args.seed, "--seed"))
     print(
         f"suite={report.suite} trials={report.trials} passes={report.passes}"

@@ -169,13 +169,14 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
 class LambdaSchedule:
     """Per-iteration relaxation parameters.
 
-    Accepts a constant, which is a one-entry table, a finite table that is
-    cycled, or a callable ``k -> lambda_k``.  A table's range is known in
-    closed form and checked by ``validate_config``; a callable's value is
-    checked by ``run`` at each iteration whose update uses it.
+    Accepts a constant or a 0-d array, which is a one-entry table, a finite
+    table that is cycled, or a callable ``k -> lambda_k``.  A table's range
+    is known in closed form and checked by ``validate_config``; a callable's
+    value is checked by ``run`` at each iteration whose update uses it.
     """
 
     def __init__(self, rule=1.0):
+        rule = rule[()] if isinstance(rule, np.ndarray) and rule.ndim == 0 else rule
         self._at, self._table = _rule(
             (rule,) if np.isscalar(rule) else rule, "lambda", InvalidConfig,
             lambda v, k: _converted(v, "lambda", InvalidConfig),

@@ -217,8 +217,8 @@ class Cutter:
         return _norm(self.apply(x) - x)
 
     def fixed_point_distance(self, x):
-        """d(x, Fix(T)) when a closed form exists, else None."""
-        return None
+        """d(x, Fix(T)) when a closed form exists, else None; a projection's is its residual."""
+        return self.residual(x) if self.is_projection else None
 
     def check_separator(self, x, q):
         """<x - T(x), q - T(x)>; nonpositive whenever q is a fixed point."""
@@ -324,10 +324,6 @@ class Box(Cutter):
         x = _check_point(x, self.dim)
         return np.clip(x, self.lo, self.hi)
 
-    def fixed_point_distance(self, x):
-        x = _check_point(x, self.dim)
-        return _norm(x - np.clip(x, self.lo, self.hi))
-
 
 def project_l1_ball(x, radius):
     """Project onto {u : ||u||_1 <= radius} by sort and threshold.
@@ -383,10 +379,6 @@ class L1Ball(Cutter):
 
     def apply(self, x):
         return _project_l1_ball(_check_point(x, None), self.radius)
-
-    def fixed_point_distance(self, x):
-        x = _check_point(x, None)
-        return _norm(x - self.apply(x))
 
 
 class SubgradientProjection(Cutter):

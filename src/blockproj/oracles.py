@@ -152,9 +152,7 @@ def sample_fixed_point(cutter, rng, ndim=None):
         if isinstance(f, BallQuadratic):
             return f.center + rng.uniform(0, f.radius) * _unit(rng, f.dim)
         if isinstance(f, AffineFunction):
-            z = rng.uniform(-4, 4, f.dim)
-            z = z - (max(0.0, f.value(z)) / float(np.dot(f.a, f.a))) * f.a
-            return z - rng.uniform(0, 2) * f.a / _norm(f.a)
+            return sample_fixed_point(Halfspace(f.a, f.b), rng, ndim)
         if isinstance(f, QuadraticFunction):
             try:
                 anchor = np.linalg.solve(2.0 * f.Q, -f.c)

@@ -10,7 +10,6 @@ final newline.
 
 import json
 import math
-import sys
 
 import numpy as np
 
@@ -238,23 +237,28 @@ def problem_from_json(obj, path="problem"):
             raise DimensionMismatch(
                 f"{path}.cutters[{i}]: dimension {c.dim} does not match {path}.dimension {dimension}"
             )
-    if len(x0) != dimension:
-        raise DimensionMismatch(f"{path}.x0: dimension {len(x0)} does not match {dimension}")
-    if witness is not None and len(witness) != dimension:
-        raise DimensionMismatch(f"{path}.witness: dimension {len(witness)} does not match {dimension}")
+    # None where there is no witness or the cost works in any dimension
+    sizes = {"x0": len(x0), "witness": witness and len(witness), "cost": cost and cost.dim}
+    for key, size in sizes.items():
+        if size not in (None, dimension):
+            raise DimensionMismatch(f"{path}.{key}: dimension {size} does not match {dimension}")
     return Problem(dimension, cutters, x0, sigma, witness=witness, cost=cost)
+
+
+def _read_json(path, what):
+    """The JSON document in the file at ``path``, or a ParseError naming it as ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_problem(path):
     """Read and fully validate a problem file; diagnostics carry field paths."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read problem file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return problem_from_json(obj)
+    return problem_from_json(_read_json(path, "problem file"))
 
 
 def save_problem(problem, path):
@@ -346,7 +350,8 @@ def _generator(seed):
 # and 1e6 on, rounding put some sampled witness past WITNESS_RESIDUAL_TOL
 _RADIUS = ("in [0, 1e13]", 0.0, 1e13)
 _EPSILON = ("in (0, 1e5]", math.ulp(0.0), 1e5)
-_POSITIVE_FINITE = ("positive and finite", math.ulp(0.0), sys.float_info.max)
+# from about 1.34e154 on, the norm of a disc's offset overflows
+_OVERLAP = ("in (0, 1e150]", math.ulp(0.0), 1e150)
 
 
 def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
@@ -381,7 +386,7 @@ def gen_disc_intersection(seed, m, n=2, overlap=0.5, margin=1.0):
     """Overlapping discs sharing an interior witness (bounded solution set)."""
     m = _integer(m, "m", InvalidProblem, 2)
     n = _integer(n, "n", InvalidProblem, 1)
-    overlap = _converted(overlap, "overlap", InvalidProblem, _POSITIVE_FINITE)
+    overlap = _converted(overlap, "overlap", InvalidProblem, _OVERLAP)
     rng = _generator(seed)
     q = rng.uniform(-3.0, 3.0, n)
     cutters = []

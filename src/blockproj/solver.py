@@ -68,6 +68,8 @@ class Problem:
                 raise DimensionMismatch(
                     f"cutter {idx} has dimension {c.dim}, problem has {self.dimension}"
                 )
+        if getattr(self.cost, "dim", None) not in (None, self.dimension):
+            raise DimensionMismatch(f"cost has dimension {self.cost.dim}, expected {self.dimension}")
         self.x0 = as_vector(self.x0, self.dimension, name="x0")
         self.sigma = normalize_sigma(self.sigma)
         if self.witness is not None:

@@ -17,7 +17,7 @@ from blockproj import (
     load_problem,
     run,
 )
-from blockproj import cli, solver
+from blockproj import cli, oracles, solver
 from blockproj.cli import assemble_config, main
 
 
@@ -470,3 +470,57 @@ def test_main_reuses_its_parser_and_runs_the_command_bound_when_called(tmp_path)
     gen.assert_called_once()
     assert cli.build_parser() is parser
     assert not (tmp_path / "b.json").exists()
+
+
+# a config field read through the problem file's codec is reported in its form
+@pytest.mark.parametrize("overrides, message", [
+    ({"schedule": 5}, "config.schedule: expected an object"),
+    ({"schedule": {}}, "config.schedule.regime: missing required field"),
+    ({"policy": 5}, "config.policy: expected an object"),
+    ({"policy": {}}, "config.policy.policy: missing required field"),
+    ({"stopping": [5]}, "config.stopping[0]: expected an object"),
+    ({"stopping": [{"tol": 1e-6}]}, "config.stopping[0].rule: missing required field"),
+    ({"schedule": {"regime": "sequential_repetitive"}},
+     "config.schedule.control: missing required field"),
+    ({"schedule": {"regime": "block_classical"}}, "config.schedule.partition: missing required field"),
+    ({"schedule": {"regime": "block_generalized"}}, "config.schedule.blocks: missing required field"),
+    ({"lambda": {}}, 'config.lambda: expected a number or {"list": [...]}'),
+    ({"policy": {"policy": "superiorized", "cost": {"form": "affine", "a": [1, 2, 3], "b": 0}}},
+     "config.policy.cost: dimension 3 does not match 2"),
+])
+def test_config_error_message(tmp_path, capsys, overrides, message):
+    problem_path = tmp_path / "p.json"
+    main(["gen", "discs", "--m", "3", "--seed", "6", "--out", str(problem_path)])
+    config_path = tmp_path / "c.json"
+    _write_config(config_path, **overrides)
+    code = main(_solve_args(problem_path, config_path, tmp_path / "t.csv", tmp_path / "s.json"))
+    assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_problem_cost_of_another_dimension_exits_1(tmp_path, capsys):
+    problem_path = tmp_path / "p.json"
+    main(["gen", "discs", "--m", "3", "--seed", "6", "--out", str(problem_path)])
+    doc = json.loads(problem_path.read_text())
+    doc["cost"] = {"form": "affine", "a": [1, 2, 3], "b": 0}
+    problem_path.write_text(json.dumps(doc))
+    config_path = tmp_path / "c.json"
+    _write_config(config_path, policy={"policy": "superiorized"})
+    trace = tmp_path / "t.csv"
+    assert main(_solve_args(problem_path, config_path, trace, tmp_path / "s.json")) == 1
+    assert not trace.exists()
+    assert capsys.readouterr().err == "error: problem.cost: dimension 3 does not match 2\n"
+
+
+def test_verify_unknown_suite_is_one_error_line(capsys):
+    assert main(["verify", "nosuch"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: unknown suite 'nosuch'; choose from {sorted(cli.SUITES)}\n"
+
+
+def test_verify_prints_the_digest_of_each_failed_trial(capsys):
+    report = oracles.SuiteReport("fejer", 3, 1, 2, 0.5, {}, ("a1b2", "c3d4"))
+    with mock.patch.dict(cli.SUITES, fejer=lambda trials, seed: report):
+        assert main(["verify", "fejer", "--trials", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "suite=fejer trials=3 passes=1 failures=2 worst_violation=0.5\n"
+    assert err == "  FAIL a1b2\n  FAIL c3d4\n"

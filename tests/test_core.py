@@ -174,3 +174,15 @@ def test_validate_config_rejects_nan():
         run(_far_problem(), SolverConfig(lambda_schedule=LambdaSchedule(lambda k: nan),
                                          max_iterations=5))
     assert info.value.k == 0
+
+
+def test_lambda_schedule_takes_a_0d_array_as_its_constant():
+    for value in (np.array(1.5), np.float64(1.5)):
+        schedule = LambdaSchedule(value)
+        assert schedule(7) == 1.5 and schedule.declared_range == (1.5, 1.5)
+        assert repr(schedule) == "LambdaSchedule(1.5)"
+    with pytest.raises(InvalidConfig, match="^lambda must be a number, got np.True_$"):
+        LambdaSchedule(np.array(True))
+    with pytest.raises(InvalidConfig, match=r"^lambda must be a number, a table of numbers "
+                                            r"or a callable, got None$"):
+        LambdaSchedule(None)

@@ -11,6 +11,7 @@ from blockproj import (
     Ball,
     BallQuadratic,
     Box,
+    Cutter,
     DimensionMismatch,
     Halfspace,
     Hyperplane,
@@ -350,3 +351,39 @@ def test_ball_quadratic_distance():
     sub = SubgradientProjection(BallQuadratic([1.0, 1.0], 1.0))
     assert sub.fixed_point_distance([4.0, 5.0]) == 4.0
     assert sub.fixed_point_distance([1.5, 1.0]) == 0.0
+
+
+def test_projection_distance_is_its_residual():
+    box, l1 = Box([-1.0, 0.0], [1.0, 2.0]), L1Ball(1.5)
+    for x in ([3.0, -4.0], [0.5, 1.0], [1e150, -1e-300]):
+        assert box.fixed_point_distance(x) == box.residual(x)
+        assert l1.fixed_point_distance(x) == l1.residual(x)
+
+    # a user projection has distance support, as its flag asserts
+    class Nonnegative(Cutter):
+        is_projection = True
+
+        def apply(self, x):
+            return np.maximum(x, 0.0)
+
+    assert Nonnegative().fixed_point_distance([-3.0, 4.0, -4.0]) == 5.0
+
+    class Unflagged(Nonnegative):
+        is_projection = False
+
+    assert Unflagged().fixed_point_distance([-3.0, 4.0]) is None
+
+
+def test_shapes_and_missing_methods_are_refused():
+    with pytest.raises(DimensionMismatch, match="^x must be 1-D$"):
+        Ball([0.0, 0.0], 1.0).apply([[1.0, 2.0]])
+    with pytest.raises(InvalidCutter, match="^Cutter does not define apply$"):
+        Cutter().apply([1.0])
+    with pytest.raises(DimensionMismatch, match="^x and q must share a dimension$"):
+        L1Ball(1).check_separator([1, 2], [0])
+    with pytest.raises(DimensionMismatch, match="^lo and hi must share a dimension$"):
+        Box([0], [1, 2])
+
+
+def test_squared_norm_value():
+    assert SquaredNorm().value([3, 4]) == 25.0

@@ -206,6 +206,7 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: gen_linear_feasibility(1, 4, 3, -5.0), InvalidProblem, "radius"),
     (lambda: gen_linear_feasibility(1, 4, 3, math.inf), InvalidProblem, "radius"),
     (lambda: gen_disc_intersection(1, 3, overlap=math.inf), InvalidProblem, "overlap"),
+    (lambda: gen_disc_intersection(1, 3, overlap=1e200), InvalidProblem, "overlap"),
     (lambda: gen_disc_intersection(1, 3, n=-1), InvalidProblem, "n"),
     (lambda: gen_l1_constrained(1, 2, 3, math.inf), InvalidProblem, "epsilon"),
     # scales at which rounding put the witness past its check, so that the

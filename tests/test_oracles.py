@@ -1,7 +1,10 @@
 
 from unittest import mock
 
-from blockproj import oracles
+import numpy as np
+import pytest
+
+from blockproj import Box, Cutter, InvalidCutter, InvalidSchedule, oracles
 from blockproj.oracles import (
     ALL_KINDS,
     PROJECTION_KINDS,
@@ -174,3 +177,17 @@ def test_combined_regime_coverage():
         "regime:block_classical",
         "regime:block_generalized",
     }
+
+
+def test_samplers_refuse_what_they_cannot_draw():
+    rng = np.random.default_rng(0)
+    for label in ("pentagon", 5):
+        with pytest.raises(InvalidCutter, match="^unknown kind label "):
+            oracles.draw_cutter(rng, label, 2)
+    with pytest.raises(InvalidCutter, match="^no fixed-point sampler for "):
+        oracles.sample_fixed_point(Cutter(), rng, 2)
+    # every draw of [-6, 6]^n lies in the box
+    with pytest.raises(InvalidCutter, match="^could not draw a point outside Fix for "):
+        oracles._sample_exterior_point(Box([-6.0, -6.0], [6.0, 6.0]), rng, 2)
+    with pytest.raises(InvalidSchedule, match="^unknown extra regime 'bogus'$"):
+        convergence_trial(0, "bogus")

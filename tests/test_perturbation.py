@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from blockproj import (
     INFINITE_SIGMA,
     InvalidConfig,
+    PerturbationPolicy,
     RandomDirectionPolicy,
     SquaredNorm,
     SuperiorizedPolicy,
@@ -365,3 +366,10 @@ def test_superiorized_combined_matches_reference_bytes(data, size, n, rho, form)
     got = policy.combined(x, weights, budgets,
                           lambda: pytest.fail("the superiorized policy draws nothing"))
     assert got.tobytes() == _reference_superiorized_combined(policy, x, weights, budgets).tobytes()
+
+
+def test_policies_without_their_methods_are_refused():
+    with pytest.raises(InvalidConfig, match="^superiorized policy needs a cost with a grad method$"):
+        SuperiorizedPolicy(object())
+    with pytest.raises(InvalidConfig, match="^PerturbationPolicy does not define combined$"):
+        PerturbationPolicy().combined(np.zeros(2), [1.0], [1.0], None)

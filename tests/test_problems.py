@@ -447,3 +447,21 @@ def test_writer_refuses_what_json_refuses():
             json.dumps(doc, indent=2)
         with pytest.raises(TypeError):
             _json_text(doc)
+
+
+def test_cost_of_another_dimension_names_its_field():
+    doc = {"dimension": 2, "cutters": [{"type": "l1_ball", "radius": 1.0}], "x0": [0.0, 0.0],
+           "sigma": 1.0, "cost": {"form": "affine", "a": [1, 2, 3], "b": 0}}
+    with pytest.raises(DimensionMismatch, match=r"^problem\.cost: dimension 3 does not match 2$"):
+        problem_from_json(doc)
+    doc["cost"] = {"form": "abs_sum"}
+    assert isinstance(problem_from_json(doc).cost, AbsSum)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (20, 8), (20, 50)])
+def test_disc_generator_accepts_overlaps_to_1e150(m, n):
+    # from about 1.34e154 on, the norm of a disc's offset overflows
+    for seed in range(5):
+        gen_disc_intersection(seed, m, n, overlap=1e150)
+    with pytest.raises(InvalidProblem, match=r"^overlap must be in \(0, 1e150\], got 1e\+200$"):
+        gen_disc_intersection(0, m, n, overlap=1e200)

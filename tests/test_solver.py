@@ -3,12 +3,14 @@ import gc
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from blockproj import (
     INFINITE_SIGMA,
+    AffineFunction,
     Ball,
     BlockClassicalCyclic,
     BlockGeneralized,
@@ -800,3 +802,19 @@ def test_one_operator_and_one_dimension(m, n, regime, policy_name):
     assert result.status is RunStatus.RESIDUAL_CONVERGED
     assert result.final_point.shape == (n,)
     assert fejer_audit(result.trace, problem.witness) <= 1e-10
+
+
+def test_problem_refuses_no_cutters_and_a_cost_of_another_dimension():
+    with pytest.raises(InvalidProblem, match="^need at least one cutter$"):
+        Problem(2, [], [0.0, 0.0], 1.0)
+    with pytest.raises(DimensionMismatch, match="^cost has dimension 3, expected 2$"):
+        Problem(2, [Ball([0.0, 0.0], 1.0)], [3.0, 0.0], 10.0, cost=AffineFunction([1, 2, 3], 0))
+    # a cost that works in any dimension, or that declares none, is taken
+    for cost in (SquaredNorm(), mock.Mock(spec=["value", "grad"])):
+        Problem(2, [Ball([0.0, 0.0], 1.0)], [3.0, 0.0], 10.0, cost=cost)
+
+
+def test_unknown_stopping_rule_is_refused():
+    problem = Problem(1, [Halfspace([1.0], 0.0)], [1.0], 1.0)
+    with pytest.raises(InvalidConfig, match="^unknown stopping rule 'tol'$"):
+        run(problem, stopping=["tol"])

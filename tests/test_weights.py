@@ -12,6 +12,7 @@ from blockproj import (
     SequentialRepetitive,
     SimultaneousDrifting,
     SimultaneousUniform,
+    WeightSchedule,
 )
 from blockproj.oracles import summable_last_index_schedule
 
@@ -311,3 +312,20 @@ def test_cyclic_table_memory_is_linear_in_m():
     assert w[999_999] == 1.0 and w.sum() == 1.0
     assert np.array_equal(sched.weights_at(2 * m + 5)[:7], _unit(7, 5))
     assert peak < 100 * m
+
+
+def test_subclass_weights_are_checked():
+    class WrongShape(WeightSchedule):
+        def _weights(self, k):
+            return np.ones(self.m + 1) / (self.m + 1)
+
+    with pytest.raises(InvalidSchedule, match=r"^schedule produced shape \(4,\), expected \(3,\)$"):
+        WrongShape(3).weights_at(0)
+    with pytest.raises(InvalidSchedule, match="^WeightSchedule defines neither a table nor _weights$"):
+        WeightSchedule(3).weights_at(0)
+
+
+def test_intra_weights_must_match_the_partition_shape():
+    for intra in ([[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], [[1.0], [1.0]]):
+        with pytest.raises(InvalidSchedule, match="^intra-block weights must match the partition"):
+            BlockClassicalCyclic(3, [[0, 1], [2]], intra)
