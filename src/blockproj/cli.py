@@ -65,16 +65,18 @@ def _blocks(obj, key, m, path):
             for i, block in enumerate(_array(_get(obj, key, path), f"{path}.{key}"))]
 
 
+def _given(obj, path, **decoders):
+    """The keys of ``obj`` that ``decoders`` names, decoded; the library supplies the rest."""
+    return {key: decode(obj[key], f"{path}.{key}") for key, decode in decoders.items() if key in obj}
+
+
 def schedule_from_json(obj, m, path="config.schedule"):
     regime = _get(obj, "regime", path)
     if regime == "sequential_cyclic":
         return SequentialCyclic(m)
     if regime == "sequential_almost_cyclic":
-        return SequentialAlmostCyclic(
-            m,
-            _int(obj.get("period_bound", m), f"{path}.period_bound"),
-            _int(obj.get("order_seed", 0), f"{path}.order_seed"),
-        )
+        return SequentialAlmostCyclic(m, _int(obj.get("period_bound", m), f"{path}.period_bound"),
+                                      **_given(obj, path, order_seed=_int))
     if regime == "sequential_repetitive":
         return SequentialRepetitive(m, _indices(_get(obj, "control", path), m, f"{path}.control"))
     if regime == "simultaneous_uniform":
@@ -100,7 +102,7 @@ def policy_from_json(obj, problem, path="config.policy"):
     if kind == "zero":
         return ZeroPolicy()
     if kind == "random":
-        return RandomDirectionPolicy(_float(obj.get("rho", 0.99), f"{path}.rho"))
+        return RandomDirectionPolicy(**_given(obj, path, rho=_float))
     if kind == "superiorized":
         cost = obj.get("cost")
         if cost is not None:
@@ -112,7 +114,7 @@ def policy_from_json(obj, problem, path="config.policy"):
             cost = problem.cost
         else:
             raise ParseError(f"{path}.cost: required (the problem declares no cost)")
-        return SuperiorizedPolicy(cost, _float(obj.get("rho", 0.99), f"{path}.rho"))
+        return SuperiorizedPolicy(cost, **_given(obj, path, rho=_float))
     raise ParseError(f"{path}.policy: unknown policy {kind!r}")
 
 
@@ -131,37 +133,30 @@ def stopping_from_json(rules, path="config.stopping"):
 
 
 def assemble_config(doc, problem, seed_override=None):
-    """Build (SolverConfig, schedule, policy, stopping) from a config document."""
+    """Build (SolverConfig, schedule, policy, stopping) from a config
+    document.  What it leaves out takes the library's default: a field of
+    SolverConfig, or None for a part that ``run`` fills in."""
     if not isinstance(doc, dict):
         raise ParseError("config: expected a JSON object")
-    lam = doc.get("lambda", 1.0)
-    if isinstance(lam, dict):
-        if "list" not in lam:
-            raise ParseError("config.lambda: expected a number or {\"list\": [...]}")
-        schedule = LambdaSchedule(_floats(lam["list"], "config.lambda.list"))
-    else:
-        schedule = LambdaSchedule(_float(lam, "config.lambda"))
-    sigma = doc.get("sigma_override")
-    if sigma is not None:
-        sigma = _sigma(sigma, "config.sigma_override")
-    stopping = stopping_from_json(doc.get("stopping", [{"rule": "residual_below", "tol": 1e-8}]))
-    if seed_override is None:
-        seed = _check_seed(_int(doc.get("seed", 0), "config.seed"), "config.seed")
-    else:
-        seed = _check_seed(seed_override, "--seed")
-    config = SolverConfig(
-        tau1=_float(doc.get("tau1", 0.5), "config.tau1"),
-        tau2=_float(doc.get("tau2", 0.5), "config.tau2"),
-        lambda_schedule=schedule,
-        sigma=sigma,
-        max_iterations=_int(doc.get("max_iterations", 100_000), "config.max_iterations"),
-        seed=seed,
-    )
-    weight_schedule = schedule_from_json(
-        doc.get("schedule", {"regime": "sequential_cyclic"}), problem.m
-    )
-    policy = policy_from_json(doc.get("policy", {"policy": "zero"}), problem)
-    return config, weight_schedule, policy, stopping
+    fields = _given(doc, "config", tau1=_float, tau2=_float, max_iterations=_int)
+    if "lambda" in doc:
+        lam = doc["lambda"]
+        if isinstance(lam, dict):
+            if "list" not in lam:
+                raise ParseError("config.lambda: expected a number or {\"list\": [...]}")
+            fields["lambda_schedule"] = LambdaSchedule(_floats(lam["list"], "config.lambda.list"))
+        else:
+            fields["lambda_schedule"] = LambdaSchedule(_float(lam, "config.lambda"))
+    if doc.get("sigma_override") is not None:
+        fields["sigma"] = _sigma(doc["sigma_override"], "config.sigma_override")
+    if seed_override is not None:
+        fields["seed"] = _check_seed(seed_override, "--seed")
+    elif "seed" in doc:
+        fields["seed"] = _check_seed(_int(doc["seed"], "config.seed"), "config.seed")
+    stopping = stopping_from_json(doc["stopping"]) if "stopping" in doc else None
+    schedule = schedule_from_json(doc["schedule"], problem.m) if "schedule" in doc else None
+    policy = policy_from_json(doc["policy"], problem) if "policy" in doc else None
+    return SolverConfig(**fields), schedule, policy, stopping
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Shared numeric primitives, solver configuration and run records."""
 
 import math
-import numbers
 import operator
 import sys
 from collections.abc import Sequence
@@ -62,24 +61,26 @@ class ParseError(BlockprojError):
     pass
 
 
-# the types Python converts as 0 or 1, which no number argument takes
-_BOOLEANS = (bool, np.bool_)
+# the types Python converts to a number that no number argument takes: a
+# boolean as 0 or 1, and text as the number it spells
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
 
 # requirements of ``_converted``: (text, low, high), met where
 # low <= value <= high, a comparison that NaN fails; an open end is the
 # first float inside it, so float(x) > 0 is float(x) >= 5e-324
 _POSITIVE = ("positive", math.ulp(0.0), math.inf)
-_NONNEGATIVE = ("nonnegative", 0.0, math.inf)
+_NONNEGATIVE = (">= 0", 0.0, math.inf)
 _FINITE = ("a finite number", -sys.float_info.max, sys.float_info.max)
 
 
 def _converted(value, name, error, requirement=None, convert=float, kind="a number"):
     """convert(value), or ``error`` naming ``name`` where Python's own
-    conversion fails: a string, None, or an integer beyond the float range.
-    A boolean is refused too.  A converted value outside ``requirement``
-    raises ``error("<name> must be <text>, got <value>")``."""
-    if isinstance(value, _BOOLEANS):
+    conversion fails: None, or an integer beyond the float range.  A string
+    and a boolean are refused too, although Python converts "1.5" and True.
+    A converted value outside ``requirement`` raises
+    ``error("<name> must be <text>, got <value>")``."""
+    if isinstance(value, _NOT_NUMBERS):
         raise error(f"{name} must be {kind}, got {value!r}")
     try:
         value = convert(value)
@@ -221,10 +222,10 @@ class SolverConfig:
 
 
 def _check_seed(seed, name="seed"):
-    """Refuse a seed outside [0, 2^64), which the 64-bit stream key would alias."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise InvalidConfig(f"{name} must be in [0, 2^64), got {seed}")
-    return seed
+    """The seed as an int; one outside [0, 2^64), which the 64-bit stream
+    key would alias, is refused."""
+    return _converted(seed, name, InvalidConfig, ("in [0, 2^64)", 0, 2**64 - 1), operator.index,
+                      "in [0, 2^64)")
 
 
 def validate_config(cfg: SolverConfig) -> None:
@@ -234,19 +235,15 @@ def validate_config(cfg: SolverConfig) -> None:
     table is checked here through its range; a callable schedule is not
     sampled, ``run`` checks each lambda_k before the update that uses it.
     """
-    for name in ("tau1", "tau2", "max_iterations", "residual_tolerance"):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidConfig(f"{name} must be a number, got {value!r}")
-    if not (cfg.tau1 > 0 and cfg.tau2 > 0):
-        raise InvalidConfig(f"tau1 and tau2 must be positive, got {cfg.tau1}, {cfg.tau2}")
-    if cfg.tau1 + cfg.tau2 > 2:
-        raise InvalidConfig(f"tau1 + tau2 must be <= 2, got {cfg.tau1 + cfg.tau2}")
-    if not isinstance(cfg.max_iterations, numbers.Integral) or cfg.max_iterations < 1:
-        raise InvalidConfig(f"max_iterations must be an integer >= 1, got {cfg.max_iterations!r}")
+    tau1 = _converted(cfg.tau1, "tau1", InvalidConfig)
+    tau2 = _converted(cfg.tau2, "tau2", InvalidConfig)
     # written so that NaN fails every range check
-    if not cfg.residual_tolerance >= 0:
-        raise InvalidConfig(f"residual_tolerance must be >= 0, got {cfg.residual_tolerance}")
+    if not (tau1 > 0 and tau2 > 0):
+        raise InvalidConfig(f"tau1 and tau2 must be positive, got {cfg.tau1}, {cfg.tau2}")
+    if tau1 + tau2 > 2:
+        raise InvalidConfig(f"tau1 + tau2 must be <= 2, got {tau1 + tau2}")
+    _integer(cfg.max_iterations, "max_iterations", InvalidConfig, 1)
+    _converted(cfg.residual_tolerance, "residual_tolerance", InvalidConfig, _NONNEGATIVE)
     _check_seed(cfg.seed)
     if cfg.sigma is not None:
         normalize_sigma(cfg.sigma)
@@ -254,7 +251,7 @@ def validate_config(cfg: SolverConfig) -> None:
         raise InvalidConfig(
             f"lambda_schedule must be a LambdaSchedule, got {cfg.lambda_schedule!r}")
 
-    lo, hi = cfg.tau1, 2.0 - cfg.tau2
+    lo, hi = tau1, 2.0 - tau2
     declared = cfg.lambda_schedule.declared_range
     # tolerance-free comparison: the interval bounds are exact user inputs
     if declared is not None and not (lo <= declared[0] and declared[1] <= hi):

@@ -252,7 +252,7 @@ def _read_json(path, what):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 

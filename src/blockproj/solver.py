@@ -6,7 +6,6 @@ per-operator perturbations drawn inside the adaptive budget.
 """
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -60,7 +59,8 @@ class Problem:
 
     def __post_init__(self):
         self.dimension = _integer(self.dimension, "dimension", InvalidProblem, 1)
-        self.cutters = tuple(self.cutters)
+        self.cutters = _converted(self.cutters, "cutters", InvalidProblem, None, tuple,
+                                  "a list of cutters")
         if not self.cutters:
             raise InvalidProblem("need at least one cutter")
         for idx, c in enumerate(self.cutters):
@@ -120,32 +120,26 @@ class MaxIterations:
     limit: int
 
 
-def _check_threshold(value, name, kind=numbers.Real, what="a real number"):
-    # a comparison that NaN fails; a bool is not a number here
-    if isinstance(value, bool) or not isinstance(value, kind) or not value >= 0:
-        raise InvalidConfig(f"{name} must be >= 0 and {what}, got {value!r}")
-
-
 def _check_rules(problem, stopping):
     for rule in stopping:
         if isinstance(rule, ResidualBelow):
-            _check_threshold(rule.tol, "ResidualBelow tol")
+            _converted(rule.tol, "ResidualBelow tol", InvalidConfig, _NONNEGATIVE)
         elif isinstance(rule, MaxDistance):
-            _check_threshold(rule.eps, "MaxDistance eps")
+            _converted(rule.eps, "MaxDistance eps", InvalidConfig, _NONNEGATIVE)
             for idx, c in enumerate(problem.cutters):
                 if c.fixed_point_distance(problem.x0) is None:
                     raise InvalidConfig(
                         f"MaxDistance needs distance support, cutter {idx} has none"
                     )
         elif isinstance(rule, MaxFunctionValue):
-            _check_threshold(rule.eps, "MaxFunctionValue eps")
+            _converted(rule.eps, "MaxFunctionValue eps", InvalidConfig, _NONNEGATIVE)
             for idx, c in enumerate(problem.cutters):
                 if not hasattr(c, "level_value"):
                     raise InvalidConfig(
                         f"MaxFunctionValue needs level functions, cutter {idx} has none"
                     )
         elif isinstance(rule, MaxIterations):
-            _check_threshold(rule.limit, "MaxIterations limit", numbers.Integral, "an integer")
+            _integer(rule.limit, "MaxIterations limit", InvalidConfig, 0)
         else:
             raise InvalidConfig(f"unknown stopping rule {rule!r}")
 
@@ -338,12 +332,15 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         raise InvalidSchedule(f"schedule covers {schedule.m} operators, problem has {problem.m}")
     if policy is None:
         policy = ZeroPolicy()
+    if getattr(getattr(policy, "cost", None), "dim", None) not in (None, problem.dimension):
+        raise DimensionMismatch(
+            f"policy cost has dimension {policy.cost.dim}, expected {problem.dimension}")
     if stopping is None:
         stopping = [ResidualBelow(config.residual_tolerance)]
     stopping = [*stopping, MaxIterations(config.max_iterations)]
     _check_rules(problem, stopping)
     sigma = normalize_sigma(config.sigma if config.sigma is not None else problem.sigma)
-    lo, hi = config.tau1, 2.0 - config.tau2
+    lo, hi = float(config.tau1), 2.0 - float(config.tau2)
 
     sweep = _Sweep(problem)
     stream = None

@@ -524,3 +524,56 @@ def test_verify_prints_the_digest_of_each_failed_trial(capsys):
     out, err = capsys.readouterr()
     assert out == "suite=fejer trials=3 passes=1 failures=2 worst_violation=0.5\n"
     assert err == "  FAIL a1b2\n  FAIL c3d4\n"
+
+
+# every default a config file may leave out, spelled out
+_DEFAULTS = {"lambda": 1.0, "tau1": 0.5, "tau2": 0.5, "max_iterations": 100_000, "seed": 0,
+             "stopping": [{"rule": "residual_below", "tol": 1e-8}],
+             "schedule": {"regime": "sequential_cyclic"}, "policy": {"policy": "zero"}}
+
+
+@pytest.mark.parametrize("kind, sparse, spelled", [
+    ("linear", {}, _DEFAULTS),
+    ("discs", {}, _DEFAULTS),
+    ("l1", {}, _DEFAULTS),
+    ("linear", {"policy": {"policy": "random"}}, {"policy": {"policy": "random", "rho": 0.99}}),
+    ("l1", {"policy": {"policy": "superiorized"}},
+     {"policy": {"policy": "superiorized", "rho": 0.99}}),
+    ("linear", {"schedule": {"regime": "sequential_almost_cyclic"}},
+     {"schedule": {"regime": "sequential_almost_cyclic", "order_seed": 0}}),
+])
+def test_a_config_that_leaves_out_a_default_solves_as_one_that_spells_it_out(
+        tmp_path, capsys, kind, sparse, spelled):
+    problem = tmp_path / "p.json"
+    main(["gen", kind, "--out", str(problem)])
+    capsys.readouterr()
+    outputs = []
+    for name, doc in (("sparse", sparse), ("spelled", spelled)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc))
+        trace = tmp_path / f"{name}.csv"
+        code = main(_solve_args(problem, config, trace, tmp_path / f"{name}-summary.json"))
+        outputs.append((code, capsys.readouterr().out, trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_an_empty_config_leaves_the_schedule_policy_and_stopping_to_run(tmp_path):
+    problem = tmp_path / "p.json"
+    main(["gen", "linear", "--out", str(problem)])
+    config, *parts = assemble_config({}, load_problem(problem))
+    assert parts == [None, None, None]
+    assert (config.tau1, config.tau2, config.max_iterations, config.seed) == (0.5, 0.5, 100_000, 0)
+
+
+@pytest.mark.parametrize("which", ["problem", "config"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, which):
+    paths = {"problem": tmp_path / "p.json", "config": tmp_path / "c.json"}
+    main(["gen", "linear", "--m", "4", "--n", "3", "--out", str(paths["problem"])])
+    paths["config"].write_text("{}")
+    paths[which].write_bytes(b"\xff{}")
+    capsys.readouterr()
+    code = main(_solve_args(paths["problem"], paths["config"], tmp_path / "t.csv",
+                            tmp_path / "s.json"))
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: invalid JSON in {paths[which]}: 'utf-8' codec can't decode")

@@ -217,6 +217,22 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: gen_l1_constrained(1, 2, 3, 1.0000000000001e5), InvalidProblem, "epsilon"),
     (lambda: project_l1_ball([1.0, 2.0], "x"), InvalidCutter, "l1 ball radius"),
     (lambda: project_l1_ball([1.0, 2.0], True), InvalidCutter, "l1 ball radius"),
+    # Python converts numeric text, which no number argument takes
+    pytest.param(lambda: Ball([0, 0], "1.5"), InvalidCutter, "ball radius", id="Ball text"),
+    pytest.param(lambda: normalize_sigma("2"), blockproj.NonpositiveSigma, "sigma",
+                 id="normalize_sigma text"),
+    pytest.param(lambda: budget("1", 1.0, 1.0), InvalidConfig, "lambda", id="budget text"),
+    pytest.param(lambda: LambdaSchedule("1"), InvalidConfig, "lambda", id="LambdaSchedule text"),
+    pytest.param(lambda: RandomDirectionPolicy("0.5"), InvalidConfig, "rho",
+                 id="RandomDirectionPolicy text"),
+    pytest.param(lambda: gen_linear_feasibility(0, 3, 2, "5"), InvalidProblem, "radius",
+                 id="gen_linear_feasibility text"),
+    pytest.param(lambda: sigma_from_ball([0.0], "1", [1.0], 1.0), InvalidProblem, "radius",
+                 id="sigma_from_ball text"),
+    # tuple() of an int raised TypeError, and the cutters of a string had no dim
+    pytest.param(lambda: Problem(1, 5, [0.0], 1.0), InvalidProblem, "cutters", id="cutters int"),
+    pytest.param(lambda: Problem(1, "ab", [0.0], 1.0), InvalidProblem, "cutters",
+                 id="cutters text"),
 ])
 def test_an_argument_that_is_not_a_number_raises_a_library_error_naming_it(call, error, name):
     with pytest.raises(error, match=f"^{name} must be "):
@@ -232,6 +248,38 @@ def test_an_argument_that_is_not_a_number_raises_a_library_error_naming_it(call,
 def test_an_integer_beyond_the_float_range_is_named_without_its_digits(call, error, name):
     with pytest.raises(error, match=f"^{name} must be [a-z ]+, got one that overflows a float$"):
         call(10**400)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: validate_config(SolverConfig(max_iterations=2.5)), InvalidConfig,
+     r"max_iterations must be an integer, got 2\.5"),
+    (lambda: validate_config(SolverConfig(max_iterations=0)), InvalidConfig,
+     "max_iterations must be >= 1, got 0"),
+    (lambda: validate_config(SolverConfig(residual_tolerance=-1)), InvalidConfig,
+     r"residual_tolerance must be >= 0, got -1\.0"),
+    (lambda: _stopped_by(ResidualBelow(None)), InvalidConfig,
+     "ResidualBelow tol must be a number, got None"),
+    (lambda: _stopped_by(ResidualBelow(-1)), InvalidConfig,
+     r"ResidualBelow tol must be >= 0, got -1\.0"),
+    (lambda: _stopped_by(MaxDistance("a")), InvalidConfig,
+     "MaxDistance eps must be a number, got 'a'"),
+    (lambda: _stopped_by(MaxFunctionValue(-1)), InvalidConfig,
+     r"MaxFunctionValue eps must be >= 0, got -1\.0"),
+    (lambda: _stopped_by(MaxIterations(2.5)), InvalidConfig,
+     r"MaxIterations limit must be an integer, got 2\.5"),
+    (lambda: _stopped_by(MaxIterations(-1)), InvalidConfig,
+     "MaxIterations limit must be >= 0, got -1"),
+    (lambda: sigma_from_ball([0.0], -1, [1.0], 1.0), InvalidProblem,
+     r"radius must be >= 0, got -1\.0"),
+    (lambda: budget(1.0, -1, 1.0), InvalidConfig, r"residual must be >= 0, got -1\.0"),
+    (lambda: theta_budget(-1, 1.0, 1.0, 1.0), InvalidConfig, r"theta must be >= 0, got -1\.0"),
+    (lambda: theta_budget(0.5, 1.0, 1.0, -1), InvalidConfig,
+     r"anchor distance must be >= 0, got -1\.0"),
+    (lambda: BallQuadratic([0.0], -1), InvalidCutter, r"radius must be >= 0, got -1\.0"),
+])
+def test_a_number_argument_message_names_its_one_requirement(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def _stopped_by(rule):

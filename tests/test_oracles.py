@@ -191,3 +191,14 @@ def test_samplers_refuse_what_they_cannot_draw():
         oracles._sample_exterior_point(Box([-6.0, -6.0], [6.0, 6.0]), rng, 2)
     with pytest.raises(InvalidSchedule, match="^unknown extra regime 'bogus'$"):
         convergence_trial(0, "bogus")
+
+
+def test_budget_trial_fails_a_budget_that_does_not_vanish_at_infinite_sigma():
+    real = oracles.budget
+    with mock.patch.object(oracles, "budget",
+                           lambda lam, r, sigma: 1.0 if sigma == np.inf else real(lam, r, sigma)):
+        outcomes = [budget_trial([80, t]) for t in range(100)]
+    infinite = ["sigma=inf" in out.inputs_digest for out in outcomes]
+    assert any(infinite)
+    assert [out.passed for out in outcomes] == [not inf for inf in infinite]
+    assert all(out.violation == 1.0 for out, inf in zip(outcomes, infinite) if inf)

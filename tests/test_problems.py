@@ -31,6 +31,7 @@ from blockproj import (
 )
 from blockproj.problems import (
     _json_text,
+    _unit,
     cutter_from_json,
     cutter_to_json,
     problem_from_json,
@@ -465,3 +466,13 @@ def test_disc_generator_accepts_overlaps_to_1e150(m, n):
         gen_disc_intersection(seed, m, n, overlap=1e150)
     with pytest.raises(InvalidProblem, match=r"^overlap must be in \(0, 1e150\], got 1e\+200$"):
         gen_disc_intersection(0, m, n, overlap=1e200)
+
+
+def test_unit_redraws_a_zero_vector():
+    class ZeroFirst:
+        draws = [np.zeros(3), np.array([3.0, 0.0, 4.0])]
+
+        def standard_normal(self, n):
+            return self.draws.pop(0)
+
+    assert _unit(ZeroFirst(), 3).tolist() == [0.6, 0.0, 0.8]

@@ -818,3 +818,11 @@ def test_unknown_stopping_rule_is_refused():
     problem = Problem(1, [Halfspace([1.0], 0.0)], [1.0], 1.0)
     with pytest.raises(InvalidConfig, match="^unknown stopping rule 'tol'$"):
         run(problem, stopping=["tol"])
+
+
+def test_a_policy_cost_of_another_dimension_is_refused_before_iteration_0():
+    # the cost's gradient refused the iterate at k = 0, naming no policy
+    problem = Problem(2, [Ball([0, 0], 1)], [3, 0], 10)
+    policy = SuperiorizedPolicy(AffineFunction([1, 2, 3], 0))
+    with pytest.raises(DimensionMismatch, match=r"^policy cost has dimension 3, expected 2$"):
+        run(problem, SolverConfig(), SimultaneousUniform(1), policy)
