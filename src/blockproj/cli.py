@@ -147,7 +147,7 @@ def assemble_config(doc, problem, seed_override=None):
             fields["lambda_schedule"] = LambdaSchedule(_floats(lam["list"], "config.lambda.list"))
         else:
             fields["lambda_schedule"] = LambdaSchedule(_float(lam, "config.lambda"))
-    if doc.get("sigma_override") is not None:
+    if "sigma_override" in doc:
         fields["sigma"] = _sigma(doc["sigma_override"], "config.sigma_override")
     if seed_override is not None:
         fields["seed"] = _check_seed(seed_override, "--seed")

@@ -150,10 +150,15 @@ def _norm(d):
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
     """Validate ``x`` as a finite 1-D float64 point and return a read-only copy."""
     try:
-        arr = np.array(x, dtype=float)
+        arr = np.array(x)
+        # text is refused, although numpy would parse the numbers it
+        # spells; a float array is not converted a second time
+        arr = None if arr.dtype.kind in "US" else arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
-        # ragged nesting, strings, objects and ints beyond the float range
-        raise DimensionMismatch(f"{name} must be a 1-D point of numbers") from None
+        # ragged nesting, objects and ints beyond the float range
+        arr = None
+    if arr is None:
+        raise DimensionMismatch(f"{name} must be a 1-D point of numbers")
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionMismatch(f"{name} must be a 1-D point with at least one entry")
     if not np.isfinite(arr).all():

@@ -346,9 +346,8 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     stream = None
     if not isinstance(policy, ZeroPolicy) and math.isfinite(sigma):
         stream = PerturbationStream(config.seed)
-        # a one-row table resolved the support of its row when it built it
-        table = getattr(schedule, "_table", None)
-        fixed = table.support if table is not None else None
+        # a table that caches its rows resolved the support of each, once
+        supports = getattr(getattr(schedule, "_table", None), "supports", None)
     # the trace as blocks of columns: row r of block b describes iterate
     # b * rows + r; the scalar columns wait for the distances until the run ends
     rows = _BLOCK_ROWS
@@ -385,11 +384,11 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
             # e^k: the policy's perturbations over the support of w, in index
             # order and each inside its budget; a policy that draws resets the
             # stream to iteration k's, keyed by (seed, k), through the accessor
-            if fixed is None:
+            if supports is None:
                 indices = np.flatnonzero(w > 0.0)
                 weights = w[indices]
             else:
-                indices, weights = fixed
+                indices, weights = supports[k % len(supports)]
             # a support of every index takes the residuals as they are
             if indices.size < residuals.size:
                 residuals = residuals[indices]

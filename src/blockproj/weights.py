@@ -6,9 +6,9 @@ exactly on a selected subset).  All indices are 0-based here; file formats
 use 1-based indices (see cli).
 
 A schedule whose weights cycle through a fixed table (cyclic, simultaneous
-uniform, classical blocks, a tabled repetitive control) builds and checks
-the rows of its period once, at construction; a schedule that computes its
-weights, from a callable or from k, is checked on every call.
+uniform, classical blocks, tabled repetitive control or uniform blocks)
+builds and checks the rows of its period once, at construction; one that
+computes its weights, from a callable or from k, is checked on every call.
 """
 
 import operator
@@ -43,11 +43,10 @@ class _Table:
     (s, e) = (bounds[j], bounds[j + 1]).  The caller guarantees in-range
     indices, distinct within a row, and nonempty rows.  Every row handed out
     is read-only.  When the dense period is small, period x m <= 8 (m + the
-    stored weights), every row is built once and ``at`` hands out the same
-    object each period; otherwise a row is built on each call, so memory
-    stays O(m + the sum of the row sizes).  ``support`` holds the positive
-    indices of a one-row period and the weights on them (None for a longer
-    period).
+    stored weights), every row is built once, ``at`` hands out the same
+    object each period and ``supports[j]`` holds row j's positive indices
+    and the weights on them, read-only too; otherwise ``supports`` is None
+    and each call builds its row: memory stays O(m + the sum of row sizes).
     """
 
     def __init__(self, m, indices, values, sizes):
@@ -67,13 +66,13 @@ class _Table:
         if bad.size:
             j = int(bad[0])
             raise InvalidSchedule(f"invalid weight vector at k={j}: {self._row(j)}")
-        self.rows = self.support = None
+        self.rows = self.supports = None
         if self.period * m <= 8 * (m + self.values.size):
             self.rows = [self._row(j) for j in range(self.period)]
-        if self.period == 1:
-            w = self.rows[0]
-            indices = np.flatnonzero(w > 0.0)
-            self.support = indices, w[indices]
+            positive = [np.flatnonzero(w > 0.0) for w in self.rows]
+            self.supports = [(i, w[i]) for i, w in zip(positive, self.rows)]
+            for indices, weights in self.supports:
+                indices.flags.writeable = weights.flags.writeable = False
 
     def _row(self, j):
         s, e = self.bounds[j], self.bounds[j + 1]
@@ -83,9 +82,8 @@ class _Table:
         return w
 
     def at(self, k):
-        if self.rows is not None:
-            return self.rows[k % self.period]
-        return self._row(k % self.period)
+        j = k % self.period
+        return self._row(j) if self.rows is None else self.rows[j]
 
 
 def _one_hot(m, indices):
@@ -275,7 +273,7 @@ class BlockGeneralized(WeightSchedule):
 
     ``selection`` is a callable k -> block or a table of blocks, cycled and
     checked at construction; ``weights_fn`` maps (k, block) to the weights
-    inside the block (uniform when None).
+    inside the block (uniform when None: a table of blocks is then fixed).
     """
 
     regime = "block_generalized"
@@ -283,8 +281,11 @@ class BlockGeneralized(WeightSchedule):
     def __init__(self, m, selection, weights_fn=None):
         super().__init__(m)
         self.weights_fn = weights_fn
-        self.selection = _rule(selection, "selection", InvalidSchedule, self._subset,
-                               "a callable or a table of index lists")[0]
+        self.selection, table = _rule(selection, "selection", InvalidSchedule, self._subset,
+                                      "a callable or a table of index lists")
+        if table is not None and weights_fn is None:
+            self._table = _Table(self.m, [i for b in table for i in b],
+                                 [1.0 / len(b) for b in table for _ in b], [len(b) for b in table])
 
     def _subset(self, block, k):
         """The block for k as a tuple of distinct indices in 0..m-1."""

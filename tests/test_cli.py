@@ -216,6 +216,7 @@ def test_invalid_lambda_config_exits_1(tmp_path, capsys):
     ({"max_iterations": 12.9}, "config.max_iterations"),
     ({"seed": "7"}, "config.seed"),
     ({"sigma_override": "7"}, "config.sigma_override"),
+    ({"sigma_override": None}, "config.sigma_override"),
     ({"policy": {"policy": "random", "rho": True}}, "config.policy.rho"),
     ({"stopping": [{"rule": "max_iterations", "limit": 3.0}]}, "config.stopping[0].limit"),
     ({"stopping": {"rule": "residual_below", "tol": 1e-6}}, "config.stopping"),

@@ -219,6 +219,8 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: project_l1_ball([1.0, 2.0], True), InvalidCutter, "l1 ball radius"),
     # Python converts numeric text, which no number argument takes
     pytest.param(lambda: Ball([0, 0], "1.5"), InvalidCutter, "ball radius", id="Ball text"),
+    pytest.param(lambda: Ball(["1", "2"], 1.0), DimensionMismatch, "center",
+                 id="Ball center text"),
     pytest.param(lambda: normalize_sigma("2"), blockproj.NonpositiveSigma, "sigma",
                  id="normalize_sigma text"),
     pytest.param(lambda: budget("1", 1.0, 1.0), InvalidConfig, "lambda", id="budget text"),

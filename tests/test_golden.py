@@ -61,7 +61,8 @@ TRACES = {
         (LINEAR, {"regime": "simultaneous_uniform"}, {"policy": "random", "rho": 0.99}, 1e-3),
     "trace_block_classical_linear.csv":
         (LINEAR, {"regime": "block_classical", "partition": THIRDS}, {"policy": "zero"}, 1e-6),
-    # a table of several rows: the support of w_k is resolved on every step
+    # a table of several rows: each row's support is resolved once, when
+    # the table builds its rows
     "trace_block_random_linear.csv":
         (LINEAR, {"regime": "block_classical", "partition": THIRDS},
          {"policy": "random", "rho": 0.99}, 1e-3),

@@ -602,29 +602,34 @@ def _record_bytes(rec):
 
 
 @pytest.mark.parametrize("policy_name", ["random", "superiorized"])
-def test_one_block_table_gives_the_trace_of_the_same_computed_weights(policy_name):
-    # a one-block partition is a one-row table, whose support is resolved
-    # when the table is built; BlockGeneralized computes the same row on
-    # every call, and its support is resolved on every step.  The block is
-    # unsorted and holds one zero weight, which the support leaves out.
+def test_block_tables_give_the_trace_of_the_same_computed_weights(policy_name):
+    # a table resolves the support of each of its rows once, when it builds
+    # them; the same rows computed on every call have their support resolved
+    # on every step.  The three blocks are unsorted, and the intra weights of
+    # the second hold one zero, which its support leaves out.
     problem = _mixed_problem(7)
     m = problem.m
-    block = [int(i) for i in np.random.default_rng(3).permutation(m)]
-    intra = np.arange(1.0, m + 1.0)
-    intra[5] = 0.0
-    intra = (intra / intra.sum()).tolist()
-    schedules = [BlockClassicalCyclic(m, [block], [intra]),
-                 BlockGeneralized(m, [block], lambda k, b: intra)]
-    assert schedules[0]._table.support[0].size == m - 1
-    traces = []
-    for schedule in schedules:
-        policy = {"random": RandomDirectionPolicy(0.99),
-                  "superiorized": SuperiorizedPolicy(problem.cost, 0.99)}[policy_name]
-        result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=7),
-                     schedule, policy)
-        traces.append([_record_bytes(rec) for rec in result.trace])
-    assert sum(rec.perturbation_norm > 0.0 for rec in result.trace) > 10
-    assert traces[0] == traces[1]
+    order = [int(i) for i in np.random.default_rng(3).permutation(m)]
+    blocks = [order[:6], order[6:12], order[12:]]
+    intra = [np.arange(1.0, len(block) + 1.0) for block in blocks]
+    intra[1][2] = 0.0
+    intra = [(ws / ws.sum()).tolist() for ws in intra]
+    pairs = [(BlockClassicalCyclic(m, blocks, intra),
+              BlockGeneralized(m, blocks, lambda k, block: intra[k % 3])),
+             (BlockGeneralized(m, blocks), BlockGeneralized(m, lambda k: blocks[k % 3]))]
+    assert [indices.size for indices, _ in pairs[0][0]._table.supports] == [6, 5, m - 12]
+    assert [indices.size for indices, _ in pairs[1][0]._table.supports] == [6, 6, m - 12]
+    for schedules in pairs:
+        assert schedules[1]._table is None
+        traces = []
+        for schedule in schedules:
+            policy = {"random": RandomDirectionPolicy(0.99),
+                      "superiorized": SuperiorizedPolicy(problem.cost, 0.99)}[policy_name]
+            result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=7),
+                         schedule, policy)
+            traces.append([_record_bytes(rec) for rec in result.trace])
+        assert sum(rec.perturbation_norm > 0.0 for rec in result.trace) > 10
+        assert traces[0] == traces[1]
 
 
 def test_run_with_a_huge_sigma_computes_its_budgets_without_overflow():

@@ -172,6 +172,9 @@ def _block_row(m, block, values):
 _PARTITION = [[0, 3], [1], [2, 4, 5]]
 _INTRA = [[0.25, 0.75], [1.0], [0.2, 0.3, 0.5]]
 _CONTROL = [2, 0, 5, 1, 3, 4, 2, 2]
+# a selection, unlike a partition, may repeat an index across its blocks;
+# these also list their indices unsorted
+_SELECTION = [[4, 0], [1, 2, 5], [3], [0, 5]]
 
 # name -> (schedule, period, the vector of iteration k as a fresh formula)
 _FIXED = {
@@ -186,6 +189,9 @@ _FIXED = {
     "sequential_repetitive": (
         lambda: SequentialRepetitive(6, _CONTROL), len(_CONTROL),
         lambda k: _unit(6, _CONTROL[k % len(_CONTROL)])),
+    "block_generalized_table": (
+        lambda: BlockGeneralized(6, _SELECTION), len(_SELECTION),
+        lambda k: _block_row(6, _SELECTION[k % 4], 1.0 / len(_SELECTION[k % 4]))),
 }
 
 
@@ -223,12 +229,18 @@ def test_prebuilt_rows_are_the_rows_built_per_call(name):
     for k in range(period):
         assert table.rows[k].tobytes() == table._row(k).tobytes()
         assert sched.weights_at(k) is sched.weights_at(k + period)
+        # and the support of every row is resolved once, read-only as well
+        indices, weights = table.supports[k]
+        w = sched.weights_at(k)
+        assert indices.tobytes() == np.flatnonzero(w > 0.0).tobytes()
+        assert weights.tobytes() == w[indices].tobytes()
+        assert not (indices.flags.writeable or weights.flags.writeable)
 
 
 def test_long_period_builds_rows_on_demand():
     # 100 rows of 100 floats exceed 8 (m + the stored weights) = 1600
     sched = SequentialCyclic(100)
-    assert sched._table.rows is None
+    assert sched._table.rows is None and sched._table.supports is None
     w = sched.weights_at(3)
     assert w is not sched.weights_at(103) and not w.flags.writeable
     assert np.array_equal(w, _unit(100, 3))
