@@ -152,8 +152,11 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
     try:
         arr = np.array(x)
         # text is refused, although numpy would parse the numbers it
-        # spells; a float array is not converted a second time
-        arr = None if arr.dtype.kind in "US" else arr.astype(float, copy=False)
+        # spells, also among other objects; only an object array is
+        # searched, and a float array is not converted a second time
+        text = arr.dtype.kind in "US" or arr.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes)) for v in arr.flat)
+        arr = None if text else arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         # ragged nesting, objects and ints beyond the float range
         arr = None
@@ -281,8 +284,10 @@ class IterationRecord:
     that update (0 for the terminal record, where no update happens).  A
     run's trace builds its records when they are read, so each access makes
     a new record: ``trace[i] is trace[i]`` is false, and editing a record
-    edits that copy only.  ``point`` and ``per_index_residuals`` are
-    read-only rows of the trace's storage.
+    edits that copy only.  ``point`` is a read-only row of the trace's
+    storage; the trace keeps no residual vector, so a record's
+    ``per_index_residuals`` are swept from that row when first read, bit
+    for bit those of the run, and kept read-only on the record.
     """
 
     k: int

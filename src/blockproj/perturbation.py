@@ -188,12 +188,18 @@ class RandomDirectionPolicy(PerturbationPolicy):
             return np.zeros_like(x)
         rng = iteration_rng()
         directions = rng.standard_normal((live.size, x.size))
-        norms = np.linalg.norm(directions, axis=1)
-        for row in np.flatnonzero(norms == 0.0):
-            while norms[row] == 0.0:
-                directions[row] = rng.standard_normal(x.size)
-                norms[row] = np.linalg.norm(directions[row])
-        return (np.asarray(weights, dtype=float)[live] * scale[live] / norms) @ directions
+        # what np.linalg.norm(directions, axis=1) computes, without its wrapper
+        norms = np.sqrt(np.add.reduce(np.square(directions), axis=1))
+        if not norms.all():
+            for row in np.flatnonzero(norms == 0.0):
+                while norms[row] == 0.0:
+                    directions[row] = rng.standard_normal(x.size)
+                    norms[row] = np.linalg.norm(directions[row])
+        # w * scale / norms, evaluated in that order in place
+        coefficients = np.asarray(weights, dtype=float)[live]
+        coefficients *= scale[live]
+        coefficients /= norms
+        return coefficients @ directions
 
 
 class SuperiorizedPolicy(PerturbationPolicy):

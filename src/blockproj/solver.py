@@ -76,7 +76,7 @@ class Problem:
             self.witness = as_vector(self.witness, self.dimension, name="witness")
             # an overflowing residual is inf or NaN, which the comparison refuses
             with np.errstate(over="ignore", invalid="ignore"):
-                residuals = _Sweep(self).residuals(self.witness)[0]
+                residuals = _Sweep(self.cutters, self.dimension).residuals(self.witness)[0]
             violated = np.flatnonzero(~(residuals <= WITNESS_RESIDUAL_TOL))
             if violated.size:
                 idx = int(violated[0])
@@ -169,13 +169,12 @@ class _Sweep:
     one matrix, so one matvec gives all of their residuals and one more their
     weighted steps; every other kind is applied one by one."""
 
-    def __init__(self, problem):
-        cutters = problem.cutters
+    def __init__(self, cutters, dimension):
         rows = [(i, c.linear_row) for i, c in enumerate(cutters) if c.linear_row is not None]
         self.m = len(cutters)
         self.rows = np.array([i for i, _ in rows], dtype=np.intp)
         self.A = np.array([a for _, (a, _, _, _) in rows], dtype=float).reshape(
-            len(rows), problem.dimension)
+            len(rows), dimension)
         self.b = np.array([b for _, (_, b, _, _) in rows], dtype=float)
         # excess = max(<a, x> - b, floor): a halfspace counts only its
         # violation; without halfspaces the maximum changes nothing
@@ -210,19 +209,19 @@ class _Sweep:
             residuals[i] = _norm(d)
         return residuals, excess, steps
 
-    def update(self, x, lam, w, excess, steps):
-        """x + lam sum_i w_i (T_i(x) - x), where a row's T_i(x) - x is
-        -(excess_i / |a_i|^2) a_i."""
-        s = self.A.T @ ((w[self.rows] if self.others else w) * excess / self.aa)
+    def update(self, x, lam, w, excess, steps, out):
+        """x + lam sum_i w_i (T_i(x) - x), written into ``out``, where a
+        row's T_i(x) - x is -(excess_i / |a_i|^2) a_i."""
+        np.matmul(self.A.T, (w[self.rows] if self.others else w) * excess / self.aa, out=out)
         # negated first: -s + t rounds an exact zero to +0.0 where
         # -(s - t) gives -0.0
-        np.negative(s, out=s)
+        np.negative(out, out=out)
         for (i, _), d in zip(self.others, steps):
             if w[i] > 0.0:
-                s += w[i] * d
-        s *= lam
-        s += x
-        return s
+                out += w[i] * d
+        out *= lam
+        out += x
+        return out
 
 
 # rows of one block of a run's trace.  The run allocates its blocks one at a
@@ -233,6 +232,9 @@ _BLOCK_ROWS = 256
 # the scalar columns of a trace block; the last is there only with a witness
 _MAX_RESIDUAL, _PERTURBATION, _LAM, _FROM_START, _TO_WITNESS = range(5)
 
+# the slot in which an IterationRecord keeps its per-index residuals
+_RESIDUALS = IterationRecord.per_index_residuals
+
 
 def _row_norms(d):
     """||d_j|| for each row of ``d``, bit for bit ``_norm(d_j)``: ``matmul``
@@ -240,16 +242,58 @@ def _row_norms(d):
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
 
+class _Record(IterationRecord):
+    """A record of a run's trace.  Its per-index residuals are those of the
+    trace row it was built from, swept when first read and then kept, so a
+    record whose ``point`` was replaced still reports them.  Built with
+    IterationRecord's arguments and no ``trace``, as ``dataclasses.replace``
+    builds one, it keeps the residuals it is given."""
+
+    __slots__ = ("_row", "_trace")
+
+    def __init__(self, k, point, max_residual, per_index_residuals, perturbation_norm, lam,
+                 distance_from_start, distance_to_witness=None, trace=None):
+        self.k = k
+        self.point = point
+        self.max_residual = max_residual
+        self.perturbation_norm = perturbation_norm
+        self.lam = lam
+        self.distance_from_start = distance_from_start
+        self.distance_to_witness = distance_to_witness
+        if trace is None:
+            _RESIDUALS.__set__(self, per_index_residuals)
+        else:
+            self._row = point
+            self._trace = trace
+
+    @property
+    def per_index_residuals(self):
+        try:
+            return _RESIDUALS.__get__(self)
+        except AttributeError:
+            residuals = self._trace._residuals(self._row)
+            _RESIDUALS.__set__(self, residuals)
+            return residuals
+
+    @per_index_residuals.setter
+    def per_index_residuals(self, value):
+        _RESIDUALS.__set__(self, value)
+
+
 class _Trace(Sequence):
     """The records of one run, built when they are read.  Block b holds
-    iterates b * rows onwards: their points and residual vectors as the
-    rows of two matrices, and their scalar columns.  Every block is
-    read-only, and so are the rows a record holds."""
+    iterates b * rows onwards: their points as the rows of a matrix, and
+    their scalar columns.  Every block is read-only, and so are the rows a
+    record holds.  A record's residual vector is swept from its point row
+    by the run's own cutters, stacked once, when the first one is read."""
 
-    def __init__(self, blocks, rows, length):
+    def __init__(self, blocks, rows, length, cutters, dimension):
         self._blocks = blocks
         self._rows = rows
         self._len = length
+        self._cutters = cutters
+        self._dimension = dimension
+        self._sweep = None
 
     def __len__(self):
         return self._len
@@ -273,20 +317,29 @@ class _Trace(Sequence):
         lists of floats in IterationRecord's field order: max_residual,
         perturbation_norm, lam, distance_from_start and, with a witness,
         distance_to_witness."""
-        for b, (_, _, columns) in enumerate(self._blocks):
+        for b, (_, columns) in enumerate(self._blocks):
             yield b * self._rows, columns.T.tolist()
+
+    def _residuals(self, point):
+        """||T_i(point) - point|| for every i, read-only: the bits the run
+        swept from the same row."""
+        if self._sweep is None:
+            self._sweep = _Sweep(self._cutters, self._dimension)
+        residuals = self._sweep.residuals(point)[0]
+        residuals.flags.writeable = False
+        return residuals
 
     def _records(self, start, stop):
         """The records of iterates start..stop - 1, a block at a time."""
         rows = self._rows
         for b in range(start // rows, (stop - 1) // rows + 1):
-            points, residuals, columns = self._blocks[b]
+            points, columns = self._blocks[b]
             s, e = max(start - b * rows, 0), min(stop - b * rows, rows)
             cols = columns[s:e].T.tolist()
             to_witness = cols[_TO_WITNESS] if len(cols) > _TO_WITNESS else repeat(None)
-            yield from map(IterationRecord, range(b * rows + s, b * rows + e), points[s:e],
-                           cols[_MAX_RESIDUAL], residuals[s:e], cols[_PERTURBATION], cols[_LAM],
-                           cols[_FROM_START], to_witness)
+            yield from map(_Record, range(b * rows + s, b * rows + e), points[s:e],
+                           cols[_MAX_RESIDUAL], repeat(None), cols[_PERTURBATION], cols[_LAM],
+                           cols[_FROM_START], to_witness, repeat(self))
 
 
 def _finished(problem, blocks, rows, length):
@@ -300,7 +353,7 @@ def _finished(problem, blocks, rows, length):
     x0, witness = problem.x0, problem.witness
     drift = 0.0
     for block in blocks:
-        points, _, columns = block
+        points, columns = block
         d = points - x0
         columns[:, _FROM_START] = _row_norms(d)
         if witness is not None:
@@ -309,7 +362,7 @@ def _finished(problem, blocks, rows, length):
         drift = max(drift, float(columns[:, _FROM_START].max()))
         for a in block:
             a.flags.writeable = False
-    return _Trace(blocks, rows, length), drift
+    return _Trace(blocks, rows, length, problem.cutters, problem.dimension), drift
 
 
 def run(problem, config=None, schedule=None, policy=None, stopping=None):
@@ -342,32 +395,34 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     sigma = normalize_sigma(config.sigma if config.sigma is not None else problem.sigma)
     lo, hi = float(config.tau1), 2.0 - float(config.tau2)
 
-    sweep = _Sweep(problem)
+    sweep = _Sweep(problem.cutters, problem.dimension)
     stream = None
     if not isinstance(policy, ZeroPolicy) and math.isfinite(sigma):
         stream = PerturbationStream(config.seed)
-        # a table that caches its rows resolved the support of each, once
+        # a table that caches its rows resolves the support of each, once
         supports = getattr(getattr(schedule, "_table", None), "supports", None)
-    # the trace as blocks of columns: row r of block b describes iterate
-    # b * rows + r; the scalar columns wait for the distances until the run ends
+    # the trace as blocks of a point matrix and scalar columns: row r of
+    # block b holds iterate b * rows + r, which the update writes there; the
+    # scalar columns wait for the distances until the run ends
     rows = _BLOCK_ROWS
-    widths = (problem.dimension, problem.m, _TO_WITNESS + (problem.witness is not None))
-    blocks = []
-    x = problem.x0
+    shapes = ((rows, problem.dimension), (rows, _TO_WITNESS + (problem.witness is not None)))
+    blocks = [tuple(map(np.empty, shapes))]
+    x = blocks[0][0][0]
+    x[:] = problem.x0
+    # every iterate's residuals, swept into one vector
+    swept = np.empty(problem.m)
     k = 0
     while True:
         r = k % rows
         if not r:
-            points, residual_rows, columns = block = tuple(np.empty((rows, n)) for n in widths)
-            blocks.append(block)
-        residuals, excess, steps = sweep.residuals(x, residual_rows[r])
+            columns = blocks[-1][1]
+        residuals, excess, steps = sweep.residuals(x, swept)
         # the reduction that ndarray.max calls, without its wrapper
         max_res = float(np.maximum.reduce(residuals))
         if not math.isfinite(max_res):
             raise NonfiniteIterate(f"non-finite residual at k={k}")
         status = _fired_status(problem, stopping, k, x, max_res)
         lam = config.lambda_schedule(k)
-        points[r] = x
         columns[r, _MAX_RESIDUAL] = max_res
         columns[r, _LAM] = lam
         if status is not None:
@@ -378,7 +433,9 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         if not lo <= lam <= hi:
             raise LambdaOutOfRange(k, lam, lo, hi)
         w = schedule.weights_at(k)
-        x_next = sweep.update(x, lam, w, excess, steps)
+        if r + 1 == rows:
+            blocks.append(tuple(map(np.empty, shapes)))
+        x_next = sweep.update(x, lam, w, excess, steps, blocks[-1][0][(r + 1) % rows])
         pert_norm = 0.0
         if stream is not None:
             # e^k: the policy's perturbations over the support of w, in index

@@ -11,6 +11,7 @@ builds and checks the rows of its period once, at construction; one that
 computes its weights, from a callable or from k, is checked on every call.
 """
 
+import functools
 import operator
 
 import numpy as np
@@ -44,9 +45,10 @@ class _Table:
     indices, distinct within a row, and nonempty rows.  Every row handed out
     is read-only.  When the dense period is small, period x m <= 8 (m + the
     stored weights), every row is built once, ``at`` hands out the same
-    object each period and ``supports[j]`` holds row j's positive indices
-    and the weights on them, read-only too; otherwise ``supports`` is None
-    and each call builds its row: memory stays O(m + the sum of row sizes).
+    object each period and ``supports[j]``, resolved when first read, holds
+    row j's positive indices and the weights on them, read-only too;
+    otherwise ``supports`` is None and each call builds its row: memory
+    stays O(m + the sum of row sizes).
     """
 
     def __init__(self, m, indices, values, sizes):
@@ -66,13 +68,21 @@ class _Table:
         if bad.size:
             j = int(bad[0])
             raise InvalidSchedule(f"invalid weight vector at k={j}: {self._row(j)}")
-        self.rows = self.supports = None
+        self.rows = None
         if self.period * m <= 8 * (m + self.values.size):
             self.rows = [self._row(j) for j in range(self.period)]
-            positive = [np.flatnonzero(w > 0.0) for w in self.rows]
-            self.supports = [(i, w[i]) for i, w in zip(positive, self.rows)]
-            for indices, weights in self.supports:
-                indices.flags.writeable = weights.flags.writeable = False
+
+    @functools.cached_property
+    def supports(self):
+        """(positive indices, weights on them) of each cached row; only a
+        perturbed run reads them."""
+        if self.rows is None:
+            return None
+        positive = [np.flatnonzero(w > 0.0) for w in self.rows]
+        supports = [(i, w[i]) for i, w in zip(positive, self.rows)]
+        for indices, weights in supports:
+            indices.flags.writeable = weights.flags.writeable = False
+        return supports
 
     def _row(self, j):
         s, e = self.bounds[j], self.bounds[j + 1]

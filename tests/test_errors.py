@@ -10,6 +10,7 @@ import ast
 import builtins
 import functools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,9 @@ def test_exception_classes_are_the_documented_ten():
     pytest.param(lambda: Ball([0, 0], "1.5"), InvalidCutter, "ball radius", id="Ball text"),
     pytest.param(lambda: Ball(["1", "2"], 1.0), DimensionMismatch, "center",
                  id="Ball center text"),
+    # a Fraction makes numpy pick the object dtype, whose float() parsed "1"
+    pytest.param(lambda: core.as_vector([Fraction(1, 2), "1"]), DimensionMismatch, "vector",
+                 id="as_vector object text"),
     pytest.param(lambda: normalize_sigma("2"), blockproj.NonpositiveSigma, "sigma",
                  id="normalize_sigma text"),
     pytest.param(lambda: budget("1", 1.0, 1.0), InvalidConfig, "lambda", id="budget text"),

@@ -16,6 +16,7 @@ and state the reason, with the comparison, with the change.
 """
 
 import csv
+import hashlib
 import json
 import sys
 import tempfile
@@ -35,14 +36,19 @@ from blockproj import (
     L1Ball,
     Problem,
     QuadraticFunction,
+    RandomDirectionPolicy,
     Resolvent,
     SetIndicator,
+    SimultaneousUniform,
+    SolverConfig,
     SquaredNorm,
     SubgradientProjection,
+    SuperiorizedPolicy,
     load_problem,
+    run,
     save_problem,
 )
-from blockproj import oracles
+from blockproj import cli, oracles
 from blockproj.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,6 +77,11 @@ TRACES = {
 }
 
 PROBLEM = "problem_all_kinds.json"
+
+# sha256 of every record's per-index residuals, as bytes, over the runs of
+# residual_digest; pinned while the trace still stored the vectors the run
+# swept, so residuals swept again from a record's point must give its bits
+RESIDUALS_SHA256 = "d9172228a9bdbb1b050f1cf574e46a79805ed7733f149a8e38ecd050c6ac4022"
 
 # suite -> trials of ``blockproj verify <suite> --seed 0 --json``
 VERIFY = {"fejer": 1000, "cutter": 1000, "budget": 200, "qhat": 1, "convergence": 1}
@@ -131,6 +142,32 @@ def trial_lines():
     return "".join(lines)
 
 
+def residual_digest(work):
+    """sha256 over the per-index residuals of every record of the TRACES
+    runs, in name order, then of a mixed-kind problem under simultaneous
+    control with random and with superiorized perturbations."""
+    from test_solver import _mixed_problem
+
+    results = []
+
+    def solve(*args):
+        results.append(run(*args))
+        return results[-1]
+
+    with mock.patch.object(cli, "run", solve):
+        for name in sorted(TRACES):
+            write_trace(name, work, work / name)
+    problem = _mixed_problem(7)
+    config = SolverConfig(residual_tolerance=1e-6, max_iterations=300, seed=7)
+    for policy in (RandomDirectionPolicy(0.99), SuperiorizedPolicy(problem.cost, 0.99)):
+        results.append(run(problem, config, SimultaneousUniform(problem.m), policy))
+    digest = hashlib.sha256()
+    for result in results:
+        for rec in result.trace:
+            digest.update(rec.per_index_residuals.tobytes())
+    return digest.hexdigest()
+
+
 def all_kinds_problem():
     """Every cutter type and every function form, with an indicator nested
     in a resolvent; the origin is a common fixed point."""
@@ -157,6 +194,10 @@ def test_trace_matches_golden(name, tmp_path):
     out = tmp_path / name
     write_trace(name, tmp_path, out)
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_per_index_residuals_match_their_digest(tmp_path):
+    assert residual_digest(tmp_path) == RESIDUALS_SHA256
 
 
 def test_problem_file_matches_golden(tmp_path):

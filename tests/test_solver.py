@@ -1,8 +1,10 @@
 import dataclasses
 import gc
 import math
+import os
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -758,6 +760,77 @@ def test_a_finished_run_holds_little_more_than_its_numbers():
     n, m = problem.dimension, problem.m
     assert len(result.trace) > 1000
     assert held / len(result.trace) <= 1.1 * 8 * (n + m + 7)
+
+
+def test_a_finished_run_holds_its_points_and_scalars_only():
+    # the trace keeps no residual vector: per iterate its point and seven
+    # floats' worth of scalars and storage, with a tenth to spare
+    problem = gen_linear_feasibility(1, 200, 50, 5)
+    args = (problem, SolverConfig(residual_tolerance=0.1, seed=1),
+            SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(*args)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = problem.dimension
+    assert len(result.trace) > 1000
+    assert held / len(result.trace) <= 1.1 * 8 * (n + 7)
+
+
+def test_residuals_are_swept_only_when_read(monkeypatch):
+    from blockproj import solver
+    from blockproj.cli import write_trace_csv
+
+    problem = _mixed_problem(6)
+    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=6),
+                 SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
+    sweeps = []
+    monkeypatch.setattr(solver._Sweep, "residuals",
+                        lambda self, x, out=None: sweeps.append(x) or pytest.fail("swept"))
+    # points and scalars, and the CLI's trace file, sweep nothing
+    for rec in result.trace:
+        rec.point, rec.max_residual, rec.distance_to_witness
+    write_trace_csv(result.trace, os.devnull)
+    assert result.trace._sweep is None
+    monkeypatch.undo()
+    rec = result.trace[3]
+    first = rec.per_index_residuals
+    assert rec.per_index_residuals is first
+    assert result.trace._sweep is not None
+
+
+def test_a_record_whose_point_was_replaced_reports_its_rows_residuals():
+    problem = _mixed_problem(5)
+    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=5),
+                 SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
+    expected = result.trace[4].per_index_residuals.tobytes()
+    rec = result.trace[4]
+    rec.point = np.zeros(problem.dimension)
+    residuals = rec.per_index_residuals
+    assert residuals.tobytes() == expected
+    assert not residuals.flags.writeable
+    with pytest.raises(ValueError):
+        residuals[0] = 1.0
+    # the dataclass stays one: replace keeps the residuals it is given
+    assert dataclasses.replace(rec, lam=0.5).per_index_residuals is residuals
+    assert isinstance(rec, IterationRecord)
+
+
+def test_a_trace_sweeps_its_residuals_after_the_problem_is_gone():
+    problem = _mixed_problem(5)
+    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=5),
+                 SimultaneousUniform(problem.m), SuperiorizedPolicy(problem.cost, 0.99))
+    expected = [[c.residual(rec.point) for c in problem.cutters] for rec in result.trace]
+    gone = weakref.ref(problem)
+    del problem
+    gc.collect()
+    assert gone() is None
+    assert np.allclose([rec.per_index_residuals for rec in result.trace], expected)
 
 
 def test_a_drift_beyond_twice_sigma_refutes_it():
