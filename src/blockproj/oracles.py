@@ -9,14 +9,18 @@ trial function is numbered j = i * trials + t, so the strict half of
 ``run_fejer_suite(trials, s)`` starts at ``trials``.  A failing trial's
 digest names its seed state, so the trial it names reruns on its own.
 
-Suites aggregate pass/fail counts, the worst violation seen, and coverage
-accounting over the operator kinds the trials drew and the control regimes.
+Suites fold each outcome into pass/fail counts, the worst violation seen,
+the first failing digests, and coverage accounting over the operator kinds
+the trials drew and the control regimes, as its trial runs: no suite keeps
+its outcomes, so its memory does not grow with its trials.  A NaN checked
+quantity fails its trial.
 Monotonicity trials use projection-kind operators because those admit exact
 fixed-point samples; the other kinds are exercised by the
 separator/quasi-nonexpansivity sweep, which can construct certified fixed
 points for every implemented kind.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,6 +70,15 @@ from .weights import (
 )
 
 INEQUALITY_TOL = 1e-10  # absolute slack for desk-scale inequality checks
+
+
+def _excess(over):
+    """The violation of a check that ``over`` exceeds its bound by:
+    ``max(0.0, over)``, but inf for a NaN, which ``max`` would drop.  Only a
+    comparison that NaN fails lets a quantity pass."""
+    if over <= 0.0:
+        return 0.0
+    return over if over > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -207,7 +220,7 @@ def _fejer_trial(rng_state, rng, strict):
     radius = (0.99 if strict else 1.0) * theta_budget(1.0, lam, residual, anchor)
     e = radius * _unit(rng, ndim) if radius > 0 else np.zeros(ndim)
     lhs = _norm(x + lam * (tx - x) + e - q)
-    violation = max(0.0, lhs - anchor - (0.0 if strict else INEQUALITY_TOL))
+    violation = _excess(lhs - anchor - (0.0 if strict else INEQUALITY_TOL))
     name = "strict_fejer" if strict else "perturbed_fejer"
     digest = f"{name}[{rng_state!r}] kind={label} n={ndim} lam={lam:.6f}"
     passed = lhs < anchor if strict else violation == 0.0
@@ -236,15 +249,13 @@ def cutter_trial(rng_state, rng=None):
     # Cutter.check_separator's <x - Tx, q - Tx>, from the one Tx
     tx = cutter.apply(x)
     separator = float(np.dot(x - tx, q - tx))
-    violation = max(0.0, separator - INEQUALITY_TOL)
     quasi = _norm(tx - q) - _norm(x - q)
-    violation = max(violation, quasi - INEQUALITY_TOL)
+    violation = max(_excess(separator - INEQUALITY_TOL), _excess(quasi - INEQUALITY_TOL))
     if cutter.is_projection:
         idem = _norm(cutter.apply(tx) - tx)
-        violation = max(violation, idem - INEQUALITY_TOL)
+        violation = max(violation, _excess(idem - INEQUALITY_TOL))
     digest = f"cutter[{rng_state!r}] kind={label} n={ndim}"
-    return TrialOutcome(digest, separator, 0.0, max(0.0, violation), violation <= 0.0,
-                        label)
+    return TrialOutcome(digest, separator, 0.0, violation, violation == 0.0, label)
 
 
 def budget_trial(rng_state, rng=None):
@@ -267,21 +278,20 @@ def budget_trial(rng_state, rng=None):
         alpha1 = lam * residual + 2.0 * sigma
         alpha2 = lam * (2.0 - lam) * residual ** 2
         quad = t * t + 2.0 * alpha1 * t - alpha2
-        violation = max(violation, quad - INEQUALITY_TOL)
         mirror = theta_budget(0.5, lam, residual, 2.0 * sigma)
-        violation = max(violation, abs(t - mirror) - 1e-12)
         theta = rng.uniform(0.0, 2.0)
         h1 = theta_budget(2.0 * theta, lam, residual, 2.0 * sigma)
         h2 = 2.0 * theta_budget(theta, lam, residual, 2.0 * sigma)
-        violation = max(violation, abs(h1 - h2) - 1e-15 * max(1.0, abs(h2)))
+        violation = max(_excess(quad - INEQUALITY_TOL), _excess(abs(t - mirror) - 1e-12),
+                        _excess(abs(h1 - h2) - 1e-15 * max(1.0, abs(h2))))
     degenerate = lam == 0.0 or lam == 2.0 or residual == 0.0 or infinite
     if degenerate != (t == 0.0):
-        violation = max(violation, abs(t) if t != 0.0 else 1.0)
+        violation = max(violation, _excess(abs(t)) if t != 0.0 else 1.0)
     digest = (
         f"budget[{rng_state!r}] lam={lam:.6f} r={residual:.6f}"
         f" sigma={'inf' if infinite else f'{sigma:.6f}'}"
     )
-    return TrialOutcome(digest, quad, 0.0, max(0.0, violation), violation <= 0.0)
+    return TrialOutcome(digest, quad, 0.0, violation, violation == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +342,20 @@ def convergence_trial(instance_seed, extra_regime=None):
         config = SolverConfig(max_iterations=cap, residual_tolerance=tol, seed=instance_seed)
         result = run(problem, config, schedule, policy)
         lhs = result.trace[-1].max_residual
-        violation = max(0.0, lhs - tol)
         bound = 2.0 * sigma + 1e-8
-        drift = max(rec.distance_from_start for rec in result.trace)
-        violation = max(violation, drift - bound)
+        # np.max, unlike max, keeps a NaN distance
+        drift = np.max([rec.distance_from_start for rec in result.trace])
         audit = fejer_audit(result.trace, problem.witness)
-        violation = max(violation, audit - INEQUALITY_TOL)
+        violation = max(_excess(lhs - tol), _excess(drift - bound),
+                        _excess(audit - INEQUALITY_TOL))
         converged = result.status is RunStatus.RESIDUAL_CONVERGED
         note = "" if converged else " INCONCLUSIVE(cap reached)"
         digest = (
             f"convergence[seed={instance_seed}] {name} iters={result.iterations_used}"
             f" audit={audit:.3e}{note}"
         )
-        outcomes.append(TrialOutcome(digest, lhs, tol, max(0.0, violation),
-                                     converged and violation <= 0.0))
+        outcomes.append(TrialOutcome(digest, lhs, tol, violation,
+                                     converged and violation == 0.0))
     return outcomes
 
 
@@ -391,14 +401,15 @@ def qhat_trial(instance_seed):
     ):
         limit = run(problem, config, schedule, ZeroPolicy(), stopping=[stopping]).final_point
         d = [c.fixed_point_distance(limit) for c in problem.cutters]
+        checked = d[:2] if summable else d
+        lhs = max(checked)
         if summable:
-            lhs = max(d[0], d[1])
             detail = (f"summable d(limit,Q1)={d[0]:.3e} d(limit,Q2)={d[1]:.3e}"
                       f" d(limit,Q3)={d[2]:.3e} (Q3 not asserted)")
         else:
-            lhs = max(d)
             detail = f"divergent max_d={lhs:.3e}"
-        violation = max(0.0, lhs - 1e-5)
+        # each distance on its own: max(checked) drops a NaN one
+        violation = max(_excess(di - 1e-5) for di in checked)
         outcomes.append(TrialOutcome(f"qhat[seed={instance_seed}] {detail}", lhs, 1e-5,
                                      violation, violation == 0.0))
     return outcomes
@@ -423,16 +434,29 @@ class SuiteReport:
 
 
 def _summarize(suite, outcomes, coverage):
-    failures = [o for o in outcomes if not o.passed]
-    worst = max((o.violation for o in outcomes), default=0.0)
+    """The report of ``outcomes``, read once, in order, and none of them
+    kept: the counts, the worst violation (the first of equal ones, 0.0 for
+    no trials) and the first 20 failing digests.  ``coverage`` is copied
+    after the last outcome, so a generator of outcomes may count into it."""
+    trials = passes = 0
+    worst = None
+    failed = []
+    for o in outcomes:
+        trials += 1
+        if o.passed:
+            passes += 1
+        elif len(failed) < 20:
+            failed.append(o.inputs_digest)
+        if worst is None or o.violation > worst:
+            worst = o.violation
     return SuiteReport(
         suite=suite,
-        trials=len(outcomes),
-        passes=len(outcomes) - len(failures),
-        failures=len(failures),
-        worst_violation=worst,
+        trials=trials,
+        passes=passes,
+        failures=trials - passes,
+        worst_violation=0.0 if worst is None else worst,
         coverage=dict(coverage),
-        failed_digests=tuple(o.inputs_digest for o in failures[:20]),
+        failed_digests=tuple(failed),
     )
 
 
@@ -445,14 +469,17 @@ def _stream_suite(suite, trial_fns, trials, seed):
     all of them drawn from one reused PerturbationStream(seed).  Coverage
     counts the kinds drawn, or the suite's name for a trial without one."""
     stream = PerturbationStream(seed)
-    outcomes, coverage = [], {}
-    for t in range(trials):
-        for i, trial in enumerate(trial_fns):
-            j = i * trials + t
-            out = trial([seed, j], stream.at(j))
-            _count(coverage, out.kind or suite)
-            outcomes.append(out)
-    return _summarize(suite, outcomes, coverage)
+    coverage = {}
+
+    def outcomes():
+        for t in range(trials):
+            for i, trial in enumerate(trial_fns):
+                j = i * trials + t
+                out = trial([seed, j], stream.at(j))
+                _count(coverage, out.kind or suite)
+                yield out
+
+    return _summarize(suite, outcomes(), coverage)
 
 
 def run_fejer_suite(trials, seed):
@@ -471,23 +498,29 @@ def run_budget_suite(trials, seed):
 def run_convergence_suite(trials, seed):
     """One linear-feasibility instance per trial; rotates one extra control
     regime through the trials on top of the four reference configurations."""
-    outcomes, coverage = [], {}
-    for t in range(trials):
-        extra = _EXTRA_REGIMES[t % len(_EXTRA_REGIMES)]
-        outcomes += convergence_trial(seed + t, extra_regime=extra)
-        _count(coverage, "regime:sequential_cyclic")
-        _count(coverage, "regime:simultaneous_uniform")
-        _count(coverage, f"regime:{_extra_schedule(extra, 2, 0).regime}")
-    return _summarize("convergence", outcomes, coverage)
+    coverage = {}
+
+    def outcomes():
+        for t in range(trials):
+            extra = _EXTRA_REGIMES[t % len(_EXTRA_REGIMES)]
+            _count(coverage, "regime:sequential_cyclic")
+            _count(coverage, "regime:simultaneous_uniform")
+            _count(coverage, f"regime:{_extra_schedule(extra, 2, 0).regime}")
+            yield from convergence_trial(seed + t, extra_regime=extra)
+
+    return _summarize("convergence", outcomes(), coverage)
 
 
 def run_qhat_suite(trials, seed):
-    outcomes, coverage = [], {}
-    for t in range(trials):
-        outcomes += qhat_trial(seed + t)
-        _count(coverage, "regime:block_generalized")
-        _count(coverage, "regime:simultaneous_uniform")
-    return _summarize("qhat", outcomes, coverage)
+    coverage = {}
+
+    def outcomes():
+        for t in range(trials):
+            _count(coverage, "regime:block_generalized")
+            _count(coverage, "regime:simultaneous_uniform")
+            yield from qhat_trial(seed + t)
+
+    return _summarize("qhat", outcomes(), coverage)
 
 
 SUITES = {

@@ -1,10 +1,12 @@
 
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from blockproj import Box, Cutter, InvalidCutter, InvalidSchedule, oracles
+from blockproj import Ball, Box, Cutter, InvalidCutter, InvalidSchedule, cutters, oracles
 from blockproj.oracles import (
     ALL_KINDS,
     PROJECTION_KINDS,
@@ -202,3 +204,77 @@ def test_budget_trial_fails_a_budget_that_does_not_vanish_at_infinite_sigma():
     assert any(infinite)
     assert [out.passed for out in outcomes] == [not inf for inf in infinite]
     assert all(out.violation == 1.0 for out, inf in zip(outcomes, infinite) if inf)
+
+
+def _nan_points(self, x):
+    return np.full(np.shape(x), np.nan)
+
+
+def test_a_nan_inequality_fails_its_cutter_trial():
+    # NaN affine and ball projections; the ball's indicator and the affine
+    # subgradient step, whose fixed point is drawn through its halfspace,
+    # give NaN too, and the other kinds are untouched
+    untouched = {"box", "l1_ball", "subgradient_ball", "subgradient_quadratic",
+                 "resolvent_abs_sum", "resolvent_squared_norm"}
+    with mock.patch.object(cutters._AffineCutter, "apply", _nan_points), \
+            mock.patch.object(Ball, "apply", _nan_points):
+        outcomes = [cutter_trial([1, t]) for t in range(200)]
+        rep = run_cutter_suite(200, 1)
+    assert [o.passed for o in outcomes] == [o.kind in untouched for o in outcomes]
+    assert all(o.violation == math.inf for o in outcomes if not o.passed)
+    assert rep.failures == sum(not o.passed for o in outcomes) > 0
+    assert rep.worst_violation == math.inf
+
+
+def test_a_nan_budget_fails_its_trial():
+    # the infinite-sigma trials check only that the budget vanishes
+    with mock.patch.object(oracles, "budget", lambda lam, r, sigma: math.nan):
+        outcomes = [budget_trial([80, t]) for t in range(100)]
+        rep = run_budget_suite(200, 1)
+    assert any("sigma=inf" in o.inputs_digest for o in outcomes)
+    assert not any(o.passed for o in outcomes)
+    assert all(o.violation == math.inf for o in outcomes)
+    assert rep.failures == 200 and rep.worst_violation == math.inf
+
+
+def test_a_nan_distance_fails_its_qhat_check():
+    with mock.patch.object(Ball, "fixed_point_distance", lambda self, x: math.nan):
+        summable, divergent = qhat_trial(5)
+    # the disc's distance is asserted in the divergent run only
+    assert summable.passed
+    assert not divergent.passed and divergent.violation == math.inf
+
+
+def test_a_stream_suite_folds_its_outcomes_in_trial_order():
+    # trial t of the two stubs runs states [3, t] and [3, 25 + t]; 30 of
+    # the 50 fail, and the largest violation comes twice, first as a numpy
+    # float, which the report keeps as max would
+    def stub(state, rng):
+        j = state[1]
+        failed = j % 5 in (1, 2, 3)
+        violation = {7: np.float64(9.0), 33: 9.0}.get(j, j / 100) if failed else 0.0
+        return oracles.TrialOutcome(f"stub[{state!r}]", 0.0, 0.0, violation, not failed,
+                                    "odd" if j % 2 else None)
+
+    rep = oracles._stream_suite("stub", (stub, stub), 25, 3)
+    failing = [j for t in range(25) for j in (t, 25 + t) if j % 5 in (1, 2, 3)]
+    assert (rep.trials, rep.passes, rep.failures) == (50, 20, 30)
+    assert rep.failed_digests == tuple(f"stub[[3, {j}]]" for j in failing[:20])
+    assert rep.worst_violation == 9.0 and type(rep.worst_violation) is np.float64
+    assert rep.coverage == {"stub": 25, "odd": 25}
+
+
+def _traced_peak(suite, trials, seed):
+    tracemalloc.start()
+    try:
+        suite(trials, seed)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_suite_keeps_no_outcome_of_a_passing_trial():
+    run_fejer_suite(20, 1)  # the imports and caches a first suite fills
+    small = _traced_peak(run_fejer_suite, 200, 1)
+    large = _traced_peak(run_fejer_suite, 2000, 1)
+    assert large - small < 200_000
