@@ -191,7 +191,8 @@ def sample_fixed_point(cutter, rng, ndim=None):
 def _sample_exterior_point(cutter, rng, ndim, min_residual=1e-6):
     for _ in range(1000):
         x = rng.uniform(-6, 6, ndim)
-        if cutter.residual(x) > min_residual:
+        # a NaN residual is taken as exterior, and the trial fails on it
+        if not cutter.residual(x) <= min_residual:
             return x
     raise InvalidCutter(f"could not draw a point outside Fix for {cutter!r}")
 
@@ -217,7 +218,10 @@ def _fejer_trial(rng_state, rng, strict):
     tx = cutter.apply(x)
     residual = _norm(tx - x)
     anchor = _norm(x - q)
-    radius = (0.99 if strict else 1.0) * theta_budget(1.0, lam, residual, anchor)
+    radius = 0.0
+    # comparisons that NaN fails: a NaN step fails the trial, not the suite
+    if residual >= 0.0 and anchor >= 0.0:
+        radius = (0.99 if strict else 1.0) * theta_budget(1.0, lam, residual, anchor)
     e = radius * _unit(rng, ndim) if radius > 0 else np.zeros(ndim)
     lhs = _norm(x + lam * (tx - x) + e - q)
     violation = _excess(lhs - anchor - (0.0 if strict else INEQUALITY_TOL))

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .core import _NONNEGATIVE, InvalidConfig, _converted, _norm, normalize_sigma
+from .core import _NONNEGATIVE, InvalidConfig, _check_seed, _converted, _norm, normalize_sigma
 from .cutters import _GRAD_ZERO_TOL
 
 _LAMBDA = ("in [0, 2]", 0.0, 2.0)
@@ -231,22 +231,17 @@ class SuperiorizedPolicy(PerturbationPolicy):
         return (-float(weights.dot(scale)) / gn) * g
 
 
-def _key(seed):
-    return int(seed) & 0xFFFFFFFFFFFFFFFF  # keys are 64-bit unsigned
-
-
 def perturbation_rng(seed, k):
     """Counter-based stream keyed by (seed, k): one stream per iteration,
-    reproducible and independent of every other iteration's.
+    reproducible and independent of every other iteration's.  ``k`` is an
+    integer in [0, 2^64); the seed is taken modulo 2^64.
 
     An iteration draws all of its random directions from this one stream,
     as a single matrix whose rows follow the live support indices in
-    ascending order.  The solver reproduces these streams by resetting a
-    single Philox generator to counter [0, 0, k, 0] (``PerturbationStream``)
-    instead of building one per iteration.
+    ascending order.  It is the stream that ``PerturbationStream(seed)``
+    resets its one Philox generator to, at counter [0, 0, k, 0].
     """
-    bg = np.random.Philox(key=_key(seed), counter=[0, 0, int(k), 0])
-    return np.random.Generator(bg)
+    return PerturbationStream(seed).at(_check_seed(k, "k"))
 
 
 class PerturbationStream:
@@ -255,7 +250,8 @@ class PerturbationStream:
     the generator the previous one returned."""
 
     def __init__(self, seed):
-        self._bits = np.random.Philox(key=_key(seed))
+        # keys are 64-bit unsigned
+        self._bits = np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF)
         # a fresh generator's state: empty buffer, counter [0, 0, 0, 0]
         self._state = self._bits.state
         self._counter = self._state["state"]["counter"]

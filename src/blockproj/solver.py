@@ -232,9 +232,6 @@ _BLOCK_ROWS = 256
 # the scalar columns of a trace block; the last is there only with a witness
 _MAX_RESIDUAL, _PERTURBATION, _LAM, _FROM_START, _TO_WITNESS = range(5)
 
-# the slot in which an IterationRecord keeps its per-index residuals
-_RESIDUALS = IterationRecord.per_index_residuals
-
 
 def _row_norms(d):
     """||d_j|| for each row of ``d``, bit for bit ``_norm(d_j)``: ``matmul``
@@ -243,41 +240,18 @@ def _row_norms(d):
 
 
 class _Record(IterationRecord):
-    """A record of a run's trace.  Its per-index residuals are those of the
-    trace row it was built from, swept when first read and then kept, so a
-    record whose ``point`` was replaced still reports them.  Built with
-    IterationRecord's arguments and no ``trace``, as ``dataclasses.replace``
-    builds one, it keeps the residuals it is given."""
+    """A record of a run's trace, built with its residuals' slot empty.
+    Python calls ``__getattr__`` only where a lookup fails, as reading an
+    empty slot does: the residuals of the trace row the record was built
+    from are swept into the slot there, so a record whose ``point`` was
+    replaced still reports them.  Any other name fails as it would."""
 
     __slots__ = ("_row", "_trace")
 
-    def __init__(self, k, point, max_residual, per_index_residuals, perturbation_norm, lam,
-                 distance_from_start, distance_to_witness=None, trace=None):
-        self.k = k
-        self.point = point
-        self.max_residual = max_residual
-        self.perturbation_norm = perturbation_norm
-        self.lam = lam
-        self.distance_from_start = distance_from_start
-        self.distance_to_witness = distance_to_witness
-        if trace is None:
-            _RESIDUALS.__set__(self, per_index_residuals)
-        else:
-            self._row = point
-            self._trace = trace
-
-    @property
-    def per_index_residuals(self):
-        try:
-            return _RESIDUALS.__get__(self)
-        except AttributeError:
-            residuals = self._trace._residuals(self._row)
-            _RESIDUALS.__set__(self, residuals)
-            return residuals
-
-    @per_index_residuals.setter
-    def per_index_residuals(self, value):
-        _RESIDUALS.__set__(self, value)
+    def __getattr__(self, name):
+        if name == "per_index_residuals":
+            self.per_index_residuals = self._trace._residuals(self._row)
+        return super().__getattribute__(name)
 
 
 class _Trace(Sequence):
@@ -337,9 +311,12 @@ class _Trace(Sequence):
             s, e = max(start - b * rows, 0), min(stop - b * rows, rows)
             cols = columns[s:e].T.tolist()
             to_witness = cols[_TO_WITNESS] if len(cols) > _TO_WITNESS else repeat(None)
-            yield from map(_Record, range(b * rows + s, b * rows + e), points[s:e],
+            for rec in map(_Record, range(b * rows + s, b * rows + e), points[s:e],
                            cols[_MAX_RESIDUAL], repeat(None), cols[_PERTURBATION], cols[_LAM],
-                           cols[_FROM_START], to_witness, repeat(self))
+                           cols[_FROM_START], to_witness):
+                del rec.per_index_residuals
+                rec._row, rec._trace = rec.point, self
+                yield rec
 
 
 def _finished(problem, blocks, rows, length):

@@ -59,6 +59,7 @@ from blockproj import (
     gen_l1_constrained,
     gen_linear_feasibility,
     normalize_sigma,
+    perturbation_rng,
     project_l1_ball,
     run,
     sigma_from_ball,
@@ -235,6 +236,12 @@ def test_exception_classes_are_the_documented_ten():
                  id="gen_linear_feasibility text"),
     pytest.param(lambda: sigma_from_ball([0.0], "1", [1.0], 1.0), InvalidProblem, "radius",
                  id="sigma_from_ball text"),
+    # the stream's counter: numpy wrapped -1 to 2^64 - 1, truncated 3.7,
+    # took True as 1 and refused 2^64 with its own OverflowError
+    pytest.param(lambda: perturbation_rng(5, -1), InvalidConfig, "k", id="stream k -1"),
+    pytest.param(lambda: perturbation_rng(5, 3.7), InvalidConfig, "k", id="stream k 3.7"),
+    pytest.param(lambda: perturbation_rng(5, True), InvalidConfig, "k", id="stream k True"),
+    pytest.param(lambda: perturbation_rng(5, 2 ** 64), InvalidConfig, "k", id="stream k 2^64"),
     # tuple() of an int raised TypeError, and the cutters of a string had no dim
     pytest.param(lambda: Problem(1, 5, [0.0], 1.0), InvalidProblem, "cutters", id="cutters int"),
     pytest.param(lambda: Problem(1, "ab", [0.0], 1.0), InvalidProblem, "cutters",

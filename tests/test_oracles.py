@@ -237,6 +237,17 @@ def test_a_nan_budget_fails_its_trial():
     assert rep.failures == 200 and rep.worst_violation == math.inf
 
 
+def test_a_nan_projection_fails_its_fejer_trials():
+    # the budget refused the NaN residual with InvalidConfig, and the strict
+    # half's exterior point was never found, so the suite stopped
+    with mock.patch.object(Ball, "apply", _nan_points):
+        rep = run_fejer_suite(50, 1)
+    assert (rep.trials, rep.failures) == (100, rep.coverage["ball"])
+    assert rep.failures > 0 and rep.worst_violation == math.inf
+    assert all(" kind=ball " in d for d in rep.failed_digests)
+    assert {d.split("[")[0] for d in rep.failed_digests} == {"perturbed_fejer", "strict_fejer"}
+
+
 def test_a_nan_distance_fails_its_qhat_check():
     with mock.patch.object(Ball, "fixed_point_distance", lambda self, x: math.nan):
         summable, divergent = qhat_trial(5)

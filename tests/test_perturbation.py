@@ -244,6 +244,11 @@ def test_reused_stream_draws_like_perturbation_rng():
         reused, fresh = streams[seed].at(np.int64(k)), perturbation_rng(seed, k)
         for shape in (size, size[1]):
             assert reused.standard_normal(shape).tobytes() == fresh.standard_normal(shape).tobytes()
+    # counters that a float64 would round: 2^63 + 1 and the largest
+    for seed in seeds:
+        for k in (2 ** 63 + 1, 2 ** 64 - 1):
+            expected = perturbation_rng(seed, k).standard_normal((3, 7))
+            assert streams[seed].at(k).standard_normal((3, 7)).tobytes() == expected.tobytes()
 
 
 _RESIDUALS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e-150),

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import gc
 import math
 import os
+import pickle
 import tracemalloc
 import warnings
 import weakref
@@ -819,6 +821,18 @@ def test_a_record_whose_point_was_replaced_reports_its_rows_residuals():
     # the dataclass stays one: replace keeps the residuals it is given
     assert dataclasses.replace(rec, lam=0.5).per_index_residuals is residuals
     assert isinstance(rec, IterationRecord)
+
+
+def test_a_copied_record_reports_its_rows_residuals():
+    problem = _mixed_problem(5)
+    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=5),
+                 SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
+    expected = result.trace[4].per_index_residuals.tobytes()
+    # each copies a record whose residuals were never read
+    shallow = copy.copy(result.trace[4]).per_index_residuals
+    assert shallow.tobytes() == expected and not shallow.flags.writeable
+    for copied in (copy.deepcopy, lambda rec: pickle.loads(pickle.dumps(rec))):
+        assert copied(result.trace[4]).per_index_residuals.tobytes() == expected
 
 
 def test_a_trace_sweeps_its_residuals_after_the_problem_is_gone():
