@@ -276,15 +276,16 @@ class RunStatus(Enum):
     MAX_ITERATIONS = "max_iterations"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class IterationRecord:
     """Snapshot of iterate k before the update that leaves it.
 
     perturbation_norm is the norm of the aggregated perturbation applied by
     that update (0 for the terminal record, where no update happens).  A
     run's trace builds its records when they are read, so each access makes
-    a new record: ``trace[i] is trace[i]`` is false, and editing a record
-    edits that copy only.  ``point`` is a read-only row of the trace's
+    a new record: ``trace[i] is trace[i]`` is false, a record equals only
+    itself, and editing a record edits that copy only.  A copy or a pickle
+    holds the fields only.  ``point`` is a read-only row of the trace's
     storage; the trace keeps no residual vector, so a record's
     ``per_index_residuals`` are swept from that row when first read, bit
     for bit those of the run, and kept read-only on the record.

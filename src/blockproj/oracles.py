@@ -188,11 +188,12 @@ def sample_fixed_point(cutter, rng, ndim=None):
     raise InvalidCutter(f"no fixed-point sampler for {cutter!r}")
 
 
-def _sample_exterior_point(cutter, rng, ndim, min_residual=1e-6):
+def _sample_exterior_point(cutter, rng, ndim):
     for _ in range(1000):
         x = rng.uniform(-6, 6, ndim)
-        # a NaN residual is taken as exterior, and the trial fails on it
-        if not cutter.residual(x) <= min_residual:
+        # the floor keeps the strict trial's guaranteed decrease above float
+        # resolution; a NaN residual is exterior, and the trial fails on it
+        if not cutter.residual(x) <= 1e-3:
             return x
     raise InvalidCutter(f"could not draw a point outside Fix for {cutter!r}")
 
@@ -209,8 +210,7 @@ def _fejer_trial(rng_state, rng, strict):
     label = PROJECTION_KINDS[int(rng.integers(len(PROJECTION_KINDS)))]
     cutter = draw_cutter(rng, label, ndim)
     if strict:
-        # residual floor keeps the guaranteed decrease above float resolution
-        x = _sample_exterior_point(cutter, rng, ndim, min_residual=1e-3)
+        x = _sample_exterior_point(cutter, rng, ndim)
     else:
         x = rng.uniform(-6, 6, ndim)
     q = sample_fixed_point(cutter, rng, ndim)

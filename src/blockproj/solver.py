@@ -7,7 +7,7 @@ per-operator perturbations drawn inside the adaptive budget.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Optional
 
@@ -253,6 +253,10 @@ class _Record(IterationRecord):
             self.per_index_residuals = self._trace._residuals(self._row)
         return super().__getattribute__(name)
 
+    def __reduce__(self):
+        """A copy or a pickle is an IterationRecord of the fields, not the run."""
+        return IterationRecord, tuple(getattr(self, f.name) for f in fields(IterationRecord))
+
 
 class _Trace(Sequence):
     """The records of one run, built when they are read.  Block b holds
@@ -376,8 +380,8 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     stream = None
     if not isinstance(policy, ZeroPolicy) and math.isfinite(sigma):
         stream = PerturbationStream(config.seed)
-        # a table that caches its rows resolves the support of each, once
-        supports = getattr(getattr(schedule, "_table", None), "supports", None)
+        # a weight table holds each of its rows as its support
+        table = getattr(schedule, "_table", None)
     # the trace as blocks of a point matrix and scalar columns: row r of
     # block b holds iterate b * rows + r, which the update writes there; the
     # scalar columns wait for the distances until the run ends
@@ -418,11 +422,11 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
             # e^k: the policy's perturbations over the support of w, in index
             # order and each inside its budget; a policy that draws resets the
             # stream to iteration k's, keyed by (seed, k), through the accessor
-            if supports is None:
+            if table is None:
                 indices = np.flatnonzero(w > 0.0)
                 weights = w[indices]
             else:
-                indices, weights = supports[k % len(supports)]
+                indices, weights = table.support(k)
             # a support of every index takes the residuals as they are
             if indices.size < residuals.size:
                 residuals = residuals[indices]

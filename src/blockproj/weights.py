@@ -11,7 +11,6 @@ builds and checks the rows of its period once, at construction; one that
 computes its weights, from a callable or from k, is checked on every call.
 """
 
-import functools
 import operator
 
 import numpy as np
@@ -41,14 +40,13 @@ class _Table:
     """A fixed period of weight vectors, built and checked once.
 
     Row j is ``values[s:e]`` at ``indices[s:e]`` and 0 elsewhere, where
-    (s, e) = (bounds[j], bounds[j + 1]).  The caller guarantees in-range
-    indices, distinct within a row, and nonempty rows.  Every row handed out
-    is read-only.  When the dense period is small, period x m <= 8 (m + the
-    stored weights), every row is built once, ``at`` hands out the same
-    object each period and ``supports[j]``, resolved when first read, holds
-    row j's positive indices and the weights on them, read-only too;
-    otherwise ``supports`` is None and each call builds its row: memory
-    stays O(m + the sum of row sizes).
+    (s, e) = (bounds[j], bounds[j + 1]); the caller guarantees in-range
+    indices, ascending within a row, and nonempty rows.  Once checked, a row
+    keeps only its positive weights, so its support is its two slices.  All
+    of it is read-only.  A short period, period x m <= 8 (m + the stored
+    weights), builds every row once and ``at`` hands out the same object
+    each period; a longer one builds a row per call, in O(m + the stored
+    weights) memory.
     """
 
     def __init__(self, m, indices, values, sizes):
@@ -68,32 +66,32 @@ class _Table:
         if bad.size:
             j = int(bad[0])
             raise InvalidSchedule(f"invalid weight vector at k={j}: {self._row(j)}")
+        # a row sums to 1, so it keeps at least one weight
+        keep = self.values > 0.0
+        if not keep.all():
+            self.indices, self.values = self.indices[keep], self.values[keep]
+            self.bounds = [0, *np.cumsum(np.add.reduceat(keep, starts)).tolist()]
+        self.indices.flags.writeable = self.values.flags.writeable = False
         self.rows = None
         if self.period * m <= 8 * (m + self.values.size):
             self.rows = [self._row(j) for j in range(self.period)]
 
-    @functools.cached_property
-    def supports(self):
-        """(positive indices, weights on them) of each cached row; only a
-        perturbed run reads them."""
-        if self.rows is None:
-            return None
-        positive = [np.flatnonzero(w > 0.0) for w in self.rows]
-        supports = [(i, w[i]) for i, w in zip(positive, self.rows)]
-        for indices, weights in supports:
-            indices.flags.writeable = weights.flags.writeable = False
-        return supports
-
     def _row(self, j):
-        s, e = self.bounds[j], self.bounds[j + 1]
+        indices, values = self.support(j)
         w = np.zeros(self.m)
-        w[self.indices[s:e]] = self.values[s:e]
+        w[indices] = values
         w.flags.writeable = False
         return w
 
     def at(self, k):
         j = k % self.period
         return self._row(j) if self.rows is None else self.rows[j]
+
+    def support(self, k):
+        """Row k's positive indices, ascending, and its weights on them."""
+        j = k % self.period
+        s, e = self.bounds[j], self.bounds[j + 1]
+        return self.indices[s:e], self.values[s:e]
 
 
 def _one_hot(m, indices):
@@ -258,24 +256,23 @@ class BlockClassicalCyclic(WeightSchedule):
         kind = "a list of index lists"
         blocks = [_indices(block, "partition block")
                   for block in _table(partition, "partition", InvalidSchedule, tuple, kind, kind)]
-        flat = [i for block in blocks for i in block]
-        if sorted(flat) != list(range(self.m)):
+        if sorted(i for block in blocks for i in block) != list(range(self.m)):
             raise InvalidSchedule("partition must be disjoint and cover every index exactly once")
         self.partition = blocks
         kind = '"uniform" or a list of per-block weight lists'
         if isinstance(intra, str):
             if intra != "uniform":
                 raise InvalidSchedule(f"intra must be {kind}, got {intra!r}")
-            values = [1.0 / len(block) for block in blocks for _ in block]
+            weights = [[1.0 / len(block)] * len(block) for block in blocks]
         else:
             weights = [_table(ws, "intra", InvalidSchedule, table=kind)
                        for ws in _converted(intra, "intra", InvalidSchedule, None, tuple, kind)]
-            if len(weights) != len(blocks) or any(
-                len(ws) != len(block) for ws, block in zip(weights, blocks)
-            ):
+            if list(map(len, weights)) != list(map(len, blocks)):
                 raise InvalidSchedule("intra-block weights must match the partition shape")
-            values = [v for ws in weights for v in ws]
-        self._table = _Table(self.m, flat, values, [len(block) for block in blocks])
+        # each row in ascending index order, its weights with it
+        rows = [sorted(zip(block, ws)) for block, ws in zip(blocks, weights)]
+        self._table = _Table(self.m, [i for row in rows for i, _ in row],
+                             [v for row in rows for _, v in row], [len(row) for row in rows])
 
 
 class BlockGeneralized(WeightSchedule):
@@ -294,6 +291,7 @@ class BlockGeneralized(WeightSchedule):
         self.selection, table = _rule(selection, "selection", InvalidSchedule, self._subset,
                                       "a callable or a table of index lists")
         if table is not None and weights_fn is None:
+            table = [sorted(b) for b in table]
             self._table = _Table(self.m, [i for b in table for i in b],
                                  [1.0 / len(b) for b in table for _ in b], [len(b) for b in table])
 

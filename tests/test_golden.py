@@ -67,21 +67,26 @@ TRACES = {
         (LINEAR, {"regime": "simultaneous_uniform"}, {"policy": "random", "rho": 0.99}, 1e-3),
     "trace_block_classical_linear.csv":
         (LINEAR, {"regime": "block_classical", "partition": THIRDS}, {"policy": "zero"}, 1e-6),
-    # a table of several rows: each row's support is resolved once, when
-    # the table builds its rows
+    # a table of several rows, each row's support two slices of the table
     "trace_block_random_linear.csv":
         (LINEAR, {"regime": "block_classical", "partition": THIRDS},
          {"policy": "random", "rho": 0.99}, 1e-3),
     "trace_superiorized_l1.csv":
         (L1, {"regime": "simultaneous_uniform"}, {"policy": "superiorized", "rho": 0.99}, 1e-4),
+    # 20 one-hot rows of 20 weights: too long a period for the table to
+    # build its rows once, so every row is built per call
+    "trace_cyclic_random_linear20.csv":
+        (["linear", "--m", "20", "--n", "6", "--seed", "5"], {"regime": "sequential_cyclic"},
+         {"policy": "random", "rho": 0.99}, 1e-3),
 }
 
 PROBLEM = "problem_all_kinds.json"
 
 # sha256 of every record's per-index residuals, as bytes, over the runs of
-# residual_digest; pinned while the trace still stored the vectors the run
-# swept, so residuals swept again from a record's point must give its bits
-RESIDUALS_SHA256 = "d9172228a9bdbb1b050f1cf574e46a79805ed7733f149a8e38ecd050c6ac4022"
+# residual_digest; the first five recipes' residuals were pinned while the
+# trace still stored the vectors the run swept, so residuals swept again from
+# a record's point must give their bits
+RESIDUALS_SHA256 = "466238c4dc6d62ef7819eab709d5a2b4b1ea1710ed88970483350e4222bf4205"
 
 # suite -> trials of ``blockproj verify <suite> --seed 0 --json``
 VERIFY = {"fejer": 1000, "cutter": 1000, "budget": 200, "qhat": 1, "convergence": 1}

@@ -607,10 +607,10 @@ def _record_bytes(rec):
 
 @pytest.mark.parametrize("policy_name", ["random", "superiorized"])
 def test_block_tables_give_the_trace_of_the_same_computed_weights(policy_name):
-    # a table resolves the support of each of its rows once, when it builds
-    # them; the same rows computed on every call have their support resolved
-    # on every step.  The three blocks are unsorted, and the intra weights of
-    # the second hold one zero, which its support leaves out.
+    # a table holds each of its rows as its support, sorted and without its
+    # zero weights; the same rows computed on every call have their support
+    # resolved on every step.  The three blocks are unsorted, and the intra
+    # weights of the second hold one zero, which its support leaves out.
     problem = _mixed_problem(7)
     m = problem.m
     order = [int(i) for i in np.random.default_rng(3).permutation(m)]
@@ -621,8 +621,8 @@ def test_block_tables_give_the_trace_of_the_same_computed_weights(policy_name):
     pairs = [(BlockClassicalCyclic(m, blocks, intra),
               BlockGeneralized(m, blocks, lambda k, block: intra[k % 3])),
              (BlockGeneralized(m, blocks), BlockGeneralized(m, lambda k: blocks[k % 3]))]
-    assert [indices.size for indices, _ in pairs[0][0]._table.supports] == [6, 5, m - 12]
-    assert [indices.size for indices, _ in pairs[1][0]._table.supports] == [6, 6, m - 12]
+    assert [pairs[0][0]._table.support(k)[0].size for k in range(3)] == [6, 5, m - 12]
+    assert [pairs[1][0]._table.support(k)[0].size for k in range(3)] == [6, 6, m - 12]
     for schedules in pairs:
         assert schedules[1]._table is None
         traces = []
@@ -833,6 +833,28 @@ def test_a_copied_record_reports_its_rows_residuals():
     assert shallow.tobytes() == expected and not shallow.flags.writeable
     for copied in (copy.deepcopy, lambda rec: pickle.loads(pickle.dumps(rec))):
         assert copied(result.trace[4]).per_index_residuals.tobytes() == expected
+
+
+def test_a_pickled_record_carries_its_fields_not_the_run():
+    problem = gen_l1_constrained(3, 20, 100, 2.0)
+    result = run(problem, _config(seed=3), SimultaneousUniform(problem.m),
+                 SuperiorizedPolicy(problem.cost, 0.99))
+    rec = result.trace[5]
+    data = pickle.dumps(rec)
+    assert len(data) < 4 * (rec.point.nbytes + rec.per_index_residuals.nbytes)
+    back = pickle.loads(data)
+    assert type(back) is IterationRecord
+    assert _record_bytes(back) == _record_bytes(rec)
+
+
+def test_a_record_equals_only_itself():
+    problem = _mixed_problem(5)
+    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=5),
+                 SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
+    rec = result.trace[5]
+    # each access builds a new record, so none of these compares arrays
+    assert rec == rec and rec != result.trace[5]
+    assert rec not in result.trace and result.trace.count(rec) == 0
 
 
 def test_a_trace_sweeps_its_residuals_after_the_problem_is_gone():

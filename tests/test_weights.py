@@ -229,8 +229,8 @@ def test_prebuilt_rows_are_the_rows_built_per_call(name):
     for k in range(period):
         assert table.rows[k].tobytes() == table._row(k).tobytes()
         assert sched.weights_at(k) is sched.weights_at(k + period)
-        # and the support of every row is resolved once, read-only as well
-        indices, weights = table.supports[k]
+        # and the support of every row is two read-only slices of the table
+        indices, weights = table.support(k)
         w = sched.weights_at(k)
         assert indices.tobytes() == np.flatnonzero(w > 0.0).tobytes()
         assert weights.tobytes() == w[indices].tobytes()
@@ -240,10 +240,15 @@ def test_prebuilt_rows_are_the_rows_built_per_call(name):
 def test_long_period_builds_rows_on_demand():
     # 100 rows of 100 floats exceed 8 (m + the stored weights) = 1600
     sched = SequentialCyclic(100)
-    assert sched._table.rows is None and sched._table.supports is None
+    assert sched._table.rows is None
     w = sched.weights_at(3)
     assert w is not sched.weights_at(103) and not w.flags.writeable
     assert np.array_equal(w, _unit(100, 3))
+    # its supports are slices of the table all the same
+    for k in (3, 103):
+        indices, weights = sched._table.support(k)
+        assert indices.tolist() == [3] and weights.tolist() == [1.0]
+        assert not (indices.flags.writeable or weights.flags.writeable)
 
 
 def test_bad_table_refused_at_construction():
