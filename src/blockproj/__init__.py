@@ -61,7 +61,6 @@ from .problems import (
 from .solver import (
     MaxDistance,
     MaxFunctionValue,
-    MaxIterations,
     Problem,
     ResidualBelow,
     fejer_audit,

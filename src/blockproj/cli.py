@@ -30,7 +30,7 @@ from .problems import (
     load_problem,
     save_problem,
 )
-from .solver import MaxDistance, MaxFunctionValue, MaxIterations, ResidualBelow, run
+from .solver import MaxDistance, MaxFunctionValue, ResidualBelow, run
 from .weights import (
     BlockClassicalCyclic,
     BlockGeneralized,
@@ -123,7 +123,6 @@ _RULES = {
     "residual_below": (ResidualBelow, [("tol", (None, _float))]),
     "max_distance": (MaxDistance, [("eps", (None, _float))]),
     "max_function_value": (MaxFunctionValue, [("eps", (None, _float))]),
-    "max_iterations": (MaxIterations, [("limit", (None, _int))]),
 }
 
 

@@ -52,7 +52,6 @@ from .perturbation import (
 )
 from .problems import _unit, gen_linear_feasibility
 from .solver import (
-    MaxIterations,
     Problem,
     ResidualBelow,
     fejer_audit,
@@ -400,10 +399,10 @@ def qhat_trial(instance_seed):
     config = SolverConfig(max_iterations=4000, seed=instance_seed)
     outcomes = []
     for summable, schedule, stopping in (
-        (True, summable_last_index_schedule(3), MaxIterations(4000)),
-        (False, SimultaneousUniform(3), ResidualBelow(1e-8)),
+        (True, summable_last_index_schedule(3), []),
+        (False, SimultaneousUniform(3), [ResidualBelow(1e-8)]),
     ):
-        limit = run(problem, config, schedule, ZeroPolicy(), stopping=[stopping]).final_point
+        limit = run(problem, config, schedule, ZeroPolicy(), stopping=stopping).final_point
         d = [c.fixed_point_distance(limit) for c in problem.cutters]
         checked = d[:2] if summable else d
         lhs = max(checked)

@@ -108,9 +108,8 @@ def budget(lam, residual, sigma):
     lam = _converted(lam, "lambda", InvalidConfig, _LAMBDA)
     r = _converted(residual, "residual", InvalidConfig, _NONNEGATIVE)
     sigma = normalize_sigma(sigma)
+    # _budgets takes a finite sigma: at r = inf its scaled form gives inf / inf
     if math.isinf(sigma):
-        return 0.0
-    if r == 0.0 or lam == 0.0 or lam == 2.0:
         return 0.0
     return float(_budgets(lam, r, sigma, r))
 

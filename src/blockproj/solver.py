@@ -33,6 +33,7 @@ from .core import (
     normalize_sigma,
     validate_config,
 )
+from .cutters import Cutter
 from .perturbation import PerturbationStream, ZeroPolicy, _budgets
 from .weights import SequentialCyclic
 
@@ -64,6 +65,8 @@ class Problem:
         if not self.cutters:
             raise InvalidProblem("need at least one cutter")
         for idx, c in enumerate(self.cutters):
+            if not isinstance(c, Cutter):
+                raise InvalidProblem(f"cutter {idx} must be a Cutter, got {c!r}")
             if c.dim is not None and c.dim != self.dimension:
                 raise DimensionMismatch(
                     f"cutter {idx} has dimension {c.dim}, problem has {self.dimension}"
@@ -113,13 +116,6 @@ class MaxFunctionValue:
     eps: float
 
 
-@dataclass(frozen=True)
-class MaxIterations:
-    """Stop after ``limit`` update steps."""
-
-    limit: int
-
-
 def _check_rules(problem, stopping):
     for rule in stopping:
         if isinstance(rule, ResidualBelow):
@@ -138,13 +134,11 @@ def _check_rules(problem, stopping):
                     raise InvalidConfig(
                         f"MaxFunctionValue needs level functions, cutter {idx} has none"
                     )
-        elif isinstance(rule, MaxIterations):
-            _integer(rule.limit, "MaxIterations limit", InvalidConfig, 0)
         else:
             raise InvalidConfig(f"unknown stopping rule {rule!r}")
 
 
-def _fired_status(problem, stopping, k, x, max_res):
+def _fired_status(problem, stopping, x, max_res):
     for rule in stopping:
         if isinstance(rule, ResidualBelow):
             if max_res <= rule.tol:
@@ -155,9 +149,6 @@ def _fired_status(problem, stopping, k, x, max_res):
         elif isinstance(rule, MaxFunctionValue):
             if max(c.level_value(x) for c in problem.cutters) <= rule.eps:
                 return RunStatus.FUNCTION_CONVERGED
-        elif isinstance(rule, MaxIterations):
-            if k >= rule.limit:
-                return RunStatus.MAX_ITERATIONS
     return None
 
 
@@ -355,7 +346,8 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     read, the last one describing ``final_point``; ``sigma_refuted`` says
     whether some iterate drifted more than 2 sigma from x0.  Each lambda_k is checked against [tau1, 2 - tau2]
     before the update that uses it (LambdaOutOfRange).  The iteration cap
-    ``config.max_iterations`` is the last stopping rule.
+    ``config.max_iterations`` is checked after the rules, so a rule that
+    fires at the cap gives its own status.
     """
     if config is None:
         config = SolverConfig()
@@ -371,7 +363,8 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
             f"policy cost has dimension {policy.cost.dim}, expected {problem.dimension}")
     if stopping is None:
         stopping = [ResidualBelow(config.residual_tolerance)]
-    stopping = [*stopping, MaxIterations(config.max_iterations)]
+    stopping = _converted(stopping, "stopping", InvalidConfig, None, tuple,
+                          "a list of stopping rules")
     _check_rules(problem, stopping)
     sigma = normalize_sigma(config.sigma if config.sigma is not None else problem.sigma)
     lo, hi = float(config.tau1), 2.0 - float(config.tau2)
@@ -402,7 +395,9 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         max_res = float(np.maximum.reduce(residuals))
         if not math.isfinite(max_res):
             raise NonfiniteIterate(f"non-finite residual at k={k}")
-        status = _fired_status(problem, stopping, k, x, max_res)
+        status = _fired_status(problem, stopping, x, max_res)
+        if status is None and k >= config.max_iterations:
+            status = RunStatus.MAX_ITERATIONS
         lam = config.lambda_schedule(k)
         columns[r, _MAX_RESIDUAL] = max_res
         columns[r, _LAM] = lam

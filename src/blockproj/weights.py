@@ -287,6 +287,8 @@ class BlockGeneralized(WeightSchedule):
 
     def __init__(self, m, selection, weights_fn=None):
         super().__init__(m)
+        if weights_fn is not None and not callable(weights_fn):
+            raise InvalidSchedule(f"weights_fn must be None or a callable, got {weights_fn!r}")
         self.weights_fn = weights_fn
         self.selection, table = _rule(selection, "selection", InvalidSchedule, self._subset,
                                       "a callable or a table of index lists")

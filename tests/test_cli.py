@@ -218,7 +218,7 @@ def test_invalid_lambda_config_exits_1(tmp_path, capsys):
     ({"sigma_override": "7"}, "config.sigma_override"),
     ({"sigma_override": None}, "config.sigma_override"),
     ({"policy": {"policy": "random", "rho": True}}, "config.policy.rho"),
-    ({"stopping": [{"rule": "max_iterations", "limit": 3.0}]}, "config.stopping[0].limit"),
+    ({"stopping": [{"rule": "max_iterations", "limit": 3.0}]}, "config.stopping[0].rule"),
     ({"stopping": {"rule": "residual_below", "tol": 1e-6}}, "config.stopping"),
     ({"schedule": {"regime": "sequential_repetitive"}}, "config.schedule.control"),
     ({"schedule": {"regime": "block_generalized"}}, "config.schedule.blocks"),

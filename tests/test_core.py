@@ -10,7 +10,6 @@ from blockproj import (
     InvalidConfig,
     LambdaOutOfRange,
     LambdaSchedule,
-    MaxIterations,
     NonpositiveSigma,
     Problem,
     SolverConfig,
@@ -122,7 +121,7 @@ def test_validate_config_rejects_lambda_out_of_range():
                           lambda_schedule=LambdaSchedule(lambda k: 1.0 if k < 3 else 2.7))
     validate_config(config)
     with pytest.raises(LambdaOutOfRange) as info:
-        run(_far_problem(), config, stopping=[MaxIterations(10)])
+        run(_far_problem(), config, stopping=[])
     assert info.value.k == 3
 
 

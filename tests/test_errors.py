@@ -40,7 +40,6 @@ from blockproj import (
     LambdaSchedule,
     MaxDistance,
     MaxFunctionValue,
-    MaxIterations,
     Problem,
     QuadraticFunction,
     RandomDirectionPolicy,
@@ -142,10 +141,6 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: _stopped_by(ResidualBelow(True)), InvalidConfig, "ResidualBelow tol"),
     (lambda: _stopped_by(MaxDistance("a")), InvalidConfig, "MaxDistance eps"),
     (lambda: _stopped_by(MaxFunctionValue(False)), InvalidConfig, "MaxFunctionValue eps"),
-    (lambda: _stopped_by(MaxIterations(None)), InvalidConfig, "MaxIterations limit"),
-    (lambda: _stopped_by(MaxIterations(-1)), InvalidConfig, "MaxIterations limit"),
-    (lambda: _stopped_by(MaxIterations(2.5)), InvalidConfig, "MaxIterations limit"),
-    (lambda: _stopped_by(MaxIterations(True)), InvalidConfig, "MaxIterations limit"),
     (lambda: validate_config(SolverConfig(max_iterations=2.5)), InvalidConfig, "max_iterations"),
     (lambda: validate_config(SolverConfig(max_iterations=1e5)), InvalidConfig, "max_iterations"),
     (lambda: SequentialCyclic(2).weights_at("a"), InvalidSchedule, "k"),
@@ -246,6 +241,14 @@ def test_exception_classes_are_the_documented_ten():
     pytest.param(lambda: Problem(1, 5, [0.0], 1.0), InvalidProblem, "cutters", id="cutters int"),
     pytest.param(lambda: Problem(1, "ab", [0.0], 1.0), InvalidProblem, "cutters",
                  id="cutters text"),
+    # a cutter without dim raised AttributeError, a weights_fn was first
+    # called by weights_at, and stopping rules were unpacked with *
+    pytest.param(lambda: Problem(1, [5], [0.0], 1.0), InvalidProblem, "cutter 0",
+                 id="cutter int"),
+    pytest.param(lambda: BlockGeneralized(3, [[0, 1]], weights_fn=5), InvalidSchedule,
+                 "weights_fn", id="weights_fn int"),
+    pytest.param(lambda: run(Problem(1, [Halfspace([1.0], 0.0)], [1.0], 1.0), stopping=5),
+                 InvalidConfig, "stopping", id="stopping int"),
 ])
 def test_an_argument_that_is_not_a_number_raises_a_library_error_naming_it(call, error, name):
     with pytest.raises(error, match=f"^{name} must be "):
@@ -278,10 +281,6 @@ def test_an_integer_beyond_the_float_range_is_named_without_its_digits(call, err
      "MaxDistance eps must be a number, got 'a'"),
     (lambda: _stopped_by(MaxFunctionValue(-1)), InvalidConfig,
      r"MaxFunctionValue eps must be >= 0, got -1\.0"),
-    (lambda: _stopped_by(MaxIterations(2.5)), InvalidConfig,
-     r"MaxIterations limit must be an integer, got 2\.5"),
-    (lambda: _stopped_by(MaxIterations(-1)), InvalidConfig,
-     "MaxIterations limit must be >= 0, got -1"),
     (lambda: sigma_from_ball([0.0], -1, [1.0], 1.0), InvalidProblem,
      r"radius must be >= 0, got -1\.0"),
     (lambda: budget(1.0, -1, 1.0), InvalidConfig, r"residual must be >= 0, got -1\.0"),

@@ -30,7 +30,6 @@ from blockproj import (
     LambdaSchedule,
     MaxDistance,
     MaxFunctionValue,
-    MaxIterations,
     NonfiniteIterate,
     PerturbationPolicy,
     Problem,
@@ -72,8 +71,8 @@ def _config(**kwargs):
 
 def test_step_single_hyperplane_projection():
     problem = Problem(2, [Hyperplane([1.0, 0.0], 0.0)], [2.0, 3.0], sigma=INFINITE_SIGMA)
-    result = run(problem, _config(), SequentialCyclic(1), ZeroPolicy(),
-                 stopping=[MaxIterations(1)])
+    result = run(problem, _config(max_iterations=1), SequentialCyclic(1), ZeroPolicy(),
+                 stopping=[])
     x1, record = result.final_point, result.trace[0]
     assert np.allclose(x1, [0.0, 3.0])
     assert record.k == 0
@@ -84,8 +83,8 @@ def test_step_single_hyperplane_projection():
 def test_step_two_halfspaces_simultaneous():
     cutters = [Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0)]
     problem = Problem(2, cutters, [2.0, 2.0], sigma=INFINITE_SIGMA)
-    x1 = run(problem, _config(), SimultaneousUniform(2), ZeroPolicy(),
-             stopping=[MaxIterations(1)]).final_point
+    x1 = run(problem, _config(max_iterations=1), SimultaneousUniform(2), ZeroPolicy(),
+             stopping=[]).final_point
     # x0 + (T1 x0 - x0)/2 + (T2 x0 - x0)/2 with T1 x0 = (0,2), T2 x0 = (2,0)
     assert np.allclose(x1, [1.0, 1.0])
 
@@ -93,8 +92,8 @@ def test_step_two_halfspaces_simultaneous():
 def test_step_fixed_point_is_stationary():
     cutters = [Halfspace([1.0, 0.0], 1.0), Ball([0.0, 0.0], 2.0)]
     problem = Problem(2, cutters, [0.0, 0.0], sigma=5.0)
-    result = run(problem, _config(), SimultaneousUniform(2), ZeroPolicy(),
-                 stopping=[MaxIterations(1)])
+    result = run(problem, _config(max_iterations=1), SimultaneousUniform(2), ZeroPolicy(),
+                 stopping=[])
     x1, record = result.final_point, result.trace[0]
     assert np.array_equal(x1, [0.0, 0.0])
     assert record.max_residual == 0.0
@@ -219,8 +218,8 @@ def test_max_function_value_requires_level_functions():
 
 def test_max_iterations_rule_and_cap():
     problem = gen_linear_feasibility(10, 6, 4, 3)
-    result = run(problem, _config(max_iterations=50_000),
-                 SequentialCyclic(problem.m), stopping=[MaxIterations(5)])
+    # without a rule the run goes to the cap
+    result = run(problem, _config(max_iterations=5), SequentialCyclic(problem.m), stopping=[])
     assert result.status is RunStatus.MAX_ITERATIONS
     assert result.iterations_used == 5
     assert len(result.trace) == 6
@@ -228,6 +227,29 @@ def test_max_iterations_rule_and_cap():
                  SequentialCyclic(problem.m))
     assert capped.status is RunStatus.MAX_ITERATIONS
     assert capped.iterations_used == 3
+
+
+def test_a_rule_that_fires_at_the_cap_gives_its_status():
+    problem = gen_linear_feasibility(10, 6, 4, 3)
+    rules = [ResidualBelow(1e-3)]
+    free = run(problem, _config(), SequentialCyclic(problem.m), stopping=rules)
+    n = free.iterations_used
+    assert free.status is RunStatus.RESIDUAL_CONVERGED and n > 1
+    at_cap = run(problem, _config(max_iterations=n), SequentialCyclic(problem.m), stopping=rules)
+    assert (at_cap.status, at_cap.iterations_used) == (RunStatus.RESIDUAL_CONVERGED, n)
+    short = run(problem, _config(max_iterations=n - 1), SequentialCyclic(problem.m),
+                stopping=rules)
+    assert (short.status, short.iterations_used) == (RunStatus.MAX_ITERATIONS, n - 1)
+
+
+def test_a_generator_of_stopping_rules_is_honoured():
+    problem = gen_linear_feasibility(10, 6, 4, 3)
+    listed = run(problem, _config(), SequentialCyclic(problem.m), stopping=[ResidualBelow(1e-3)])
+    generated = run(problem, _config(), SequentialCyclic(problem.m),
+                    stopping=(rule for rule in [ResidualBelow(1e-3)]))
+    assert generated.status is RunStatus.RESIDUAL_CONVERGED
+    assert generated.iterations_used == listed.iterations_used
+    assert np.array_equal(generated.final_point, listed.final_point)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +337,7 @@ def test_nonfinite_residual_aborts():
     problem = Problem(2, cutters, [1.0, 1.0], sigma=5.0)
     with pytest.raises(NonfiniteIterate, match="residual"):
         run(problem, _config(max_iterations=10), SequentialRepetitive(2, [0]),
-            stopping=[ResidualBelow(1e-6), MaxIterations(10)])
+            stopping=[ResidualBelow(1e-6)])
 
 
 @pytest.mark.parametrize("cutter, witness", [
@@ -559,7 +581,7 @@ def test_update_adds_a_zero_step_to_a_negative_zero_coordinate():
     # -(0 * 1) + 0.5 * (+0.0) = +0.0, and -0.0 + lam * (+0.0) is +0.0
     problem = Problem(2, [Hyperplane([0.0, 1.0], 1.0), Ball([0.0, 0.0], 100.0)],
                       [-0.0, 3.0], sigma=10.0)
-    result = run(problem, _config(), SimultaneousUniform(2), stopping=[MaxIterations(1)])
+    result = run(problem, _config(max_iterations=1), SimultaneousUniform(2), stopping=[])
     assert result.trace[0].point.tobytes() == np.array([-0.0, 3.0]).tobytes()
     assert result.final_point.tobytes() == np.array([0.0, 2.0]).tobytes()
 
