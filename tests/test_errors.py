@@ -141,6 +141,10 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: _stopped_by(ResidualBelow(True)), InvalidConfig, "ResidualBelow tol"),
     (lambda: _stopped_by(MaxDistance("a")), InvalidConfig, "MaxDistance eps"),
     (lambda: _stopped_by(MaxFunctionValue(False)), InvalidConfig, "MaxFunctionValue eps"),
+    (lambda: _capped_at(None), InvalidConfig, "max_iterations"),
+    (lambda: _capped_at(-1), InvalidConfig, "max_iterations"),
+    (lambda: _capped_at(2.5), InvalidConfig, "max_iterations"),
+    (lambda: _capped_at(True), InvalidConfig, "max_iterations"),
     (lambda: validate_config(SolverConfig(max_iterations=2.5)), InvalidConfig, "max_iterations"),
     (lambda: validate_config(SolverConfig(max_iterations=1e5)), InvalidConfig, "max_iterations"),
     (lambda: SequentialCyclic(2).weights_at("a"), InvalidSchedule, "k"),
@@ -281,6 +285,8 @@ def test_an_integer_beyond_the_float_range_is_named_without_its_digits(call, err
      "MaxDistance eps must be a number, got 'a'"),
     (lambda: _stopped_by(MaxFunctionValue(-1)), InvalidConfig,
      r"MaxFunctionValue eps must be >= 0, got -1\.0"),
+    (lambda: _capped_at(True), InvalidConfig, "max_iterations must be an integer, got True"),
+    (lambda: _capped_at(-1), InvalidConfig, "max_iterations must be >= 1, got -1"),
     (lambda: sigma_from_ball([0.0], -1, [1.0], 1.0), InvalidProblem,
      r"radius must be >= 0, got -1\.0"),
     (lambda: budget(1.0, -1, 1.0), InvalidConfig, r"residual must be >= 0, got -1\.0"),
@@ -296,6 +302,11 @@ def test_a_number_argument_message_names_its_one_requirement(call, error, messag
 
 def _stopped_by(rule):
     return run(Problem(1, [Halfspace([1.0], 0.0)], [1.0], 1.0), stopping=[rule])
+
+
+def _capped_at(limit):
+    return run(Problem(1, [Halfspace([1.0], 0.0)], [1.0], 1.0),
+               SolverConfig(max_iterations=limit))
 
 
 @pytest.mark.parametrize("witness", [[0.0], [0.0, 0.0], [0.0] * 4])
