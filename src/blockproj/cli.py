@@ -19,6 +19,7 @@ from .problems import (
     _float,
     _floats,
     _get,
+    _given,
     _int,
     _read_json,
     _sigma,
@@ -65,9 +66,9 @@ def _blocks(obj, key, m, path):
             for i, block in enumerate(_array(_get(obj, key, path), f"{path}.{key}"))]
 
 
-def _given(obj, path, **decoders):
-    """The keys of ``obj`` that ``decoders`` names, decoded; the library supplies the rest."""
-    return {key: decode(obj[key], f"{path}.{key}") for key, decode in decoders.items() if key in obj}
+def _intra(raw, path):
+    """Intra-block weights: "uniform", or one array of numbers per block."""
+    return raw if raw == "uniform" else [_floats(ws, path) for ws in _array(raw, path)]
 
 
 def schedule_from_json(obj, m, path="config.schedule"):
@@ -82,16 +83,11 @@ def schedule_from_json(obj, m, path="config.schedule"):
     if regime == "simultaneous_uniform":
         return SimultaneousUniform(m)
     if regime == "simultaneous_drifting":
-        selector = obj.get("selector")
-        if selector is not None:
-            selector = _indices(selector, m, f"{path}.selector")
-        return SimultaneousDrifting(m, selector)
+        return SimultaneousDrifting(
+            m, **_given(obj, path, selector=lambda raw, at: _indices(raw, m, at)))
     if regime == "block_classical":
-        partition = _blocks(obj, "partition", m, path)
-        intra = obj.get("intra", "uniform")
-        if intra != "uniform":
-            intra = [_floats(ws, f"{path}.intra") for ws in _array(intra, f"{path}.intra")]
-        return BlockClassicalCyclic(m, partition, intra)
+        return BlockClassicalCyclic(m, _blocks(obj, "partition", m, path),
+                                    **_given(obj, path, intra=_intra))
     if regime == "block_generalized":
         return BlockGeneralized(m, _blocks(obj, "blocks", m, path))
     raise ParseError(f"{path}.regime: unknown regime {regime!r}")
@@ -104,17 +100,14 @@ def policy_from_json(obj, problem, path="config.policy"):
     if kind == "random":
         return RandomDirectionPolicy(**_given(obj, path, rho=_float))
     if kind == "superiorized":
-        cost = obj.get("cost")
-        if cost is not None:
-            cost = function_from_json(cost, f"{path}.cost")
-            if cost.dim not in (None, problem.dimension):
-                raise DimensionMismatch(
-                    f"{path}.cost: dimension {cost.dim} does not match {problem.dimension}")
-        elif problem.cost is not None:
-            cost = problem.cost
-        else:
+        given = _given(obj, path, cost=function_from_json, rho=_float)
+        cost = given.setdefault("cost", problem.cost)
+        if cost is None:
             raise ParseError(f"{path}.cost: required (the problem declares no cost)")
-        return SuperiorizedPolicy(cost, **_given(obj, path, rho=_float))
+        if cost.dim not in (None, problem.dimension):
+            raise DimensionMismatch(
+                f"{path}.cost: dimension {cost.dim} does not match {problem.dimension}")
+        return SuperiorizedPolicy(**given)
     raise ParseError(f"{path}.policy: unknown policy {kind!r}")
 
 
@@ -213,20 +206,23 @@ def cmd_solve(args):
     return 2 if result.status is RunStatus.MAX_ITERATIONS else 0
 
 
+def _options(args, *names):
+    """The options among ``names`` that the command line gives; the generator supplies the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def cmd_gen(args):
     kind = args.kind
+    n = args.n
     if kind == "linear":
-        n = args.n if args.n is not None else 10
-        problem = gen_linear_feasibility(args.seed, args.m, n, args.radius,
-                                         margin=args.margin)
+        problem = gen_linear_feasibility(args.seed, args.m, 10 if n is None else n, args.radius,
+                                         **_options(args, "margin"))
     elif kind == "discs":
-        n = args.n if args.n is not None else 2
-        problem = gen_disc_intersection(args.seed, args.m, n=n,
-                                        overlap=args.overlap, margin=args.margin)
+        problem = gen_disc_intersection(args.seed, args.m,
+                                        **_options(args, "n", "overlap", "margin"))
     elif kind == "l1":
-        n = args.n if args.n is not None else 8
-        problem = gen_l1_constrained(args.seed, args.s, n, args.eps,
-                                     margin=args.margin)
+        problem = gen_l1_constrained(args.seed, args.s, 8 if n is None else n, args.eps,
+                                     **_options(args, "margin"))
     else:
         raise ParseError(f"unknown generator kind {kind!r} (use linear, discs or l1)")
     save_problem(problem, args.out)
@@ -283,8 +279,8 @@ def build_parser():
     gen.add_argument("--s", type=int, default=5, help="number of linear equations (l1)")
     gen.add_argument("--eps", type=float, default=2.0, help="l1 radius (l1)")
     gen.add_argument("--radius", type=float, default=5.0, help="witness ball radius (linear)")
-    gen.add_argument("--overlap", type=float, default=0.5, help="disc center spread (discs)")
-    gen.add_argument("--margin", type=float, default=1.0, help="sigma safety margin")
+    gen.add_argument("--overlap", type=float, default=None, help="disc center spread (discs)")
+    gen.add_argument("--margin", type=float, default=None, help="sigma safety margin")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 

@@ -50,7 +50,7 @@ from .perturbation import (
     perturbation_rng,
     theta_budget,
 )
-from .problems import _unit, gen_linear_feasibility
+from .problems import _generator, _unit, gen_linear_feasibility
 from .solver import (
     Problem,
     ResidualBelow,
@@ -218,8 +218,8 @@ def _fejer_trial(rng_state, rng, strict):
     residual = _norm(tx - x)
     anchor = _norm(x - q)
     radius = 0.0
-    # comparisons that NaN fails: a NaN step fails the trial, not the suite
-    if residual >= 0.0 and anchor >= 0.0:
+    # a NaN or infinite step fails the trial, not the suite
+    if math.isfinite(residual) and math.isfinite(anchor):
         radius = (0.99 if strict else 1.0) * theta_budget(1.0, lam, residual, anchor)
     e = radius * _unit(rng, ndim) if radius > 0 else np.zeros(ndim)
     lhs = _norm(x + lam * (tx - x) + e - q)
@@ -365,7 +365,7 @@ def convergence_trial(instance_seed, extra_regime=None):
 def qhat_instance(instance_seed):
     """Three cutters in the plane whose first two fixed-point sets strictly
     contain the full intersection: a slab and a disc inside it."""
-    rng = np.random.default_rng(instance_seed)
+    rng = _generator(instance_seed)
     shift = rng.uniform(-0.2, 0.2)
     center = np.array([0.0, 3.0 + shift])
     disc = Ball(center, 1.5)

@@ -10,12 +10,15 @@ import math
 
 import numpy as np
 
-from .core import _NONNEGATIVE, InvalidConfig, _check_seed, _converted, _norm, normalize_sigma
+from .core import (_NONNEGATIVE, InvalidConfig, _check_seed, _converted, _integer, _norm,
+                   normalize_sigma)
 from .cutters import _GRAD_ZERO_TOL
 
 _LAMBDA = ("in [0, 2]", 0.0, 2.0)
 # strict: generated vectors must sit strictly inside the budget
 _RHO = ("in [0, 1)", 0.0, math.nextafter(1.0, 0.0))
+# finite: at an infinite residual the budget formula gives inf or NaN
+_RESIDUAL = ("in [0, inf)", 0.0, math.nextafter(math.inf, 0.0))
 
 
 # the unscaled budget formula squares lam r + anchor and r; up to this
@@ -77,10 +80,11 @@ def _large_radius(theta, lam, r, anchor):
 
 
 def _budgets(lam, residuals, sigma, r_max):
-    """``budget`` of every entry of ``residuals``, each at most ``r_max``, for
-    a lam in [0, 2] and a finite sigma, which the caller has checked.  Where
-    the anchor 2 sigma overflows, the radius's homogeneity in (r, anchor)
-    gives the budget as 2 radius(1/2, lam, r / 2, sigma)."""
+    """``budget`` of every entry of ``residuals``, each finite and at most
+    ``r_max``, for a lam in [0, 2] and a sigma positive or inf, which the
+    caller has checked.  Where the anchor 2 sigma overflows, the radius's
+    homogeneity in (r, anchor) gives the budget as
+    2 radius(1/2, lam, r / 2, sigma), which is 0 at an infinite sigma."""
     anchor = 2.0 * sigma
     if math.isinf(anchor):
         return 2.0 * _large_radius(0.5, lam, 0.5 * residuals, sigma)
@@ -93,7 +97,7 @@ def zeta(lam, residual, sigma):
     """(lam r + 2 sigma)^2 + lam (2 - lam) r^2; inf for an infinite sigma and
     where the value exceeds the float range."""
     lam = _converted(lam, "lambda", InvalidConfig, _LAMBDA)
-    r = _converted(residual, "residual", InvalidConfig, _NONNEGATIVE)
+    r = _converted(residual, "residual", InvalidConfig, _RESIDUAL)
     sigma = normalize_sigma(sigma)
     return _zeta(lam * r, lam, r, 2.0 * sigma)
 
@@ -106,12 +110,8 @@ def budget(lam, residual, sigma):
     an endpoint of [0, 2].
     """
     lam = _converted(lam, "lambda", InvalidConfig, _LAMBDA)
-    r = _converted(residual, "residual", InvalidConfig, _NONNEGATIVE)
-    sigma = normalize_sigma(sigma)
-    # _budgets takes a finite sigma: at r = inf its scaled form gives inf / inf
-    if math.isinf(sigma):
-        return 0.0
-    return float(_budgets(lam, r, sigma, r))
+    r = _converted(residual, "residual", InvalidConfig, _RESIDUAL)
+    return float(_budgets(lam, r, normalize_sigma(sigma), r))
 
 
 def theta_budget(theta, lam, residual, anchor_distance):
@@ -123,7 +123,7 @@ def theta_budget(theta, lam, residual, anchor_distance):
     """
     theta = _converted(theta, "theta", InvalidConfig, _NONNEGATIVE)
     lam = _converted(lam, "lambda", InvalidConfig, _LAMBDA)
-    r = _converted(residual, "residual", InvalidConfig, _NONNEGATIVE)
+    r = _converted(residual, "residual", InvalidConfig, _RESIDUAL)
     anchor = _converted(anchor_distance, "anchor distance", InvalidConfig, _NONNEGATIVE)
     # the denominator sqrt(zeta) + lam r + anchor, a sum of nonnegative
     # terms, vanishes exactly when anchor, lam r and lam (2 - lam) r^2 do
@@ -249,8 +249,9 @@ class PerturbationStream:
     the generator the previous one returned."""
 
     def __init__(self, seed):
-        # keys are 64-bit unsigned
-        self._bits = np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF)
+        # keys are 64-bit unsigned: an integer seed is taken modulo 2^64
+        key = _integer(seed, "seed", InvalidConfig) & 0xFFFFFFFFFFFFFFFF
+        self._bits = np.random.Philox(key=key)
         # a fresh generator's state: empty buffer, counter [0, 0, 0, 0]
         self._state = self._bits.state
         self._counter = self._state["state"]["counter"]

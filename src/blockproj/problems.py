@@ -44,14 +44,17 @@ from .solver import Problem, sigma_from_ball, sigma_from_l1
 # ---------------------------------------------------------------------------
 # JSON helpers
 
-def _get(obj, key, path, required=True):
+def _get(obj, key, path):
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected an object")
     if key not in obj:
-        if required:
-            raise ParseError(f"{path}.{key}: missing required field")
-        return None
+        raise ParseError(f"{path}.{key}: missing required field")
     return obj[key]
+
+def _given(obj, path, **decoders):
+    """The keys of ``obj`` that ``decoders`` names, decoded, ``null`` included;
+    the constructor supplies the rest."""
+    return {key: decode(obj[key], f"{path}.{key}") for key, decode in decoders.items() if key in obj}
 
 def _convert(value, path, convert=float, expected="a number"):
     """convert(value), or a ParseError naming the field when it fails."""
@@ -226,23 +229,19 @@ def problem_from_json(obj, path="problem"):
     cutters = [cutter_from_json(c, f"{path}.cutters[{i}]") for i, c in enumerate(raw_cutters)]
     x0 = _floats(_get(obj, "x0", path), f"{path}.x0")
     sigma = _sigma(_get(obj, "sigma", path), f"{path}.sigma")
-    witness = _get(obj, "witness", path, required=False)
-    if witness is not None:
-        witness = _floats(witness, f"{path}.witness")
-    cost = _get(obj, "cost", path, required=False)
-    if cost is not None:
-        cost = function_from_json(cost, f"{path}.cost")
+    given = _given(obj, path, witness=_floats, cost=function_from_json)
     for i, c in enumerate(cutters):
         if c.dim is not None and c.dim != dimension:
             raise DimensionMismatch(
                 f"{path}.cutters[{i}]: dimension {c.dim} does not match {path}.dimension {dimension}"
             )
     # None where there is no witness or the cost works in any dimension
+    witness, cost = given.get("witness"), given.get("cost")
     sizes = {"x0": len(x0), "witness": witness and len(witness), "cost": cost and cost.dim}
     for key, size in sizes.items():
         if size not in (None, dimension):
             raise DimensionMismatch(f"{path}.{key}: dimension {size} does not match {dimension}")
-    return Problem(dimension, cutters, x0, sigma, witness=witness, cost=cost)
+    return Problem(dimension, cutters, x0, sigma, **given)
 
 
 def _read_json(path, what):

@@ -371,6 +371,16 @@ def test_superiorized_policy_cost_in_the_config_comes_first(tmp_path):
     assert main(_solve_args(bare, config_path, tmp_path / "t.csv", tmp_path / "s.json")) == 0
 
 
+def test_a_null_superiorized_cost_is_refused_also_where_the_problem_has_one(tmp_path, capsys):
+    problem_path = tmp_path / "p.json"
+    main(["gen", "l1", "--out", str(problem_path)])
+    config_path = tmp_path / "c.json"
+    _write_config(config_path, policy={"policy": "superiorized", "cost": None})
+    code = main(_solve_args(problem_path, config_path, tmp_path / "t.csv", tmp_path / "s.json"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: config.policy.cost: expected an object\n"
+
+
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read config file"),
     ("{not json", "invalid JSON in"),
@@ -452,6 +462,21 @@ def test_verify_unknown_suite_exits_1(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, generator, spelled", [
+    ("linear", "gen_linear_feasibility", ["--margin", "1.0"]),
+    ("discs", "gen_disc_intersection", ["--n", "2", "--overlap", "0.5", "--margin", "1.0"]),
+    ("l1", "gen_l1_constrained", ["--margin", "1.0"]),
+])
+def test_gen_leaves_an_option_it_is_not_given_to_the_generator(tmp_path, kind, generator, spelled):
+    sparse, explicit = tmp_path / "sparse.json", tmp_path / "explicit.json"
+    with mock.patch.object(cli, generator, wraps=getattr(cli, generator)) as called:
+        assert main(["gen", kind, "--out", str(sparse)]) == 0
+        assert main(["gen", kind, *spelled, "--out", str(explicit)]) == 0
+    # no keyword argument the command line did not give: the library's defaults
+    assert called.call_args_list[0].kwargs == {}
+    assert sparse.read_bytes() == explicit.read_bytes()
+
+
 def test_gen_unknown_kind_exits_1(tmp_path, capsys):
     assert main(["gen", "pentagon", "--out", str(tmp_path / "x.json")]) == 1
     assert "unknown generator kind" in capsys.readouterr().err
@@ -488,6 +513,10 @@ def test_main_reuses_its_parser_and_runs_the_command_bound_when_called(tmp_path)
     ({"lambda": {}}, 'config.lambda: expected a number or {"list": [...]}'),
     ({"policy": {"policy": "superiorized", "cost": {"form": "affine", "a": [1, 2, 3], "b": 0}}},
      "config.policy.cost: dimension 3 does not match 2"),
+    # a key that is present is decoded: null is refused, not taken as absent
+    ({"schedule": {"regime": "simultaneous_drifting", "selector": None}},
+     "config.schedule.selector: expected an array"),
+    ({"policy": {"policy": "superiorized", "cost": None}}, "config.policy.cost: expected an object"),
 ])
 def test_config_error_message(tmp_path, capsys, overrides, message):
     problem_path = tmp_path / "p.json"

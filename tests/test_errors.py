@@ -65,6 +65,7 @@ from blockproj import (
     sigma_from_l1,
     theta_budget,
     validate_config,
+    zeta,
 )
 from blockproj.cli import assemble_config
 from blockproj.problems import (
@@ -241,6 +242,17 @@ def test_exception_classes_are_the_documented_ten():
     pytest.param(lambda: perturbation_rng(5, 3.7), InvalidConfig, "k", id="stream k 3.7"),
     pytest.param(lambda: perturbation_rng(5, True), InvalidConfig, "k", id="stream k True"),
     pytest.param(lambda: perturbation_rng(5, 2 ** 64), InvalidConfig, "k", id="stream k 2^64"),
+    # the stream's seed: 3.7 drew seed 3's stream, and True, "5" and 2.0 were
+    # taken; numpy refused a qhat seed of 2.5 with its own TypeError, and
+    # took True as 1
+    pytest.param(lambda: perturbation_rng(3.7, 0), InvalidConfig, "seed", id="stream seed 3.7"),
+    pytest.param(lambda: perturbation_rng(True, 0), InvalidConfig, "seed", id="stream seed True"),
+    pytest.param(lambda: perturbation_rng("5", 0), InvalidConfig, "seed", id="stream seed text"),
+    pytest.param(lambda: perturbation_rng(2.0, 0), InvalidConfig, "seed", id="stream seed 2.0"),
+    pytest.param(lambda: oracles.run_qhat_suite(1, 2.5), InvalidProblem, "seed",
+                 id="qhat suite seed 2.5"),
+    pytest.param(lambda: oracles.qhat_instance(True), InvalidProblem, "seed",
+                 id="qhat instance seed True"),
     # tuple() of an int raised TypeError, and the cutters of a string had no dim
     pytest.param(lambda: Problem(1, 5, [0.0], 1.0), InvalidProblem, "cutters", id="cutters int"),
     pytest.param(lambda: Problem(1, "ab", [0.0], 1.0), InvalidProblem, "cutters",
@@ -289,7 +301,15 @@ def test_an_integer_beyond_the_float_range_is_named_without_its_digits(call, err
     (lambda: _capped_at(-1), InvalidConfig, "max_iterations must be >= 1, got -1"),
     (lambda: sigma_from_ball([0.0], -1, [1.0], 1.0), InvalidProblem,
      r"radius must be >= 0, got -1\.0"),
-    (lambda: budget(1.0, -1, 1.0), InvalidConfig, r"residual must be >= 0, got -1\.0"),
+    (lambda: budget(1.0, -1, 1.0), InvalidConfig, r"residual must be in \[0, inf\), got -1\.0"),
+    # the budget formula gives inf, or NaN at an infinite sigma, for an infinite residual
+    (lambda: budget(1.0, math.inf, 1.0), InvalidConfig,
+     r"residual must be in \[0, inf\), got inf"),
+    (lambda: budget(1.0, math.inf, math.inf), InvalidConfig,
+     r"residual must be in \[0, inf\), got inf"),
+    (lambda: theta_budget(0.5, 1.0, math.inf, 2.0), InvalidConfig,
+     r"residual must be in \[0, inf\), got inf"),
+    (lambda: zeta(1.0, math.inf, 1.0), InvalidConfig, r"residual must be in \[0, inf\), got inf"),
     (lambda: theta_budget(-1, 1.0, 1.0, 1.0), InvalidConfig, r"theta must be >= 0, got -1\.0"),
     (lambda: theta_budget(0.5, 1.0, 1.0, -1), InvalidConfig,
      r"anchor distance must be >= 0, got -1\.0"),

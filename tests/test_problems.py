@@ -264,6 +264,18 @@ def test_strings_and_booleans_in_arrays_name_their_field(overrides, where):
         problem_from_json(doc)
 
 
+# a key that is present is decoded: null is refused, not taken as absent
+@pytest.mark.parametrize("key, message", [
+    ("witness", "problem.witness: expected a nonempty array of numbers"),
+    ("cost", "problem.cost: expected an object"),
+])
+def test_a_null_optional_field_is_refused_naming_it(key, message):
+    doc = {"dimension": 2, "cutters": [{"type": "l1_ball", "radius": 1.0}],
+           "x0": [0.0, 0.0], "sigma": 1.0, key: None}
+    with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+        problem_from_json(doc)
+
+
 @pytest.mark.parametrize("Q", [[[1.0], [1.0, 2.0]], [[1.0, 0.0], 1.0], [1.0, 2.0], ["ab"]])
 def test_ragged_matrix_names_its_field(Q):
     # numpy would refuse the ragged rows with its own ValueError, unnamed
