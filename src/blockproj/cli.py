@@ -18,9 +18,9 @@ from .problems import (
     _decode,
     _float,
     _floats,
-    _get,
     _given,
     _int,
+    _known,
     _read_json,
     _sigma,
     _write_json,
@@ -53,17 +53,16 @@ def _array(value, path):
     return value
 
 
-def _indices(raw, m, path):
+def _indices(m, raw, path):
     idx = [_int(i, f"{path}[{j}]") - 1 for j, i in enumerate(_array(raw, path))]
     if any(not 0 <= i < m for i in idx):
         raise ParseError(f"{path}: index outside 1..{m}")
     return idx
 
 
-def _blocks(obj, key, m, path):
-    """The required array of index lists ``obj[key]``, each as ``_indices`` reads it."""
-    return [_indices(block, m, f"{path}.{key}[{i}]")
-            for i, block in enumerate(_array(_get(obj, key, path), f"{path}.{key}"))]
+def _blocks(m, raw, path):
+    """An array of index lists, each as ``_indices`` reads it."""
+    return [_indices(m, block, f"{path}[{i}]") for i, block in enumerate(_array(raw, path))]
 
 
 def _intra(raw, path):
@@ -72,43 +71,38 @@ def _intra(raw, path):
 
 
 def schedule_from_json(obj, m, path="config.schedule"):
-    regime = _get(obj, "regime", path)
-    if regime == "sequential_cyclic":
-        return SequentialCyclic(m)
-    if regime == "sequential_almost_cyclic":
-        return SequentialAlmostCyclic(m, _int(obj.get("period_bound", m), f"{path}.period_bound"),
-                                      **_given(obj, path, order_seed=_int))
-    if regime == "sequential_repetitive":
-        return SequentialRepetitive(m, _indices(_get(obj, "control", path), m, f"{path}.control"))
-    if regime == "simultaneous_uniform":
-        return SimultaneousUniform(m)
-    if regime == "simultaneous_drifting":
-        return SimultaneousDrifting(
-            m, **_given(obj, path, selector=lambda raw, at: _indices(raw, m, at)))
-    if regime == "block_classical":
-        return BlockClassicalCyclic(m, _blocks(obj, "partition", m, path),
-                                    **_given(obj, path, intra=_intra))
-    if regime == "block_generalized":
-        return BlockGeneralized(m, _blocks(obj, "blocks", m, path))
-    raise ParseError(f"{path}.regime: unknown regime {regime!r}")
+    # a table of problems._decode (see _RULES), built per call: its index decoders take m
+    indices, blocks = functools.partial(_indices, m), functools.partial(_blocks, m)
+    regimes = {
+        "sequential_cyclic": (SequentialCyclic, []),
+        "sequential_almost_cyclic": (SequentialAlmostCyclic, [],
+                                     {"period_bound": _int, "order_seed": _int}),
+        "sequential_repetitive": (SequentialRepetitive, [("control", (None, indices))]),
+        "simultaneous_uniform": (SimultaneousUniform, []),
+        "simultaneous_drifting": (SimultaneousDrifting, [], {"selector": indices}),
+        "block_classical": (BlockClassicalCyclic, [("partition", (None, blocks))],
+                            {"intra": _intra}),
+        "block_generalized": (BlockGeneralized, [("blocks", (None, blocks))]),
+    }
+    return _decode(obj, path, "regime", regimes, "unknown regime", m)
 
 
 def policy_from_json(obj, problem, path="config.policy"):
-    kind = _get(obj, "policy", path)
-    if kind == "zero":
-        return ZeroPolicy()
-    if kind == "random":
-        return RandomDirectionPolicy(**_given(obj, path, rho=_float))
-    if kind == "superiorized":
-        given = _given(obj, path, cost=function_from_json, rho=_float)
-        cost = given.setdefault("cost", problem.cost)
+    # a superiorized policy takes the problem's cost unless the config names one
+    def superiorized(cost=problem.cost, **rho):
         if cost is None:
             raise ParseError(f"{path}.cost: required (the problem declares no cost)")
         if cost.dim not in (None, problem.dimension):
             raise DimensionMismatch(
                 f"{path}.cost: dimension {cost.dim} does not match {problem.dimension}")
-        return SuperiorizedPolicy(**given)
-    raise ParseError(f"{path}.policy: unknown policy {kind!r}")
+        return SuperiorizedPolicy(cost, **rho)
+
+    policies = {
+        "zero": (ZeroPolicy, []),
+        "random": (RandomDirectionPolicy, [], {"rho": _float}),
+        "superiorized": (superiorized, [], {"cost": function_from_json, "rho": _float}),
+    }
+    return _decode(obj, path, "policy", policies, "unknown policy")
 
 
 # tables of the problem-file codec (problems._decode); a config is never encoded
@@ -128,13 +122,13 @@ def assemble_config(doc, problem, seed_override=None):
     """Build (SolverConfig, schedule, policy, stopping) from a config
     document.  What it leaves out takes the library's default: a field of
     SolverConfig, or None for a part that ``run`` fills in."""
-    if not isinstance(doc, dict):
-        raise ParseError("config: expected a JSON object")
+    _known(doc, "config", ("tau1", "tau2", "max_iterations", "lambda", "sigma_override", "seed",
+                           "stopping", "schedule", "policy"))
     fields = _given(doc, "config", tau1=_float, tau2=_float, max_iterations=_int)
     if "lambda" in doc:
         lam = doc["lambda"]
         if isinstance(lam, dict):
-            if "list" not in lam:
+            if "list" not in _known(lam, "config.lambda", ("list",)):
                 raise ParseError("config.lambda: expected a number or {\"list\": [...]}")
             fields["lambda_schedule"] = LambdaSchedule(_floats(lam["list"], "config.lambda.list"))
         else:
@@ -206,25 +200,21 @@ def cmd_solve(args):
     return 2 if result.status is RunStatus.MAX_ITERATIONS else 0
 
 
-def _options(args, *names):
-    """The options among ``names`` that the command line gives; the generator supplies the rest."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
 def cmd_gen(args):
-    kind = args.kind
-    n = args.n
-    if kind == "linear":
-        problem = gen_linear_feasibility(args.seed, args.m, 10 if n is None else n, args.radius,
-                                         **_options(args, "margin"))
-    elif kind == "discs":
-        problem = gen_disc_intersection(args.seed, args.m,
-                                        **_options(args, "n", "overlap", "margin"))
-    elif kind == "l1":
-        problem = gen_l1_constrained(args.seed, args.s, 8 if n is None else n, args.eps,
-                                     **_options(args, "margin"))
-    else:
-        raise ParseError(f"unknown generator kind {kind!r} (use linear, discs or l1)")
+    # built per call, so a generator replaced on this module after import (as
+    # by a tracer) is the one called; each kind takes only its own options
+    kinds = {"linear": (gen_linear_feasibility, ("m", "n", "radius", "margin")),
+             "discs": (gen_disc_intersection, ("m", "n", "overlap", "margin")),
+             "l1": (gen_l1_constrained, ("s", "n", "epsilon", "margin"))}
+    if args.kind not in kinds:
+        raise ParseError(f"unknown generator kind {args.kind!r} (use linear, discs or l1)")
+    generator, takes = kinds[args.kind]
+    # the options the command line gives, in flag order; the generator supplies the rest
+    given = [(flag, name) for flag, name, *_ in _GEN_OPTIONS if getattr(args, name) is not None]
+    for flag, name in given:
+        if name not in takes:
+            raise ParseError(f"gen {args.kind} takes no {flag}")
+    problem = generator(args.seed, **{name: getattr(args, name) for _, name in given})
     save_problem(problem, args.out)
     print(f"wrote {args.out}: {problem.m} cutters in R^{problem.dimension}")
     return 0
@@ -255,6 +245,19 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # entry point
 
+# the generator options of blockproj gen in flag order, as (flag, generator
+# keyword, type, help); one left out takes the generator's default
+_GEN_OPTIONS = (
+    ("--m", "m", int, "number of halfspaces / discs"),
+    ("--n", "n", int, "ambient dimension (default: 10 linear, 2 discs, 8 l1)"),
+    ("--s", "s", int, "number of linear equations (l1)"),
+    ("--eps", "epsilon", float, "l1 radius (l1)"),
+    ("--radius", "radius", float, "witness ball radius (linear)"),
+    ("--overlap", "overlap", float, "disc center spread (discs)"),
+    ("--margin", "margin", float, "sigma safety margin"),
+)
+
+
 @functools.cache
 def build_parser():
     """The one parser of the process, built on first use; callers must not change it."""
@@ -273,14 +276,8 @@ def build_parser():
 
     gen = sub.add_parser("gen", help="generate a problem instance")
     gen.add_argument("kind", help="linear | discs | l1")
-    gen.add_argument("--m", type=int, default=10, help="number of halfspaces / discs")
-    gen.add_argument("--n", type=int, default=None,
-                     help="ambient dimension (default: 10 linear, 2 discs, 8 l1)")
-    gen.add_argument("--s", type=int, default=5, help="number of linear equations (l1)")
-    gen.add_argument("--eps", type=float, default=2.0, help="l1 radius (l1)")
-    gen.add_argument("--radius", type=float, default=5.0, help="witness ball radius (linear)")
-    gen.add_argument("--overlap", type=float, default=None, help="disc center spread (discs)")
-    gen.add_argument("--margin", type=float, default=None, help="sigma safety margin")
+    for flag, name, kind, text in _GEN_OPTIONS:
+        gen.add_argument(flag, dest=name, metavar=flag[2:].upper(), type=kind, help=text)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 

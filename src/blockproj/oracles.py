@@ -50,7 +50,7 @@ from .perturbation import (
     perturbation_rng,
     theta_budget,
 )
-from .problems import _generator, _unit, gen_linear_feasibility
+from .problems import _generator, _tagged, _unit, gen_linear_feasibility
 from .solver import (
     Problem,
     ResidualBelow,
@@ -93,56 +93,45 @@ class TrialOutcome:
 # ---------------------------------------------------------------------------
 # random instances and fixed-point samples
 
-PROJECTION_KINDS = ("halfspace", "hyperplane", "ball", "box", "l1_ball")
+def _draw_quadratic(rng, ndim):
+    m = rng.standard_normal((ndim, ndim))
+    q_mat = m.T @ m + 0.2 * np.eye(ndim)
+    anchor = rng.uniform(-2, 2, ndim)
+    depth = rng.uniform(0.1, 2.0)
+    # f(x) = (x - anchor)^T Q (x - anchor) - depth, in expanded form
+    c = -2.0 * (q_mat @ anchor)
+    d = float(anchor @ q_mat @ anchor) - depth
+    return SubgradientProjection(QuadraticFunction(q_mat, c, d))
 
-ALL_KINDS = PROJECTION_KINDS + (
-    "subgradient_affine",
-    "subgradient_ball",
-    "subgradient_quadratic",
-    "resolvent_abs_sum",
-    "resolvent_squared_norm",
-    "resolvent_indicator",
-)
+
+# one draw per kind label, each (rng, ndim) -> a random operator in R^ndim;
+# the first five are metric projections
+_DRAWS = {
+    "halfspace": lambda rng, n: Halfspace(_unit(rng, n), rng.uniform(-3, 3)),
+    "hyperplane": lambda rng, n: Hyperplane(_unit(rng, n), rng.uniform(-3, 3)),
+    "ball": lambda rng, n: Ball(rng.uniform(-3, 3, n), rng.uniform(0.5, 3.0)),
+    "box": lambda rng, n: Box(lo := rng.uniform(-3, 0, n), lo + rng.uniform(0.1, 3.0, n)),
+    "l1_ball": lambda rng, n: L1Ball(rng.uniform(0.5, 3.0)),
+    "subgradient_affine": lambda rng, n: SubgradientProjection(
+        AffineFunction(_unit(rng, n), rng.uniform(-3, 3))),
+    "subgradient_ball": lambda rng, n: SubgradientProjection(
+        BallQuadratic(rng.uniform(-3, 3, n), rng.uniform(0.5, 3.0))),
+    "subgradient_quadratic": _draw_quadratic,
+    "resolvent_abs_sum": lambda rng, n: Resolvent(AbsSum(), rng.uniform(0.2, 2.0)),
+    "resolvent_squared_norm": lambda rng, n: Resolvent(SquaredNorm(), rng.uniform(0.2, 2.0)),
+    "resolvent_indicator": lambda rng, n: Resolvent(
+        SetIndicator(Ball(rng.uniform(-3, 3, n), rng.uniform(0.5, 3.0))), rng.uniform(0.2, 2.0)),
+}
+ALL_KINDS = tuple(_DRAWS)
+PROJECTION_KINDS = ALL_KINDS[:5]
 
 
 def draw_cutter(rng, label, ndim):
     """One random operator of the named kind in R^ndim."""
-    if label == "halfspace":
-        return Halfspace(_unit(rng, ndim), rng.uniform(-3, 3))
-    if label == "hyperplane":
-        return Hyperplane(_unit(rng, ndim), rng.uniform(-3, 3))
-    if label == "ball":
-        return Ball(rng.uniform(-3, 3, ndim), rng.uniform(0.5, 3.0))
-    if label == "box":
-        lo = rng.uniform(-3, 0, ndim)
-        return Box(lo, lo + rng.uniform(0.1, 3.0, ndim))
-    if label == "l1_ball":
-        return L1Ball(rng.uniform(0.5, 3.0))
-    if label == "subgradient_affine":
-        return SubgradientProjection(AffineFunction(_unit(rng, ndim), rng.uniform(-3, 3)))
-    if label == "subgradient_ball":
-        return SubgradientProjection(
-            BallQuadratic(rng.uniform(-3, 3, ndim), rng.uniform(0.5, 3.0))
-        )
-    if label == "subgradient_quadratic":
-        m = rng.standard_normal((ndim, ndim))
-        q_mat = m.T @ m + 0.2 * np.eye(ndim)
-        anchor = rng.uniform(-2, 2, ndim)
-        depth = rng.uniform(0.1, 2.0)
-        # f(x) = (x - anchor)^T Q (x - anchor) - depth, in expanded form
-        c = -2.0 * (q_mat @ anchor)
-        d = float(anchor @ q_mat @ anchor) - depth
-        return SubgradientProjection(QuadraticFunction(q_mat, c, d))
-    if label == "resolvent_abs_sum":
-        return Resolvent(AbsSum(), rng.uniform(0.2, 2.0))
-    if label == "resolvent_squared_norm":
-        return Resolvent(SquaredNorm(), rng.uniform(0.2, 2.0))
-    if label == "resolvent_indicator":
-        return Resolvent(
-            SetIndicator(Ball(rng.uniform(-3, 3, ndim), rng.uniform(0.5, 3.0))),
-            rng.uniform(0.2, 2.0),
-        )
-    raise InvalidCutter(f"unknown kind label {label!r}")
+    draw = _tagged(_DRAWS, label)
+    if draw is None:
+        raise InvalidCutter(f"unknown kind label {label!r}")
+    return draw(rng, ndim)
 
 
 def sample_fixed_point(cutter, rng, ndim=None):
@@ -300,22 +289,16 @@ def budget_trial(rng_state, rng=None):
 # ---------------------------------------------------------------------------
 # solver-level trials
 
-_EXTRA_REGIMES = ("almost_cyclic", "repetitive", "drifting", "block_classical")
-
-
-def _extra_schedule(name, m, seed):
-    if name == "almost_cyclic":
-        return SequentialAlmostCyclic(m, m + 3, order_seed=seed)
-    if name == "repetitive":
-        # fixed repetitive control: two sweeps interleaved
-        table = list(range(m)) + list(range(m - 1, -1, -1))
-        return SequentialRepetitive(m, table)
-    if name == "drifting":
-        return SimultaneousDrifting(m)
-    if name == "block_classical":
-        cut = max(1, m // 2)
-        return BlockClassicalCyclic(m, [list(range(cut)), list(range(cut, m))])
-    raise InvalidSchedule(f"unknown extra regime {name!r}")
+# the extra control regimes of the convergence suite, each built from (m, seed)
+_EXTRA_REGIMES = {
+    "almost_cyclic": lambda m, seed: SequentialAlmostCyclic(m, m + 3, order_seed=seed),
+    # fixed repetitive control: two sweeps interleaved
+    "repetitive": lambda m, seed: SequentialRepetitive(
+        m, list(range(m)) + list(range(m - 1, -1, -1))),
+    "drifting": lambda m, seed: SimultaneousDrifting(m),
+    "block_classical": lambda m, seed: BlockClassicalCyclic(
+        m, [list(range(max(1, m // 2))), list(range(max(1, m // 2), m))]),
+}
 
 
 def convergence_trial(instance_seed, extra_regime=None):
@@ -336,10 +319,11 @@ def convergence_trial(instance_seed, extra_regime=None):
         ("simultaneous+random", SimultaneousUniform(m), RandomDirectionPolicy(0.99), 1e-4, 200_000),
     ]
     if extra_regime is not None:
+        build = _tagged(_EXTRA_REGIMES, extra_regime)
+        if build is None:
+            raise InvalidSchedule(f"unknown extra regime {extra_regime!r}")
         configs.append(
-            (f"{extra_regime}+zero", _extra_schedule(extra_regime, m, instance_seed),
-             ZeroPolicy(), 1e-6, 50_000)
-        )
+            (f"{extra_regime}+zero", build(m, instance_seed), ZeroPolicy(), 1e-6, 50_000))
     outcomes = []
     for name, schedule, policy, tol, cap in configs:
         config = SolverConfig(max_iterations=cap, residual_tolerance=tol, seed=instance_seed)
@@ -505,10 +489,10 @@ def run_convergence_suite(trials, seed):
 
     def outcomes():
         for t in range(trials):
-            extra = _EXTRA_REGIMES[t % len(_EXTRA_REGIMES)]
+            extra, build = list(_EXTRA_REGIMES.items())[t % len(_EXTRA_REGIMES)]
             _count(coverage, "regime:sequential_cyclic")
             _count(coverage, "regime:simultaneous_uniform")
-            _count(coverage, f"regime:{_extra_schedule(extra, 2, 0).regime}")
+            _count(coverage, f"regime:{build(2, 0).regime}")
             yield from convergence_trial(seed + t, extra_regime=extra)
 
     return _summarize("convergence", outcomes(), coverage)

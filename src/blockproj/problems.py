@@ -51,6 +51,15 @@ def _get(obj, key, path):
         raise ParseError(f"{path}.{key}: missing required field")
     return obj[key]
 
+def _known(obj, path, keys):
+    """``obj``, an object that holds only ``keys``; else a ParseError at its first other key."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected an object")
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"{path}.{key}: unknown field")
+    return obj
+
 def _given(obj, path, **decoders):
     """The keys of ``obj`` that ``decoders`` names, decoded, ``null`` included;
     the constructor supplies the rest."""
@@ -134,6 +143,7 @@ def _matrix(value, path):
 # ``form`` maps to its class and its JSON fields in constructor order.  A
 # field is (key, codec) or, when the attribute is named differently,
 # (key, codec, attribute); a codec is an (encode, decode) pair per value type.
+# A decoded entry may add a third slot: its optional keys and their decoders.
 
 def _tagged(table, tag):
     # non-string tags (say "type": []) are unknown, not unhashable
@@ -150,14 +160,20 @@ def _encode(obj, tag_key, tag, table, noun):
     return doc
 
 
-def _decode(obj, path, tag_key, table, unknown):
+def _decode(obj, path, tag_key, table, unknown, *args):
+    """The tag's class called with ``args``, its fields and the optional keys
+    ``obj`` holds; once these decode, any other key is refused."""
     tag = _get(obj, tag_key, path)
     spec = _tagged(table, tag)
     if spec is None:
         raise ParseError(f"{path}.{tag_key}: {unknown} {tag!r}")
-    cls, fields = spec
-    return cls(*[decode(_get(obj, key, path), f"{path}.{key}")
-                 for key, (_, decode), *_ in fields])
+    cls, fields, optional = spec if len(spec) > 2 else (*spec, {})
+    values = [decode(_get(obj, key, path), f"{path}.{key}") for key, (_, decode), *_ in fields]
+    given = _given(obj, path, **optional) if optional else {}
+    # every field is present, so the count alone shows another key; the scan names it
+    if len(obj) > 1 + len(values) + len(given):
+        _known(obj, path, (tag_key, *optional, *(key for key, *_ in fields)))
+    return cls(*args, *values, **given)
 
 
 def function_to_json(fn):
@@ -220,6 +236,7 @@ def problem_to_json(problem):
 
 
 def problem_from_json(obj, path="problem"):
+    _known(obj, path, ("dimension", "cutters", "x0", "sigma", "witness", "cost"))
     dimension = _int(_get(obj, "dimension", path), f"{path}.dimension")
     if dimension < 1:
         raise ParseError(f"{path}.dimension: expected a positive integer")
@@ -353,7 +370,7 @@ _EPSILON = ("in (0, 1e5]", math.ulp(0.0), 1e5)
 _OVERLAP = ("in (0, 1e150]", math.ulp(0.0), 1e150)
 
 
-def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
+def gen_linear_feasibility(seed, m=10, n=10, radius=5.0, margin=1.0):
     """Random halfspaces with a strictly interior witness.
 
     Each halfspace {x : <a_i, x> <= b_i} has a unit normal and slack
@@ -381,7 +398,7 @@ def gen_linear_feasibility(seed, m, n, radius, margin=1.0):
     return Problem(n, cutters, x0, sigma, witness=q)
 
 
-def gen_disc_intersection(seed, m, n=2, overlap=0.5, margin=1.0):
+def gen_disc_intersection(seed, m=10, n=2, overlap=0.5, margin=1.0):
     """Overlapping discs sharing an interior witness (bounded solution set)."""
     m = _integer(m, "m", InvalidProblem, 2)
     n = _integer(n, "n", InvalidProblem, 1)
@@ -401,7 +418,7 @@ def gen_disc_intersection(seed, m, n=2, overlap=0.5, margin=1.0):
     return Problem(n, cutters, x0, sigma, witness=q)
 
 
-def gen_l1_constrained(seed, s, n, epsilon, margin=1.0):
+def gen_l1_constrained(seed, s=5, n=8, epsilon=2.0, margin=1.0):
     """Consistent linear system plus an l1-ball constraint, with an l1 cost.
 
     The planted solution has l1 norm at most 0.9 epsilon, so it is strictly

@@ -159,7 +159,7 @@ class SequentialCyclic(WeightSchedule):
 
 
 class SequentialAlmostCyclic(WeightSchedule):
-    """Every index appears at least once in each window of ``period_bound``.
+    """Every index appears at least once in each window of ``period_bound`` (m if None).
 
     Window order is a seeded shuffle: a permutation of all indices padded
     with random repeats, reshuffled per window, derived from
@@ -168,8 +168,9 @@ class SequentialAlmostCyclic(WeightSchedule):
 
     regime = "sequential_almost_cyclic"
 
-    def __init__(self, m, period_bound, order_seed=0):
+    def __init__(self, m, period_bound=None, order_seed=0):
         super().__init__(m)
+        period_bound = self.m if period_bound is None else period_bound
         self.period_bound = _integer(period_bound, "period_bound", InvalidSchedule, self.m)
         self.order_seed = _integer(order_seed, "order_seed", InvalidSchedule, 0)
 

@@ -477,6 +477,26 @@ def test_gen_leaves_an_option_it_is_not_given_to_the_generator(tmp_path, kind, g
     assert sparse.read_bytes() == explicit.read_bytes()
 
 
+@pytest.mark.parametrize("kind, args, flag", [
+    ("linear", ["--s", "3"], "--s"),
+    ("linear", ["--eps", "1.5"], "--eps"),
+    ("linear", ["--overlap", "7"], "--overlap"),
+    ("discs", ["--s", "3"], "--s"),
+    ("discs", ["--eps", "1.5"], "--eps"),
+    ("discs", ["--radius", "2"], "--radius"),
+    ("l1", ["--m", "4"], "--m"),
+    ("l1", ["--radius", "2"], "--radius"),
+    ("l1", ["--overlap", "0.5"], "--overlap"),
+    # the first foreign option in the parser's flag order, not the command line's
+    ("linear", ["--overlap", "7", "--margin", "2", "--s", "3"], "--s"),
+])
+def test_gen_refuses_an_option_its_kind_does_not_take(tmp_path, capsys, kind, args, flag):
+    out = tmp_path / "x.json"
+    assert main(["gen", kind, *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: gen {kind} takes no {flag}\n"
+    assert not out.exists()
+
+
 def test_gen_unknown_kind_exits_1(tmp_path, capsys):
     assert main(["gen", "pentagon", "--out", str(tmp_path / "x.json")]) == 1
     assert "unknown generator kind" in capsys.readouterr().err
@@ -517,6 +537,20 @@ def test_main_reuses_its_parser_and_runs_the_command_bound_when_called(tmp_path)
     ({"schedule": {"regime": "simultaneous_drifting", "selector": None}},
      "config.schedule.selector: expected an array"),
     ({"policy": {"policy": "superiorized", "cost": None}}, "config.policy.cost: expected an object"),
+    # a key that no field names is refused, the first in document order
+    ({"max_iteraions": 3}, "config.max_iteraions: unknown field"),
+    ({"schedule": {"regime": "sequential_cyclic", "selector": [1]},
+      "policy": {"policy": "zero", "rho": "x"}}, "config.schedule.selector: unknown field"),
+    ({"schedule": {"regime": "block_classical", "partition": [[1], [2, 3]], "intra": "uniform",
+                   "intr": "uniform"}}, "config.schedule.intr: unknown field"),
+    ({"policy": {"policy": "zero", "rho": "x"}}, "config.policy.rho: unknown field"),
+    ({"policy": {"policy": "random", "cost": {"form": "abs_sum"}}},
+     "config.policy.cost: unknown field"),
+    ({"policy": {"policy": "superiorized", "cost": {"form": "abs_sum", "a": [1, 2]}}},
+     "config.policy.cost.a: unknown field"),
+    ({"stopping": [{"rule": "residual_below", "tol": 1e-6, "eps": 1, "limit": 2}]},
+     "config.stopping[0].eps: unknown field"),
+    ({"lambda": {"list": [1.0], "cycle": True}}, "config.lambda.cycle: unknown field"),
 ])
 def test_config_error_message(tmp_path, capsys, overrides, message):
     problem_path = tmp_path / "p.json"

@@ -47,6 +47,14 @@ def _suite_outcomes(suite, trials, seed):
     return seen
 
 
+def test_kind_labels_keep_their_order():
+    # a suite draws its label by index, so the order fixes every trial's operator
+    assert PROJECTION_KINDS == ("halfspace", "hyperplane", "ball", "box", "l1_ball")
+    assert ALL_KINDS == PROJECTION_KINDS + (
+        "subgradient_affine", "subgradient_ball", "subgradient_quadratic",
+        "resolvent_abs_sum", "resolvent_squared_norm", "resolvent_indicator")
+
+
 def test_suites_reuse_one_stream_without_leaking_state():
     # trial t of a suite, drawn from the suite's reused generator, equals
     # the same trial run on its own, also after a trial that drew another

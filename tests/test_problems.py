@@ -276,6 +276,23 @@ def test_a_null_optional_field_is_refused_naming_it(key, message):
         problem_from_json(doc)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"witnes": [0.0, 0.0]}, "problem.witnes: unknown field"),
+    ({"cutters": [{"type": "l1_ball", "radius": 1.0, "center": [0.0, 0.0]}]},
+     "problem.cutters[0].center: unknown field"),
+    ({"cutters": [{"type": "resolvent", "g": {"form": "squared_norm", "c": 1.0}, "gamma": 1.0}]},
+     "problem.cutters[0].g.c: unknown field"),
+    ({"cost": {"form": "abs_sum", "weights": [1.0, 1.0]}}, "problem.cost.weights: unknown field"),
+    # the first such key in document order
+    ({"sigma": 1.0, "b": 0, "a": 0}, "problem.b: unknown field"),
+])
+def test_an_unknown_key_is_refused_naming_it(overrides, message):
+    doc = {"dimension": 2, "cutters": [{"type": "l1_ball", "radius": 1.0}],
+           "x0": [0.0, 0.0], "sigma": 1.0, **overrides}
+    with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+        problem_from_json(doc)
+
+
 @pytest.mark.parametrize("Q", [[[1.0], [1.0, 2.0]], [[1.0, 0.0], 1.0], [1.0, 2.0], ["ab"]])
 def test_ragged_matrix_names_its_field(Q):
     # numpy would refuse the ragged rows with its own ValueError, unnamed
@@ -421,6 +438,17 @@ def test_generators_accept_their_largest_scale(m, n):
         gen_linear_feasibility(0, m, n, 1e16)
     with pytest.raises(InvalidProblem, match=r"^epsilon must be in \(0, 1e5\], got 1000000.0$"):
         gen_l1_constrained(0, m, n, 1e6)
+
+
+@pytest.mark.parametrize("generator, spelled", [
+    (gen_linear_feasibility, (10, 10, 5.0)),
+    (gen_disc_intersection, (10,)),
+    (gen_l1_constrained, (5, 8, 2.0)),
+])
+def test_a_generator_takes_its_defaults_from_its_signature(generator, spelled):
+    for seed in range(3):
+        text = _json_text(problem_to_json(generator(seed)))
+        assert text == _json_text(problem_to_json(generator(seed, *spelled)))
 
 
 def test_generator_parameter_validation():

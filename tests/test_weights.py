@@ -102,6 +102,14 @@ def test_almost_cyclic_covers_each_window():
         assert np.array_equal(sched.weights_at(k), again.weights_at(k))
 
 
+def test_almost_cyclic_period_bound_defaults_to_m():
+    sched = SequentialAlmostCyclic(5, order_seed=2)
+    assert sched.period_bound == 5
+    spelled = SequentialAlmostCyclic(5, 5, order_seed=2)
+    for k in range(20):
+        assert np.array_equal(sched.weights_at(k), spelled.weights_at(k))
+
+
 def test_block_generalized_support():
     selection = [(0, 2), (1,), (0, 1, 3)]
     sched = BlockGeneralized(4, selection)
