@@ -53,16 +53,28 @@ def _array(value, path):
     return value
 
 
+def _nonempty(value, path):
+    if not _array(value, path):
+        raise ParseError(f"{path}: expected a nonempty array")
+    return value
+
+
 def _indices(m, raw, path):
-    idx = [_int(i, f"{path}[{j}]") - 1 for j, i in enumerate(_array(raw, path))]
+    idx = [_int(i, f"{path}[{j}]") - 1 for j, i in enumerate(_nonempty(raw, path))]
     if any(not 0 <= i < m for i in idx):
         raise ParseError(f"{path}: index outside 1..{m}")
     return idx
 
 
 def _blocks(m, raw, path):
-    """An array of index lists, each as ``_indices`` reads it."""
-    return [_indices(m, block, f"{path}[{i}]") for i, block in enumerate(_array(raw, path))]
+    """A nonempty array of index lists, each as ``_indices`` reads it and
+    none holding an index twice."""
+    blocks = [_indices(m, block, f"{path}[{i}]") for i, block in enumerate(_nonempty(raw, path))]
+    for i, block in enumerate(blocks):
+        if len(set(block)) < len(block):
+            j = next(j for j, index in enumerate(block) if index in block[:j])
+            raise ParseError(f"{path}[{i}][{j}]: repeated index {block[j] + 1}")
+    return blocks
 
 
 def _intra(raw, path):

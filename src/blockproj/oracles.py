@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INFINITE_SIGMA, InvalidCutter, InvalidSchedule, RunStatus, SolverConfig, _norm
+from .core import (INFINITE_SIGMA, InvalidCutter, InvalidProblem, InvalidSchedule, RunStatus,
+                   SolverConfig, _integer, _norm)
 from .cutters import (
     AbsSum,
     AffineFunction,
@@ -60,12 +61,12 @@ from .solver import (
 )
 from .weights import (
     BlockClassicalCyclic,
-    BlockGeneralized,
     SequentialAlmostCyclic,
     SequentialCyclic,
     SequentialRepetitive,
     SimultaneousDrifting,
     SimultaneousUniform,
+    WeightSchedule,
 )
 
 INEQUALITY_TOL = 1e-10  # absolute slack for desk-scale inequality checks
@@ -361,17 +362,21 @@ def qhat_instance(instance_seed):
     return Problem(2, cutters, x0, sigma, witness=center)
 
 
-def summable_last_index_schedule(m):
-    """All indices every iteration, but the last one with weight 2^-(k+1)
-    (a summable series); the rest share the remainder uniformly."""
+class _SummableLastIndex(WeightSchedule):
+    def __init__(self, m):
+        super().__init__(_integer(m, "m", InvalidSchedule, 2))
 
-    def weights_fn(k, block):
-        tail = 2.0 ** (-(k + 1))
-        w = np.full(len(block), (1.0 - tail) / (len(block) - 1))
+    def _weights(self, k):
+        tail = 2.0 ** -(k + 1)
+        w = np.full(self.m, (1.0 - tail) / (self.m - 1))
         w[-1] = tail
         return w
 
-    return BlockGeneralized(m, [range(m)], weights_fn)
+
+def summable_last_index_schedule(m):
+    """All indices every iteration, but the last one with weight 2^-(k+1)
+    (a summable series); the other m - 1 >= 1 share the rest uniformly."""
+    return _SummableLastIndex(m)
 
 
 def qhat_trial(instance_seed):
@@ -482,18 +487,25 @@ def run_budget_suite(trials, seed):
     return _stream_suite("budget", (budget_trial,), trials, seed)
 
 
+def _instance_seeds(trials, seed):
+    """Trial t's instance, seed + t modulo 2^64 as a stream seed is taken:
+    near 2^64 they wrap to 0 rather than leave a SolverConfig's seeds."""
+    seed = _integer(seed, "seed", InvalidProblem, 0)
+    return ((seed + t) % 2**64 for t in range(trials))
+
+
 def run_convergence_suite(trials, seed):
     """One linear-feasibility instance per trial; rotates one extra control
     regime through the trials on top of the four reference configurations."""
     coverage = {}
 
     def outcomes():
-        for t in range(trials):
+        for t, instance in enumerate(_instance_seeds(trials, seed)):
             extra, build = list(_EXTRA_REGIMES.items())[t % len(_EXTRA_REGIMES)]
             _count(coverage, "regime:sequential_cyclic")
             _count(coverage, "regime:simultaneous_uniform")
             _count(coverage, f"regime:{build(2, 0).regime}")
-            yield from convergence_trial(seed + t, extra_regime=extra)
+            yield from convergence_trial(instance, extra_regime=extra)
 
     return _summarize("convergence", outcomes(), coverage)
 
@@ -502,10 +514,10 @@ def run_qhat_suite(trials, seed):
     coverage = {}
 
     def outcomes():
-        for t in range(trials):
+        for instance in _instance_seeds(trials, seed):
             _count(coverage, "regime:block_generalized")
             _count(coverage, "regime:simultaneous_uniform")
-            yield from qhat_trial(seed + t)
+            yield from qhat_trial(instance)
 
     return _summarize("qhat", outcomes(), coverage)
 

@@ -144,7 +144,6 @@ class PerturbationPolicy:
     per-operator perturbations.
     """
 
-    kind = "abstract"
     rho = 0.0
 
     def combined(self, x, weights, budgets, iteration_rng):
@@ -162,16 +161,12 @@ class PerturbationPolicy:
 class ZeroPolicy(PerturbationPolicy):
     """No perturbations: the unperturbed iteration."""
 
-    kind = "zero"
-
     def combined(self, x, weights, budgets, iteration_rng):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
 class RandomDirectionPolicy(PerturbationPolicy):
     """Uniformly random direction scaled to rho * budget."""
-
-    kind = "random"
 
     def __init__(self, rho=0.99):
         self.rho = _converted(rho, "rho", InvalidConfig, _RHO)
@@ -203,8 +198,6 @@ class RandomDirectionPolicy(PerturbationPolicy):
 
 class SuperiorizedPolicy(PerturbationPolicy):
     """Spend the budget moving against the gradient of a cost function."""
-
-    kind = "superiorized"
 
     def __init__(self, cost, rho=0.99):
         if not hasattr(cost, "grad"):

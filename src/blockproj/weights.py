@@ -131,19 +131,6 @@ class WeightSchedule:
             raise InvalidSchedule(f"invalid weight vector at k={k}: {w}")
         return w
 
-    def divergence_profile(self, horizon):
-        """Partial sums sum_{k<horizon} w_k(i) per index.
-
-        Indices whose partial sums keep growing with the horizon are the
-        empirically-divergent ones; the limit point is only guaranteed to be
-        feasible for those.
-        """
-        horizon = _integer(horizon, "horizon", InvalidSchedule, 1)
-        total = np.zeros(self.m)
-        for k in range(horizon):
-            total += self.weights_at(k)
-        return total
-
     def _weights(self, k):
         raise InvalidSchedule(f"{type(self).__name__} defines neither a table nor _weights")
 
@@ -277,23 +264,19 @@ class BlockClassicalCyclic(WeightSchedule):
 
 
 class BlockGeneralized(WeightSchedule):
-    """Arbitrary block selection: w_k vanishes outside selection(k).
+    """Arbitrary block selection: w_k is uniform on selection(k), 0 elsewhere.
 
     ``selection`` is a callable k -> block or a table of blocks, cycled and
-    checked at construction; ``weights_fn`` maps (k, block) to the weights
-    inside the block (uniform when None: a table of blocks is then fixed).
+    checked at construction; a table of blocks is a fixed table.
     """
 
     regime = "block_generalized"
 
-    def __init__(self, m, selection, weights_fn=None):
+    def __init__(self, m, selection):
         super().__init__(m)
-        if weights_fn is not None and not callable(weights_fn):
-            raise InvalidSchedule(f"weights_fn must be None or a callable, got {weights_fn!r}")
-        self.weights_fn = weights_fn
         self.selection, table = _rule(selection, "selection", InvalidSchedule, self._subset,
                                       "a callable or a table of index lists")
-        if table is not None and weights_fn is None:
+        if table is not None:
             table = [sorted(b) for b in table]
             self._table = _Table(self.m, [i for b in table for i in b],
                                  [1.0 / len(b) for b in table for _ in b], [len(b) for b in table])
@@ -311,11 +294,6 @@ class BlockGeneralized(WeightSchedule):
 
     def _weights(self, k):
         block = self.selection(k)
-        inside = 1.0 / len(block)
-        if self.weights_fn is not None:
-            inside = np.asarray(self.weights_fn(k, block), dtype=float)
-            if inside.shape != (len(block),):
-                raise InvalidSchedule("intra-block weights rule returned a wrong-shaped vector")
         w = np.zeros(self.m)
-        w[list(block)] = inside
+        w[list(block)] = 1.0 / len(block)
         return w

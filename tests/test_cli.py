@@ -452,8 +452,10 @@ def test_solve_largest_seed_runs(tmp_path):
     assert main(args) == 0
 
 
-def test_verify_largest_seed_runs(capsys):
-    assert main(["verify", "cutter", "--trials", "5", "--seed", str(2 ** 64 - 1)]) == 0
+@pytest.mark.parametrize("suite, trials", [("cutter", "5"), ("qhat", "2"), ("convergence", "2")])
+def test_verify_largest_seed_runs(capsys, suite, trials):
+    # the instance suites solve instance (s + t) mod 2^64: here s, then 0
+    assert main(["verify", suite, "--trials", trials, "--seed", str(2 ** 64 - 1)]) == 0
     assert "failures=0" in capsys.readouterr().out
 
 
@@ -551,6 +553,24 @@ def test_main_reuses_its_parser_and_runs_the_command_bound_when_called(tmp_path)
     ({"stopping": [{"rule": "residual_below", "tol": 1e-6, "eps": 1, "limit": 2}]},
      "config.stopping[0].eps: unknown field"),
     ({"lambda": {"list": [1.0], "cycle": True}}, "config.lambda.cycle: unknown field"),
+    # an index list is nonempty, and a block holds each index once: the
+    # schedule's own messages would name 0-based indices and its arguments
+    ({"schedule": {"regime": "block_generalized", "blocks": [[1, 1]]}},
+     "config.schedule.blocks[0][1]: repeated index 1"),
+    ({"schedule": {"regime": "block_generalized", "blocks": [[2], [3, 1, 3]]}},
+     "config.schedule.blocks[1][2]: repeated index 3"),
+    ({"schedule": {"regime": "block_classical", "partition": [[1, 1], [2, 3]]}},
+     "config.schedule.partition[0][1]: repeated index 1"),
+    ({"schedule": {"regime": "block_generalized", "blocks": [[]]}},
+     "config.schedule.blocks[0]: expected a nonempty array"),
+    ({"schedule": {"regime": "block_generalized", "blocks": []}},
+     "config.schedule.blocks: expected a nonempty array"),
+    ({"schedule": {"regime": "block_classical", "partition": [[1, 2], []]}},
+     "config.schedule.partition[1]: expected a nonempty array"),
+    ({"schedule": {"regime": "sequential_repetitive", "control": []}},
+     "config.schedule.control: expected a nonempty array"),
+    ({"schedule": {"regime": "simultaneous_drifting", "selector": []}},
+     "config.schedule.selector: expected a nonempty array"),
 ])
 def test_config_error_message(tmp_path, capsys, overrides, message):
     problem_path = tmp_path / "p.json"

@@ -149,7 +149,6 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: validate_config(SolverConfig(max_iterations=2.5)), InvalidConfig, "max_iterations"),
     (lambda: validate_config(SolverConfig(max_iterations=1e5)), InvalidConfig, "max_iterations"),
     (lambda: SequentialCyclic(2).weights_at("a"), InvalidSchedule, "k"),
-    (lambda: SequentialCyclic(2).divergence_profile("x"), InvalidSchedule, "horizon"),
     (lambda: BlockClassicalCyclic(1, [[0]], [["a"]]), InvalidSchedule, "intra"),
     (lambda: BlockClassicalCyclic(1, [[0]], intra="foo"), InvalidSchedule, "intra"),
     (lambda: gen_linear_feasibility(1, "a", 3, 2.0), InvalidProblem, "m"),
@@ -182,7 +181,6 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: SequentialRepetitive(2, [0, 1.0]), InvalidSchedule, "control"),
     (lambda: SequentialCyclic(2).weights_at(1.9), InvalidSchedule, "k"),
     (lambda: SequentialCyclic(2).weights_at(np.float64(1.0)), InvalidSchedule, "k"),
-    (lambda: SequentialCyclic(2).divergence_profile(3.0), InvalidSchedule, "horizon"),
     (lambda: Problem(2.7, [Halfspace([1.0, 0.0], 0.0)], [0.0, 0.0], 1.0), InvalidProblem,
      "dimension"),
     # a range check written as x < 0 or x <= 0 lets NaN through
@@ -257,12 +255,10 @@ def test_exception_classes_are_the_documented_ten():
     pytest.param(lambda: Problem(1, 5, [0.0], 1.0), InvalidProblem, "cutters", id="cutters int"),
     pytest.param(lambda: Problem(1, "ab", [0.0], 1.0), InvalidProblem, "cutters",
                  id="cutters text"),
-    # a cutter without dim raised AttributeError, a weights_fn was first
-    # called by weights_at, and stopping rules were unpacked with *
+    # a cutter without dim raised AttributeError, and stopping rules were
+    # unpacked with *
     pytest.param(lambda: Problem(1, [5], [0.0], 1.0), InvalidProblem, "cutter 0",
                  id="cutter int"),
-    pytest.param(lambda: BlockGeneralized(3, [[0, 1]], weights_fn=5), InvalidSchedule,
-                 "weights_fn", id="weights_fn int"),
     pytest.param(lambda: run(Problem(1, [Halfspace([1.0], 0.0)], [1.0], 1.0), stopping=5),
                  InvalidConfig, "stopping", id="stopping int"),
 ])
@@ -314,6 +310,11 @@ def test_an_integer_beyond_the_float_range_is_named_without_its_digits(call, err
     (lambda: theta_budget(0.5, 1.0, 1.0, -1), InvalidConfig,
      r"anchor distance must be >= 0, got -1\.0"),
     (lambda: BallQuadratic([0.0], -1), InvalidCutter, r"radius must be >= 0, got -1\.0"),
+    # one index takes the summable weight and at least one other the rest
+    (lambda: oracles.summable_last_index_schedule(1), InvalidSchedule, "m must be >= 2, got 1"),
+    # a suite takes its instance seeds modulo 2^64, but not a negative seed
+    (lambda: oracles.run_qhat_suite(1, -1), InvalidProblem, "seed must be >= 0, got -1"),
+    (lambda: oracles.run_convergence_suite(1, -1), InvalidProblem, "seed must be >= 0, got -1"),
 ])
 def test_a_number_argument_message_names_its_one_requirement(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

@@ -80,6 +80,15 @@ def test_suites_reuse_one_stream_without_leaking_state():
         seed, extra_regime="almost_cyclic")
 
 
+def test_instance_suites_wrap_their_instance_seeds_modulo_2_to_the_64():
+    # as a stream seed is taken: instance 2^64 would be refused by SolverConfig
+    top = 2 ** 64 - 1
+    assert _suite_outcomes(run_qhat_suite, 2, top) == qhat_trial(top) + qhat_trial(0)
+    assert _suite_outcomes(run_convergence_suite, 2, top) == (
+        convergence_trial(top, extra_regime="almost_cyclic")
+        + convergence_trial(0, extra_regime="repetitive"))
+
+
 def test_suite_coverage_counts_the_kinds_drawn():
     rep = run_cutter_suite(30, 4)
     kinds = [cutter_trial([4, t]).kind for t in range(30)]
@@ -152,7 +161,7 @@ def test_qhat_trial_semantics():
 
 def test_qhat_summable_profile_bounded():
     schedule = summable_last_index_schedule(3)
-    profile = schedule.divergence_profile(60)
+    profile = sum(schedule.weights_at(k) for k in range(60))
     assert profile[-1] <= 1.0  # geometric series sum
     assert profile[0] > 10.0  # the others keep diverging
 

@@ -309,8 +309,6 @@ def test_nonfinite_iterate_aborts():
 
 
 class _InfinitePolicy(PerturbationPolicy):
-    kind = "infinite"
-
     def combined(self, x, weights, budgets, iteration_rng):
         return np.full(len(x), np.inf)
 
@@ -627,6 +625,19 @@ def _record_bytes(rec):
                                                 rec.lam, rec.distance_from_start)))
 
 
+class _ComputedBlocks(WeightSchedule):
+    """intra[k % len(blocks)] on blocks[k % len(blocks)], computed on every call."""
+
+    def __init__(self, m, blocks, intra):
+        super().__init__(m)
+        self.blocks, self.intra = blocks, intra
+
+    def _weights(self, k):
+        w = np.zeros(self.m)
+        w[self.blocks[k % len(self.blocks)]] = self.intra[k % len(self.blocks)]
+        return w
+
+
 @pytest.mark.parametrize("policy_name", ["random", "superiorized"])
 def test_block_tables_give_the_trace_of_the_same_computed_weights(policy_name):
     # a table holds each of its rows as its support, sorted and without its
@@ -641,7 +652,7 @@ def test_block_tables_give_the_trace_of_the_same_computed_weights(policy_name):
     intra[1][2] = 0.0
     intra = [(ws / ws.sum()).tolist() for ws in intra]
     pairs = [(BlockClassicalCyclic(m, blocks, intra),
-              BlockGeneralized(m, blocks, lambda k, block: intra[k % 3])),
+              _ComputedBlocks(m, blocks, intra)),
              (BlockGeneralized(m, blocks), BlockGeneralized(m, lambda k: blocks[k % 3]))]
     assert [pairs[0][0]._table.support(k)[0].size for k in range(3)] == [6, 5, m - 12]
     assert [pairs[1][0]._table.support(k)[0].size for k in range(3)] == [6, 6, m - 12]

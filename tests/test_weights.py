@@ -48,14 +48,19 @@ def test_block_classical_explicit_weights():
     assert np.allclose(sched.weights_at(0), [0.25, 0.75, 0.0])
 
 
+def _profile(sched, horizon):
+    """The partial sums sum_{k<horizon} w_k(i) per index."""
+    return sum(sched.weights_at(k) for k in range(horizon))
+
+
 def test_divergence_profile_examples():
-    assert np.allclose(SimultaneousUniform(2).divergence_profile(100), [50.0, 50.0])
-    assert np.allclose(SequentialCyclic(2).divergence_profile(100), [50.0, 50.0])
+    assert np.allclose(_profile(SimultaneousUniform(2), 100), [50.0, 50.0])
+    assert np.allclose(_profile(SequentialCyclic(2), 100), [50.0, 50.0])
 
 
 def test_drifting_profile_matches_harmonic_sum():
     sched = SimultaneousDrifting(2, selector=lambda k: 0)
-    profile = sched.divergence_profile(1000)
+    profile = _profile(sched, 1000)
     reference = math.fsum(1.0 / (2 * k + 2) for k in range(1000))
     assert profile[1] == pytest.approx(reference, rel=1e-12)
 
@@ -120,13 +125,21 @@ def test_block_generalized_support():
         assert np.allclose(w[list(block)], 1.0 / len(block))
 
 
-def test_block_generalized_custom_weights():
-    def weights_fn(k, block):
-        out = np.zeros(len(block))
-        out[0] = 1.0
-        return out
+class _Computed(WeightSchedule):
+    """w_k = rule(k), computed and checked on every call; ``calls`` lists the k."""
 
-    sched = BlockGeneralized(3, lambda k: (1, 2), weights_fn)
+    def __init__(self, m, rule):
+        super().__init__(m)
+        self.rule, self.calls = rule, []
+
+    def _weights(self, k):
+        self.calls.append(k)
+        return self.rule(k)
+
+
+def test_block_generalized_custom_weights():
+    # weights other than uniform inside a block are a schedule's own _weights
+    sched = _Computed(3, lambda k: _block_row(3, (1, 2), [1.0, 0.0]))
     assert np.array_equal(sched.weights_at(5), [0.0, 1.0, 0.0])
 
 
@@ -149,7 +162,7 @@ def test_invalid_schedules():
         BlockGeneralized(3, lambda k: ()).weights_at(0)  # empty selection
     with pytest.raises(InvalidSchedule):
         SequentialRepetitive(3, [7]).weights_at(0)  # index out of range
-    bad_rule = BlockGeneralized(3, lambda k: (0, 1), lambda k, block: np.array([0.9, 0.9]))
+    bad_rule = _Computed(3, lambda k: np.array([0.9, 0.9, 0.0]))
     with pytest.raises(InvalidSchedule):
         bad_rule.weights_at(0)  # weights do not sum to 1
     # NaN weights, which a check of the form v < 0 lets through
@@ -157,7 +170,7 @@ def test_invalid_schedules():
     for intra in ([[nan, 1.0], [1.0]], [[0.5, 0.5], [nan]]):
         with pytest.raises(InvalidSchedule):
             BlockClassicalCyclic(3, [[0, 1], [2]], intra=intra)
-    nan_rule = BlockGeneralized(3, lambda k: (0, 1), lambda k, block: np.array([nan, 1.0]))
+    nan_rule = _Computed(3, lambda k: np.array([nan, 1.0, 0.0]))
     with pytest.raises(InvalidSchedule):
         nan_rule.weights_at(0)
 
@@ -274,18 +287,12 @@ def test_bad_table_refused_at_construction():
 
 
 def test_computed_weights_are_checked_on_every_call():
-    calls = []
-
-    def weights_fn(k, block):
-        calls.append(k)
-        return np.array([0.5, 0.5]) if k != 3 else np.array([0.9, 0.9])
-
-    rule = BlockGeneralized(3, lambda k: (0, 2), weights_fn)
+    rule = _Computed(3, lambda k: np.array([0.5, 0.0, 0.5] if k != 3 else [0.9, 0.0, 0.9]))
     for k in (0, 1, 2, 0):
         assert np.array_equal(rule.weights_at(k), [0.5, 0.0, 0.5])
     with pytest.raises(InvalidSchedule, match="k=3"):
         rule.weights_at(3)
-    assert calls == [0, 1, 2, 0, 3]
+    assert rule.calls == [0, 1, 2, 0, 3]
 
     control = SequentialRepetitive(3, lambda k: 1 if k < 5 else 3)
     assert np.array_equal(control.weights_at(4), [0.0, 1.0, 0.0])
@@ -300,9 +307,9 @@ def test_computed_weights_are_checked_on_every_call():
     repeats.weights_at(0)
     with pytest.raises(InvalidSchedule, match=r"^selection at k=1 is not a valid index subset"):
         repeats.weights_at(1)
-    short = BlockGeneralized(3, lambda k: (0, 2), lambda k, block: [1.0] if k == 2 else [0.5, 0.5])
+    short = _Computed(3, lambda k: [1.0] if k == 2 else [0.5, 0.0, 0.5])
     short.weights_at(1)
-    with pytest.raises(InvalidSchedule, match="^intra-block weights rule returned a wrong-shaped"):
+    with pytest.raises(InvalidSchedule, match=r"^schedule produced shape \(1,\), expected \(3,\)$"):
         short.weights_at(2)
 
 
@@ -346,6 +353,13 @@ def test_subclass_weights_are_checked():
 
     with pytest.raises(InvalidSchedule, match=r"^schedule produced shape \(4,\), expected \(3,\)$"):
         WrongShape(3).weights_at(0)
+    # a vector of the right shape that is not in the simplex names its k
+    nan = float("nan")
+    for bad in ([nan, 0.5, 0.5], [0.5, 0.5, 0.5], [0.5, 0.4, 0.0], [1.5, -0.5, 0.0]):
+        sched = _Computed(3, lambda k: np.array(bad) if k == 4 else np.full(3, 1.0 / 3))
+        sched.weights_at(3)
+        with pytest.raises(InvalidSchedule, match=r"^invalid weight vector at k=4: \["):
+            sched.weights_at(4)
     with pytest.raises(InvalidSchedule, match="^WeightSchedule defines neither a table nor _weights$"):
         WeightSchedule(3).weights_at(0)
 
