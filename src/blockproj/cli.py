@@ -10,7 +10,7 @@ import dataclasses
 import functools
 import sys
 
-from .core import (DimensionMismatch, InvalidConfig, LambdaSchedule, ParseError, RunStatus,
+from .core import (InvalidConfig, LambdaSchedule, ParseError, RunStatus,
                    SolverConfig, _check_seed, _integer)
 from .oracles import SUITES
 from .perturbation import RandomDirectionPolicy, SuperiorizedPolicy, ZeroPolicy
@@ -22,9 +22,7 @@ from .problems import (
     _int,
     _known,
     _read_json,
-    _sigma,
     _write_json,
-    function_from_json,
     gen_disc_intersection,
     gen_l1_constrained,
     gen_linear_feasibility,
@@ -33,6 +31,7 @@ from .problems import (
 )
 from .solver import MaxDistance, MaxFunctionValue, ResidualBelow, run
 from .weights import (
+    _SUM_TOL,
     BlockClassicalCyclic,
     BlockGeneralized,
     SequentialAlmostCyclic,
@@ -79,12 +78,36 @@ def _blocks(m, raw, path):
 
 def _intra(raw, path):
     """Intra-block weights: "uniform", or one array of numbers per block."""
-    return raw if raw == "uniform" else [_floats(ws, path) for ws in _array(raw, path)]
+    return raw if raw == "uniform" else [_floats(ws, f"{path}[{i}]")
+                                         for i, ws in enumerate(_array(raw, path))]
 
 
 def schedule_from_json(obj, m, path="config.schedule"):
     # a table of problems._decode (see _RULES), built per call: its index decoders take m
     indices, blocks = functools.partial(_indices, m), functools.partial(_blocks, m)
+
+    # the schedule's own checks of a partition and its weights, in file terms
+    def block_classical(m, partition, intra="uniform"):
+        owner = {}
+        for i, block in enumerate(partition):
+            for j, index in enumerate(block):
+                if owner.setdefault(index, i) != i:
+                    raise ParseError(f"{path}.partition[{i}][{j}]: index {index + 1}"
+                                     f" is also in block {owner[index] + 1}")
+        if len(owner) < m:
+            missing = min(set(range(m)) - owner.keys())
+            raise ParseError(f"{path}.partition: index {missing + 1} is in no block")
+        if intra != "uniform":
+            if len(intra) != len(partition):
+                raise ParseError(f"{path}.intra: expected {len(partition)} arrays, one per block")
+            for i, (block, ws) in enumerate(zip(partition, intra)):
+                if len(ws) != len(block):
+                    raise ParseError(f"{path}.intra[{i}]: expected {len(block)} weights,"
+                                     f" one per index of block {i + 1}")
+                if not (min(ws) >= 0 and max(ws) <= 1 and abs(sum(ws) - 1.0) <= _SUM_TOL):
+                    raise ParseError(f"{path}.intra[{i}]: weights must lie in [0, 1] and sum to 1")
+        return BlockClassicalCyclic(m, partition, intra)
+
     regimes = {
         "sequential_cyclic": (SequentialCyclic, []),
         "sequential_almost_cyclic": (SequentialAlmostCyclic, [],
@@ -92,7 +115,7 @@ def schedule_from_json(obj, m, path="config.schedule"):
         "sequential_repetitive": (SequentialRepetitive, [("control", (None, indices))]),
         "simultaneous_uniform": (SimultaneousUniform, []),
         "simultaneous_drifting": (SimultaneousDrifting, [], {"selector": indices}),
-        "block_classical": (BlockClassicalCyclic, [("partition", (None, blocks))],
+        "block_classical": (block_classical, [("partition", (None, blocks))],
                             {"intra": _intra}),
         "block_generalized": (BlockGeneralized, [("blocks", (None, blocks))]),
     }
@@ -100,19 +123,16 @@ def schedule_from_json(obj, m, path="config.schedule"):
 
 
 def policy_from_json(obj, problem, path="config.policy"):
-    # a superiorized policy takes the problem's cost unless the config names one
-    def superiorized(cost=problem.cost, **rho):
-        if cost is None:
-            raise ParseError(f"{path}.cost: required (the problem declares no cost)")
-        if cost.dim not in (None, problem.dimension):
-            raise DimensionMismatch(
-                f"{path}.cost: dimension {cost.dim} does not match {problem.dimension}")
-        return SuperiorizedPolicy(cost, **rho)
+    # a superiorized policy steers against the problem's cost
+    def superiorized(**rho):
+        if problem.cost is None:
+            raise ParseError(f"{path}: a superiorized policy needs a cost; the problem declares none")
+        return SuperiorizedPolicy(problem.cost, **rho)
 
     policies = {
         "zero": (ZeroPolicy, []),
         "random": (RandomDirectionPolicy, [], {"rho": _float}),
-        "superiorized": (superiorized, [], {"cost": function_from_json, "rho": _float}),
+        "superiorized": (superiorized, [], {"rho": _float}),
     }
     return _decode(obj, path, "policy", policies, "unknown policy")
 
@@ -134,8 +154,8 @@ def assemble_config(doc, problem, seed_override=None):
     """Build (SolverConfig, schedule, policy, stopping) from a config
     document.  What it leaves out takes the library's default: a field of
     SolverConfig, or None for a part that ``run`` fills in."""
-    _known(doc, "config", ("tau1", "tau2", "max_iterations", "lambda", "sigma_override", "seed",
-                           "stopping", "schedule", "policy"))
+    _known(doc, "config", ("tau1", "tau2", "max_iterations", "lambda", "seed", "stopping",
+                           "schedule", "policy"))
     fields = _given(doc, "config", tau1=_float, tau2=_float, max_iterations=_int)
     if "lambda" in doc:
         lam = doc["lambda"]
@@ -145,8 +165,6 @@ def assemble_config(doc, problem, seed_override=None):
             fields["lambda_schedule"] = LambdaSchedule(_floats(lam["list"], "config.lambda.list"))
         else:
             fields["lambda_schedule"] = LambdaSchedule(_float(lam, "config.lambda"))
-    if "sigma_override" in doc:
-        fields["sigma"] = _sigma(doc["sigma_override"], "config.sigma_override")
     if seed_override is not None:
         fields["seed"] = _check_seed(seed_override, "--seed")
     elif "seed" in doc:
@@ -215,9 +233,9 @@ def cmd_solve(args):
 def cmd_gen(args):
     # built per call, so a generator replaced on this module after import (as
     # by a tracer) is the one called; each kind takes only its own options
-    kinds = {"linear": (gen_linear_feasibility, ("m", "n", "radius", "margin")),
-             "discs": (gen_disc_intersection, ("m", "n", "overlap", "margin")),
-             "l1": (gen_l1_constrained, ("s", "n", "epsilon", "margin"))}
+    kinds = {"linear": (gen_linear_feasibility, ("m", "n", "radius")),
+             "discs": (gen_disc_intersection, ("m", "n", "overlap")),
+             "l1": (gen_l1_constrained, ("s", "n", "epsilon"))}
     if args.kind not in kinds:
         raise ParseError(f"unknown generator kind {args.kind!r} (use linear, discs or l1)")
     generator, takes = kinds[args.kind]
@@ -266,7 +284,6 @@ _GEN_OPTIONS = (
     ("--eps", "epsilon", float, "l1 radius (l1)"),
     ("--radius", "radius", float, "witness ball radius (linear)"),
     ("--overlap", "overlap", float, "disc center spread (discs)"),
-    ("--margin", "margin", float, "sigma safety margin"),
 )
 
 

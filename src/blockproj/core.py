@@ -213,17 +213,11 @@ class LambdaSchedule:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Input parameters of the iteration.
-
-    ``sigma`` is a positive float, INFINITE_SIGMA (``math.inf``) included,
-    or None, meaning "inherit the problem's sigma".  An infinite sigma
-    collapses every perturbation budget to zero.
-    """
+    """Input parameters of the iteration; sigma is the problem's."""
 
     tau1: float = 0.5
     tau2: float = 0.5
     lambda_schedule: LambdaSchedule = field(default_factory=LambdaSchedule)
-    sigma: Optional[float] = None
     max_iterations: int = 100_000
     residual_tolerance: float = 1e-8
     seed: int = 0
@@ -253,8 +247,6 @@ def validate_config(cfg: SolverConfig) -> None:
     _integer(cfg.max_iterations, "max_iterations", InvalidConfig, 1)
     _converted(cfg.residual_tolerance, "residual_tolerance", InvalidConfig, _NONNEGATIVE)
     _check_seed(cfg.seed)
-    if cfg.sigma is not None:
-        normalize_sigma(cfg.sigma)
     if not isinstance(cfg.lambda_schedule, LambdaSchedule):
         raise InvalidConfig(
             f"lambda_schedule must be a LambdaSchedule, got {cfg.lambda_schedule!r}")

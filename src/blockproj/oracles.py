@@ -358,7 +358,7 @@ def qhat_instance(instance_seed):
     # start below the disc and outside the slab, so the slab genuinely acts
     # while the vanishing disc weights leave the limit well outside the disc
     x0 = np.array([3.0 + rng.uniform(0.0, 1.0), -4.0])
-    sigma = sigma_from_ball(center, 1.5, x0, 1.0)
+    sigma = sigma_from_ball(center, 1.5, x0)
     return Problem(2, cutters, x0, sigma, witness=center)
 
 

@@ -370,7 +370,7 @@ _EPSILON = ("in (0, 1e5]", math.ulp(0.0), 1e5)
 _OVERLAP = ("in (0, 1e150]", math.ulp(0.0), 1e150)
 
 
-def gen_linear_feasibility(seed, m=10, n=10, radius=5.0, margin=1.0):
+def gen_linear_feasibility(seed, m=10, n=10, radius=5.0):
     """Random halfspaces with a strictly interior witness.
 
     Each halfspace {x : <a_i, x> <= b_i} has a unit normal and slack
@@ -394,11 +394,11 @@ def gen_linear_feasibility(seed, m=10, n=10, radius=5.0, margin=1.0):
             break
     # witness-based bound: d(x0, Q) <= ||x0 - q|| since q lies in Q; the unit
     # slack keeps the estimate conservative
-    sigma = sigma_from_ball(q, 1.0, x0, margin)
+    sigma = sigma_from_ball(q, 1.0, x0)
     return Problem(n, cutters, x0, sigma, witness=q)
 
 
-def gen_disc_intersection(seed, m=10, n=2, overlap=0.5, margin=1.0):
+def gen_disc_intersection(seed, m=10, n=2, overlap=0.5):
     """Overlapping discs sharing an interior witness (bounded solution set)."""
     m = _integer(m, "m", InvalidProblem, 2)
     n = _integer(n, "n", InvalidProblem, 1)
@@ -414,11 +414,11 @@ def gen_disc_intersection(seed, m=10, n=2, overlap=0.5, margin=1.0):
     top = max(c.radius for c in cutters)
     x0 = q + (top + rng.uniform(1.0, 3.0)) * _unit(rng, n)
     # the whole solution set sits inside the first disc
-    sigma = sigma_from_ball(cutters[0].center, cutters[0].radius, x0, margin)
+    sigma = sigma_from_ball(cutters[0].center, cutters[0].radius, x0)
     return Problem(n, cutters, x0, sigma, witness=q)
 
 
-def gen_l1_constrained(seed, s=5, n=8, epsilon=2.0, margin=1.0):
+def gen_l1_constrained(seed, s=5, n=8, epsilon=2.0):
     """Consistent linear system plus an l1-ball constraint, with an l1 cost.
 
     The planted solution has l1 norm at most 0.9 epsilon, so it is strictly
@@ -436,5 +436,5 @@ def gen_l1_constrained(seed, s=5, n=8, epsilon=2.0, margin=1.0):
     cutters.append(L1Ball(epsilon))
     x0 = rng.standard_normal(n)
     x0 *= epsilon / _norm(x0)
-    sigma = sigma_from_l1(x0, epsilon, margin)
+    sigma = sigma_from_l1(x0, epsilon)
     return Problem(n, cutters, x0, sigma, witness=xstar, cost=AbsSum())

@@ -366,7 +366,7 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     stopping = _converted(stopping, "stopping", InvalidConfig, None, tuple,
                           "a list of stopping rules")
     _check_rules(problem, stopping)
-    sigma = normalize_sigma(config.sigma if config.sigma is not None else problem.sigma)
+    sigma = normalize_sigma(problem.sigma)
     lo, hi = float(config.tau1), 2.0 - float(config.tau2)
 
     sweep = _Sweep(problem.cutters, problem.dimension)
@@ -439,29 +439,29 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
 # ---------------------------------------------------------------------------
 # sigma estimation
 
-def sigma_from_ball(c0, r, x0, margin):
+# added to each upper bound on d(x0, Q), so sigma exceeds it strictly
+_SIGMA_MARGIN = 1.0
+
+
+def sigma_from_ball(c0, r, x0):
     """Admissible sigma when the solution set sits inside B[c0, r].
 
-    r + ||x0 - c0|| bounds d(x0, Q) from above; the positive margin keeps
-    the required strict inequality.
+    r + ||x0 - c0|| bounds d(x0, Q) from above.
     """
-    margin = _converted(margin, "margin", InvalidProblem, _POSITIVE)
     r = _converted(r, "radius", InvalidProblem, _NONNEGATIVE)
     c0 = as_vector(c0, name="c0")
     x0 = as_vector(x0, c0.size, name="x0")
-    return r + _norm(x0 - c0) + margin
+    return r + _norm(x0 - c0) + _SIGMA_MARGIN
 
 
-def sigma_from_l1(x0, epsilon, margin):
+def sigma_from_l1(x0, epsilon):
     """Admissible sigma for problems constrained to ||x||_1 <= epsilon.
 
     Any solution then has Euclidean norm at most epsilon, so
-    ||x0|| + epsilon bounds d(x0, Q); the positive margin keeps the strict
-    inequality.
+    ||x0|| + epsilon bounds d(x0, Q).
     """
-    margin = _converted(margin, "margin", InvalidProblem, _POSITIVE)
     epsilon = _converted(epsilon, "epsilon", InvalidProblem, _POSITIVE)
-    return _norm(as_vector(x0, name="x0")) + epsilon + margin
+    return _norm(as_vector(x0, name="x0")) + epsilon + _SIGMA_MARGIN
 
 
 # ---------------------------------------------------------------------------

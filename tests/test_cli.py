@@ -4,7 +4,6 @@ from unittest import mock
 import pytest
 
 from blockproj import (
-    AbsSum,
     BlockGeneralized,
     LambdaSchedule,
     RandomDirectionPolicy,
@@ -12,7 +11,6 @@ from blockproj import (
     SequentialRepetitive,
     SimultaneousDrifting,
     SolverConfig,
-    SquaredNorm,
     ZeroPolicy,
     load_problem,
     run,
@@ -208,15 +206,13 @@ def test_invalid_lambda_config_exits_1(tmp_path, capsys):
      "config.stopping[0].eps"),
     ({"tau1": float("nan")}, "config.tau1"),
     ({"schedule": {"regime": "block_classical", "partition": [[1, 2], [3]],
-                   "intra": [[float("nan"), 1.0], [1.0]]}}, "config.schedule.intra"),
+                   "intra": [[float("nan"), 1.0], [1.0]]}}, "config.schedule.intra[0]"),
     # numbers and integers are decoded as in problem files, not coerced
     ({"lambda": {"list": ["1.5", True]}}, "config.lambda.list"),
     ({"schedule": {"regime": "block_classical", "partition": [[1.9, "2"], ["3", 4.7]]}},
      "config.schedule.partition[0][0]"),
     ({"max_iterations": 12.9}, "config.max_iterations"),
     ({"seed": "7"}, "config.seed"),
-    ({"sigma_override": "7"}, "config.sigma_override"),
-    ({"sigma_override": None}, "config.sigma_override"),
     ({"policy": {"policy": "random", "rho": True}}, "config.policy.rho"),
     ({"stopping": [{"rule": "max_iterations", "limit": 3.0}]}, "config.stopping[0].rule"),
     ({"stopping": {"rule": "residual_below", "tol": 1e-6}}, "config.stopping"),
@@ -234,14 +230,16 @@ def test_malformed_config_field_exits_1(tmp_path, capsys, overrides, where):
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
 
 
-def test_numeric_infinite_sigma_override_is_infinity(tmp_path):
+def test_numeric_infinite_problem_sigma_is_infinity(tmp_path):
     problem_path = tmp_path / "p.json"
     main(["gen", "linear", "--m", "6", "--n", "4", "--seed", "3", "--out", str(problem_path)])
+    doc = json.loads(problem_path.read_text())
+    config_path = tmp_path / "c.json"
+    _write_config(config_path, policy={"policy": "random", "rho": 0.99})
     traces = []
-    for name, override in (("string", "infinity"), ("number", float("inf"))):
-        config_path = tmp_path / f"{name}.json"
-        _write_config(config_path, sigma_override=override,
-                      policy={"policy": "random", "rho": 0.99})
+    for name, sigma in (("string", "infinity"), ("number", float("inf"))):
+        doc["sigma"] = sigma
+        problem_path.write_text(json.dumps(doc))
         trace = tmp_path / f"{name}.csv"
         assert main(_solve_args(problem_path, config_path, trace, tmp_path / "s.json")) == 0
         traces.append(trace.read_bytes())
@@ -355,30 +353,16 @@ def test_superiorized_policy_uses_problem_cost(tmp_path):
                             tmp_path / "s2.json")) == 1
 
 
-def test_superiorized_policy_cost_in_the_config_comes_first(tmp_path):
-    problem_path = tmp_path / "p.json"
-    main(["gen", "l1", "--s", "4", "--n", "6", "--eps", "2", "--seed", "8",
-          "--out", str(problem_path)])
-    problem = load_problem(problem_path)
-    doc = {"policy": {"policy": "superiorized", "cost": {"form": "squared_norm"}}}
-    policy = assemble_config(doc, problem)[2]
-    assert isinstance(policy.cost, SquaredNorm) and isinstance(problem.cost, AbsSum)
-    # a problem without a cost takes the config's
-    bare = tmp_path / "bare.json"
-    main(["gen", "linear", "--m", "4", "--n", "3", "--seed", "4", "--out", str(bare)])
-    config_path = tmp_path / "c.json"
-    _write_config(config_path, policy=doc["policy"], schedule={"regime": "simultaneous_uniform"})
-    assert main(_solve_args(bare, config_path, tmp_path / "t.csv", tmp_path / "s.json")) == 0
-
-
-def test_a_null_superiorized_cost_is_refused_also_where_the_problem_has_one(tmp_path, capsys):
+@pytest.mark.parametrize("cost", [None, {"form": "squared_norm"}])
+def test_a_superiorized_cost_is_refused_also_where_the_problem_has_one(tmp_path, capsys, cost):
+    # the policy steers against the problem's cost; a config names none
     problem_path = tmp_path / "p.json"
     main(["gen", "l1", "--out", str(problem_path)])
     config_path = tmp_path / "c.json"
-    _write_config(config_path, policy={"policy": "superiorized", "cost": None})
+    _write_config(config_path, policy={"policy": "superiorized", "cost": cost})
     code = main(_solve_args(problem_path, config_path, tmp_path / "t.csv", tmp_path / "s.json"))
     assert code == 1
-    assert capsys.readouterr().err == "error: config.policy.cost: expected an object\n"
+    assert capsys.readouterr().err == "error: config.policy.cost: unknown field\n"
 
 
 @pytest.mark.parametrize("content, message", [
@@ -465,9 +449,9 @@ def test_verify_unknown_suite_exits_1(capsys):
 
 
 @pytest.mark.parametrize("kind, generator, spelled", [
-    ("linear", "gen_linear_feasibility", ["--margin", "1.0"]),
-    ("discs", "gen_disc_intersection", ["--n", "2", "--overlap", "0.5", "--margin", "1.0"]),
-    ("l1", "gen_l1_constrained", ["--margin", "1.0"]),
+    ("linear", "gen_linear_feasibility", ["--radius", "5.0"]),
+    ("discs", "gen_disc_intersection", ["--n", "2", "--overlap", "0.5"]),
+    ("l1", "gen_l1_constrained", ["--eps", "2.0"]),
 ])
 def test_gen_leaves_an_option_it_is_not_given_to_the_generator(tmp_path, kind, generator, spelled):
     sparse, explicit = tmp_path / "sparse.json", tmp_path / "explicit.json"
@@ -490,13 +474,19 @@ def test_gen_leaves_an_option_it_is_not_given_to_the_generator(tmp_path, kind, g
     ("l1", ["--radius", "2"], "--radius"),
     ("l1", ["--overlap", "0.5"], "--overlap"),
     # the first foreign option in the parser's flag order, not the command line's
-    ("linear", ["--overlap", "7", "--margin", "2", "--s", "3"], "--s"),
+    ("linear", ["--overlap", "7", "--radius", "2", "--s", "3"], "--s"),
 ])
 def test_gen_refuses_an_option_its_kind_does_not_take(tmp_path, capsys, kind, args, flag):
     out = tmp_path / "x.json"
     assert main(["gen", kind, *args, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: gen {kind} takes no {flag}\n"
     assert not out.exists()
+
+
+def test_gen_has_no_margin_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["gen", "linear", "--margin", "1.0", "--out", str(tmp_path / "x.json")])
+    assert exit_.value.code == 2 and "--margin" in capsys.readouterr().err
 
 
 def test_gen_unknown_kind_exits_1(tmp_path, capsys):
@@ -533,12 +523,11 @@ def test_main_reuses_its_parser_and_runs_the_command_bound_when_called(tmp_path)
     ({"schedule": {"regime": "block_classical"}}, "config.schedule.partition: missing required field"),
     ({"schedule": {"regime": "block_generalized"}}, "config.schedule.blocks: missing required field"),
     ({"lambda": {}}, 'config.lambda: expected a number or {"list": [...]}'),
-    ({"policy": {"policy": "superiorized", "cost": {"form": "affine", "a": [1, 2, 3], "b": 0}}},
-     "config.policy.cost: dimension 3 does not match 2"),
+    ({"policy": {"policy": "superiorized"}},
+     "config.policy: a superiorized policy needs a cost; the problem declares none"),
     # a key that is present is decoded: null is refused, not taken as absent
     ({"schedule": {"regime": "simultaneous_drifting", "selector": None}},
      "config.schedule.selector: expected an array"),
-    ({"policy": {"policy": "superiorized", "cost": None}}, "config.policy.cost: expected an object"),
     # a key that no field names is refused, the first in document order
     ({"max_iteraions": 3}, "config.max_iteraions: unknown field"),
     ({"schedule": {"regime": "sequential_cyclic", "selector": [1]},
@@ -548,8 +537,9 @@ def test_main_reuses_its_parser_and_runs_the_command_bound_when_called(tmp_path)
     ({"policy": {"policy": "zero", "rho": "x"}}, "config.policy.rho: unknown field"),
     ({"policy": {"policy": "random", "cost": {"form": "abs_sum"}}},
      "config.policy.cost: unknown field"),
-    ({"policy": {"policy": "superiorized", "cost": {"form": "abs_sum", "a": [1, 2]}}},
-     "config.policy.cost.a: unknown field"),
+    ({"policy": {"policy": "superiorized", "cost": {"form": "abs_sum"}}},
+     "config.policy.cost: unknown field"),
+    ({"sigma_override": 1}, "config.sigma_override: unknown field"),
     ({"stopping": [{"rule": "residual_below", "tol": 1e-6, "eps": 1, "limit": 2}]},
      "config.stopping[0].eps: unknown field"),
     ({"lambda": {"list": [1.0], "cycle": True}}, "config.lambda.cycle: unknown field"),
@@ -579,6 +569,28 @@ def test_config_error_message(tmp_path, capsys, overrides, message):
     _write_config(config_path, **overrides)
     code = main(_solve_args(problem_path, config_path, tmp_path / "t.csv", tmp_path / "s.json"))
     assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+
+
+# a partition or intra weights the schedule would refuse, named in file terms
+@pytest.mark.parametrize("partition, intra, message", [
+    ([[1, 2], [2, 3, 4]], "uniform", "partition[1][0]: index 2 is also in block 1"),
+    ([[1, 2], [3]], "uniform", "partition: index 4 is in no block"),
+    ([[1, 2], [3, 4]], [[1.0], [0.5, 0.5]],
+     "intra[0]: expected 2 weights, one per index of block 1"),
+    ([[1, 2], [3, 4]], [[0.2, 0.5], [0.5, 0.5]],
+     "intra[0]: weights must lie in [0, 1] and sum to 1"),
+    ([[1, 2], [3, 4]], [[0.5, 0.5], [1.5, -0.5]],
+     "intra[1]: weights must lie in [0, 1] and sum to 1"),
+    ([[1, 2], [3, 4]], [[0.5, 0.5]], "intra: expected 2 arrays, one per block"),
+])
+def test_block_classical_config_error_message(tmp_path, capsys, partition, intra, message):
+    problem_path = tmp_path / "p.json"
+    main(["gen", "discs", "--m", "4", "--out", str(problem_path)])
+    config_path = tmp_path / "c.json"
+    _write_config(config_path, schedule={"regime": "block_classical", "partition": partition,
+                                         "intra": intra})
+    code = main(_solve_args(problem_path, config_path, tmp_path / "t.csv", tmp_path / "s.json"))
+    assert code == 1 and capsys.readouterr().err == f"error: config.schedule.{message}\n"
 
 
 def test_problem_cost_of_another_dimension_exits_1(tmp_path, capsys):

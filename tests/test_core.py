@@ -133,17 +133,6 @@ def test_validate_config_does_not_call_a_callable_schedule():
                                  max_iterations=2_000_000))
 
 
-def test_validate_config_sigma():
-    validate_config(SolverConfig(sigma=3.0))
-    validate_config(SolverConfig(sigma=INFINITE_SIGMA))
-    validate_config(SolverConfig(sigma=None))
-    with pytest.raises(NonpositiveSigma):
-        validate_config(SolverConfig(sigma=-2.0))
-    # an int past the float range, not a bare OverflowError
-    with pytest.raises(NonpositiveSigma):
-        validate_config(SolverConfig(sigma=10 ** 400))
-
-
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70, 1.0, "7", True])
 def test_validate_config_refuses_seeds_outside_64_bits(seed):
     # the perturbation streams are keyed on 64 bits: -1 would alias 2^64 - 1

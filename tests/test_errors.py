@@ -184,10 +184,8 @@ def test_exception_classes_are_the_documented_ten():
     (lambda: Problem(2.7, [Halfspace([1.0, 0.0], 0.0)], [0.0, 0.0], 1.0), InvalidProblem,
      "dimension"),
     # a range check written as x < 0 or x <= 0 lets NaN through
-    (lambda: sigma_from_ball([0.0, 0.0], math.nan, [1.0, 1.0], 1.0), InvalidProblem, "radius"),
-    (lambda: sigma_from_ball([0.0, 0.0], 1.0, [1.0, 1.0], math.nan), InvalidProblem, "margin"),
-    (lambda: sigma_from_l1([0.0, 0.0], math.nan, 1.0), InvalidProblem, "epsilon"),
-    (lambda: sigma_from_l1([0.0, 0.0], 1.0, math.nan), InvalidProblem, "margin"),
+    (lambda: sigma_from_ball([0.0, 0.0], math.nan, [1.0, 1.0]), InvalidProblem, "radius"),
+    (lambda: sigma_from_l1([0.0, 0.0], math.nan), InvalidProblem, "epsilon"),
     (lambda: theta_budget(math.nan, 1.0, 1.0, 1.0), InvalidConfig, "theta"),
     (lambda: theta_budget(0.5, 1.0, 1.0, math.nan), InvalidConfig, "anchor distance"),
     # a table that is not iterable, and a boolean inside a table
@@ -232,7 +230,7 @@ def test_exception_classes_are_the_documented_ten():
                  id="RandomDirectionPolicy text"),
     pytest.param(lambda: gen_linear_feasibility(0, 3, 2, "5"), InvalidProblem, "radius",
                  id="gen_linear_feasibility text"),
-    pytest.param(lambda: sigma_from_ball([0.0], "1", [1.0], 1.0), InvalidProblem, "radius",
+    pytest.param(lambda: sigma_from_ball([0.0], "1", [1.0]), InvalidProblem, "radius",
                  id="sigma_from_ball text"),
     # the stream's counter: numpy wrapped -1 to 2^64 - 1, truncated 3.7,
     # took True as 1 and refused 2^64 with its own OverflowError
@@ -295,7 +293,7 @@ def test_an_integer_beyond_the_float_range_is_named_without_its_digits(call, err
      r"MaxFunctionValue eps must be >= 0, got -1\.0"),
     (lambda: _capped_at(True), InvalidConfig, "max_iterations must be an integer, got True"),
     (lambda: _capped_at(-1), InvalidConfig, "max_iterations must be >= 1, got -1"),
-    (lambda: sigma_from_ball([0.0], -1, [1.0], 1.0), InvalidProblem,
+    (lambda: sigma_from_ball([0.0], -1, [1.0]), InvalidProblem,
      r"radius must be >= 0, got -1\.0"),
     (lambda: budget(1.0, -1, 1.0), InvalidConfig, r"residual must be in \[0, inf\), got -1\.0"),
     # the budget formula gives inf, or NaN at an infinite sigma, for an infinite residual
@@ -400,7 +398,7 @@ _PROBLEMS = _mostly(_DIMENSIONS.flatmap(lambda n: st.fixed_dictionaries(
 )))
 _CONFIGS = st.fixed_dictionaries({}, optional={
     "lambda": _NUMBERS | st.fixed_dictionaries({"list": _mostly(_vectors(2))}) | _JSON,
-    "tau1": _NUMBERS, "tau2": _NUMBERS, "sigma_override": _SCALARS,
+    "tau1": _NUMBERS, "tau2": _NUMBERS,
     "max_iterations": _NUMBERS,
     "seed": st.sampled_from([-1, 0, 2 ** 64 - 1, 2 ** 64]) | _SCALARS,
     "stopping": st.lists(st.fixed_dictionaries(
@@ -417,7 +415,7 @@ _CONFIGS = st.fixed_dictionaries({}, optional={
                               "partition", "blocks", "intra")}),
     "policy": st.fixed_dictionaries(
         {"policy": st.sampled_from(["zero", "random", "superiorized"]) | _SCALARS},
-        optional={"rho": _NUMBERS, "cost": _mostly(_operators(2, "form"))}),
+        optional={"rho": _NUMBERS}),
 }) | _JSON
 # each constructor with the kind of value each argument takes: a vector, a
 # number, a matrix or an operator

@@ -394,7 +394,7 @@ def test_gen_disc_intersection_degenerate_overlap():
 
 
 def test_gen_l1_constrained_properties():
-    problem = gen_l1_constrained(3, 5, 8, 2.0, margin=1.0)
+    problem = gen_l1_constrained(3, 5, 8, 2.0)
     assert problem.m == 6
     hyperplanes = [c for c in problem.cutters if isinstance(c, Hyperplane)]
     balls = [c for c in problem.cutters if isinstance(c, L1Ball)]
@@ -402,7 +402,7 @@ def test_gen_l1_constrained_properties():
     assert np.sum(np.abs(problem.witness)) <= 2.0
     for h in hyperplanes:
         assert abs(np.dot(h.a, problem.witness) - h.b) <= 1e-10
-    # sigma recomputed independently: ||x0|| + eps + margin
+    # sigma recomputed independently: ||x0|| + eps + 1
     assert problem.sigma == pytest.approx(
         float(np.linalg.norm(problem.x0)) + 2.0 + 1.0
     )

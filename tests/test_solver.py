@@ -148,8 +148,8 @@ def test_strict_decrease_while_infeasible():
 
 
 def test_infinite_sigma_forces_zero_perturbations():
-    problem = gen_linear_feasibility(6, 5, 3, 2)
-    config = _config(sigma=INFINITE_SIGMA, residual_tolerance=1e-8, seed=1)
+    problem = dataclasses.replace(gen_linear_feasibility(6, 5, 3, 2), sigma=INFINITE_SIGMA)
+    config = _config(residual_tolerance=1e-8, seed=1)
     result = run(problem, config, SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
     assert all(rec.perturbation_norm == 0.0 for rec in result.trace)
     # and bitwise identical to the zero-policy run
@@ -372,17 +372,17 @@ def test_stopping_threshold_must_be_a_nonnegative_number(rule):
 
 def test_sigma_from_ball_examples():
     x0 = [0.0, 0.0]
-    assert sigma_from_ball(x0, 1.0, x0, 0.1) == pytest.approx(1.1)
-    assert sigma_from_ball([3.0, 4.0], 2.0, [0.0, 0.0], 0.5) == pytest.approx(7.5)
+    assert sigma_from_ball(x0, 1.0, x0) == 2.0
+    assert sigma_from_ball([3.0, 4.0], 2.0, [0.0, 0.0]) == 8.0
     with pytest.raises(ValueError):
-        sigma_from_ball(x0, 1.0, x0, 0.0)
+        sigma_from_ball(x0, -1.0, x0)
 
 
 def test_sigma_from_l1_examples():
-    assert sigma_from_l1([0.0, 0.0], 1.0, 0.1) == pytest.approx(1.1)
-    assert sigma_from_l1([3.0, 4.0], 2.0, 1.0) == pytest.approx(8.0)
+    assert sigma_from_l1([0.0, 0.0], 1.0) == 2.0
+    assert sigma_from_l1([3.0, 4.0], 2.0) == 8.0
     with pytest.raises(ValueError):
-        sigma_from_l1([0.0], 1.0, -1.0)
+        sigma_from_l1([0.0], -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +673,10 @@ def test_run_with_a_huge_sigma_computes_its_budgets_without_overflow():
     # (lam r + 2 sigma)^2 overflows at sigma = 1e200; the budgets do not
     from blockproj.perturbation import _budgets
 
-    problem = gen_linear_feasibility(3, 8, 4, 2.0)
+    problem = dataclasses.replace(gen_linear_feasibility(3, 8, 4, 2.0), sigma=1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = run(problem, _config(residual_tolerance=1e-4, sigma=1e200, seed=3),
+        result = run(problem, _config(residual_tolerance=1e-4, seed=3),
                      SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
         first = result.trace[0]
         budgets = _budgets(1.0, first.per_index_residuals, 1e200, first.max_residual)
@@ -905,12 +905,12 @@ def test_a_trace_sweeps_its_residuals_after_the_problem_is_gone():
 def test_a_drift_beyond_twice_sigma_refutes_it():
     problem = gen_linear_feasibility(3, 20, 10, 5.0)
     schedule, policy = SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99)
-    for sigma, refuted in ((1e-300, True), (None, False)):
-        result = run(problem, _config(sigma=sigma), schedule, policy)
+    for sigma, refuted in ((1e-300, True), (problem.sigma, False)):
+        result = run(dataclasses.replace(problem, sigma=sigma), _config(), schedule, policy)
         assert result.status is RunStatus.RESIDUAL_CONVERGED
         drift = max(rec.distance_from_start for rec in result.trace)
         assert 9.0 < drift < 9.2
-        assert result.sigma_refuted is refuted is (drift > 2.0 * (sigma or problem.sigma))
+        assert result.sigma_refuted is refuted is (drift > 2.0 * sigma)
 
 
 # ---------------------------------------------------------------------------
