@@ -164,7 +164,8 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
         raise DimensionMismatch(f"{name} must be a 1-D point of numbers")
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionMismatch(f"{name} must be a 1-D point with at least one entry")
-    if not np.isfinite(arr).all():
+    # the count that ndarray.all would reduce, without its wrapper
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise DimensionMismatch(f"{name} has non-finite entries")
     if dim is not None and arr.size != dim:
         raise DimensionMismatch(f"{name} has dimension {arr.size}, expected {dim}")

@@ -86,14 +86,22 @@ class QuadraticFunction:
         self.d = _number(d, "d")
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] != self.c.size:
             raise InvalidCutter("Q must be square and match the dimension of c")
-        # Q - Q.T overflows for an asymmetric pair near the float range
-        with np.errstate(over="ignore"):
-            if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
-                raise InvalidCutter("Q must be symmetric")
+        # np.allclose(Q, Q.T, rtol=0, atol=1e-12) without its wrappers:
+        # matching infinities, whose difference is NaN, pass through
+        # Q == Q.T, and a difference near the float range overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            close = (np.abs(Q - Q.T) <= 1e-12) | (Q == Q.T)
+        if np.count_nonzero(close) < Q.size:
+            raise InvalidCutter("Q must be symmetric")
         # after the symmetry check, which NaN fails and matching infinities pass
-        if not np.isfinite(Q).all():
+        if np.count_nonzero(np.isfinite(Q)) < Q.size:
             raise InvalidCutter("Q must be finite")
-        if np.linalg.eigvalsh(Q).min() < -1e-10:
+        eigenvalues = np.linalg.eigvalsh(Q)
+        # a finite Q near the float range can have an infinite eigenvalue, and
+        # value overflows there; a NaN one would pass the comparison below
+        if np.count_nonzero(np.isfinite(eigenvalues)) < eigenvalues.size:
+            raise InvalidCutter("the eigenvalues of Q overflow")
+        if eigenvalues.min() < -1e-10:
             raise InvalidCutter("Q must be positive semidefinite")
         Q.flags.writeable = False
         self.Q = Q

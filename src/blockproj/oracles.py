@@ -22,7 +22,7 @@ points for every implemented kind.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .perturbation import (
     perturbation_rng,
     theta_budget,
 )
-from .problems import _generator, _tagged, _unit, gen_linear_feasibility
+from .problems import _generator, _tagged, _uniform, _unit, gen_linear_feasibility
 from .solver import (
     Problem,
     ResidualBelow,
@@ -81,8 +81,7 @@ def _excess(over):
     return over if over > 0.0 else math.inf
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     inputs_digest: str
     lhs: float
     rhs: float
@@ -98,7 +97,7 @@ def _draw_quadratic(rng, ndim):
     m = rng.standard_normal((ndim, ndim))
     q_mat = m.T @ m + 0.2 * np.eye(ndim)
     anchor = rng.uniform(-2, 2, ndim)
-    depth = rng.uniform(0.1, 2.0)
+    depth = _uniform(rng, 0.1, 2.0)
     # f(x) = (x - anchor)^T Q (x - anchor) - depth, in expanded form
     c = -2.0 * (q_mat @ anchor)
     d = float(anchor @ q_mat @ anchor) - depth
@@ -108,20 +107,21 @@ def _draw_quadratic(rng, ndim):
 # one draw per kind label, each (rng, ndim) -> a random operator in R^ndim;
 # the first five are metric projections
 _DRAWS = {
-    "halfspace": lambda rng, n: Halfspace(_unit(rng, n), rng.uniform(-3, 3)),
-    "hyperplane": lambda rng, n: Hyperplane(_unit(rng, n), rng.uniform(-3, 3)),
-    "ball": lambda rng, n: Ball(rng.uniform(-3, 3, n), rng.uniform(0.5, 3.0)),
+    "halfspace": lambda rng, n: Halfspace(_unit(rng, n), _uniform(rng, -3, 3)),
+    "hyperplane": lambda rng, n: Hyperplane(_unit(rng, n), _uniform(rng, -3, 3)),
+    "ball": lambda rng, n: Ball(rng.uniform(-3, 3, n), _uniform(rng, 0.5, 3.0)),
     "box": lambda rng, n: Box(lo := rng.uniform(-3, 0, n), lo + rng.uniform(0.1, 3.0, n)),
-    "l1_ball": lambda rng, n: L1Ball(rng.uniform(0.5, 3.0)),
+    "l1_ball": lambda rng, n: L1Ball(_uniform(rng, 0.5, 3.0)),
     "subgradient_affine": lambda rng, n: SubgradientProjection(
-        AffineFunction(_unit(rng, n), rng.uniform(-3, 3))),
+        AffineFunction(_unit(rng, n), _uniform(rng, -3, 3))),
     "subgradient_ball": lambda rng, n: SubgradientProjection(
-        BallQuadratic(rng.uniform(-3, 3, n), rng.uniform(0.5, 3.0))),
+        BallQuadratic(rng.uniform(-3, 3, n), _uniform(rng, 0.5, 3.0))),
     "subgradient_quadratic": _draw_quadratic,
-    "resolvent_abs_sum": lambda rng, n: Resolvent(AbsSum(), rng.uniform(0.2, 2.0)),
-    "resolvent_squared_norm": lambda rng, n: Resolvent(SquaredNorm(), rng.uniform(0.2, 2.0)),
+    "resolvent_abs_sum": lambda rng, n: Resolvent(AbsSum(), _uniform(rng, 0.2, 2.0)),
+    "resolvent_squared_norm": lambda rng, n: Resolvent(SquaredNorm(), _uniform(rng, 0.2, 2.0)),
     "resolvent_indicator": lambda rng, n: Resolvent(
-        SetIndicator(Ball(rng.uniform(-3, 3, n), rng.uniform(0.5, 3.0))), rng.uniform(0.2, 2.0)),
+        SetIndicator(Ball(rng.uniform(-3, 3, n), _uniform(rng, 0.5, 3.0))),
+        _uniform(rng, 0.2, 2.0)),
 }
 ALL_KINDS = tuple(_DRAWS)
 PROJECTION_KINDS = ALL_KINDS[:5]
@@ -139,20 +139,20 @@ def sample_fixed_point(cutter, rng, ndim=None):
     """A certified point of Fix(T) for any implemented kind."""
     if isinstance(cutter, Halfspace):
         z = cutter.apply(rng.uniform(-4, 4, cutter.dim))
-        return z - rng.uniform(0, 2) * cutter.a / _norm(cutter.a)
+        return z - _uniform(rng, 0, 2) * cutter.a / _norm(cutter.a)
     if isinstance(cutter, Hyperplane):
         return cutter.apply(rng.uniform(-4, 4, cutter.dim))
     if isinstance(cutter, Ball):
-        return cutter.center + rng.uniform(0, cutter.radius) * _unit(rng, cutter.dim)
+        return cutter.center + _uniform(rng, 0, cutter.radius) * _unit(rng, cutter.dim)
     if isinstance(cutter, Box):
         return rng.uniform(cutter.lo, cutter.hi)
     if isinstance(cutter, L1Ball):
         z = rng.standard_normal(ndim)
-        return z * (cutter.radius * rng.uniform() / float(np.sum(np.abs(z))))
+        return z * (cutter.radius * rng.random() / float(np.sum(np.abs(z))))
     if isinstance(cutter, SubgradientProjection):
         f = cutter.f
         if isinstance(f, BallQuadratic):
-            return f.center + rng.uniform(0, f.radius) * _unit(rng, f.dim)
+            return f.center + _uniform(rng, 0, f.radius) * _unit(rng, f.dim)
         if isinstance(f, AffineFunction):
             return sample_fixed_point(Halfspace(f.a, f.b), rng, ndim)
         if isinstance(f, QuadraticFunction):
@@ -168,7 +168,7 @@ def sample_fixed_point(cutter, rng, ndim=None):
             direction = _unit(rng, f.dim)
             curvature = float(direction @ f.Q @ direction)
             reach = np.sqrt(depth / curvature) if curvature > 0 else 2.0
-            return anchor + rng.uniform(0.0, reach) * direction
+            return anchor + _uniform(rng, 0.0, reach) * direction
     if isinstance(cutter, Resolvent):
         if isinstance(cutter.g, (AbsSum, SquaredNorm)):
             return np.zeros(ndim)
@@ -178,12 +178,15 @@ def sample_fixed_point(cutter, rng, ndim=None):
 
 
 def _sample_exterior_point(cutter, rng, ndim):
+    """x outside Fix and T(x), which the strict trial steps with, so the
+    cutter is applied once: ``_norm(T(x) - x)`` is its residual at x."""
     for _ in range(1000):
         x = rng.uniform(-6, 6, ndim)
+        tx = cutter.apply(x)
         # the floor keeps the strict trial's guaranteed decrease above float
         # resolution; a NaN residual is exterior, and the trial fails on it
-        if not cutter.residual(x) <= 1e-3:
-            return x
+        if not _norm(tx - x) <= 1e-3:
+            return x, tx
     raise InvalidCutter(f"could not draw a point outside Fix for {cutter!r}")
 
 
@@ -196,15 +199,15 @@ def _fejer_trial(rng_state, rng, strict):
     Fix, lam in [0.05, 1.95] and a perturbation of 0.99 of the budget."""
     rng = perturbation_rng(*rng_state) if rng is None else rng
     ndim = int(rng.integers(1, 7))
-    label = PROJECTION_KINDS[int(rng.integers(len(PROJECTION_KINDS)))]
+    label = PROJECTION_KINDS[int(rng.integers(0, len(PROJECTION_KINDS)))]
     cutter = draw_cutter(rng, label, ndim)
     if strict:
-        x = _sample_exterior_point(cutter, rng, ndim)
+        x, tx = _sample_exterior_point(cutter, rng, ndim)
     else:
         x = rng.uniform(-6, 6, ndim)
+        tx = cutter.apply(x)
     q = sample_fixed_point(cutter, rng, ndim)
-    lam = rng.uniform(0.05, 1.95) if strict else rng.uniform(0.0, 2.0)
-    tx = cutter.apply(x)
+    lam = _uniform(rng, 0.05, 1.95) if strict else _uniform(rng, 0.0, 2.0)
     residual = _norm(tx - x)
     anchor = _norm(x - q)
     radius = 0.0
@@ -235,7 +238,7 @@ def cutter_trial(rng_state, rng=None):
     projection kinds, for one random operator/point/fixed-point triple."""
     rng = perturbation_rng(*rng_state) if rng is None else rng
     ndim = int(rng.integers(1, 7))
-    label = ALL_KINDS[int(rng.integers(len(ALL_KINDS)))]
+    label = ALL_KINDS[int(rng.integers(0, len(ALL_KINDS)))]
     cutter = draw_cutter(rng, label, ndim)
     x = rng.uniform(-6, 6, ndim)
     q = sample_fixed_point(cutter, rng, ndim)
@@ -256,14 +259,14 @@ def budget_trial(rng_state, rng=None):
     vanishing at the degenerate parameters (including infinite sigma), and
     homogeneity in theta."""
     rng = perturbation_rng(*rng_state) if rng is None else rng
-    pick = rng.uniform()
+    pick = rng.random()
     if pick < 0.1:
         lam = float(rng.choice([0.0, 2.0]))
     else:
-        lam = rng.uniform(0.0, 2.0)
-    residual = 0.0 if rng.uniform() < 0.1 else rng.uniform(1e-6, 5.0)
-    infinite = rng.uniform() < 0.1
-    sigma = INFINITE_SIGMA if infinite else rng.uniform(0.1, 10.0)
+        lam = _uniform(rng, 0.0, 2.0)
+    residual = 0.0 if rng.random() < 0.1 else _uniform(rng, 1e-6, 5.0)
+    infinite = rng.random() < 0.1
+    sigma = INFINITE_SIGMA if infinite else _uniform(rng, 0.1, 10.0)
     t = budget(lam, residual, sigma)
     violation = 0.0
     quad = 0.0
@@ -272,7 +275,7 @@ def budget_trial(rng_state, rng=None):
         alpha2 = lam * (2.0 - lam) * residual ** 2
         quad = t * t + 2.0 * alpha1 * t - alpha2
         mirror = theta_budget(0.5, lam, residual, 2.0 * sigma)
-        theta = rng.uniform(0.0, 2.0)
+        theta = _uniform(rng, 0.0, 2.0)
         h1 = theta_budget(2.0 * theta, lam, residual, 2.0 * sigma)
         h2 = 2.0 * theta_budget(theta, lam, residual, 2.0 * sigma)
         violation = max(_excess(quad - INEQUALITY_TOL), _excess(abs(t - mirror) - 1e-12),
@@ -351,13 +354,13 @@ def qhat_instance(instance_seed):
     """Three cutters in the plane whose first two fixed-point sets strictly
     contain the full intersection: a slab and a disc inside it."""
     rng = _generator(instance_seed)
-    shift = rng.uniform(-0.2, 0.2)
+    shift = _uniform(rng, -0.2, 0.2)
     center = np.array([0.0, 3.0 + shift])
     disc = Ball(center, 1.5)
     cutters = (Halfspace([1.0, 0.0], 1.0), Halfspace([-1.0, 0.0], 1.0), disc)
     # start below the disc and outside the slab, so the slab genuinely acts
     # while the vanishing disc weights leave the limit well outside the disc
-    x0 = np.array([3.0 + rng.uniform(0.0, 1.0), -4.0])
+    x0 = np.array([3.0 + _uniform(rng, 0.0, 1.0), -4.0])
     sigma = sigma_from_ball(center, 1.5, x0)
     return Problem(2, cutters, x0, sigma, witness=center)
 

@@ -353,8 +353,20 @@ def _unit(rng, n):
     return v / nrm
 
 
+def _uniform(rng, lo, hi):
+    """``rng.uniform(lo, hi)`` for scalar bounds, bit for bit and one draw,
+    without the 0-d arrays numpy makes of them: numpy draws
+    lo + (hi - lo) * next_double, and ``rng.random()`` is next_double.  A
+    range that is not positive and finite is left to numpy, which refuses a
+    negative or non-finite one before drawing."""
+    span = hi - lo
+    if not 0.0 < span < math.inf:
+        return rng.uniform(lo, hi)
+    return lo + span * rng.random()
+
+
 def _uniform_ball(rng, n, radius):
-    return _unit(rng, n) * radius * rng.uniform() ** (1.0 / n)
+    return _unit(rng, n) * radius * rng.random() ** (1.0 / n)
 
 
 def _generator(seed):
@@ -386,9 +398,9 @@ def gen_linear_feasibility(seed, m=10, n=10, radius=5.0):
     cutters = []
     for _ in range(m):
         a = _unit(rng, n)
-        cutters.append(Halfspace(a, float(np.dot(a, q)) + rng.uniform(0.01, 1.0)))
+        cutters.append(Halfspace(a, float(np.dot(a, q)) + _uniform(rng, 0.01, 1.0)))
     while True:
-        x0 = q + rng.uniform(radius + 2.0, 2.0 * radius + 4.0) * _unit(rng, n)
+        x0 = q + _uniform(rng, radius + 2.0, 2.0 * radius + 4.0) * _unit(rng, n)
         violated = sum(1 for c in cutters if c.residual(x0) > 1e-9)
         if violated >= max(1, m // 4):
             break
@@ -407,12 +419,12 @@ def gen_disc_intersection(seed, m=10, n=2, overlap=0.5):
     q = rng.uniform(-3.0, 3.0, n)
     cutters = []
     for _ in range(m):
-        delta = rng.uniform(0.0, overlap) * _unit(rng, n)
+        delta = _uniform(rng, 0.0, overlap) * _unit(rng, n)
         center = q + delta
-        radius = _norm(delta) + 0.25 + rng.uniform(0.0, 0.75)
+        radius = _norm(delta) + 0.25 + _uniform(rng, 0.0, 0.75)
         cutters.append(Ball(center, radius))
     top = max(c.radius for c in cutters)
-    x0 = q + (top + rng.uniform(1.0, 3.0)) * _unit(rng, n)
+    x0 = q + (top + _uniform(rng, 1.0, 3.0)) * _unit(rng, n)
     # the whole solution set sits inside the first disc
     sigma = sigma_from_ball(cutters[0].center, cutters[0].radius, x0)
     return Problem(n, cutters, x0, sigma, witness=q)
@@ -430,7 +442,7 @@ def gen_l1_constrained(seed, s=5, n=8, epsilon=2.0):
     epsilon = _converted(epsilon, "epsilon", InvalidProblem, _EPSILON)
     rng = _generator(seed)
     v = rng.standard_normal(n)
-    xstar = v * (0.9 * epsilon * rng.uniform(0.3, 1.0) / float(np.sum(np.abs(v))))
+    xstar = v * (0.9 * epsilon * _uniform(rng, 0.3, 1.0) / float(np.sum(np.abs(v))))
     rows = rng.standard_normal((s, n))
     cutters = [Hyperplane(rows[i], float(np.dot(rows[i], xstar))) for i in range(s)]
     cutters.append(L1Ball(epsilon))

@@ -386,54 +386,58 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     # every iterate's residuals, swept into one vector
     swept = np.empty(problem.m)
     k = 0
-    while True:
-        r = k % rows
-        if not r:
-            columns = blocks[-1][1]
-        residuals, excess, steps = sweep.residuals(x, swept)
-        # the reduction that ndarray.max calls, without its wrapper
-        max_res = float(np.maximum.reduce(residuals))
-        if not math.isfinite(max_res):
-            raise NonfiniteIterate(f"non-finite residual at k={k}")
-        status = _fired_status(problem, stopping, x, max_res)
-        if status is None and k >= config.max_iterations:
-            status = RunStatus.MAX_ITERATIONS
-        lam = config.lambda_schedule(k)
-        columns[r, _MAX_RESIDUAL] = max_res
-        columns[r, _LAM] = lam
-        if status is not None:
-            columns[r, _PERTURBATION] = 0.0
-            trace, drift = _finished(problem, blocks, rows, k + 1)
-            return RunResult(as_vector(x), status, k, trace, drift > 2.0 * sigma)
-        # a comparison that NaN fails
-        if not lo <= lam <= hi:
-            raise LambdaOutOfRange(k, lam, lo, hi)
-        w = schedule.weights_at(k)
-        if r + 1 == rows:
-            blocks.append(tuple(map(np.empty, shapes)))
-        x_next = sweep.update(x, lam, w, excess, steps, blocks[-1][0][(r + 1) % rows])
-        pert_norm = 0.0
-        if stream is not None:
-            # e^k: the policy's perturbations over the support of w, in index
-            # order and each inside its budget; a policy that draws resets the
-            # stream to iteration k's, keyed by (seed, k), through the accessor
-            if table is None:
-                indices = np.flatnonzero(w > 0.0)
-                weights = w[indices]
-            else:
-                indices, weights = table.support(k)
-            # a support of every index takes the residuals as they are
-            if indices.size < residuals.size:
-                residuals = residuals[indices]
-            budgets = _budgets(lam, residuals, sigma, max_res)
-            e = policy.combined(x, weights, budgets, lambda: stream.at(k))
-            x_next += e
-            pert_norm = _norm(e)
-        if np.count_nonzero(np.isfinite(x_next)) < x_next.size:
-            raise NonfiniteIterate(f"non-finite iterate after step k={k}")
-        columns[r, _PERTURBATION] = pert_norm
-        x = x_next
-        k += 1
+    # an overflow raises no numpy warning: the finiteness checks below report
+    # one in an iteration's arithmetic as NonfiniteIterate, and a trace
+    # distance that overflows reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            r = k % rows
+            if not r:
+                columns = blocks[-1][1]
+            residuals, excess, steps = sweep.residuals(x, swept)
+            # the reduction that ndarray.max calls, without its wrapper
+            max_res = float(np.maximum.reduce(residuals))
+            if not math.isfinite(max_res):
+                raise NonfiniteIterate(f"non-finite residual at k={k}")
+            status = _fired_status(problem, stopping, x, max_res)
+            if status is None and k >= config.max_iterations:
+                status = RunStatus.MAX_ITERATIONS
+            lam = config.lambda_schedule(k)
+            columns[r, _MAX_RESIDUAL] = max_res
+            columns[r, _LAM] = lam
+            if status is not None:
+                columns[r, _PERTURBATION] = 0.0
+                trace, drift = _finished(problem, blocks, rows, k + 1)
+                return RunResult(as_vector(x), status, k, trace, drift > 2.0 * sigma)
+            # a comparison that NaN fails
+            if not lo <= lam <= hi:
+                raise LambdaOutOfRange(k, lam, lo, hi)
+            w = schedule.weights_at(k)
+            if r + 1 == rows:
+                blocks.append(tuple(map(np.empty, shapes)))
+            x_next = sweep.update(x, lam, w, excess, steps, blocks[-1][0][(r + 1) % rows])
+            pert_norm = 0.0
+            if stream is not None:
+                # e^k: the policy's perturbations over the support of w, in index
+                # order and each inside its budget; a policy that draws resets the
+                # stream to iteration k's, keyed by (seed, k), through the accessor
+                if table is None:
+                    indices = np.flatnonzero(w > 0.0)
+                    weights = w[indices]
+                else:
+                    indices, weights = table.support(k)
+                # a support of every index takes the residuals as they are
+                if indices.size < residuals.size:
+                    residuals = residuals[indices]
+                budgets = _budgets(lam, residuals, sigma, max_res)
+                e = policy.combined(x, weights, budgets, lambda: stream.at(k))
+                x_next += e
+                pert_norm = _norm(e)
+            if np.count_nonzero(np.isfinite(x_next)) < x_next.size:
+                raise NonfiniteIterate(f"non-finite iterate after step k={k}")
+            columns[r, _PERTURBATION] = pert_norm
+            x = x_next
+            k += 1
 
 
 # ---------------------------------------------------------------------------

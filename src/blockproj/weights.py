@@ -126,8 +126,10 @@ class WeightSchedule:
         w = np.asarray(self._weights(k), dtype=float)
         if w.shape != (self.m,):
             raise InvalidSchedule(f"schedule produced shape {w.shape}, expected ({self.m},)")
+        # the reductions of ndarray.min, max and sum, without their wrappers:
         # min and max propagate NaN, and NaN fails every comparison
-        if not (w.min() >= 0 and w.max() <= 1 and abs(float(w.sum()) - 1.0) <= _SUM_TOL):
+        if not (np.minimum.reduce(w) >= 0 and np.maximum.reduce(w) <= 1
+                and abs(float(np.add.reduce(w)) - 1.0) <= _SUM_TOL):
             raise InvalidSchedule(f"invalid weight vector at k={k}: {w}")
         return w
 

@@ -308,6 +308,10 @@ def test_an_integer_beyond_the_float_range_is_named_without_its_digits(call, err
     (lambda: theta_budget(0.5, 1.0, 1.0, -1), InvalidConfig,
      r"anchor distance must be >= 0, got -1\.0"),
     (lambda: BallQuadratic([0.0], -1), InvalidCutter, r"radius must be >= 0, got -1\.0"),
+    # Q is finite and symmetric, but eigvalsh gives [0, inf], and value([1, 1])
+    # overflows
+    (lambda: QuadraticFunction([[1e308, 1e308], [1e308, 1e308]], [0.0, 0.0], 0.0),
+     InvalidCutter, "the eigenvalues of Q overflow"),
     # one index takes the summable weight and at least one other the rest
     (lambda: oracles.summable_last_index_schedule(1), InvalidSchedule, "m must be >= 2, got 1"),
     # a suite takes its instance seeds modulo 2^64, but not a negative seed

@@ -292,6 +292,16 @@ def test_a_stream_suite_folds_its_outcomes_in_trial_order():
     assert rep.coverage == {"stub": 25, "odd": 25}
 
 
+def test_a_trial_outcome_is_an_immutable_record_built_positionally():
+    out = oracles.TrialOutcome("stub[[3, 0]]", 1.5, 2.0, 0.0, True)
+    assert (out.inputs_digest, out.lhs, out.rhs, out.violation, out.passed, out.kind) == (
+        "stub[[3, 0]]", 1.5, 2.0, 0.0, True, None)
+    assert oracles.TrialOutcome("d", 0.0, 0.0, 0.0, True, "ball").kind == "ball"
+    with pytest.raises(AttributeError):
+        out.passed = False
+    assert out.passed
+
+
 def _traced_peak(suite, trials, seed):
     tracemalloc.start()
     try:

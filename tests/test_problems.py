@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -27,10 +28,12 @@ from blockproj import (
     gen_l1_constrained,
     gen_linear_feasibility,
     load_problem,
+    perturbation_rng,
     save_problem,
 )
 from blockproj.problems import (
     _json_text,
+    _uniform,
     _unit,
     cutter_from_json,
     cutter_to_json,
@@ -516,3 +519,40 @@ def test_unit_redraws_a_zero_vector():
             return self.draws.pop(0)
 
     assert _unit(ZeroFirst(), 3).tolist() == [0.6, 0.0, 0.8]
+
+
+# scalar bounds as the generators and the suites pass them: ints, floats,
+# numpy floats, a zero-width range and one that spans most of the floats
+_SCALAR_BOUNDS = [(-3, 3), (0, 2), (0.5, 3.0), (1e-6, 5.0), (np.float64(-0.2), np.float64(0.2)),
+                  (0.0, np.float64(1.7)), (2.5, 2.5), (0, 0), (-1e300, 1e300)]
+
+
+@pytest.mark.parametrize("make", [np.random.default_rng, lambda s: perturbation_rng(s, 7)],
+                         ids=["pcg64", "philox"])
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_scalar_draw_is_generator_uniform_bit_for_bit(make, seed):
+    ours, numpy_own = make(seed), make(seed)
+    for _ in range(150):
+        for lo, hi in _SCALAR_BOUNDS:
+            a, b = _uniform(ours, lo, hi), numpy_own.uniform(lo, hi)
+            assert float(a).hex() == float(b).hex()
+    # 1350 draws each, and the streams are still in step
+    assert ours.random() == numpy_own.random()
+
+
+@pytest.mark.parametrize("lo, hi, error, message", [
+    (1.0, 0.0, ValueError, "high - low < 0"),
+    # -0.0 - 0.0 is -0.0, whose sign numpy checks
+    (0.0, -0.0, ValueError, "high - low < 0"),
+    (0.0, math.inf, OverflowError, "high - low range exceeds valid bounds"),
+    (math.nan, 1.0, OverflowError, "high - low range exceeds valid bounds"),
+    (-1e308, 1e308, OverflowError, "high - low range exceeds valid bounds"),
+])
+def test_scalar_draw_refuses_what_numpy_refuses_before_drawing(lo, hi, error, message):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=f"^{message}$"):
+        _uniform(rng, lo, hi)
+    with pytest.raises(error, match=f"^{message}$"):
+        np.random.default_rng(3).uniform(lo, hi)
+    assert rng.bit_generator.state == state

@@ -338,6 +338,30 @@ def test_nonfinite_residual_aborts():
             stopping=[ResidualBelow(1e-6)])
 
 
+@pytest.mark.parametrize("cutter, x0", [
+    # <a, x0> overflows in the rows' matvec
+    (Halfspace([1e150, 0.0], 0.0), [1e200, 0.0]),
+    # ||x0 - center|| overflows in the ball's step
+    (Ball([0.0, 0.0], 1.0), [1e200, 1e200]),
+])
+def test_an_overflowing_residual_aborts_without_a_numpy_warning(cutter, x0):
+    # pytest makes a RuntimeWarning an error, which would escape here
+    problem = Problem(2, [cutter], x0, sigma=5.0)
+    with pytest.raises(NonfiniteIterate, match="^non-finite residual at k=0$"):
+        run(problem, _config())
+
+
+def test_an_overflowing_trace_distance_finishes_without_a_numpy_warning():
+    # the squares of ||x^1 - x^0|| = 1e200 and of the distances to the
+    # witness overflow where the trace is finished
+    problem = Problem(2, [Halfspace([1.0, 0.0], 0.0)], [1e200, 0.0], sigma=10.0,
+                      witness=[-1.5e308, 0.0])
+    result = run(problem, _config())
+    assert result.status is RunStatus.RESIDUAL_CONVERGED
+    assert result.final_point.tolist() == [0.0, 0.0]
+    assert result.sigma_refuted
+
+
 @pytest.mark.parametrize("cutter, witness", [
     (Ball([1e308], 1.0), [-1e308]),
     (L1Ball(1.0), [1.3407807929942597e154]),
