@@ -49,7 +49,6 @@ from .perturbation import (
     budget,
     perturbation_rng,
     theta_budget,
-    zeta,
 )
 from .problems import (
     gen_disc_intersection,

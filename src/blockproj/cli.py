@@ -182,29 +182,24 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
-# one trace row from (k, max_residual, perturbation_norm, lam,
-# distance_from_start[, distance_to_witness]); the witness column stays
-# empty without a witness
-_TRACE_ROW = "{0},{1:.17g},{2:.17g},{3:.17g},{5:.17g},{4:.17g}\n"
-_TRACE_ROW_NO_WITNESS = "{0},{1:.17g},{2:.17g},{3:.17g},,{4:.17g}\n"
-
-
 def write_trace_csv(trace, path):
-    """Write a run's trace one block of its columns at a time, building no
-    record: each row holds what ``f"{v:.17g}"`` gives for its record's
-    fields."""
+    """Write a run's trace from its columns, building no record: each row
+    holds what ``f"{v:.17g}"`` gives for its iterate's scalars, and the
+    witness column stays empty without a witness."""
+    to_witness = trace.distance_to_witness
+    row = "{},{:.17g},{:.17g},{:.17g},%s,{:.17g}\n" % ("" if to_witness is None else "{:.17g}")
+    columns = [c.tolist() for c in (trace.max_residual, trace.perturbation_norm, trace.lam,
+                                    to_witness, trace.distance_from_start) if c is not None]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,max_residual,perturbation_norm,lambda,dist_to_witness,dist_from_start\n")
-        for start, columns in trace._scalar_columns():
-            row = _TRACE_ROW if len(columns) > 4 else _TRACE_ROW_NO_WITNESS
-            fh.write("".join(map(row.format, range(start, start + len(columns[0])), *columns)))
+        fh.write("".join(map(row.format, range(len(trace)), *columns)))
 
 
 def write_summary(result, config_echo, path):
     doc = {
         "status": result.status.value,
         "iterations_used": result.iterations_used,
-        "final_max_residual": result.trace[-1].max_residual,
+        "final_max_residual": float(result.trace.max_residual[-1]),
         "final_point": result.final_point.tolist(),
         "config_echo": config_echo,
     }
@@ -225,7 +220,7 @@ def cmd_solve(args):
     write_summary(result, echo, args.summary)
     print(
         f"status={result.status.value} iterations={result.iterations_used}"
-        f" final_max_residual={_fmt(result.trace[-1].max_residual)}"
+        f" final_max_residual={_fmt(result.trace.max_residual[-1])}"
     )
     return 2 if result.status is RunStatus.MAX_ITERATIONS else 0
 

@@ -143,8 +143,19 @@ def normalize_sigma(sigma):
 # vectors
 
 def _norm(d):
-    """||d|| of a 1-D float64 array, bit for bit what np.linalg.norm computes."""
-    return math.sqrt(d.dot(d))
+    """||d|| of a 1-D float64 array, bit for bit what np.linalg.norm computes
+    wherever that is finite; where the square overflows, ``_scaled_norm``."""
+    norm = math.sqrt(d.dot(d))
+    return _scaled_norm(d) if norm == math.inf else norm
+
+
+def _scaled_norm(d):
+    """||d|| for a 1-D float64 array whose square may overflow (above about
+    1.34e154): s ||d / s||, with s the largest |d_i|, squares nothing above
+    1; inf, with no warning, where d is not finite or the norm exceeds the
+    float range."""
+    s = float(np.max(np.abs(d)))
+    return s if s == math.inf else s * _norm(d / s)
 
 
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
@@ -275,13 +286,14 @@ class IterationRecord:
 
     perturbation_norm is the norm of the aggregated perturbation applied by
     that update (0 for the terminal record, where no update happens).  A
-    run's trace builds its records when they are read, so each access makes
-    a new record: ``trace[i] is trace[i]`` is false, a record equals only
-    itself, and editing a record edits that copy only.  A copy or a pickle
-    holds the fields only.  ``point`` is a read-only row of the trace's
-    storage; the trace keeps no residual vector, so a record's
-    ``per_index_residuals`` are swept from that row when first read, bit
-    for bit those of the run, and kept read-only on the record.
+    run's trace is its columns; reading ``trace[i]`` builds a record view of
+    row i, so each access makes a new record: ``trace[i] is trace[i]`` is
+    false, a record equals only itself, and editing a record edits that copy
+    only.  A copy or a pickle holds the fields only.  ``point`` is a
+    read-only row of ``trace.points``; the trace keeps no residual vector,
+    so a record's ``per_index_residuals`` are ``trace.residuals(i)``, swept
+    when first read, bit for bit those of the run, and kept read-only on
+    the record.
     """
 
     k: int
@@ -299,8 +311,10 @@ class RunResult:
     final_point: np.ndarray
     status: RunStatus
     iterations_used: int
-    # of IterationRecord, one per visited iterate, built on access from the
-    # run's columns; read-only, and a slice of it is a tuple
+    # read-only columns, one row per visited iterate: points, max_residual,
+    # perturbation_norm, lam, distance_from_start and distance_to_witness
+    # (None without a witness); as a sequence, IterationRecord views of its
+    # rows built on access, and a slice of it is a tuple
     trace: Sequence
     # the drift max_k ||x^k - x^0|| exceeded 2 sigma, which proves that the
     # run's sigma did not exceed d(x^0, Q) as it must

@@ -332,11 +332,11 @@ def convergence_trial(instance_seed, extra_regime=None):
     for name, schedule, policy, tol, cap in configs:
         config = SolverConfig(max_iterations=cap, residual_tolerance=tol, seed=instance_seed)
         result = run(problem, config, schedule, policy)
-        lhs = result.trace[-1].max_residual
+        lhs = float(result.trace.max_residual[-1])
         bound = 2.0 * sigma + 1e-8
         # np.max, unlike max, keeps a NaN distance
-        drift = np.max([rec.distance_from_start for rec in result.trace])
-        audit = fejer_audit(result.trace, problem.witness)
+        drift = np.max(result.trace.distance_from_start)
+        audit = fejer_audit(result.trace.points, problem.witness)
         violation = max(_excess(lhs - tol), _excess(drift - bound),
                         _excess(audit - INEQUALITY_TOL))
         converged = result.status is RunStatus.RESIDUAL_CONVERGED

@@ -93,15 +93,6 @@ def _budgets(lam, residuals, sigma, r_max):
     return _radius(0.5, lam, residuals, anchor)
 
 
-def zeta(lam, residual, sigma):
-    """(lam r + 2 sigma)^2 + lam (2 - lam) r^2; inf for an infinite sigma and
-    where the value exceeds the float range."""
-    lam = _converted(lam, "lambda", InvalidConfig, _LAMBDA)
-    r = _converted(residual, "residual", InvalidConfig, _RESIDUAL)
-    sigma = normalize_sigma(sigma)
-    return _zeta(lam * r, lam, r, 2.0 * sigma)
-
-
 def budget(lam, residual, sigma):
     """Largest admissible perturbation norm for one operator at one iteration.
 

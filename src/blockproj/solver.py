@@ -29,6 +29,7 @@ from .core import (
     _converted,
     _integer,
     _norm,
+    _scaled_norm,
     as_vector,
     normalize_sigma,
     validate_config,
@@ -216,32 +217,35 @@ class _Sweep:
 
 
 # rows of one block of a run's trace.  The run allocates its blocks one at a
-# time, so no buffer is copied to grow, and cuts the last one down to the
-# rows it used.
+# time, so no buffer is copied to grow, and joins them once when it ends.
 _BLOCK_ROWS = 256
 
-# the scalar columns of a trace block; the last is there only with a witness
-_MAX_RESIDUAL, _PERTURBATION, _LAM, _FROM_START, _TO_WITNESS = range(5)
+# the rows of a block's scalars, which the run writes
+_MAX_RESIDUAL, _PERTURBATION, _LAM = range(3)
 
 
 def _row_norms(d):
     """||d_j|| for each row of ``d``, bit for bit ``_norm(d_j)``: ``matmul``
-    of a row with itself as a column calls the dot that ``_norm`` calls."""
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    of a row with itself as a column calls the dot that ``_norm`` calls, and
+    a row whose square overflows takes ``_scaled_norm`` as ``_norm`` does."""
+    norms = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    for j in np.flatnonzero(norms == np.inf):
+        norms[j] = _scaled_norm(d[j])
+    return norms
 
 
 class _Record(IterationRecord):
     """A record of a run's trace, built with its residuals' slot empty.
     Python calls ``__getattr__`` only where a lookup fails, as reading an
     empty slot does: the residuals of the trace row the record was built
-    from are swept into the slot there, so a record whose ``point`` was
-    replaced still reports them.  Any other name fails as it would."""
+    from are swept into the slot there, so a record whose ``point`` or ``k``
+    was replaced still reports them.  Any other name fails as it would."""
 
     __slots__ = ("_row", "_trace")
 
     def __getattr__(self, name):
         if name == "per_index_residuals":
-            self.per_index_residuals = self._trace._residuals(self._row)
+            self.per_index_residuals = self._trace.residuals(self._row)
         return super().__getattribute__(name)
 
     def __reduce__(self):
@@ -250,27 +254,43 @@ class _Record(IterationRecord):
 
 
 class _Trace(Sequence):
-    """The records of one run, built when they are read.  Block b holds
-    iterates b * rows onwards: their points as the rows of a matrix, and
-    their scalar columns.  Every block is read-only, and so are the rows a
-    record holds.  A record's residual vector is swept from its point row
-    by the run's own cutters, stacked once, when the first one is read."""
+    """A run's trace: read-only columns with one row per visited iterate.
+    ``points`` is the (iterations + 1) x n array of the iterates;
+    ``max_residual``, ``perturbation_norm`` and ``lam`` are what the run
+    wrote, and ``distance_from_start`` and ``distance_to_witness`` (None
+    without a witness) the ``_row_norms`` of ``points`` less x0 and less the
+    witness.  ``residuals(k)`` sweeps iterate k's residual vector.  As a
+    sequence, the trace builds an ``IterationRecord`` view of a row when it
+    is read."""
 
-    def __init__(self, blocks, rows, length, cutters, dimension):
-        self._blocks = blocks
-        self._rows = rows
-        self._len = length
-        self._cutters = cutters
-        self._dimension = dimension
+    def __init__(self, problem, blocks, length):
+        """The trace of a run whose iterates 0..length - 1 fill ``blocks``
+        of a point matrix and a 3-row scalar matrix each, which are joined
+        once, the last cut down to its used rows, and then dropped."""
+        used = length - (len(blocks) - 1) * len(blocks[0][0])
+        self.points = np.concatenate([p for p, _ in blocks[:-1]] + [blocks[-1][0][:used]])
+        scalars = np.concatenate([s for _, s in blocks[:-1]] + [blocks[-1][1][:, :used]], axis=1)
+        blocks.clear()
+        d = self.points - problem.x0
+        self.distance_from_start = _row_norms(d)
+        self.distance_to_witness = None
+        if problem.witness is not None:
+            self.distance_to_witness = _row_norms(np.subtract(self.points, problem.witness, out=d))
+        # frozen before the scalar rows are viewed, so the views are read-only too
+        for a in (self.points, scalars, self.distance_from_start, self.distance_to_witness):
+            if a is not None:
+                a.flags.writeable = False
+        self.max_residual, self.perturbation_norm, self.lam = scalars
+        self._cutters = problem.cutters
         self._sweep = None
 
     def __len__(self):
-        return self._len
+        return len(self.points)
 
     def __getitem__(self, key):
         # indexing a range normalizes a negative index, raises IndexError
         # outside the trace and gives the indices of a slice as a range
-        at = range(self._len)[key]
+        at = range(len(self))[key]
         if isinstance(at, int):
             return next(self._records(at, at + 1))
         if not at:
@@ -279,62 +299,33 @@ class _Trace(Sequence):
         return tuple(self._records(lo, max(at) + 1))[at.start - lo::at.step]
 
     def __iter__(self):
-        return self._records(0, self._len)
+        return self._records(0, len(self))
 
-    def _scalar_columns(self):
-        """Per block: the k of its first row, and its scalar columns as
-        lists of floats in IterationRecord's field order: max_residual,
-        perturbation_norm, lam, distance_from_start and, with a witness,
-        distance_to_witness."""
-        for b, (_, columns) in enumerate(self._blocks):
-            yield b * self._rows, columns.T.tolist()
-
-    def _residuals(self, point):
-        """||T_i(point) - point|| for every i, read-only: the bits the run
-        swept from the same row."""
+    def residuals(self, k):
+        """||T_i(x^k) - x^k|| for every i, read-only: the bits the run swept
+        at iterate k, swept again by the run's own cutters, which are
+        stacked once, on first use."""
         if self._sweep is None:
-            self._sweep = _Sweep(self._cutters, self._dimension)
-        residuals = self._sweep.residuals(point)[0]
+            self._sweep = _Sweep(self._cutters, self.points.shape[1])
+        residuals = self._sweep.residuals(self.points[k])[0]
         residuals.flags.writeable = False
         return residuals
 
     def _records(self, start, stop):
-        """The records of iterates start..stop - 1, a block at a time."""
-        rows = self._rows
-        for b in range(start // rows, (stop - 1) // rows + 1):
-            points, columns = self._blocks[b]
-            s, e = max(start - b * rows, 0), min(stop - b * rows, rows)
-            cols = columns[s:e].T.tolist()
-            to_witness = cols[_TO_WITNESS] if len(cols) > _TO_WITNESS else repeat(None)
-            for rec in map(_Record, range(b * rows + s, b * rows + e), points[s:e],
-                           cols[_MAX_RESIDUAL], repeat(None), cols[_PERTURBATION], cols[_LAM],
-                           cols[_FROM_START], to_witness):
+        """The records of iterates start..stop - 1, their scalars converted
+        to floats a block of rows at a time."""
+        for s in range(start, stop, _BLOCK_ROWS):
+            e = min(s + _BLOCK_ROWS, stop)
+            max_residual, perturbation, lam, from_start = (
+                c[s:e].tolist() for c in (self.max_residual, self.perturbation_norm, self.lam,
+                                          self.distance_from_start))
+            to_witness = (repeat(None) if self.distance_to_witness is None
+                          else self.distance_to_witness[s:e].tolist())
+            for rec in map(_Record, range(s, e), self.points[s:e], max_residual, repeat(None),
+                           perturbation, lam, from_start, to_witness):
                 del rec.per_index_residuals
-                rec._row, rec._trace = rec.point, self
+                rec._row, rec._trace = rec.k, self
                 yield rec
-
-
-def _finished(problem, blocks, rows, length):
-    """The trace of a run whose iterates 0..length - 1 fill ``blocks``, and
-    its drift max_k ||x^k - x^0||.  The last block is cut down to its used
-    rows; the distances to x0 and to the witness are computed a block at a
-    time, then every block is made read-only, before any record views it."""
-    used = length - (len(blocks) - 1) * rows
-    if used < rows:
-        blocks[-1] = tuple(a[:used].copy() for a in blocks[-1])
-    x0, witness = problem.x0, problem.witness
-    drift = 0.0
-    for block in blocks:
-        points, columns = block
-        d = points - x0
-        columns[:, _FROM_START] = _row_norms(d)
-        if witness is not None:
-            np.subtract(points, witness, out=d)
-            columns[:, _TO_WITNESS] = _row_norms(d)
-        drift = max(drift, float(columns[:, _FROM_START].max()))
-        for a in block:
-            a.flags.writeable = False
-    return _Trace(blocks, rows, length, problem.cutters, problem.dimension), drift
 
 
 def run(problem, config=None, schedule=None, policy=None, stopping=None):
@@ -342,9 +333,10 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
 
     Defaults: a unit relaxation SolverConfig, cyclic control, no
     perturbations, and ResidualBelow(config.residual_tolerance).  The trace
-    is a read-only sequence of one record per visited iterate, built when
-    read, the last one describing ``final_point``; ``sigma_refuted`` says
-    whether some iterate drifted more than 2 sigma from x0.  Each lambda_k is checked against [tau1, 2 - tau2]
+    holds read-only columns with one row per visited iterate, the last one
+    describing ``final_point``, and reads as a sequence of records built
+    when read; ``sigma_refuted`` says whether some iterate drifted more
+    than 2 sigma from x0.  Each lambda_k is checked against [tau1, 2 - tau2]
     before the update that uses it (LambdaOutOfRange).  The iteration cap
     ``config.max_iterations`` is checked after the rules, so a rule that
     fires at the cap gives its own status.
@@ -375,11 +367,11 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
         stream = PerturbationStream(config.seed)
         # a weight table holds each of its rows as its support
         table = getattr(schedule, "_table", None)
-    # the trace as blocks of a point matrix and scalar columns: row r of
-    # block b holds iterate b * rows + r, which the update writes there; the
-    # scalar columns wait for the distances until the run ends
+    # the trace as blocks of a point matrix and three scalar rows: iterate
+    # b * rows + r is row r of block b's points, which the update writes
+    # there, and column r of its scalars; the distances wait until the run ends
     rows = _BLOCK_ROWS
-    shapes = ((rows, problem.dimension), (rows, _TO_WITNESS + (problem.witness is not None)))
+    shapes = ((rows, problem.dimension), (3, rows))
     blocks = [tuple(map(np.empty, shapes))]
     x = blocks[0][0][0]
     x[:] = problem.x0
@@ -388,7 +380,7 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     k = 0
     # an overflow raises no numpy warning: the finiteness checks below report
     # one in an iteration's arithmetic as NonfiniteIterate, and a trace
-    # distance that overflows reads inf
+    # distance reads inf only where the difference itself overflows
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             r = k % rows
@@ -403,12 +395,13 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
             if status is None and k >= config.max_iterations:
                 status = RunStatus.MAX_ITERATIONS
             lam = config.lambda_schedule(k)
-            columns[r, _MAX_RESIDUAL] = max_res
-            columns[r, _LAM] = lam
+            columns[_MAX_RESIDUAL, r] = max_res
+            columns[_LAM, r] = lam
             if status is not None:
-                columns[r, _PERTURBATION] = 0.0
-                trace, drift = _finished(problem, blocks, rows, k + 1)
-                return RunResult(as_vector(x), status, k, trace, drift > 2.0 * sigma)
+                columns[_PERTURBATION, r] = 0.0
+                trace = _Trace(problem, blocks, k + 1)
+                drift = trace.distance_from_start.max()
+                return RunResult(as_vector(x), status, k, trace, bool(drift > 2.0 * sigma))
             # a comparison that NaN fails
             if not lo <= lam <= hi:
                 raise LambdaOutOfRange(k, lam, lo, hi)
@@ -435,7 +428,7 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
                 pert_norm = _norm(e)
             if np.count_nonzero(np.isfinite(x_next)) < x_next.size:
                 raise NonfiniteIterate(f"non-finite iterate after step k={k}")
-            columns[r, _PERTURBATION] = pert_norm
+            columns[_PERTURBATION, r] = pert_norm
             x = x_next
             k += 1
 
@@ -471,15 +464,17 @@ def sigma_from_l1(x0, epsilon):
 # ---------------------------------------------------------------------------
 # audits
 
-def fejer_audit(trace, witness):
-    """Worst increase of ||x^k - q|| along a trace; <= 0 means monotone.
+def fejer_audit(points, witness):
+    """Worst increase of ||x^k - q|| along the rows x^k of ``points``, such
+    as a run's ``trace.points``; <= 0 means monotone.
 
     The caller asserts that ``witness`` is a common fixed point with
     ||x^0 - witness|| <= 2 sigma.
     """
-    points = [rec.point for rec in trace]
-    q = as_vector(witness, points[0].size if points else None, name="witness")
-    distances = [_norm(p - q) for p in points]
-    if len(distances) < 2:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise DimensionMismatch("points must be a 2-D array, one iterate per row")
+    q = as_vector(witness, points.shape[1], name="witness")
+    if len(points) < 2:
         return 0.0
-    return max(b - a for a, b in zip(distances, distances[1:]))
+    return float(np.diff(_row_norms(points - q)).max())

@@ -65,7 +65,6 @@ from blockproj import (
     sigma_from_l1,
     theta_budget,
     validate_config,
-    zeta,
 )
 from blockproj.cli import assemble_config
 from blockproj.problems import (
@@ -303,7 +302,6 @@ def test_an_integer_beyond_the_float_range_is_named_without_its_digits(call, err
      r"residual must be in \[0, inf\), got inf"),
     (lambda: theta_budget(0.5, 1.0, math.inf, 2.0), InvalidConfig,
      r"residual must be in \[0, inf\), got inf"),
-    (lambda: zeta(1.0, math.inf, 1.0), InvalidConfig, r"residual must be in \[0, inf\), got inf"),
     (lambda: theta_budget(-1, 1.0, 1.0, 1.0), InvalidConfig, r"theta must be >= 0, got -1\.0"),
     (lambda: theta_budget(0.5, 1.0, 1.0, -1), InvalidConfig,
      r"anchor distance must be >= 0, got -1\.0"),
@@ -338,7 +336,12 @@ def test_fejer_audit_refuses_a_witness_of_another_dimension(witness):
     problem = Problem(3, [Halfspace([1.0, 0.0, 0.0], 0.0)], [1.0, 2.0, 3.0], 10.0)
     trace = run(problem).trace
     with pytest.raises(DimensionMismatch, match="^witness has dimension"):
-        fejer_audit(trace, witness)
+        fejer_audit(trace.points, witness)
+
+
+def test_fejer_audit_refuses_points_that_are_not_rows():
+    with pytest.raises(DimensionMismatch, match="^points must be a 2-D array, one iterate"):
+        fejer_audit(np.zeros(3), [0.0, 0.0, 0.0])
 
 
 def test_fixed_point_sampler_refuses_a_singular_quadratic():

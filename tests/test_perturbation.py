@@ -17,20 +17,25 @@ from blockproj import (
     budget,
     perturbation_rng,
     theta_budget,
-    zeta,
 )
+from blockproj.perturbation import _zeta
+
+
+def _zeta_of(lam, r, sigma):
+    """(lam r + 2 sigma)^2 + lam (2 - lam) r^2, the zeta of the budget formula."""
+    return _zeta(lam * r, lam, r, 2.0 * sigma)
 
 
 def test_zeta_examples():
-    assert zeta(1.0, 1.0, 1.0) == pytest.approx(10.0)
-    assert zeta(0.0, 5.0, 1.0) == pytest.approx(4.0)
-    assert zeta(1.0, 0.0, 2.0) == pytest.approx(16.0)
+    assert _zeta_of(1.0, 1.0, 1.0) == pytest.approx(10.0)
+    assert _zeta_of(0.0, 5.0, 1.0) == pytest.approx(4.0)
+    assert _zeta_of(1.0, 0.0, 2.0) == pytest.approx(16.0)
 
 
 def test_zeta_infinite_sigma_is_inf():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert zeta(1.0, 1.0, INFINITE_SIGMA) == math.inf
+        assert _zeta_of(1.0, 1.0, INFINITE_SIGMA) == math.inf
 
 
 def test_budget_example_value():
@@ -92,9 +97,9 @@ def test_budgets_at_large_finite_inputs():
         assert budget(1.0, 1e308, 1e308) == pytest.approx(
             10.0 * budget(1.0, 1e307, 1e307), rel=1e-12)
         assert budget(1.0, 1e308, 1e308) > 8e306
-        assert zeta(1.0, 1e153, 10.0) == pytest.approx(2e306, rel=1e-15)
+        assert _zeta_of(1.0, 1e153, 10.0) == pytest.approx(2e306, rel=1e-15)
         # past the float range zeta itself is inf
-        assert zeta(1.0, 1e300, 10.0) == math.inf
+        assert _zeta_of(1.0, 1e300, 10.0) == math.inf
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -115,7 +120,7 @@ def test_budgets_scale_with_their_inputs(lam, r, anchor, theta, k):
 @given(lam=st.floats(1e-3, 1.999), r=st.floats(0.0, 1e100), sigma=st.floats(1e-3, 1e100))
 def test_budget_denominator_uses_zeta(lam, r, sigma):
     # below the square limit the budget's denominator is sqrt(zeta) + lam r + 2 sigma
-    den = math.sqrt(zeta(lam, r, sigma)) + lam * r + 2.0 * sigma
+    den = math.sqrt(_zeta_of(lam, r, sigma)) + lam * r + 2.0 * sigma
     expected = 0.5 * lam * (2.0 - lam) * r * r / den
     assert budget(lam, r, sigma) == expected
 
@@ -155,7 +160,7 @@ def test_theta_budget_homogeneous_in_theta():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        zeta(2.5, 1.0, 1.0)
+        budget(2.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         budget(1.0, -0.5, 1.0)
     with pytest.raises(ValueError):

@@ -117,7 +117,7 @@ def test_run_linear_instance_cyclic():
                  SequentialCyclic(problem.m))
     assert result.status is RunStatus.RESIDUAL_CONVERGED
     assert result.trace[-1].max_residual <= 1e-6
-    assert fejer_audit(result.trace, problem.witness) <= 1e-10
+    assert fejer_audit(result.trace.points, problem.witness) <= 1e-10
 
 
 def test_run_perturbed_converges_and_stays_contained():
@@ -127,7 +127,7 @@ def test_run_perturbed_converges_and_stays_contained():
     assert result.status is RunStatus.RESIDUAL_CONVERGED
     bound = 2.0 * problem.sigma + 1e-8
     assert all(rec.distance_from_start <= bound for rec in result.trace)
-    assert fejer_audit(result.trace, problem.witness) <= 1e-10
+    assert fejer_audit(result.trace.points, problem.witness) <= 1e-10
     assert any(rec.perturbation_norm > 0 for rec in result.trace)
 
 
@@ -341,8 +341,8 @@ def test_nonfinite_residual_aborts():
 @pytest.mark.parametrize("cutter, x0", [
     # <a, x0> overflows in the rows' matvec
     (Halfspace([1e150, 0.0], 0.0), [1e200, 0.0]),
-    # ||x0 - center|| overflows in the ball's step
-    (Ball([0.0, 0.0], 1.0), [1e200, 1e200]),
+    # x0 - center overflows in the ball's step
+    (Ball([-1e308, -1e308], 1.0), [1e308, 1e308]),
 ])
 def test_an_overflowing_residual_aborts_without_a_numpy_warning(cutter, x0):
     # pytest makes a RuntimeWarning an error, which would escape here
@@ -413,29 +413,18 @@ def test_sigma_from_l1_examples():
 # audits
 
 def test_fejer_audit_constant_trace():
-    rec = IterationRecord(
-        k=0, point=np.zeros(2), max_residual=0.0,
-        per_index_residuals=np.zeros(1), perturbation_norm=0.0, lam=1.0,
-        distance_from_start=0.0,
-    )
-    assert fejer_audit([rec], [1.0, 1.0]) == 0.0
+    assert fejer_audit(np.zeros((1, 2)), [1.0, 1.0]) == 0.0
+    assert fejer_audit(np.ones((3, 2)), [1.0, 1.0]) == 0.0
 
 
 def test_fejer_audit_flags_corrupted_trace():
     problem = gen_linear_feasibility(11, 6, 4, 3)
     result = run(problem, _config(residual_tolerance=1e-8), SequentialCyclic(problem.m))
-    assert fejer_audit(result.trace, problem.witness) <= 1e-10
+    assert fejer_audit(result.trace.points, problem.witness) <= 1e-10
     # move one iterate away from the witness: the audit must turn positive
-    corrupted = list(result.trace)
+    corrupted = result.trace.points.copy()
     mid = len(corrupted) // 2
-    rec = corrupted[mid]
-    away = rec.point + 10.0 * (rec.point - problem.witness) + 1.0
-    corrupted[mid] = IterationRecord(
-        k=rec.k, point=away, max_residual=rec.max_residual,
-        per_index_residuals=rec.per_index_residuals,
-        perturbation_norm=rec.perturbation_norm, lam=rec.lam,
-        distance_from_start=rec.distance_from_start,
-    )
+    corrupted[mid] += 10.0 * (corrupted[mid] - problem.witness) + 1.0
     assert fejer_audit(corrupted, problem.witness) > 0.0
 
 
@@ -801,6 +790,84 @@ def test_trace_reads_the_same_records_across_block_boundaries(monkeypatch):
                for rec in trace)
 
 
+_COLUMNS = ("max_residual", "perturbation_norm", "lam", "distance_from_start",
+            "distance_to_witness")
+
+
+@pytest.mark.parametrize("witness", [True, False])
+def test_columns_are_the_records_fields_across_block_boundaries(monkeypatch, witness):
+    from blockproj import solver
+
+    problem = _mixed_problem(6)
+    if not witness:
+        problem = dataclasses.replace(problem, witness=None)
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", 3)
+    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=6),
+                 SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
+    trace = result.trace
+    assert len(trace.points) == len(trace) == result.iterations_used + 1
+    assert len(trace) > 6 and len(trace) % 3
+    assert (trace.distance_to_witness is None) is not witness
+    records = list(trace)
+    assert [rec.point.tobytes() for rec in records] == [row.tobytes() for row in trace.points]
+    for name in _COLUMNS:
+        column = getattr(trace, name)
+        fields = [getattr(rec, name) for rec in records]
+        if column is None:
+            assert fields == [None] * len(records)
+            continue
+        assert column.shape == (len(trace),)
+        assert [float(v).hex() for v in column] == [v.hex() for v in fields]
+    for k in (0, 3, len(trace) - 1):
+        assert trace.residuals(k).tobytes() == records[k].per_index_residuals.tobytes()
+    # the drift that refutes sigma is the largest distance from the start
+    assert result.sigma_refuted is bool(
+        trace.distance_from_start.max() > 2.0 * problem.sigma)
+
+
+def test_points_and_columns_are_read_only():
+    problem = _mixed_problem(5)
+    trace = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=5),
+                SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99)).trace
+    arrays = [trace.points, trace.residuals(1)] + [getattr(trace, name) for name in _COLUMNS]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_trace_distances_above_the_square_limit_are_finite():
+    # ||x|| > 1.34e154 squares past the float range; the norms scale instead
+    from blockproj.core import _norm
+    from blockproj.solver import _row_norms
+
+    d = np.array([[1e154, 1e154], [3e200, 4e200], [1.0, 2.0], [1e308, 1e308]])
+    # the plain square overflows first, with numpy's warning, as before
+    with np.errstate(over="ignore"):
+        assert _row_norms(d).tolist() == pytest.approx(
+            [math.hypot(1e154, 1e154), 5e200, math.sqrt(5.0), math.hypot(1e308, 1e308)],
+            rel=1e-15)
+        assert [_norm(row) for row in d] == _row_norms(d).tolist()
+        # a norm past the float range, or of an infinite entry, is inf
+        assert _norm(np.array([1e308] * 4)) == math.inf
+        assert _norm(np.array([math.inf, 1.0])) == math.inf
+    # a unit ball at [1e154, 1e154]: its residual no longer overflows
+    ball = Problem(2, [Ball([0.0, 0.0], 1.0)], [1e154, 1e154], sigma=math.inf)
+    result = run(ball, _config())
+    assert result.status is RunStatus.RESIDUAL_CONVERGED
+    assert result.trace.max_residual[0] == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+    assert result.trace.distance_from_start[-1] == pytest.approx(math.sqrt(2.0) * 1e154,
+                                                                 rel=1e-15)
+    # a halfspace from [1e200, 0] steps 1e200 to the origin
+    half = Problem(2, [Halfspace([1.0, 0.0], 0.0)], [1e200, 0.0], sigma=10.0)
+    result = run(half, _config())
+    assert result.final_point.tolist() == [0.0, 0.0]
+    assert result.trace.distance_from_start.tolist() == [0.0, 1e200]
+    assert [rec.distance_from_start for rec in result.trace] == [0.0, 1e200]
+    with np.errstate(over="ignore"):
+        assert fejer_audit(result.trace.points, [0.0, 0.0]) == -1e200
+
+
 def test_a_finished_run_holds_little_more_than_its_numbers():
     problem = gen_l1_constrained(3, 20, 100, 2.0)
     args = (problem, SolverConfig(residual_tolerance=1e-6, seed=3),
@@ -851,9 +918,11 @@ def test_residuals_are_swept_only_when_read(monkeypatch):
     sweeps = []
     monkeypatch.setattr(solver._Sweep, "residuals",
                         lambda self, x, out=None: sweeps.append(x) or pytest.fail("swept"))
-    # points and scalars, and the CLI's trace file, sweep nothing
+    # points and scalars, the columns, and the CLI's trace file, sweep nothing
     for rec in result.trace:
         rec.point, rec.max_residual, rec.distance_to_witness
+    for name in ("points",) + _COLUMNS:
+        getattr(result.trace, name).tolist()
     write_trace_csv(result.trace, os.devnull)
     assert result.trace._sweep is None
     monkeypatch.undo()
@@ -972,7 +1041,7 @@ def test_one_operator_and_one_dimension(m, n, regime, policy_name):
                  _FIXED_SCHEDULES[regime](m), policy)
     assert result.status is RunStatus.RESIDUAL_CONVERGED
     assert result.final_point.shape == (n,)
-    assert fejer_audit(result.trace, problem.witness) <= 1e-10
+    assert fejer_audit(result.trace.points, problem.witness) <= 1e-10
 
 
 def test_problem_refuses_no_cutters_and_a_cost_of_another_dimension():
