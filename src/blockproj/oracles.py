@@ -10,10 +10,11 @@ trial function is numbered j = i * trials + t, so the strict half of
 digest names its seed state, so the trial it names reruns on its own.
 
 Suites fold each outcome into pass/fail counts, the worst violation seen,
-the first failing digests, and coverage accounting over the operator kinds
-the trials drew and the control regimes, as its trial runs: no suite keeps
-its outcomes, so its memory does not grow with its trials.  A NaN checked
-quantity fails its trial.
+the first failing digests, and coverage, as its trial runs: no suite keeps
+its outcomes, so its memory does not grow with its trials.  Coverage counts
+each outcome once, under its ``kind``: the operator kind the trial drew, the
+control regime the run used, or else the suite's name, so it adds up to the
+report's trials.  A NaN checked quantity fails its trial.
 Monotonicity trials use projection-kind operators because those admit exact
 fixed-point samples; the other kinds are exercised by the
 separator/quasi-nonexpansivity sweep, which can construct certified fixed
@@ -61,6 +62,7 @@ from .solver import (
 )
 from .weights import (
     BlockClassicalCyclic,
+    BlockGeneralized,
     SequentialAlmostCyclic,
     SequentialCyclic,
     SequentialRepetitive,
@@ -87,7 +89,7 @@ class TrialOutcome(NamedTuple):
     rhs: float
     violation: float
     passed: bool
-    kind: Optional[str] = None  # the operator kind the trial drew, if any
+    kind: Optional[str] = None  # the operator kind drawn or the regime run, if any
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +304,9 @@ _EXTRA_REGIMES = {
     "drifting": lambda m, seed: SimultaneousDrifting(m),
     "block_classical": lambda m, seed: BlockClassicalCyclic(
         m, [list(range(max(1, m // 2))), list(range(max(1, m // 2), m))]),
+    # two overlapping blocks, which no partition holds
+    "block_generalized": lambda m, seed: BlockGeneralized(
+        m, [list(range(7 * m // 10)), list(range(3 * m // 10, m))]),
 }
 
 
@@ -311,7 +316,8 @@ def convergence_trial(instance_seed, extra_regime=None):
 
     Checks, per run: the residual target is reached before the iteration
     cap, every iterate stays within 2 sigma of the start, and distances to
-    the witness never increase.  Returns one outcome per configuration.
+    the witness never increase.  Returns one outcome per configuration, of
+    the kind ``regime:`` and its schedule's regime.
     """
     problem = gen_linear_feasibility(instance_seed, 20, 10, 5)
     m = problem.m
@@ -346,7 +352,8 @@ def convergence_trial(instance_seed, extra_regime=None):
             f" audit={audit:.3e}{note}"
         )
         outcomes.append(TrialOutcome(digest, lhs, tol, violation,
-                                     converged and violation == 0.0))
+                                     converged and violation == 0.0,
+                                     f"regime:{schedule.regime}"))
     return outcomes
 
 
@@ -366,6 +373,8 @@ def qhat_instance(instance_seed):
 
 
 class _SummableLastIndex(WeightSchedule):
+    regime = "summable_last_index"
+
     def __init__(self, m):
         super().__init__(_integer(m, "m", InvalidSchedule, 2))
 
@@ -385,8 +394,8 @@ def summable_last_index_schedule(m):
 def qhat_trial(instance_seed):
     """Summable weights exempt their index from the limit's feasibility;
     all-divergent weights on the same instance land in the full
-    intersection.  Returns both outcomes; the first digest records the
-    (unasserted) distance to the exempted set."""
+    intersection.  Returns both outcomes, each of its schedule's regime; the
+    first digest records the (unasserted) distance to the exempted set."""
     problem = qhat_instance(instance_seed)
     config = SolverConfig(max_iterations=4000, seed=instance_seed)
     outcomes = []
@@ -406,7 +415,8 @@ def qhat_trial(instance_seed):
         # each distance on its own: max(checked) drops a NaN one
         violation = max(_excess(di - 1e-5) for di in checked)
         outcomes.append(TrialOutcome(f"qhat[seed={instance_seed}] {detail}", lhs, 1e-5,
-                                     violation, violation == 0.0))
+                                     violation, violation == 0.0,
+                                     f"regime:{schedule.regime}"))
     return outcomes
 
 
@@ -428,16 +438,19 @@ class SuiteReport:
         return self.failures == 0
 
 
-def _summarize(suite, outcomes, coverage):
+def _summarize(suite, outcomes):
     """The report of ``outcomes``, read once, in order, and none of them
     kept: the counts, the worst violation (the first of equal ones, 0.0 for
-    no trials) and the first 20 failing digests.  ``coverage`` is copied
-    after the last outcome, so a generator of outcomes may count into it."""
+    no trials), the first 20 failing digests and the coverage, one count per
+    outcome under its kind, or ``suite`` for an outcome without one."""
     trials = passes = 0
     worst = None
     failed = []
+    coverage = {}
     for o in outcomes:
         trials += 1
+        key = o.kind or suite
+        coverage[key] = coverage.get(key, 0) + 1
         if o.passed:
             passes += 1
         elif len(failed) < 20:
@@ -450,31 +463,23 @@ def _summarize(suite, outcomes, coverage):
         passes=passes,
         failures=trials - passes,
         worst_violation=0.0 if worst is None else worst,
-        coverage=dict(coverage),
+        coverage=coverage,
         failed_digests=tuple(failed),
     )
 
 
-def _count(coverage, key):
-    coverage[key] = coverage.get(key, 0) + 1
-
-
 def _stream_suite(suite, trial_fns, trials, seed):
     """Trial t of ``trial_fns[i]`` on stream state ``[seed, i * trials + t]``,
-    all of them drawn from one reused PerturbationStream(seed).  Coverage
-    counts the kinds drawn, or the suite's name for a trial without one."""
+    all of them drawn from one reused PerturbationStream(seed)."""
     stream = PerturbationStream(seed)
-    coverage = {}
 
     def outcomes():
         for t in range(trials):
             for i, trial in enumerate(trial_fns):
                 j = i * trials + t
-                out = trial([seed, j], stream.at(j))
-                _count(coverage, out.kind or suite)
-                yield out
+                yield trial([seed, j], stream.at(j))
 
-    return _summarize(suite, outcomes(), coverage)
+    return _summarize(suite, outcomes())
 
 
 def run_fejer_suite(trials, seed):
@@ -500,29 +505,15 @@ def _instance_seeds(trials, seed):
 def run_convergence_suite(trials, seed):
     """One linear-feasibility instance per trial; rotates one extra control
     regime through the trials on top of the four reference configurations."""
-    coverage = {}
-
-    def outcomes():
-        for t, instance in enumerate(_instance_seeds(trials, seed)):
-            extra, build = list(_EXTRA_REGIMES.items())[t % len(_EXTRA_REGIMES)]
-            _count(coverage, "regime:sequential_cyclic")
-            _count(coverage, "regime:simultaneous_uniform")
-            _count(coverage, f"regime:{build(2, 0).regime}")
-            yield from convergence_trial(instance, extra_regime=extra)
-
-    return _summarize("convergence", outcomes(), coverage)
+    extras = list(_EXTRA_REGIMES)
+    return _summarize("convergence", (
+        out for t, instance in enumerate(_instance_seeds(trials, seed))
+        for out in convergence_trial(instance, extra_regime=extras[t % len(extras)])))
 
 
 def run_qhat_suite(trials, seed):
-    coverage = {}
-
-    def outcomes():
-        for instance in _instance_seeds(trials, seed):
-            _count(coverage, "regime:block_generalized")
-            _count(coverage, "regime:simultaneous_uniform")
-            yield from qhat_trial(instance)
-
-    return _summarize("qhat", outcomes(), coverage)
+    return _summarize("qhat", (out for instance in _instance_seeds(trials, seed)
+                               for out in qhat_trial(instance)))
 
 
 SUITES = {

@@ -227,8 +227,10 @@ _MAX_RESIDUAL, _PERTURBATION, _LAM = range(3)
 def _row_norms(d):
     """||d_j|| for each row of ``d``, bit for bit ``_norm(d_j)``: ``matmul``
     of a row with itself as a column calls the dot that ``_norm`` calls, and
-    a row whose square overflows takes ``_scaled_norm`` as ``_norm`` does."""
-    norms = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    a row whose square overflows takes ``_scaled_norm`` as ``_norm`` does,
+    with no numpy warning for the overflow."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
     for j in np.flatnonzero(norms == np.inf):
         norms[j] = _scaled_norm(d[j])
     return norms
@@ -253,6 +255,13 @@ class _Record(IterationRecord):
         return IterationRecord, tuple(getattr(self, f.name) for f in fields(IterationRecord))
 
 
+def _frozen(a):
+    """A view of ``a``, made read-only first: a view whose owner is read-only
+    refuses to be made writable again, where the owner itself would not."""
+    a.flags.writeable = False
+    return a[...]
+
+
 class _Trace(Sequence):
     """A run's trace: read-only columns with one row per visited iterate.
     ``points`` is the (iterations + 1) x n array of the iterates;
@@ -268,19 +277,17 @@ class _Trace(Sequence):
         of a point matrix and a 3-row scalar matrix each, which are joined
         once, the last cut down to its used rows, and then dropped."""
         used = length - (len(blocks) - 1) * len(blocks[0][0])
-        self.points = np.concatenate([p for p, _ in blocks[:-1]] + [blocks[-1][0][:used]])
+        points = np.concatenate([p for p, _ in blocks[:-1]] + [blocks[-1][0][:used]])
         scalars = np.concatenate([s for _, s in blocks[:-1]] + [blocks[-1][1][:, :used]], axis=1)
         blocks.clear()
-        d = self.points - problem.x0
-        self.distance_from_start = _row_norms(d)
+        d = points - problem.x0
+        self.distance_from_start = _frozen(_row_norms(d))
         self.distance_to_witness = None
         if problem.witness is not None:
-            self.distance_to_witness = _row_norms(np.subtract(self.points, problem.witness, out=d))
-        # frozen before the scalar rows are viewed, so the views are read-only too
-        for a in (self.points, scalars, self.distance_from_start, self.distance_to_witness):
-            if a is not None:
-                a.flags.writeable = False
-        self.max_residual, self.perturbation_norm, self.lam = scalars
+            self.distance_to_witness = _frozen(
+                _row_norms(np.subtract(points, problem.witness, out=d)))
+        self.points = _frozen(points)
+        self.max_residual, self.perturbation_norm, self.lam = _frozen(scalars)
         self._cutters = problem.cutters
         self._sweep = None
 

@@ -135,9 +135,9 @@ def trial_lines():
         seen = []
         summarize = oracles._summarize
 
-        def keep(name, outcomes, coverage):
+        def keep(name, outcomes):
             seen.extend(outcomes)
-            return summarize(name, outcomes, coverage)
+            return summarize(name, outcomes)
 
         with mock.patch.object(oracles, "_summarize", keep):
             oracles.SUITES[suite](trials, 0)

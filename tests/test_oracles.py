@@ -1,12 +1,14 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from blockproj import Ball, Box, Cutter, InvalidCutter, InvalidSchedule, cutters, oracles
+from blockproj import (Ball, BlockGeneralized, Box, Cutter, InvalidCutter, InvalidSchedule,
+                       cutters, oracles)
 from blockproj.oracles import (
     ALL_KINDS,
     PROJECTION_KINDS,
@@ -38,13 +40,26 @@ def _suite_outcomes(suite, trials, seed):
     seen = []
     summarize = oracles._summarize
 
-    def keep(name, outcomes, coverage):
+    def keep(name, outcomes):
         seen.extend(outcomes)
-        return summarize(name, outcomes, coverage)
+        return summarize(name, outcomes)
 
     with mock.patch.object(oracles, "_summarize", keep):
         suite(trials, seed)
     return seen
+
+
+def _schedules_run(suite, trials, seed):
+    """The report of ``suite`` and the schedule of each solve its trials ran."""
+    schedules = []
+    solve = oracles.run
+
+    def spy(problem, config, schedule, *args, **kwargs):
+        schedules.append(schedule)
+        return solve(problem, config, schedule, *args, **kwargs)
+
+    with mock.patch.object(oracles, "run", spy):
+        return suite(trials, seed), schedules
 
 
 def test_kind_labels_keep_their_order():
@@ -93,6 +108,17 @@ def test_suite_coverage_counts_the_kinds_drawn():
     rep = run_cutter_suite(30, 4)
     kinds = [cutter_trial([4, t]).kind for t in range(30)]
     assert rep.coverage == {kind: kinds.count(kind) for kind in set(kinds)}
+
+
+def test_coverage_adds_up_to_the_trials_and_names_only_regimes_run():
+    for seed in range(3):
+        for name, suite in oracles.SUITES.items():
+            rep, schedules = _schedules_run(suite, 1 if name in ("convergence", "qhat") else 20,
+                                            seed)
+            assert sum(rep.coverage.values()) == rep.trials
+            if schedules:
+                # one outcome per solve, counted under the regime it ran
+                assert rep.coverage == Counter(f"regime:{s.regime}" for s in schedules)
 
 
 def test_perturbed_fejer_boundary_sweep():
@@ -175,19 +201,17 @@ def test_qhat_instance_witness_in_full_intersection():
 def test_qhat_suite():
     rep = run_qhat_suite(2, 1)
     assert rep.all_passed
-    assert "regime:block_generalized" in rep.coverage
+    assert rep.coverage == {"regime:summable_last_index": 2, "regime:simultaneous_uniform": 2}
 
 
 def test_combined_regime_coverage():
-    from blockproj.oracles import run_convergence_suite
-
-    conv = run_convergence_suite(4, 20)
-    qhat = run_qhat_suite(1, 20)
-    assert conv.all_passed and qhat.all_passed
-    regimes = {
-        key for rep in (conv, qhat) for key in rep.coverage if key.startswith("regime:")
-    }
-    assert regimes == {
+    # five trials run every extra regime once, so every library regime
+    conv, schedules = _schedules_run(run_convergence_suite, 5, 20)
+    assert conv.all_passed
+    assert run_qhat_suite(1, 20).all_passed
+    # block_generalized is counted from a solve under a BlockGeneralized
+    assert any(isinstance(s, BlockGeneralized) for s in schedules)
+    assert set(conv.coverage) == {
         "regime:sequential_cyclic",
         "regime:sequential_almost_cyclic",
         "regime:sequential_repetitive",

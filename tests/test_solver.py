@@ -829,11 +829,15 @@ def test_points_and_columns_are_read_only():
     problem = _mixed_problem(5)
     trace = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=5),
                 SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99)).trace
-    arrays = [trace.points, trace.residuals(1)] + [getattr(trace, name) for name in _COLUMNS]
-    for arr in arrays:
+    columns = [trace.points] + [getattr(trace, name) for name in _COLUMNS]
+    for arr in columns + [trace.residuals(1)]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+    # nor can a caller make a column writable again
+    for arr in columns:
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
 
 
 def test_trace_distances_above_the_square_limit_are_finite():
@@ -842,12 +846,13 @@ def test_trace_distances_above_the_square_limit_are_finite():
     from blockproj.solver import _row_norms
 
     d = np.array([[1e154, 1e154], [3e200, 4e200], [1.0, 2.0], [1e308, 1e308]])
-    # the plain square overflows first, with numpy's warning, as before
+    # the plain square overflows first, with no numpy warning
+    norms = _row_norms(d).tolist()
+    assert norms == pytest.approx(
+        [math.hypot(1e154, 1e154), 5e200, math.sqrt(5.0), math.hypot(1e308, 1e308)], rel=1e-15)
+    # _norm's square still warns as it overflows
     with np.errstate(over="ignore"):
-        assert _row_norms(d).tolist() == pytest.approx(
-            [math.hypot(1e154, 1e154), 5e200, math.sqrt(5.0), math.hypot(1e308, 1e308)],
-            rel=1e-15)
-        assert [_norm(row) for row in d] == _row_norms(d).tolist()
+        assert [_norm(row) for row in d] == norms
         # a norm past the float range, or of an infinite entry, is inf
         assert _norm(np.array([1e308] * 4)) == math.inf
         assert _norm(np.array([math.inf, 1.0])) == math.inf
@@ -864,8 +869,7 @@ def test_trace_distances_above_the_square_limit_are_finite():
     assert result.final_point.tolist() == [0.0, 0.0]
     assert result.trace.distance_from_start.tolist() == [0.0, 1e200]
     assert [rec.distance_from_start for rec in result.trace] == [0.0, 1e200]
-    with np.errstate(over="ignore"):
-        assert fejer_audit(result.trace.points, [0.0, 0.0]) == -1e200
+    assert fejer_audit(result.trace.points, [0.0, 0.0]) == -1e200
 
 
 def test_a_finished_run_holds_little_more_than_its_numbers():
