@@ -132,7 +132,7 @@ class PerturbationPolicy:
     """Base: produce perturbations with norm at most rho * budget < budget.
 
     ``combined`` is the policy: the weighted sum e^k of one iteration's
-    per-operator perturbations.
+    per-operator perturbations.  A policy supplies only its ``direction``.
     """
 
     rho = 0.0
@@ -145,46 +145,60 @@ class PerturbationPolicy:
         nothing.  When no entry is positive the result is zeros like ``x``,
         and ``iteration_rng`` is not called.  ``iteration_rng()`` returns
         the generator of the iteration's stream; a policy that draws nothing
-        never calls it."""
-        raise InvalidConfig(f"{type(self).__name__} does not define combined")
+        never calls it.
+
+        Every p_j points along the one ``direction`` u, so the sum is
+        (sum_j weights[j] rho budgets[j]) u, and its norm spends the whole
+        weighted budget; no direction gives zeros."""
+        x = np.asarray(x, dtype=float)
+        scale = self.rho * np.asarray(budgets, dtype=float)
+        live = scale > 0.0
+        count = np.count_nonzero(live)
+        if not count:
+            return np.zeros_like(x)
+        drawn = self.direction(x, iteration_rng)
+        if drawn is None:
+            return np.zeros_like(x)
+        v, length = drawn
+        weights = np.asarray(weights, dtype=float)
+        if count < scale.size:
+            weights, scale = weights[live], scale[live]
+        return (weights.dot(scale) / length) * v
+
+    def direction(self, x, iteration_rng):
+        """(v, s) whose quotient v / s is the unit direction u shared by
+        every operator of the iteration at ``x``, or None for no
+        perturbation."""
+        raise InvalidConfig(f"{type(self).__name__} does not define direction")
 
 
 class ZeroPolicy(PerturbationPolicy):
-    """No perturbations: the unperturbed iteration."""
-
-    def combined(self, x, weights, budgets, iteration_rng):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    """No perturbations: the unperturbed iteration, whose rho of 0 leaves no
+    budget positive."""
 
 
 class RandomDirectionPolicy(PerturbationPolicy):
-    """Uniformly random direction scaled to rho * budget."""
+    """Uniformly random direction scaled to rho * budget.
+
+    One direction per iteration serves every operator: each operator's
+    perturbation is still uniformly random with norm rho * budget, inside
+    its own budget, and by convexity of the norm the weighted sum of
+    perturbations that each satisfy the perturbed Fejer inequality
+    satisfies it too, whether or not they share a direction."""
 
     def __init__(self, rho=0.99):
         self.rho = _converted(rho, "rho", InvalidConfig, _RHO)
 
-    def combined(self, x, weights, budgets, iteration_rng):
-        """Row r of one (live, n) standard normal draw is the direction of
-        the r-th entry with a positive budget; a zero row is redrawn, in row
-        order, from the same generator after the matrix."""
-        x = np.asarray(x, dtype=float)
-        scale = self.rho * np.asarray(budgets, dtype=float)
-        live = np.flatnonzero(scale > 0.0)
-        if live.size == 0:
-            return np.zeros_like(x)
+    def direction(self, x, iteration_rng):
+        """(d, ||d||) for d the first ``x.size`` standard normals of the
+        iteration's stream; a zero draw is redrawn from the same generator."""
         rng = iteration_rng()
-        directions = rng.standard_normal((live.size, x.size))
-        # what np.linalg.norm(directions, axis=1) computes, without its wrapper
-        norms = np.sqrt(np.add.reduce(np.square(directions), axis=1))
-        if not norms.all():
-            for row in np.flatnonzero(norms == 0.0):
-                while norms[row] == 0.0:
-                    directions[row] = rng.standard_normal(x.size)
-                    norms[row] = np.linalg.norm(directions[row])
-        # w * scale / norms, evaluated in that order in place
-        coefficients = np.asarray(weights, dtype=float)[live]
-        coefficients *= scale[live]
-        coefficients /= norms
-        return coefficients @ directions
+        while True:
+            d = rng.standard_normal(x.size)
+            # what np.linalg.norm(d) computes, without its wrapper
+            norm = np.sqrt(np.add.reduce(np.square(d)))
+            if norm:
+                return d, norm
 
 
 class SuperiorizedPolicy(PerturbationPolicy):
@@ -196,22 +210,14 @@ class SuperiorizedPolicy(PerturbationPolicy):
         self.cost = cost
         self.rho = _converted(rho, "rho", InvalidConfig, _RHO)
 
-    def combined(self, x, weights, budgets, iteration_rng):
-        x = np.asarray(x, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        scale = self.rho * np.asarray(budgets, dtype=float)
-        live = scale > 0.0
-        count = np.count_nonzero(live)
-        if not count:
-            return np.zeros_like(x)
-        if count < scale.size:
-            weights, scale = weights[live], scale[live]
+    def direction(self, x, iteration_rng):
+        """(grad(x), -||grad(x)||), or None where that norm is at most
+        ``_GRAD_ZERO_TOL``: the direction is -grad(x) / ||grad(x)||."""
         g = np.asarray(self.cost.grad(x), dtype=float)
         gn = _norm(g)
         if gn <= _GRAD_ZERO_TOL:
-            return np.zeros_like(x)
-        # every operator steps along -g: one gradient serves the whole sum
-        return (-float(weights.dot(scale)) / gn) * g
+            return None
+        return g, -gn
 
 
 def perturbation_rng(seed, k):
@@ -219,10 +225,10 @@ def perturbation_rng(seed, k):
     reproducible and independent of every other iteration's.  ``k`` is an
     integer in [0, 2^64); the seed is taken modulo 2^64.
 
-    An iteration draws all of its random directions from this one stream,
-    as a single matrix whose rows follow the live support indices in
-    ascending order.  It is the stream that ``PerturbationStream(seed)``
-    resets its one Philox generator to, at counter [0, 0, k, 0].
+    An iteration draws its one random direction from this stream: the first
+    n standard normals, then n more for as long as the draw is zero.  It is
+    the stream that ``PerturbationStream(seed)`` resets its one Philox
+    generator to, at counter [0, 0, k, 0].
     """
     return PerturbationStream(seed).at(_check_seed(k, "k"))
 

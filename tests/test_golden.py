@@ -86,7 +86,7 @@ PROBLEM = "problem_all_kinds.json"
 # residual_digest; the first five recipes' residuals were pinned while the
 # trace still stored the vectors the run swept, so residuals swept again from
 # a record's point must give their bits
-RESIDUALS_SHA256 = "466238c4dc6d62ef7819eab709d5a2b4b1ea1710ed88970483350e4222bf4205"
+RESIDUALS_SHA256 = "83ca9d755021270b6aafe4c8232da2bfc5f602130e6170944808ac2e34324e25"
 
 # suite -> trials of ``blockproj verify <suite> --seed 0 --json``
 VERIFY = {"fejer": 1000, "cutter": 1000, "budget": 200, "qhat": 1, "convergence": 1}

@@ -286,17 +286,16 @@ def test_random_combined_is_weighted_sum_of_generate():
     budgets = np.array([0.5, 0.0, 1e-3, 2.0])
     stream = PerturbationStream(3)
     e = policy.combined(x, weights, budgets, lambda: stream.at(7))
-    # row r of the iteration's draw belongs to the r-th entry with a budget
-    live = np.flatnonzero(budgets > 0.0)
-    directions = perturbation_rng(3, 7).standard_normal((live.size, x.size))
-    expected = sum(weights[j] * policy.combined(x, [1.0], [budgets[j]],
-                                                lambda: _ReplayRng([d]))
-                   for j, d in zip(live, directions[:, np.newaxis]))
-    assert np.allclose(e, expected, rtol=0.0, atol=1e-15)
-    # one entry draws the first row of its iteration's stream
+    # every entry with a budget steps along the iteration's one direction
+    d = perturbation_rng(3, 7).standard_normal(x.size)
+    scale = 0.9 * budgets
+    live = scale > 0.0
+    total = weights[live].dot(scale[live])
+    expected = (total / np.sqrt(np.add.reduce(np.square(d)))) * d
+    assert e.tobytes() == expected.tobytes()
+    # one entry draws the same direction
     first = policy.combined(x, [1.0], [2.0], lambda: perturbation_rng(3, 7))
-    assert np.allclose(first, 0.9 * 2.0 * directions[0] / np.linalg.norm(directions[0]),
-                       rtol=0.0, atol=1e-15)
+    assert np.allclose(first, 0.9 * 2.0 * d / np.linalg.norm(d), rtol=0.0, atol=1e-15)
 
 
 class _ReplayRng:
@@ -314,16 +313,34 @@ class _ReplayRng:
 
 def test_random_combined_redraws_a_zero_direction():
     policy = RandomDirectionPolicy(rho=0.5)
-    # rows 1 and 2 of the matrix are zero; row 1's first redraw is zero too,
-    # so the redraws after the matrix go to rows 1, 1, 2
-    rng = _ReplayRng([[[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [3.0, 4.0], [0.0, 5.0]])
+    # the first draw and its first redraw are zero; the second redraw serves
+    rng = _ReplayRng([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
     calls = []
     e = policy.combined(np.zeros(2), np.array([0.25, 0.25, 0.5]), np.array([1.0, 2.0, 4.0]),
                         lambda: calls.append(1) or rng)
     assert calls == [1] and rng.draws == []
-    expected = (0.25 * 0.5 * np.array([1.0, 2.0]) / np.sqrt(5.0)
-                + 0.25 * 1.0 * np.array([0.6, 0.8]) + 0.5 * 2.0 * np.array([0.0, 1.0]))
+    expected = 0.5 * (0.25 * 1.0 + 0.25 * 2.0 + 0.5 * 4.0) * np.array([0.6, 0.8])
     assert np.allclose(e, expected, rtol=0.0, atol=1e-15)
+
+
+def test_random_combined_spends_the_weighted_budget():
+    from blockproj.perturbation import _budgets
+
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        size, n = int(rng.integers(1, 60)), int(rng.integers(1, 60))
+        lam, sigma, rho = rng.uniform(0.05, 1.95), rng.uniform(0.5, 50.0), rng.uniform(0.0, 0.999)
+        # some operators already satisfied: their residual and budget are 0
+        residuals = np.where(rng.random(size) < 0.3, 0.0, rng.uniform(0.0, 10.0, size))
+        weights = rng.uniform(0.01, 1.0, size)
+        weights /= weights.sum()
+        budgets = _budgets(lam, residuals, sigma, residuals.max())
+        policy = RandomDirectionPolicy(rho)
+        e = policy.combined(np.zeros(n), weights, budgets, lambda: perturbation_rng(5, trial))
+        spent = rho * weights.dot(budgets)
+        assert abs(np.linalg.norm(e) - spent) <= 1e-14 * spent
+        # the convex combination stays inside the budget of the largest residual
+        assert np.linalg.norm(e) <= budget(lam, residuals.max(), sigma)
 
 
 def test_superiorized_combined_uses_one_gradient():
@@ -381,5 +398,9 @@ def test_superiorized_combined_matches_reference_bytes(data, size, n, rho, form)
 def test_policies_without_their_methods_are_refused():
     with pytest.raises(InvalidConfig, match="^superiorized policy needs a cost with a grad method$"):
         SuperiorizedPolicy(object())
-    with pytest.raises(InvalidConfig, match="^PerturbationPolicy does not define combined$"):
-        PerturbationPolicy().combined(np.zeros(2), [1.0], [1.0], None)
+
+    class Bare(PerturbationPolicy):
+        rho = 0.5
+
+    with pytest.raises(InvalidConfig, match="^Bare does not define direction$"):
+        Bare().combined(np.zeros(2), [1.0], [1.0], None)

@@ -468,9 +468,9 @@ def test_residual_sweep_matches_records():
 def _reference_points(problem, config, schedule, policy, tol):
     """Iterates of a scalar implementation of the iteration: one ``apply``
     and one ``budget`` per operator, stopping at max residual <= tol or at
-    the cap.  A random iteration draws one (live, n) matrix from
-    ``perturbation_rng(seed, k)``, row r for the r-th supported index with a
-    positive budget, and redraws zero rows after it."""
+    the cap.  A random iteration draws one direction, n normals from
+    ``perturbation_rng(seed, k)`` redrawn while they are zero, and every
+    supported index with a positive budget steps along it."""
     from blockproj import budget, perturbation_rng
 
     x, points = np.array(problem.x0), []
@@ -491,10 +491,10 @@ def _reference_points(problem, config, schedule, policy, tol):
                 live.append((i, b))
         if live and isinstance(policy, RandomDirectionPolicy):
             rng = perturbation_rng(config.seed, k)
-            directions = list(rng.standard_normal((len(live), x.size)))
-            for r in range(len(live)):
-                while np.linalg.norm(directions[r]) == 0.0:
-                    directions[r] = rng.standard_normal(x.size)
+            d = rng.standard_normal(x.size)
+            while np.linalg.norm(d) == 0.0:
+                d = rng.standard_normal(x.size)
+            directions = [d for _ in live]
         else:
             directions = [-policy.cost.grad(x) for _ in live]
         for (i, b), d in zip(live, directions):
@@ -801,12 +801,17 @@ def test_columns_are_the_records_fields_across_block_boundaries(monkeypatch, wit
     problem = _mixed_problem(6)
     if not witness:
         problem = dataclasses.replace(problem, witness=None)
-    monkeypatch.setattr(solver, "_BLOCK_ROWS", 3)
-    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=6),
-                 SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
+    args = (problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=6),
+            SimultaneousUniform(problem.m), RandomDirectionPolicy(0.99))
+    # the trace does not depend on the block size: pick the smallest one
+    # that makes several blocks and a short last one
+    n = len(run(*args).trace)
+    rows = next(rows for rows in range(3, n) if n % rows)
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", rows)
+    result = run(*args)
     trace = result.trace
-    assert len(trace.points) == len(trace) == result.iterations_used + 1
-    assert len(trace) > 6 and len(trace) % 3
+    assert len(trace.points) == len(trace) == result.iterations_used + 1 == n
+    assert len(trace) > 2 * rows and len(trace) % rows
     assert (trace.distance_to_witness is None) is not witness
     records = list(trace)
     assert [rec.point.tobytes() for rec in records] == [row.tobytes() for row in trace.points]
