@@ -7,11 +7,12 @@ the hyperplane through T(x) orthogonal to T(x) - x.
 
 import functools
 import math
+import sys
 
 import numpy as np
 
 from .core import (_FINITE, _NONNEGATIVE, _POSITIVE, DimensionMismatch, InvalidCutter,
-                   _converted, _norm, as_vector)
+                   _converted, _norm, _scaled_norm, as_vector)
 
 # f values at or below this are treated as feasible, guarding the subgradient
 # step against division by a vanishing gradient at the boundary
@@ -30,11 +31,15 @@ def _number(value, name, requirement=None):
 
 
 def _squared_norm(a, zero_message):
-    """<a, a>, refusing 0 and inf, with which offset / <a, a> would vanish;
-    ``np.vdot`` sums as ``np.dot`` does, without its overflow warning."""
+    """<a, a>, refusing 0 and inf, with which offset / <a, a> would vanish,
+    and a nonzero a whose square underflows below the smallest normal float,
+    with which the projection loses its precision; ``np.vdot`` sums as
+    ``np.dot`` does, without its overflow warning."""
     aa = float(np.vdot(a, a))
-    if not 0.0 < aa < math.inf:
-        raise InvalidCutter(zero_message if aa == 0.0 else "the squared norm of a overflows")
+    if not sys.float_info.min <= aa < math.inf:
+        if aa == math.inf:
+            raise InvalidCutter("the squared norm of a overflows")
+        raise InvalidCutter("the squared norm of a underflows" if a.any() else zero_message)
     return aa
 
 
@@ -413,11 +418,16 @@ class SubgradientProjection(Cutter):
         if fx <= LEVEL_ZERO_TOL:
             return x
         g = self.f.grad(x)
-        gg = float(np.dot(g, g))
+        # np.vdot sums as np.dot does, without its overflow warning
+        gg = float(np.vdot(g, g))
         if math.sqrt(gg) <= _GRAD_ZERO_TOL:
             raise InvalidCutter(
                 f"gradient vanished at f(x) = {fx}; the zero-sublevel set is empty there"
             )
+        if gg == math.inf:
+            # fx / gg would vanish: a step by the scaled norm squares nothing
+            norm = _scaled_norm(g)
+            return x - (fx / norm) * (g / norm)
         return x - (fx / gg) * g
 
     def level_value(self, x):

@@ -5,6 +5,7 @@ T_w is the w-weighted combination of the operators and e^k aggregates
 per-operator perturbations drawn inside the adaptive budget.
 """
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -158,13 +159,22 @@ def _fired_status(problem, stopping, x, max_res):
 
 class _Sweep:
     """The operators of one run.  Halfspaces and hyperplanes are the rows of
-    one matrix, so one matvec gives all of their residuals and one more their
-    weighted steps; every other kind is applied one by one."""
+    one matrix, so one matvec gives all of their residuals; every other kind
+    is applied one by one.  A step takes only the support S of its weights:
+    one vector-matrix product of the excesses of the rows in S with their
+    step rows (``step_rows``), then the other operators' steps in S."""
 
     def __init__(self, cutters, dimension):
         rows = [(i, c.linear_row) for i, c in enumerate(cutters) if c.linear_row is not None]
         self.m = len(cutters)
         self.rows = np.array([i for i, _ in rows], dtype=np.intp)
+        # which operators are rows, and each one's position among the rows
+        # or among the others
+        self.linear = np.zeros(self.m, dtype=bool)
+        self.linear[self.rows] = True
+        self.place = np.empty(self.m, dtype=np.intp)
+        self.place[self.rows] = np.arange(len(rows))
+        self.place[~self.linear] = np.arange(self.m - len(rows))
         self.A = np.array([a for _, (a, _, _, _) in rows], dtype=float).reshape(
             len(rows), dimension)
         self.b = np.array([b for _, (_, b, _, _) in rows], dtype=float)
@@ -174,9 +184,8 @@ class _Sweep:
         if any(one_sided for _, (_, _, one_sided, _) in rows):
             self.floor = np.array([0.0 if one_sided else -np.inf
                                    for _, (_, _, one_sided, _) in rows])
-        # <a, a> as each cutter summed it when it was built
-        self.aa = np.array([aa for _, (_, _, _, aa) in rows], dtype=float)
-        self.norms = np.sqrt(self.aa)
+        # |a_i| from <a, a> as each cutter summed it when it was built
+        self.norms = np.sqrt(np.array([aa for _, (_, _, _, aa) in rows], dtype=float))
         self.others = [(i, c) for i, c in enumerate(cutters) if c.linear_row is None]
 
     def residuals(self, x, out=None):
@@ -201,19 +210,113 @@ class _Sweep:
             residuals[i] = _norm(d)
         return residuals, excess, steps
 
-    def update(self, x, lam, w, excess, steps, out):
-        """x + lam sum_i w_i (T_i(x) - x), written into ``out``, where a
-        row's T_i(x) - x is -(excess_i / |a_i|^2) a_i."""
-        np.matmul(self.A.T, (w[self.rows] if self.others else w) * excess / self.aa, out=out)
-        # negated first: -s + t rounds an exact zero to +0.0 where
-        # -(s - t) gives -0.0
-        np.negative(out, out=out)
-        for (i, _), d in zip(self.others, steps):
-            if w[i] > 0.0:
-                out += w[i] * d
-        out *= lam
+    @functools.cached_property
+    def units(self):
+        """The unit rows a_i / |a_i| that the step rows scale, built on first
+        use: a sweep that only measures residuals takes no step."""
+        return self.A / self.norms[:, None]
+
+    def step_rows(self, at, weights):
+        """The step rows g_i = -(w_i / |a_i|)(a_i / |a_i|) of the rows at
+        positions ``at`` (an index array or a slice) with weights
+        ``weights``, so that a row's w_i (T_i(x) - x) is excess_i g_i.  Every
+        operation is elementwise, so a row has the same bits however many
+        are built at once; unlike w_i excess_i / |a_i|^2, no factor
+        overflows or underflows where the step itself does not."""
+        return self.units[at] * (-weights / self.norms[at])[:, None]
+
+    def support(self, w, excess):
+        """The step's terms over the support of a weight vector ``w``, built
+        on this call: the excesses of the rows in it, their step rows, and
+        (w_i, position among the others) of the other operators in it, in
+        index order."""
+        indices = np.flatnonzero(w)
+        others = ()
+        if self.others:
+            linear = self.linear[indices]
+            others = indices[~linear]
+            others = zip(w[others].tolist(), self.place[others].tolist())
+            indices = indices[linear]
+        # a support of every row takes the rows as they are, without a copy
+        at = self.place[indices] if indices.size < len(self.norms) else slice(None)
+        return excess[at], self.step_rows(at, w[indices]), others
+
+    def update(self, x, lam, excess, g, others, steps, out):
+        """x + lam sum_{i in S} w_i (T_i(x) - x), written into ``out``, for
+        the terms over S that ``support`` or a ``_TableSteps`` gives: the rows'
+        sum is the product ``excess @ g``, to which each other operator's
+        w_i (T_i(x) - x) is added in index order."""
+        np.matmul(excess, g, out=out)
+        for wi, p in others:
+            out += wi * steps[p]
+        # a product with 1.0 keeps every bit, and a scalar product costs
+        # about as much as the matmul
+        if lam != 1.0:
+            out *= lam
         out += x
         return out
+
+
+# a table's step terms are built once per run where its entries of each kind
+# number at most this many times the operators of that kind, so that its step
+# rows take at most that multiple of A's memory; a longer table, such as a
+# long repetitive control, builds its row's terms on each call
+_TABLE_ENTRIES_PER_OPERATOR = 4
+
+
+class _TableSteps:
+    """The step's terms over the support of each row of a weight table, from
+    step rows built once for every stored entry with whole-array operations:
+    row j's entries are one slice of them, and its excesses are one slice of
+    the rows' excesses where its rows' positions are consecutive."""
+
+    def __init__(self, sweep, table, linear):
+        self.period = table.period
+        self.at = sweep.place[table.indices[linear]]
+        self.g = sweep.step_rows(self.at, table.values[linear])
+        starts = table.bounds[:-1]
+        counts = np.add.reduceat(linear, starts)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        # positions ascend within a row: they are consecutive where the last
+        # is the first plus the count less one; -1 marks a row that is not
+        first = np.full(self.period, -1, dtype=np.intp)
+        used = np.flatnonzero(counts)
+        lo, hi = self.at[bounds[used]], self.at[bounds[used + 1] - 1]
+        first[used] = np.where(hi - lo == counts[used] - 1, lo, -1)
+        # a row with no rows takes the empty slice at 0
+        first[counts == 0] = 0
+        self.bounds, self.first = bounds.tolist(), first.tolist()
+        self.other_bounds = None
+        if sweep.others:
+            others = ~linear
+            self.other_bounds = np.concatenate(
+                ([0], np.cumsum(np.add.reduceat(others, starts)))).tolist()
+            self.other_terms = list(zip(table.values[others].tolist(),
+                                        sweep.place[table.indices[others]].tolist()))
+
+    @classmethod
+    def of(cls, sweep, table):
+        """The cached terms of ``table``, or None where its entries of some
+        kind exceed ``_TABLE_ENTRIES_PER_OPERATOR`` times its operators."""
+        if table is None:
+            return None
+        linear = sweep.linear[table.indices]
+        rows = np.count_nonzero(linear)
+        cap = _TABLE_ENTRIES_PER_OPERATOR
+        if rows > cap * len(sweep.norms) or linear.size - rows > cap * len(sweep.others):
+            return None
+        return cls(sweep, table, linear)
+
+    def support(self, k, excess):
+        """``_Sweep.support`` for row k of the table, in O(1) and to its bits."""
+        j = k % self.period
+        s, e = self.bounds[j], self.bounds[j + 1]
+        lo = self.first[j]
+        excess = excess[lo:lo + e - s] if lo >= 0 else excess[self.at[s:e]]
+        others = ()
+        if self.other_bounds is not None:
+            others = self.other_terms[self.other_bounds[j]:self.other_bounds[j + 1]]
+        return excess, self.g[s:e], others
 
 
 # rows of one block of a run's trace.  The run allocates its blocks one at a
@@ -369,11 +472,12 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     lo, hi = float(config.tau1), 2.0 - float(config.tau2)
 
     sweep = _Sweep(problem.cutters, problem.dimension)
+    # a weight table holds each of its rows as its support
+    table = getattr(schedule, "_table", None)
+    table_steps = _TableSteps.of(sweep, table)
     stream = None
     if not isinstance(policy, ZeroPolicy) and math.isfinite(sigma):
         stream = PerturbationStream(config.seed)
-        # a weight table holds each of its rows as its support
-        table = getattr(schedule, "_table", None)
     # the trace as blocks of a point matrix and three scalar rows: iterate
     # b * rows + r is row r of block b's points, which the update writes
     # there, and column r of its scalars; the distances wait until the run ends
@@ -415,7 +519,9 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
             w = schedule.weights_at(k)
             if r + 1 == rows:
                 blocks.append(tuple(map(np.empty, shapes)))
-            x_next = sweep.update(x, lam, w, excess, steps, blocks[-1][0][(r + 1) % rows])
+            terms = (sweep.support(w, excess) if table_steps is None
+                     else table_steps.support(k, excess))
+            x_next = sweep.update(x, lam, *terms, steps, blocks[-1][0][(r + 1) % rows])
             pert_norm = 0.0
             if stream is not None:
                 # e^k: the policy's perturbations over the support of w, in index

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,23 @@ def test_subgradient_projection_example():
     cutter = SubgradientProjection(BallQuadratic([0.0, 0.0], 1.0))
     out = cutter.apply([2.0, 0.0])
     assert np.allclose(out, [1.25, 0.0], atol=1e-15)
+
+
+def test_subgradient_step_whose_squared_gradient_overflows():
+    # f = 1e308 - 1 and ||grad f||^2 = 4e308 = inf: f / ||g||^2 vanished and
+    # the step returned x, with residual 0, 1e154 away from the unit ball
+    cutter = SubgradientProjection(BallQuadratic([0.0, 0.0], 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = cutter.apply([1e154, 0.0])
+        assert out.tobytes() == np.array([5e153, 0.0]).tobytes()
+        assert cutter.residual([1e154, 0.0]) == 5e153
+    # a finite ||g||^2 keeps the step x - (f / ||g||^2) g bit for bit
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 1e100, 1e153):
+        x = rng.standard_normal(2) * scale
+        g = 2.0 * x
+        assert cutter.apply(x).tobytes() == (x - (cutter.f.value(x) / np.dot(g, g)) * g).tobytes()
 
 
 def test_resolvent_abs_prox_example():

@@ -306,6 +306,12 @@ def test_an_integer_beyond_the_float_range_is_named_without_its_digits(call, err
     (lambda: theta_budget(0.5, 1.0, 1.0, -1), InvalidConfig,
      r"anchor distance must be >= 0, got -1\.0"),
     (lambda: BallQuadratic([0.0], -1), InvalidCutter, r"radius must be >= 0, got -1\.0"),
+    # <a, a> is subnormal: the projection onto {x1 <= 0} left x1 = 0.089
+    # at a = [3e-162, 0], and overshot by 1.1e-5 at a = [1e-160, 0]
+    (lambda: Halfspace([3e-162, 0.0], 0.0), InvalidCutter, "the squared norm of a underflows"),
+    (lambda: Hyperplane([1e-160, 0.0], 0.0), InvalidCutter, "the squared norm of a underflows"),
+    (lambda: AffineFunction([1e-160, 0.0], 0.0), InvalidCutter,
+     "the squared norm of a underflows"),
     # Q is finite and symmetric, but eigvalsh gives [0, inf], and value([1, 1])
     # overflows
     (lambda: QuadraticFunction([[1e308, 1e308], [1e308, 1e308]], [0.0, 0.0], 0.0),

@@ -589,7 +589,8 @@ def test_superiorized_run_never_touches_the_stream(monkeypatch):
 
 def test_update_adds_a_zero_step_to_a_negative_zero_coordinate():
     # no operator moves coordinate 0, which starts at -0.0: the step there is
-    # -(0 * 1) + 0.5 * (+0.0) = +0.0, and -0.0 + lam * (+0.0) is +0.0
+    # 2 * (-(0.5 / 1) * (0 / 1)) + 0.5 * (+0.0) = -0.0 + (+0.0) = +0.0, and
+    # -0.0 + lam * (+0.0) is +0.0
     problem = Problem(2, [Hyperplane([0.0, 1.0], 1.0), Ball([0.0, 0.0], 100.0)],
                       [-0.0, 3.0], sigma=10.0)
     result = run(problem, _config(max_iterations=1), SimultaneousUniform(2), stopping=[])
@@ -630,12 +631,6 @@ def test_weights_refilled_in_place_give_the_same_trace(policy_name):
         traces.append([(rec.point.tobytes(), rec.perturbation_norm) for rec in result.trace])
     assert sum(norm > 0.0 for _, norm in traces[0]) > 10
     assert traces[0] == traces[1]
-
-
-def _record_bytes(rec):
-    return (rec.k, rec.point.tobytes(), rec.per_index_residuals.tobytes(),
-            *(np.float64(v).tobytes() for v in (rec.max_residual, rec.perturbation_norm,
-                                                rec.lam, rec.distance_from_start)))
 
 
 class _ComputedBlocks(WeightSchedule):
@@ -680,6 +675,63 @@ def test_block_tables_give_the_trace_of_the_same_computed_weights(policy_name):
             traces.append([_record_bytes(rec) for rec in result.trace])
         assert sum(rec.perturbation_norm > 0.0 for rec in result.trace) > 10
         assert traces[0] == traces[1]
+
+
+# the schedules of _mixed_problem's 17 operators: rows at the even indices
+# 0..14, the other kinds at the odd ones and at 16.  The overlapping blocks
+# are unsorted; the first one's rows sit at consecutive positions among the
+# rows, the second holds none, the third's do not and the last holds all.
+_OVERLAPPING = [[4, 0, 2, 6, 1], [5, 3, 7, 9, 11], [16, 8, 9, 12, 13, 14], list(range(17))]
+_TWINS = {
+    "sequential_cyclic": lambda m: (
+        SequentialCyclic(m), _ComputedBlocks(m, [[i] for i in range(m)], [[1.0]] * m)),
+    "simultaneous_uniform": lambda m: (
+        SimultaneousUniform(m), _ComputedBlocks(m, [list(range(m))], [[1.0 / m] * m])),
+    "block_generalized": lambda m: (
+        BlockGeneralized(m, _OVERLAPPING),
+        BlockGeneralized(m, lambda k: _OVERLAPPING[k % len(_OVERLAPPING)])),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_TWINS))
+@pytest.mark.parametrize("policy_name", ["zero", "random"])
+def test_a_table_and_its_computed_twin_give_the_same_trace(regime, policy_name):
+    # a table takes its step rows from the ones built once per run, the twin
+    # builds its row's on each call: the arithmetic is one, and so are the bits
+    from blockproj import solver
+
+    problem = _mixed_problem(7)
+    table, twin = _TWINS[regime](problem.m)
+    assert twin._table is None
+    sweep = solver._Sweep(problem.cutters, problem.dimension)
+    assert solver._TableSteps.of(sweep, table._table) is not None
+    traces = []
+    for schedule in (table, twin):
+        policy = {"zero": ZeroPolicy(), "random": RandomDirectionPolicy(0.99)}[policy_name]
+        result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=7),
+                     schedule, policy)
+        traces.append([_record_bytes(rec) for rec in result.trace])
+    assert len(result.trace) > 20
+    assert (sum(rec.perturbation_norm > 0.0 for rec in result.trace) > 10) == (
+        policy_name == "random")
+    assert traces[0] == traces[1]
+
+
+def test_a_long_repetitive_control_builds_its_step_terms_per_call():
+    # step rows built once for all 100,000 entries of the control would take
+    # 100,000 x 8 floats, 6.4 MB; the run builds its row's on each call
+    problem = gen_linear_feasibility(5, 4, 8, 2.0)
+    schedule = SequentialRepetitive(4, np.random.default_rng(2).integers(0, 4, 100_000).tolist())
+    assert schedule._table is not None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run(problem, _config(max_iterations=600), schedule, stopping=[])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations_used == 600
+    assert peak < 500_000
 
 
 def test_run_with_a_huge_sigma_computes_its_budgets_without_overflow():
