@@ -129,62 +129,31 @@ def theta_budget(theta, lam, residual, anchor_distance):
 # policies
 
 class PerturbationPolicy:
-    """Base: produce perturbations with norm at most rho * budget < budget.
-
-    ``combined`` is the policy: the weighted sum e^k of one iteration's
-    per-operator perturbations.  A policy supplies only its ``direction``.
-    """
+    """Base: a policy supplies only its ``direction``.  ``run`` spends the
+    iteration's whole perturbation t_k = rho sum_{i in S} w_i b_i along it,
+    so each operator's share rho b_i stays strictly inside its budget b_i
+    (rho < 1); a rho of 0 spends nothing and asks for no direction."""
 
     rho = 0.0
-
-    def combined(self, x, weights, budgets, iteration_rng):
-        """sum_j weights[j] p_j, where p_j has norm rho * budgets[j].
-
-        ``budgets`` may hold zeros: the solver passes every index of the
-        support, and an entry whose rho * budgets[j] is not positive adds
-        nothing.  When no entry is positive the result is zeros like ``x``,
-        and ``iteration_rng`` is not called.  ``iteration_rng()`` returns
-        the generator of the iteration's stream; a policy that draws nothing
-        never calls it.
-
-        Every p_j points along the one ``direction`` u, so the sum is
-        (sum_j weights[j] rho budgets[j]) u, and its norm spends the whole
-        weighted budget; no direction gives zeros."""
-        x = np.asarray(x, dtype=float)
-        scale = self.rho * np.asarray(budgets, dtype=float)
-        live = scale > 0.0
-        count = np.count_nonzero(live)
-        if not count:
-            return np.zeros_like(x)
-        drawn = self.direction(x, iteration_rng)
-        if drawn is None:
-            return np.zeros_like(x)
-        v, length = drawn
-        weights = np.asarray(weights, dtype=float)
-        if count < scale.size:
-            weights, scale = weights[live], scale[live]
-        return (weights.dot(scale) / length) * v
 
     def direction(self, x, iteration_rng):
         """(v, s) whose quotient v / s is the unit direction u shared by
         every operator of the iteration at ``x``, or None for no
-        perturbation."""
+        perturbation.  ``iteration_rng()`` returns the generator of the
+        iteration's stream; a policy that draws nothing never calls it."""
         raise InvalidConfig(f"{type(self).__name__} does not define direction")
 
 
 class ZeroPolicy(PerturbationPolicy):
-    """No perturbations: the unperturbed iteration, whose rho of 0 leaves no
-    budget positive."""
+    """No perturbations: the unperturbed iteration, whose rho of 0 spends
+    nothing."""
 
 
 class RandomDirectionPolicy(PerturbationPolicy):
     """Uniformly random direction scaled to rho * budget.
 
     One direction per iteration serves every operator: each operator's
-    perturbation is still uniformly random with norm rho * budget, inside
-    its own budget, and by convexity of the norm the weighted sum of
-    perturbations that each satisfy the perturbed Fejer inequality
-    satisfies it too, whether or not they share a direction."""
+    perturbation is still uniformly random with norm rho * budget."""
 
     def __init__(self, rho=0.99):
         self.rho = _converted(rho, "rho", InvalidConfig, _RHO)
@@ -195,8 +164,8 @@ class RandomDirectionPolicy(PerturbationPolicy):
         rng = iteration_rng()
         while True:
             d = rng.standard_normal(x.size)
-            # what np.linalg.norm(d) computes, without its wrapper
-            norm = np.sqrt(np.add.reduce(np.square(d)))
+            # np.linalg.norm(d) bit for bit, without its wrapper
+            norm = _norm(d)
             if norm:
                 return d, norm
 

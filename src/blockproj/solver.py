@@ -450,6 +450,14 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
     before the update that uses it (LambdaOutOfRange).  The iteration cap
     ``config.max_iterations`` is checked after the rules, so a rule that
     fires at the cap gives its own status.
+
+    The perturbation is e^k = t_k u, with t_k = rho sum_{i in S} w_i b_i
+    over the support S of w_k, b_i the budget of operator i, and u the unit
+    direction v / s of the policy's ``direction``, asked for only where t_k
+    is positive.  So e^k is the weighted sum of the operators'
+    perturbations rho b_i u, each of norm rho b_i < b_i: each satisfies the
+    perturbed Fejer inequality, and by convexity of the norm their weighted
+    sum does too.  The trace records ||e^k||, the norm of the vector added.
     """
     if config is None:
         config = SolverConfig()
@@ -524,9 +532,9 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
             x_next = sweep.update(x, lam, *terms, steps, blocks[-1][0][(r + 1) % rows])
             pert_norm = 0.0
             if stream is not None:
-                # e^k: the policy's perturbations over the support of w, in index
-                # order and each inside its budget; a policy that draws resets the
-                # stream to iteration k's, keyed by (seed, k), through the accessor
+                # e^k = t_k u over the support of w: a policy that draws resets
+                # the stream to iteration k's, keyed by (seed, k), through the
+                # accessor, and only where t_k is positive
                 if table is None:
                     indices = np.flatnonzero(w > 0.0)
                     weights = w[indices]
@@ -535,10 +543,13 @@ def run(problem, config=None, schedule=None, policy=None, stopping=None):
                 # a support of every index takes the residuals as they are
                 if indices.size < residuals.size:
                     residuals = residuals[indices]
-                budgets = _budgets(lam, residuals, sigma, max_res)
-                e = policy.combined(x, weights, budgets, lambda: stream.at(k))
-                x_next += e
-                pert_norm = _norm(e)
+                t = policy.rho * weights.dot(_budgets(lam, residuals, sigma, max_res))
+                drawn = policy.direction(x, lambda: stream.at(k)) if t > 0.0 else None
+                if drawn is not None:
+                    v, s = drawn
+                    e = (t / s) * v
+                    x_next += e
+                    pert_norm = _norm(e)
             if np.count_nonzero(np.isfinite(x_next)) < x_next.size:
                 raise NonfiniteIterate(f"non-finite iterate after step k={k}")
             columns[_PERTURBATION, r] = pert_norm

@@ -170,45 +170,39 @@ def test_input_validation():
 # ---------------------------------------------------------------------------
 # policies
 
-def test_zero_policy():
-    e = ZeroPolicy().combined(np.ones(3), [1.0], [10.0],
-                              lambda: pytest.fail("the zero policy draws nothing"))
-    assert np.array_equal(e, np.zeros(3))
+def test_zero_policy_spends_nothing():
+    # run builds no stream for it and asks it for no direction
+    assert ZeroPolicy().rho == 0.0
+    with pytest.raises(InvalidConfig, match="^ZeroPolicy does not define direction$"):
+        ZeroPolicy().direction(np.zeros(2), lambda: pytest.fail("drawn"))
 
 
-def test_random_direction_norm():
+def test_random_direction_is_the_streams_draw_and_its_norm():
+    # d is the first n normals of iteration k's stream, and s its norm, bit
+    # for bit np.linalg.norm(d), as the solver's scalar reference computes it
+    rng = np.random.default_rng(31)
     policy = RandomDirectionPolicy(rho=0.9)
-    e = policy.combined(np.zeros(4), [1.0], [0.1], lambda: perturbation_rng(1, 2))
-    assert np.linalg.norm(e) == pytest.approx(0.09, abs=1e-12)
-    assert np.linalg.norm(e) < 0.1  # strictly inside the budget
-
-
-def test_random_direction_zero_budget():
-    policy = RandomDirectionPolicy(rho=0.9)
-    e = policy.combined(np.zeros(4), [1.0], [0.0], lambda: perturbation_rng(1, 2))
-    assert np.array_equal(e, np.zeros(4))
+    for trial in range(400):
+        n = trial % 100 + 1
+        seed, k = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 10 ** 6))
+        d, norm = policy.direction(np.zeros(n), lambda: perturbation_rng(seed, k))
+        assert d.tobytes() == perturbation_rng(seed, k).standard_normal(n).tobytes()
+        assert norm > 0.0
+        assert norm == np.linalg.norm(d)
+        assert np.linalg.norm(d / norm) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_superiorized_example():
-    # cost ||x||^2 at (1, 0): -grad/||grad|| = (-1, 0), scaled by 0.5 * 0.2
+    # cost ||x||^2 at (1, 0): the direction -grad/||grad|| is (-1, 0)
     policy = SuperiorizedPolicy(SquaredNorm(), rho=0.5)
-    e = policy.combined(np.array([1.0, 0.0]), [1.0], [0.2], lambda: perturbation_rng(0, 0))
-    assert np.allclose(e, [-0.1, 0.0], atol=1e-15)
+    v, norm = policy.direction(np.array([1.0, 0.0]),
+                               lambda: pytest.fail("the superiorized policy draws nothing"))
+    assert np.array_equal(v / norm, [-1.0, 0.0])
 
 
-def test_superiorized_zero_gradient_gives_zero():
+def test_superiorized_zero_gradient_gives_no_direction():
     policy = SuperiorizedPolicy(SquaredNorm(), rho=0.5)
-    e = policy.combined(np.zeros(3), [1.0], [0.2], lambda: perturbation_rng(0, 0))
-    assert np.array_equal(e, np.zeros(3))
-
-
-def test_strict_budget_sweep():
-    rng_master = np.random.default_rng(8)
-    policy = RandomDirectionPolicy(rho=0.99)
-    for trial in range(200):
-        b = rng_master.uniform(1e-6, 2.0)
-        e = policy.combined(np.zeros(3), [1.0], [b], lambda: perturbation_rng(9, trial))
-        assert 0.0 < np.linalg.norm(e) < b
+    assert policy.direction(np.zeros(3), lambda: pytest.fail("drawn")) is None
 
 
 def test_rho_validation():
@@ -277,27 +271,6 @@ def test_batched_budgets_equal_scalar_budget(lam, residuals, sigma, headroom):
     assert batched.tobytes() == scalar.tobytes()
 
 
-def test_random_combined_is_weighted_sum_of_generate():
-    from blockproj.perturbation import PerturbationStream
-
-    policy = RandomDirectionPolicy(rho=0.9)
-    x = np.zeros(6)
-    weights = np.array([0.1, 0.2, 0.3, 0.4])
-    budgets = np.array([0.5, 0.0, 1e-3, 2.0])
-    stream = PerturbationStream(3)
-    e = policy.combined(x, weights, budgets, lambda: stream.at(7))
-    # every entry with a budget steps along the iteration's one direction
-    d = perturbation_rng(3, 7).standard_normal(x.size)
-    scale = 0.9 * budgets
-    live = scale > 0.0
-    total = weights[live].dot(scale[live])
-    expected = (total / np.sqrt(np.add.reduce(np.square(d)))) * d
-    assert e.tobytes() == expected.tobytes()
-    # one entry draws the same direction
-    first = policy.combined(x, [1.0], [2.0], lambda: perturbation_rng(3, 7))
-    assert np.allclose(first, 0.9 * 2.0 * d / np.linalg.norm(d), rtol=0.0, atol=1e-15)
-
-
 class _ReplayRng:
     """A generator that returns the given draws in order, checking that each
     is asked for with its own shape."""
@@ -311,88 +284,45 @@ class _ReplayRng:
         return draw
 
 
-def test_random_combined_redraws_a_zero_direction():
-    policy = RandomDirectionPolicy(rho=0.5)
-    # the first draw and its first redraw are zero; the second redraw serves
-    rng = _ReplayRng([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
+def test_random_direction_redraws_a_zero_draw():
+    # the first draw and its first redraw are zero; the second redraw, normals
+    # of a real stream, serves, and its norm is np.linalg.norm's too
+    drawn = perturbation_rng(4, 9).standard_normal(7)
+    rng = _ReplayRng([np.zeros(7), np.zeros(7), drawn])
     calls = []
-    e = policy.combined(np.zeros(2), np.array([0.25, 0.25, 0.5]), np.array([1.0, 2.0, 4.0]),
-                        lambda: calls.append(1) or rng)
+    d, norm = RandomDirectionPolicy(rho=0.5).direction(np.zeros(7),
+                                                       lambda: calls.append(1) or rng)
     assert calls == [1] and rng.draws == []
-    expected = 0.5 * (0.25 * 1.0 + 0.25 * 2.0 + 0.5 * 4.0) * np.array([0.6, 0.8])
-    assert np.allclose(e, expected, rtol=0.0, atol=1e-15)
+    assert d.tobytes() == drawn.tobytes()
+    assert norm == np.linalg.norm(d)
 
 
-def test_random_combined_spends_the_weighted_budget():
-    from blockproj.perturbation import _budgets
-
-    rng = np.random.default_rng(21)
-    for trial in range(300):
-        size, n = int(rng.integers(1, 60)), int(rng.integers(1, 60))
-        lam, sigma, rho = rng.uniform(0.05, 1.95), rng.uniform(0.5, 50.0), rng.uniform(0.0, 0.999)
-        # some operators already satisfied: their residual and budget are 0
-        residuals = np.where(rng.random(size) < 0.3, 0.0, rng.uniform(0.0, 10.0, size))
-        weights = rng.uniform(0.01, 1.0, size)
-        weights /= weights.sum()
-        budgets = _budgets(lam, residuals, sigma, residuals.max())
-        policy = RandomDirectionPolicy(rho)
-        e = policy.combined(np.zeros(n), weights, budgets, lambda: perturbation_rng(5, trial))
-        spent = rho * weights.dot(budgets)
-        assert abs(np.linalg.norm(e) - spent) <= 1e-14 * spent
-        # the convex combination stays inside the budget of the largest residual
-        assert np.linalg.norm(e) <= budget(lam, residuals.max(), sigma)
-
-
-def test_superiorized_combined_uses_one_gradient():
-    calls = []
-
-    class CountingNorm(SquaredNorm):
-        def grad(self, x):
-            calls.append(1)
-            return super().grad(x)
-
-    policy = SuperiorizedPolicy(CountingNorm(), rho=0.5)
-    x = np.array([3.0, 4.0])
-    e = policy.combined(x, np.array([0.25, 0.25, 0.5]), np.array([0.4, 0.0, 0.2]),
-                        lambda: pytest.fail("the superiorized policy draws nothing"))
-    assert calls == [1]
-    assert np.allclose(e, -0.5 * (0.25 * 0.4 + 0.5 * 0.2) * x / 5.0, rtol=0.0, atol=1e-16)
-
-
-def _reference_superiorized_combined(policy, x, weights, budgets):
-    """``SuperiorizedPolicy.combined`` as first written, kept to pin its
-    rewrite."""
-    x = np.asarray(x, dtype=float)
-    scale = policy.rho * np.asarray(budgets, dtype=float)
-    if not np.any(scale > 0.0):
-        return np.zeros_like(x)
+def _reference_superiorized_direction(policy, x):
+    """The superiorized direction as first written: grad(x) with the negated
+    ``np.linalg.norm`` of it, or None where that norm is at most 1e-14."""
     g = np.asarray(policy.cost.grad(x), dtype=float)
     gn = float(np.linalg.norm(g))
     if gn <= 1e-14:
-        return np.zeros_like(x)
-    live = scale > 0.0
-    return (-float(np.dot(np.asarray(weights, dtype=float)[live], scale[live])) / gn) * g
-
-
-# zero budgets, subnormal ones whose rho * budget may round to zero, and
-# ordinary ones
-_BUDGETS = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-320]), st.floats(1e-12, 1e3))
+        return None
+    return g, -gn
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), size=st.integers(1, 30), n=st.integers(1, 50),
-       rho=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+@given(data=st.data(), n=st.integers(1, 50),
+       scale=st.sampled_from([1.0, 1e-16, 1e-300]),
        form=st.sampled_from(["abs_sum", "squared_norm"]))
-def test_superiorized_combined_matches_reference_bytes(data, size, n, rho, form):
+def test_superiorized_direction_matches_reference_bytes(data, n, scale, form):
+    # a tiny x gives a squared-norm gradient at or below the threshold
     from blockproj import AbsSum
 
-    policy = SuperiorizedPolicy(AbsSum() if form == "abs_sum" else SquaredNorm(), rho)
-    x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
-    weights = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=size, max_size=size)))
-    budgets = np.array(data.draw(st.lists(_BUDGETS, min_size=size, max_size=size)))
-    got = policy.combined(x, weights, budgets,
-                          lambda: pytest.fail("the superiorized policy draws nothing"))
-    assert got.tobytes() == _reference_superiorized_combined(policy, x, weights, budgets).tobytes()
+    policy = SuperiorizedPolicy(AbsSum() if form == "abs_sum" else SquaredNorm(), 0.99)
+    x = scale * np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    got = policy.direction(x, lambda: pytest.fail("the superiorized policy draws nothing"))
+    expected = _reference_superiorized_direction(policy, x)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1] == expected[1]
 
 
 def test_policies_without_their_methods_are_refused():
@@ -402,5 +332,9 @@ def test_policies_without_their_methods_are_refused():
     class Bare(PerturbationPolicy):
         rho = 0.5
 
+    # a run asks for the direction where it first has a budget to spend
+    from blockproj import Halfspace, Problem, run
+
+    problem = Problem(2, [Halfspace([1.0, 0.0], 0.0)], [1.0, 1.0], sigma=5.0)
     with pytest.raises(InvalidConfig, match="^Bare does not define direction$"):
-        Bare().combined(np.zeros(2), [1.0], [1.0], None)
+        run(problem, policy=Bare())

@@ -51,6 +51,7 @@ from blockproj import (
     fejer_audit,
     gen_l1_constrained,
     gen_linear_feasibility,
+    perturbation_rng,
     run,
     sigma_from_ball,
     sigma_from_l1,
@@ -309,8 +310,11 @@ def test_nonfinite_iterate_aborts():
 
 
 class _InfinitePolicy(PerturbationPolicy):
-    def combined(self, x, weights, budgets, iteration_rng):
-        return np.full(len(x), np.inf)
+    # a rho of 0 would spend nothing and never ask for the direction
+    rho = 0.5
+
+    def direction(self, x, iteration_rng):
+        return np.full(len(x), np.inf), 1.0
 
 
 def test_nonfinite_perturbation_aborts_after_the_step():
@@ -454,6 +458,105 @@ def test_record_perturbation_norm_within_weighted_budgets():
         assert rec.perturbation_norm <= cap + 1e-12
 
 
+def _spent(result, schedule, sigma):
+    """sum_{i in S} w_i b_i at every iterate k of ``result`` but the last,
+    with b_i = budget(lam_k, r_i, sigma) of iterate k's residuals and the
+    products summed exactly over the support S of w_k."""
+    from blockproj import budget
+
+    trace = result.trace
+    sums = []
+    for k in range(len(trace) - 1):
+        w, residuals = schedule.weights_at(k), trace.residuals(k)
+        sums.append(math.fsum(w[i] * budget(trace.lam[k], residuals[i], sigma)
+                              for i in np.flatnonzero(w)))
+    return np.array(sums)
+
+
+@pytest.mark.parametrize("case", ["random_simultaneous", "random_blocks", "superiorized"])
+def test_run_spends_rho_times_the_weighted_budget(case):
+    # ||e^k|| = rho sum_{i in S} w_i b_i, strictly inside sum_{i in S} w_i b_i,
+    # and exactly 0 where that sum is 0 or the policy gives no direction
+    if case == "superiorized":
+        problem = gen_l1_constrained(3, 20, 100, 2.0)
+        policy = SuperiorizedPolicy(problem.cost, 0.99)
+    else:
+        problem = gen_linear_feasibility(13, 40, 10, 3)
+        policy = RandomDirectionPolicy(0.9)
+    schedule = (BlockClassicalCyclic(problem.m, [list(range(0, 40, 2)), list(range(1, 40, 2))])
+                if case == "random_blocks" else SimultaneousUniform(problem.m))
+    config = _config(residual_tolerance=1e-6, max_iterations=400, seed=2)
+    result = run(problem, config, schedule, policy)
+    sums = _spent(result, schedule, problem.sigma)
+    norms = result.trace.perturbation_norm
+    assert norms[-1] == 0.0
+    norms = norms[:-1]
+    # a superiorized policy gives no direction where the gradient vanishes
+    directed = np.array([policy.direction(x, lambda: perturbation_rng(2, 0)) is not None
+                         for x in result.trace.points[:-1]])
+    live = (sums > 0.0) & directed
+    assert np.count_nonzero(live) > 20
+    assert np.all(norms[~live] == 0.0)
+    spent = policy.rho * sums[live]
+    assert np.all(np.abs(norms[live] - spent) <= 1e-14 * spent)
+    assert np.all(norms[live] < sums[live])
+
+
+def test_run_asks_for_no_direction_where_nothing_is_spent():
+    # x_1 <= 0 and x_1 >= 0, and x0 satisfies the first only: at k = 0 its
+    # budget, and so t_0, is 0, and the run must not ask for a direction
+    # there.  Later perturbations violate one halfspace or the other.
+    asked = []
+
+    class Watched(RandomDirectionPolicy):
+        def direction(self, x, iteration_rng):
+            asked.append(np.array(x))
+            return super().direction(x, iteration_rng)
+
+    problem = Problem(2, [Halfspace([1.0, 0.0], 0.0), Halfspace([-1.0, 0.0], 0.0)],
+                      [-1.0, 3.0], sigma=10.0)
+    schedule = SequentialCyclic(2)
+    result = run(problem, _config(max_iterations=40, seed=1), schedule, Watched(0.99),
+                 stopping=[])
+    sums = _spent(result, schedule, problem.sigma)
+    assert sums[0] == 0.0 and np.count_nonzero(sums) > 2
+    assert np.count_nonzero(sums[1:] == 0.0) > 2
+    points = result.trace.points[:-1]
+    assert [x.tobytes() for x in asked] == [x.tobytes() for x in points[sums > 0.0]]
+    assert np.all(result.trace.perturbation_norm[:-1][sums == 0.0] == 0.0)
+
+
+def test_a_zero_policy_run_builds_no_stream(monkeypatch):
+    from blockproj import solver
+
+    monkeypatch.setattr(solver, "PerturbationStream",
+                        lambda seed: pytest.fail("the zero policy built a stream"))
+    problem = gen_linear_feasibility(13, 8, 5, 3)
+    result = run(problem, _config(residual_tolerance=1e-6), SimultaneousUniform(problem.m),
+                 ZeroPolicy())
+    assert np.count_nonzero(_spent(result, SimultaneousUniform(problem.m), problem.sigma)) > 2
+    assert not np.any(result.trace.perturbation_norm)
+
+
+def test_a_superiorized_run_takes_one_gradient_per_spending_iteration():
+    grads = []
+    problem = gen_l1_constrained(3, 20, 100, 2.0)
+
+    class Counted(type(problem.cost)):
+        def grad(self, x):
+            grads.append(np.array(x))
+            return super().grad(x)
+
+    schedule = BlockClassicalCyclic(problem.m, [list(range(0, problem.m, 2)),
+                                                list(range(1, problem.m, 2))])
+    result = run(problem, _config(residual_tolerance=1e-6, max_iterations=300, seed=3),
+                 schedule, SuperiorizedPolicy(Counted(), 0.99))
+    sums = _spent(result, schedule, problem.sigma)
+    assert np.count_nonzero(sums) > 20
+    points = result.trace.points[:-1]
+    assert [x.tobytes() for x in grads] == [x.tobytes() for x in points[sums > 0.0]]
+
+
 def test_residual_sweep_matches_records():
     problem = gen_linear_feasibility(14, 5, 3, 2)
     result = run(problem, _config(residual_tolerance=1e-6), SequentialCyclic(problem.m))
@@ -542,15 +645,19 @@ _REGIMES = {
 }
 
 
+# lambda = 1, and a relaxation table inside the default [0.5, 1.5]: a step
+# or a budget that ignores lambda differs from the reference only at the table
+@pytest.mark.parametrize("lam", [1.0, [0.6, 1.4, 1.0]], ids=["unit", "table"])
 @pytest.mark.parametrize("policy_name", ["zero", "random", "superiorized"])
 @pytest.mark.parametrize("regime", sorted(_REGIMES))
-def test_run_matches_scalar_reference(regime, policy_name):
+def test_run_matches_scalar_reference(regime, policy_name, lam):
     for seed in (1, 2):
         problem = _mixed_problem(seed)
         policy = {"zero": ZeroPolicy(), "random": RandomDirectionPolicy(0.99),
                   "superiorized": SuperiorizedPolicy(problem.cost, 0.99)}[policy_name]
         schedule = _REGIMES[regime](problem.m)
-        config = _config(residual_tolerance=1e-6, max_iterations=300, seed=seed + 40)
+        config = _config(residual_tolerance=1e-6, max_iterations=300, seed=seed + 40,
+                         lambda_schedule=LambdaSchedule(lam))
         result = run(problem, config, schedule, policy)
         reference = _reference_points(problem, config, schedule, policy, 1e-6)
         assert result.iterations_used == len(reference) - 1
